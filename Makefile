@@ -34,9 +34,11 @@ test:
 # (arun), the multi-process launcher (cmd/wfnet), the actor protocol
 # they drive, and the shared interning/memoization tables (temporal)
 # with their single-owner consumers (param), whose equivalence property
-# tests double as concurrency stress under -race.
+# tests double as concurrency stress under -race.  The benchmark's toy
+# run drives wfserve over HTTP while verdicts stream, so it guards the
+# serving layer's publish paths too.
 race:
-	$(GO) test -race ./internal/core ./internal/livenet ./internal/netwire ./internal/arun ./internal/engine ./cmd/wfnet ./internal/serve ./internal/drain ./cmd/wfserve ./internal/actor ./internal/temporal ./internal/param ./internal/obs/...
+	$(GO) test -race ./internal/core ./internal/livenet ./internal/netwire ./internal/arun ./internal/engine ./cmd/wfnet ./internal/serve ./internal/drain ./cmd/wfserve ./internal/actor ./internal/temporal ./internal/param ./internal/obs/... ./benchmark
 
 # The multi-instance engine's 256-instance stress run, always uncached
 # and under the race detector: the worker pool, the shared plan, the
@@ -57,9 +59,11 @@ tracecheck:
 # The durability gate, always uncached: seeded kill/restart cycles over
 # the WAL-backed mesh (recovered fingerprints must match the simulator
 # oracle, trace invariants must hold across the restart boundary, and
-# no fire may repeat), plus the snapshot-rotate-recover loop.
+# no fire may repeat), plus the snapshot-rotate-recover loop, plus the
+# ack pump holding a commit round open (inbound frames keep being read
+# and logged during an fsync, and nothing is acked before it is durable).
 crashcheck:
-	$(GO) test -count=1 -run 'TestCrashRestartChaos|TestSnapshotRecovery' ./internal/netwire
+	$(GO) test -count=1 -run 'TestCrashRestartChaos|TestSnapshotRecovery|TestAckPumpReadsDuringCommit' ./internal/netwire
 
 # The commit-pipeline gate, always uncached and under -race: the whole
 # WAL package (group-commit coalescing, registration churn against a

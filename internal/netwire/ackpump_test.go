@@ -1,0 +1,112 @@
+package netwire
+
+import (
+	"fmt"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"repro/internal/actor"
+	"repro/internal/algebra"
+	"repro/internal/simnet"
+	"repro/internal/wal"
+)
+
+// TestAckPumpReadsDuringCommit holds the receiver's first commit round
+// open and sends k frames one at a time, each as its own DATA frame.
+// The receiver's read loop must log all k inbound records inside that
+// one round — the durable ack waits on the ack pump, never on the read
+// path — and the sender must prune nothing until the receiver's durable
+// LSN covers those records (acked ⇒ durable).
+func TestAckPumpReadsDuringCommit(t *testing.T) {
+	const k = 8
+	const round = 2 * time.Second
+	dir := t.TempDir()
+
+	// The receiver's log commits only on a committer that waits out the
+	// whole round after its first append.
+	committer := wal.NewCommitter(wal.CommitterOptions{Interval: round})
+	t.Cleanup(committer.Close)
+	wb, err := wal.Open(filepath.Join(dir, "b"), wal.Options{Committer: committer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sender's log skips fsync so each send is transmitted at once.
+	wa, err := wal.Open(filepath.Join(dir, "a"), wal.Options{NoSync: true})
+	if err != nil {
+		wb.Close()
+		t.Fatal(err)
+	}
+	mk := func(id string, idx int, w *wal.Log) *Node {
+		// A retransmission timeout far past the round keeps every frame
+		// on the wire exactly once.
+		return NewNode(Config{
+			ID: id, ListenAddr: "127.0.0.1:0", NodeIndex: idx, WAL: w,
+			RetryMin: time.Minute, RetryMax: time.Minute,
+		})
+	}
+	a, b := mk("A", 0, wa), mk("B", 1, wb)
+	t.Cleanup(func() { a.Close(); b.Close() })
+	addrA, err := a.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrB, err := b.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Register("sa", func(actor.Net, any) {})
+	b.Register("sb", func(actor.Net, any) {})
+	peers := map[simnet.SiteID]string{"sa": addrA, "sb": addrB}
+	a.Start(peers)
+	b.Start(peers)
+
+	deadline := time.Now().Add(round)
+	for i := 1; i <= k; i++ {
+		a.Send("sa", "sb", actor.AnnounceMsg{Sym: algebra.Sym(fmt.Sprintf("e%d", i)), At: int64(i)})
+		// Frame i is sent only after frame i-1 was logged, so no two
+		// frames can share a batch.
+		for b.Pending() < int64(i) {
+			if d := wb.Durable(); d > 0 || time.Now().After(deadline) {
+				t.Fatalf("receiver logged %d of %d frames before its first commit round ended (durable LSN %d)",
+					b.Pending(), k, d)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if got := a.Pending(); got != int64(i) {
+			t.Fatalf("sender pending %d after %d sends inside the open round; an ack escaped before durability", got, i)
+		}
+	}
+	if d := wb.Durable(); d != 0 {
+		t.Fatalf("first commit round ended before the check (durable LSN %d); the test needs it open", d)
+	}
+	if batches, _ := a.BatchStats(); batches != 0 {
+		t.Fatalf("sender coalesced %d batches; the test needs %d separate DATA frames", batches, k)
+	}
+
+	// The round ends, the pump acks, the sender prunes.  Any pruning seen
+	// must already be covered by the receiver's durable LSN: its log holds
+	// exactly the k KIn records, LSNs 1..k.
+	stop := time.Now().Add(10 * round)
+	for {
+		pending := a.Pending()
+		if pending < k {
+			if d := wb.Durable(); d < k {
+				t.Fatalf("sender pruned to %d pending while the receiver is durable only through LSN %d", pending, d)
+			}
+		}
+		if pending == 0 {
+			break
+		}
+		if time.Now().After(stop) {
+			t.Fatalf("sender still holds %d unacked frames after the round", pending)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !WaitIdleAll(5*time.Second, a, b) {
+		t.Fatal("pair not idle after the round")
+	}
+	if delivered, _ := b.Stats(); delivered != k {
+		t.Fatalf("receiver delivered %d frames, want %d", delivered, k)
+	}
+}

@@ -663,7 +663,8 @@ func (n *Node) acceptLoop() {
 
 // serveConn handles one inbound connection: a HELLO identifying the
 // sending node, then DATA frames, each acknowledged cumulatively on
-// the same connection.
+// the same connection — inline on a volatile node, through the
+// connection's ackPump on a durable one, so reads never wait on fsync.
 func (n *Node) serveConn(conn net.Conn) {
 	if n.cfg.Debug != nil {
 		wrapped, frame, err := obs.SniffConn(conn)
@@ -680,6 +681,12 @@ func (n *Node) serveConn(conn net.Conn) {
 	defer conn.Close()
 	cw := newConnWriter(conn, n.cfg.writeTimeout())
 	defer cw.shutdown()
+	var pump *ackPump
+	if n.wal != nil {
+		pump = &ackPump{wake: make(chan struct{}, 1), done: make(chan struct{})}
+		defer close(pump.done)
+		go pump.run(n.wal, conn, cw)
+	}
 	var peer *recvPeer
 	var peerID string
 	for {
@@ -731,12 +738,12 @@ func (n *Node) serveConn(conn net.Conn) {
 			}
 			// Acknowledge after the delivery is accounted for, so the
 			// sender's pending interval overlaps the receiver's — and,
-			// in WAL mode, only once the logged deliveries are durable,
-			// so the sender never prunes a frame we could lose.
-			if !n.waitAckDurable(peer) {
-				return
-			}
-			if err := cw.write(appendAck(nil, ack)); err != nil {
+			// in WAL mode, through the pump, which acks only once the
+			// logged deliveries are durable, so the sender never prunes
+			// a frame we could lose.
+			if pump != nil {
+				pump.offer(ack, peer.lastLsn.Load())
+			} else if err := cw.write(appendAck(nil, ack)); err != nil {
 				return
 			}
 		case frameBatch:
@@ -776,10 +783,9 @@ func (n *Node) serveConn(conn net.Conn) {
 			}
 			// One cumulative acknowledgement covers the whole batch:
 			// coalescing saves ack frames as well as data frames.
-			if !n.waitAckDurable(peer) {
-				return
-			}
-			if err := cw.write(appendAck(nil, ack)); err != nil {
+			if pump != nil {
+				pump.offer(ack, peer.lastLsn.Load())
+			} else if err := cw.write(appendAck(nil, ack)); err != nil {
 				return
 			}
 		default:
@@ -789,17 +795,58 @@ func (n *Node) serveConn(conn net.Conn) {
 	}
 }
 
-// waitAckDurable blocks until every delivery logged from this peer is
-// durable, reporting false when the log closed first — a shutdown is in
-// progress, and acknowledging a non-durable delivery would let the
-// sender prune a frame the recovered node never saw.
-func (n *Node) waitAckDurable(peer *recvPeer) bool {
-	if n.wal == nil {
-		return true
+// ackPump writes one inbound connection's acknowledgements in WAL mode.
+// An ack may cover only deliveries whose KIn records are durable, and
+// waiting for that on the read loop would cap the link at one frame per
+// commit round: frames arriving during an fsync would queue in the
+// socket instead of joining the next round.  So the read loop offers
+// (cumulative ack, LSN of the newest delivery logged from the peer) and
+// goes straight back to reading; the pump keeps only the highest pair,
+// waits until that LSN is durable, and writes one ack covering
+// everything offered meanwhile.
+type ackPump struct {
+	mu   sync.Mutex
+	ack  uint64
+	lsn  uint64
+	wake chan struct{} // capacity 1: a new pair was offered
+	done chan struct{} // closed when the read loop exits
+}
+
+// offer records that everything up to ack may be acknowledged once the
+// log is durable through lsn.
+func (p *ackPump) offer(ack, lsn uint64) {
+	p.mu.Lock()
+	p.ack, p.lsn = max(p.ack, ack), max(p.lsn, lsn)
+	p.mu.Unlock()
+	select {
+	case p.wake <- struct{}{}:
+	default:
 	}
-	lsn := peer.lastLsn.Load()
-	n.wal.WaitDurable(lsn)
-	return n.wal.Durable() >= lsn
+}
+
+// run is the pump's lifetime.  It closes the connection when the log
+// closes before the offered LSN is durable — a shutdown is in progress,
+// and acknowledging a non-durable delivery would let the sender prune a
+// frame the recovered node never saw — or when an ack write fails.
+func (p *ackPump) run(w *wal.Log, conn net.Conn, cw *connWriter) {
+	defer conn.Close()
+	for {
+		select {
+		case <-p.wake:
+		case <-p.done:
+			return
+		}
+		p.mu.Lock()
+		ack, lsn := p.ack, p.lsn
+		p.mu.Unlock()
+		w.WaitDurable(lsn)
+		if w.Durable() < lsn {
+			return
+		}
+		if err := cw.write(appendAck(nil, ack)); err != nil {
+			return
+		}
+	}
 }
 
 // deliverReady decodes and enqueues frames released in order by the

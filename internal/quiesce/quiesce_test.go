@@ -265,14 +265,16 @@ func TestGatePulse(t *testing.T) {
 // double-close.
 func TestGateConcurrent(t *testing.T) {
 	var g Gate
-	var wg sync.WaitGroup
+	var wg, armed sync.WaitGroup
 	var woken atomic.Int64
 	const waiters = 16
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
+		armed.Add(1)
 		go func() {
 			defer wg.Done()
 			ch := g.Chan()
+			armed.Done()
 			select {
 			case <-ch:
 				woken.Add(1)
@@ -291,7 +293,10 @@ func TestGateConcurrent(t *testing.T) {
 		}()
 	}
 	pulses.Wait()
-	g.Pulse() // final pulse: any waiter that armed after the storm
+	// Final pulse, once every waiter has armed: a waiter scheduled only
+	// after it would hold a channel nothing closes.
+	armed.Wait()
+	g.Pulse()
 	wg.Wait()
 	if woken.Load() != waiters {
 		t.Errorf("woke %d of %d waiters", woken.Load(), waiters)

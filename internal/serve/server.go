@@ -60,6 +60,9 @@ type Config struct {
 // Verdict is one completed instance's outcome summary, sequenced for
 // cursor-based streaming.
 type Verdict struct {
+	// Seq is the verdict's position in the /v1/verdicts stream; it is
+	// set on the stream's copy only, so a verdict read per instance
+	// carries 0.
 	Seq         uint64 `json:"seq"`
 	ID          uint64 `json:"id"`
 	Tenant      string `json:"tenant"`
@@ -500,7 +503,7 @@ func (inst *Instance) finalize(entry *PlanEntry, out *arun.Outcome) {
 	mActive.Add(-1)
 
 	publish := func() {
-		inst.srv.verdicts.push(v)
+		inst.srv.verdicts.push(*v)
 		mCompleted.Inc()
 		if entry != nil {
 			entry.Stats.Completed.Add(1)

@@ -26,11 +26,14 @@ func newVerdictStream(cap int) *verdictStream {
 	return v
 }
 
-func (vs *verdictStream) push(v *Verdict) {
+// push publishes a copy of v stamped with the next sequence number.
+// The caller's verdict stays unstamped: it has already escaped to
+// readers (CloseInstance, the instance GET) that encode it unlocked.
+func (vs *verdictStream) push(v Verdict) {
 	vs.mu.Lock()
 	vs.seq++
 	v.Seq = vs.seq
-	vs.buf = append(vs.buf, v)
+	vs.buf = append(vs.buf, &v)
 	if len(vs.buf) > vs.cap {
 		vs.buf = vs.buf[len(vs.buf)-vs.cap:]
 	}
