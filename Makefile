@@ -29,16 +29,15 @@ test:
 	$(GO) test ./...
 
 # The packages with real concurrency: the parallel guard-synthesis
-# pipeline (core), the goroutine transport (livenet), the TCP transport
-# (netwire, including the differential chaos suite) and its driver
-# (arun), the multi-process launcher (cmd/wfnet), the actor protocol
-# they drive, and the shared interning/memoization tables (temporal)
+# pipeline (core), the TCP transport (netwire, including the
+# differential chaos suite) and its driver (arun), the multi-process
+# launcher (cmd/wfnet), the actor protocol they drive, and the shared interning/memoization tables (temporal)
 # with their single-owner consumers (param), whose equivalence property
 # tests double as concurrency stress under -race.  The benchmark's toy
 # run drives wfserve over HTTP while verdicts stream, so it guards the
 # serving layer's publish paths too.
 race:
-	$(GO) test -race ./internal/core ./internal/livenet ./internal/netwire ./internal/arun ./internal/engine ./cmd/wfnet ./internal/serve ./internal/drain ./cmd/wfserve ./internal/actor ./internal/temporal ./internal/param ./internal/obs/... ./benchmark
+	$(GO) test -race ./internal/core ./internal/netwire ./internal/arun ./internal/engine ./cmd/wfnet ./internal/serve ./internal/drain ./cmd/wfserve ./internal/actor ./internal/temporal ./internal/param ./internal/obs/... ./benchmark
 
 # The multi-instance engine's 256-instance stress run, always uncached
 # and under the race detector: the worker pool, the shared plan, the

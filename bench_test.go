@@ -318,21 +318,3 @@ func BenchmarkKnowledgeReduce(b *testing.B) {
 		k.Reduce(guard)
 	}
 }
-
-// BenchmarkP10Transports: one full travel run over each transport —
-// simulator, goroutine transport, loopback TCP — through the identical
-// arun driver (the P10 experiment).
-func BenchmarkP10Transports(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.P10()
-	}
-}
-
-// BenchmarkP11Engine: the multi-instance throughput experiment — the
-// serial baseline plus the engine's instance sweep on the simulator
-// and the shared TCP mesh (the P11 experiment).
-func BenchmarkP11Engine(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.P11()
-	}
-}

@@ -94,6 +94,14 @@ func TestWorkerSignalDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Hold the control stream open: on stdin EOF the worker returns on
+	// its own and unregisters the drain, and a SIGTERM landing after
+	// that kills it with the default action.
+	in, err := cmd.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@
 //
 //	sim   deterministic simulated network (default); the -sched flag
 //	      then picks the scheduler, or 'all' to compare all three
-//	live  in-process goroutine transport (internal/livenet)
 //	net   loopback TCP mesh, one node per site (internal/netwire)
 //
 // With -instances n (n > 1) the spec is executed as n concurrent
@@ -25,7 +24,7 @@
 //
 // Usage:
 //
-//	wfrun [-transport sim|live|net]
+//	wfrun [-transport sim|net]
 //	      [-sched distributed|central-residuation|central-automata|all]
 //	      [-order k1,k2,...] [-instances n] [-workers n]
 //	      [-wal dir] [-walnosync] [-walcheckpoint d] [-walcommitinterval d]
@@ -51,7 +50,7 @@ import (
 )
 
 func main() {
-	transport := flag.String("transport", "sim", "transport: sim, live, or net")
+	transport := flag.String("transport", "sim", "transport: sim or net")
 	kindFlag := flag.String("sched", "distributed", "scheduler kind, or 'all' to compare (sim transport only)")
 	order := flag.String("order", "", "replay a comma-separated announcement order in place of the spec's agents (the model checker's counterexamples print these)")
 	instances := flag.Int("instances", 1, "concurrent workflow instances (>1 uses the multi-instance engine; sim or net)")
@@ -116,10 +115,10 @@ func run(in io.Reader, out io.Writer, transport, kindFlag, order string, instanc
 		switch transport {
 		case "", "sim":
 			err = runSim(s, out, kindFlag, seed, showDecisions)
-		case "live", "net":
-			err = runAsync(s, out, transport, seed, wal)
+		case "net":
+			err = runNet(s, out, wal)
 		default:
-			err = fmt.Errorf("unknown transport %q (want sim, live, or net)", transport)
+			err = fmt.Errorf("unknown transport %q (want sim or net)", transport)
 		}
 	}
 	if traceOut != "" {
@@ -256,54 +255,42 @@ func runSim(s *spec.Spec, out io.Writer, kindFlag string, seed int64, showDecisi
 	return nil
 }
 
-// runAsync executes on an asynchronous transport through the arun
-// driver (always the distributed per-event-actor scheduler).
-func runAsync(s *spec.Spec, out io.Writer, transport string, seed int64, wal walOpts) error {
-	_ = seed // asynchronous transports have no seedable schedule
+// runNet executes on the loopback TCP mesh through the arun driver
+// (always the distributed per-event-actor scheduler).
+func runNet(s *spec.Spec, out io.Writer, wal walOpts) error {
+	mesh, err := netwire.NewMeshOpts(arun.DefaultDriver, arun.Sites(s), netwire.MeshOptions{
+		WALRoot: wal.Dir, NoSync: wal.NoSync, CheckpointEvery: wal.Checkpoint,
+		CommitInterval: wal.Commit, DeferStart: wal.Dir != "",
+	})
+	if err != nil {
+		return err
+	}
+	defer mesh.Close()
 	var (
-		tr        arun.Transport
 		r         *arun.Runner
 		recovered bool
-		err       error
 	)
-	switch transport {
-	case "live":
-		tr = arun.NewLiveTransport()
-	case "net":
-		mesh, merr := netwire.NewMeshOpts(arun.DefaultDriver, arun.Sites(s), netwire.MeshOptions{
-			WALRoot: wal.Dir, NoSync: wal.NoSync, CheckpointEvery: wal.Checkpoint,
-			CommitInterval: wal.Commit, DeferStart: wal.Dir != "",
-		})
-		if merr != nil {
-			return merr
+	if wal.Dir != "" {
+		// A reused WAL directory resumes the crashed run: rebuild the
+		// actors, replay the logs through them, then start the mesh and
+		// let Run re-drive the schedule idempotently.
+		plan, err := arun.NewPlan(s, arun.PlanOptions{Driver: arun.DefaultDriver, Observe: true})
+		if err != nil {
+			return err
 		}
-		tr = mesh
-		if wal.Dir != "" {
-			// A reused WAL directory resumes the crashed run: rebuild the
-			// actors, replay the logs through them, then start the mesh
-			// and let Run re-drive the schedule idempotently.
-			plan, perr := arun.NewPlan(s, arun.PlanOptions{Driver: arun.DefaultDriver, Observe: true})
-			if perr != nil {
-				mesh.Close()
-				return perr
-			}
-			opt := arun.RunnerOptions{IdleTimeout: 30 * time.Second}
-			if mesh.NeedsRecovery() {
-				r, err = plan.Resume(mesh, opt)
-				recovered = true
-			} else {
-				r, err = plan.NewRunner(mesh, opt)
-			}
-			if err != nil {
-				mesh.Close()
-				return err
-			}
-			mesh.Start()
+		opt := arun.RunnerOptions{IdleTimeout: 30 * time.Second}
+		if mesh.NeedsRecovery() {
+			r, err = plan.Resume(mesh, opt)
+			recovered = true
+		} else {
+			r, err = plan.NewRunner(mesh, opt)
 		}
-	}
-	defer tr.Close()
-	if r == nil {
-		r, err = arun.New(tr, s, arun.Options{IdleTimeout: 30 * time.Second})
+		if err != nil {
+			return err
+		}
+		mesh.Start()
+	} else {
+		r, err = arun.New(mesh, s, arun.Options{IdleTimeout: 30 * time.Second})
 		if err != nil {
 			return err
 		}
@@ -315,7 +302,7 @@ func runAsync(s *spec.Spec, out io.Writer, transport string, seed int64, wal wal
 	if recovered {
 		fmt.Fprintf(out, "(recovered from WAL at %s)\n", wal.Dir)
 	}
-	fmt.Fprintf(out, "== distributed over %s ==\n", transport)
+	fmt.Fprintln(out, "== distributed over net ==")
 	fmt.Fprintf(out, "trace:     %v\n", o.Trace)
 	fmt.Fprintf(out, "satisfied: %v\n", o.Satisfied)
 	if len(o.Unresolved) > 0 {

@@ -39,30 +39,27 @@ func TestRunAllSchedulers(t *testing.T) {
 	}
 }
 
-// TestRunAsyncTransports exercises the live and net transports through
-// the CLI path.
+// TestRunAsyncTransports exercises the asynchronous net transport
+// through the CLI path.
 func TestRunAsyncTransports(t *testing.T) {
-	for _, transport := range []string{"live", "net"} {
-		f, err := os.Open("../../testdata/travel.wf")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		err = run(f, &out, transport, "distributed", "", 1, 0, 1, false, "", walOpts{})
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", transport, err)
-		}
-		text := out.String()
-		if !strings.Contains(text, "== distributed over "+transport+" ==") {
-			t.Errorf("%s: missing header:\n%s", transport, text)
-		}
-		if !strings.Contains(text, "satisfied: true") {
-			t.Errorf("%s: run not satisfied:\n%s", transport, text)
-		}
-		if strings.Contains(text, "UNRESOLVED") {
-			t.Errorf("%s: run stalled:\n%s", transport, text)
-		}
+	f, err := os.Open("../../testdata/travel.wf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out bytes.Buffer
+	if err := run(f, &out, "net", "distributed", "", 1, 0, 1, false, "", walOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	if !strings.Contains(text, "== distributed over net ==") {
+		t.Errorf("missing header:\n%s", text)
+	}
+	if !strings.Contains(text, "satisfied: true") {
+		t.Errorf("run not satisfied:\n%s", text)
+	}
+	if strings.Contains(text, "UNRESOLVED") {
+		t.Errorf("run stalled:\n%s", text)
 	}
 }
 
@@ -92,8 +89,8 @@ func TestRunEngineInstances(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	if err := run(strings.NewReader("dep ~a + b"), &out, "live", "distributed", "", 2, 0, 1, false, "", walOpts{}); err == nil {
-		t.Fatal("-instances over the live transport must error")
+	if err := run(strings.NewReader("dep ~a + b"), &out, "carrier-pigeon", "distributed", "", 2, 0, 1, false, "", walOpts{}); err == nil {
+		t.Fatal("-instances over an unknown transport must error")
 	}
 }
 
@@ -198,7 +195,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run(strings.NewReader("dep ~a + b"), &out, "sim", "warp", "", 1, 0, 1, false, "", walOpts{}); err == nil {
 		t.Fatal("unknown scheduler must error")
 	}
-	if err := run(strings.NewReader("dep ~a + b"), &out, "carrier-pigeon", "distributed", "", 1, 0, 1, false, "", walOpts{}); err == nil {
-		t.Fatal("unknown transport must error")
+	for _, transport := range []string{"carrier-pigeon", "live"} {
+		if err := run(strings.NewReader("dep ~a + b"), &out, transport, "distributed", "", 1, 0, 1, false, "", walOpts{}); err == nil {
+			t.Fatalf("unknown transport %q must error", transport)
+		}
 	}
 }

@@ -73,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	nosync := fs.Bool("nosync", false, "skip fsync on the WAL (group commit still orders writes)")
 	lagmax := fs.Int64("lagmax", 0, "shed admissions when WAL fsync lag exceeds this many records (default 4096, negative disables)")
 	commitIvl := fs.Duration("walcommitinterval", 0, "group-commit window: wait this long after the first pending append before fsyncing the round (0 commits as soon as the committer is free)")
-	inlineSync := fs.Bool("walinlinesync", false, "revert to blocking per-append fsync with independent per-tenant flushers (durability pipeline ablation)")
 	plans := fs.Int("plans", 0, "compiled-plan cache capacity (default 64; sources are never evicted)")
 	idle := fs.Duration("idle", 0, "per-instance transport idle timeout (default 15s)")
 	verbose := fs.Bool("v", false, "progress diagnostics on stderr")
@@ -89,8 +88,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	s, err := serve.NewServer(serve.Config{
 		Shards: *shards, MailboxDepth: *mailbox, HighWater: *highwater,
 		WALRoot: *walRoot, WALNoSync: *nosync, FsyncLagMax: *lagmax,
-		WALCommitInterval: *commitIvl, WALInlineSync: *inlineSync,
-		RegistryCap: *plans, IdleTimeout: *idle, Logf: logf,
+		WALCommitInterval: *commitIvl, RegistryCap: *plans,
+		IdleTimeout: *idle, Logf: logf,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "wfserve:", err)

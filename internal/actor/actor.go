@@ -45,8 +45,8 @@ import (
 )
 
 // Net is the transport the actor runs on.  *simnet.Network implements
-// it (deterministic simulation); internal/livenet implements it over
-// real goroutines and channels.  An actor's handlers are always
+// it (deterministic simulation); internal/netwire implements it over
+// TCP links between real goroutines.  An actor's handlers are always
 // invoked from a single goroutine per site — the transport provides
 // that serialization.
 type Net interface {

@@ -1,7 +1,6 @@
 // Package arun executes compiled workflows over an asynchronous
-// transport — the in-process goroutine transport (internal/livenet), a
-// loopback TCP mesh, or a multi-process cluster (internal/netwire) —
-// and, crucially, over the deterministic simulator through the same
+// transport — a loopback TCP mesh or a multi-process cluster
+// (internal/netwire) — and, crucially, over the deterministic simulator through the same
 // code path, so a simulated run is a differential oracle for the real
 // ones.
 //
@@ -58,7 +57,7 @@ type Transport interface {
 // the pipelined attempt wait selects on the decision gate and the idle
 // signal simultaneously — a parked attempt is detected the moment the
 // transport drains rather than on the next poll slice, which is most
-// of the net-mode inter-attempt latency (EXPERIMENTS.md, P14).
+// of the net-mode inter-attempt latency.
 type IdleNotifier interface {
 	IdleNow() bool
 	IdleWait() (idle <-chan struct{}, cancel func())

@@ -45,8 +45,7 @@ type Plan struct {
 	neg     map[string]actor.GuardSpec
 	// progs holds the compiled guard programs, one per base event,
 	// shared read-only across every instance's actors (each actor
-	// derives its own mutable gprog.State).  Nil when the plan was
-	// built with NoPrograms (the P14 ablation).
+	// derives its own mutable gprog.State).
 	progs map[string]*gprog.Prog
 	// extraProg is the ⊤/⊤ program every out-of-alphabet extra shares.
 	extraProg *gprog.Prog
@@ -66,10 +65,6 @@ type PlanOptions struct {
 	Observe bool
 	// Compiled reuses a pre-compiled workflow (optional).
 	Compiled *core.Compiled
-	// NoPrograms skips compiling the guards into bitset programs, so
-	// every actor decides through the formula trees alone — the
-	// before/after ablation of the P14 experiment.
-	NoPrograms bool
 }
 
 // NewPlan compiles (unless pre-compiled) and computes the shared
@@ -92,6 +87,7 @@ func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
 		siteOf: map[string]simnet.SiteID{},
 		pos:    map[string]actor.GuardSpec{},
 		neg:    map[string]actor.GuardSpec{},
+		progs:  map[string]*gprog.Prog{},
 	}
 	p.bases, p.extras = alphabetAndExtras(sp)
 	pl := sp.Placement()
@@ -126,21 +122,15 @@ func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
 				}
 			}
 		}
-		p.pos[b.Key()] = guardSpecFor(c, b)
-		p.neg[b.Key()] = guardSpecFor(c, b.Complement())
+		pos, neg := guardSpecFor(c, b), guardSpecFor(c, b.Complement())
+		p.pos[b.Key()], p.neg[b.Key()] = pos, neg
+		p.progs[b.Key()] = gprog.Compile(
+			gprog.GuardInput{Guard: pos.Guard, LocalNeg: pos.LocalNeg},
+			gprog.GuardInput{Guard: neg.Guard, LocalNeg: neg.LocalNeg})
 	}
-	if !opt.NoPrograms {
-		p.progs = map[string]*gprog.Prog{}
-		for _, b := range p.bases {
-			pos, neg := p.pos[b.Key()], p.neg[b.Key()]
-			p.progs[b.Key()] = gprog.Compile(
-				gprog.GuardInput{Guard: pos.Guard, LocalNeg: pos.LocalNeg},
-				gprog.GuardInput{Guard: neg.Guard, LocalNeg: neg.LocalNeg})
-		}
-		p.extraProg = gprog.Compile(
-			gprog.GuardInput{Guard: temporal.TrueF()},
-			gprog.GuardInput{Guard: temporal.TrueF()})
-	}
+	p.extraProg = gprog.Compile(
+		gprog.GuardInput{Guard: temporal.TrueF()},
+		gprog.GuardInput{Guard: temporal.TrueF()})
 	for _, key := range sp.Triggerable() {
 		s, err := algebra.ParseSymbol(key)
 		if err != nil {

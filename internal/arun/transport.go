@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/livenet"
 	"repro/internal/netwire"
 	"repro/internal/simnet"
 )
@@ -68,47 +67,9 @@ func (s *SimTransport) WaitIdle(time.Duration) bool {
 // Close implements Transport (no resources to release).
 func (s *SimTransport) Close() {}
 
-// LiveTransport adapts the in-process goroutine transport.
-type LiveTransport struct {
-	Net *livenet.Net
-}
-
-// NewLiveTransport builds a livenet-backed transport.
-func NewLiveTransport() *LiveTransport {
-	return &LiveTransport{Net: livenet.New()}
-}
-
-// Register implements Transport.
-func (l *LiveTransport) Register(site simnet.SiteID, h func(n actor.Net, payload any)) {
-	l.Net.AddSite(site, func(n *livenet.Net, p any) { h(n, p) })
-}
-
-// Send implements actor.Net.
-func (l *LiveTransport) Send(from, to simnet.SiteID, payload any) {
-	l.Net.Send(from, to, payload)
-}
-
-// Now implements actor.Net.
-func (l *LiveTransport) Now() simnet.Time { return l.Net.Now() }
-
-// NextOccurrence implements actor.Net.
-func (l *LiveTransport) NextOccurrence() int64 { return l.Net.NextOccurrence() }
-
-// Clock implements actor.Net.
-func (l *LiveTransport) Clock() int64 { return l.Net.Clock() }
-
-// WaitIdle implements Transport.
-func (l *LiveTransport) WaitIdle(timeout time.Duration) bool {
-	return l.Net.WaitIdle(timeout)
-}
-
-// Close implements Transport.
-func (l *LiveTransport) Close() { l.Net.Close() }
-
-// Compile-time checks that every adapter — and the TCP mesh itself —
-// satisfies the Transport contract.
+// Compile-time checks that the simulator adapter — and the TCP mesh
+// itself — satisfy the Transport contract.
 var (
 	_ Transport = (*SimTransport)(nil)
-	_ Transport = (*LiveTransport)(nil)
 	_ Transport = (*netwire.Mesh)(nil)
 )

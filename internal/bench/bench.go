@@ -98,13 +98,6 @@ func All() []Experiment {
 		{"P7", P7, "latency sensitivity: decision latency vs remote-link cost"},
 		{"P8", P8, "parallel vs sequential guard synthesis (worker pool)"},
 		{"P9", P9, "ablation: incremental vs from-scratch parametrized evaluation"},
-		{"P10", P10, "transport comparison: simnet vs livenet vs netwire"},
-		{"P11", P11, "multi-instance engine throughput vs serial quiescence"},
-		{"P12", P12, "tracing overhead: disabled vs ring vs full capture"},
-		{"P13", P13, "WAL durability overhead: off vs on vs on+checkpoint"},
-		{"P14", P14, "flat guard programs: bitset delivery vs tree evaluation"},
-		{"P15", P15, "wfserve service throughput vs arrival rate, WAL off/on"},
-		{"P16", P16, "pipelined durability: concurrent open-loop, WAL off/on/on+inline"},
 	}
 }
 

@@ -75,14 +75,8 @@ type Options struct {
 	Fault *simnet.FaultPlan
 	// Compiled reuses a pre-compiled workflow (optional).
 	Compiled *core.Compiled
-	// NoPrograms disables the compiled guard programs, forcing every
-	// actor onto the formula-tree evaluation path — the P14 ablation.
-	NoPrograms bool
 	// IdleTimeout bounds each instance's waits (default 15s).
 	IdleTimeout time.Duration
-	// PollInterval is the pipelined decision-wait slice on the net
-	// transport (default 200µs).
-	PollInterval time.Duration
 	// Jitter widens the per-instance sim latency jitter (µs) so
 	// message races genuinely vary across instances — the stress-test
 	// knob.  Zero keeps the tight throughput latencies.
@@ -94,11 +88,10 @@ type Options struct {
 	// the instance ID; nil falls back to obs.Shared().
 	Tracer *obs.Tracer
 	// WALRoot, on ModeNet, gives every mesh node a write-ahead log
-	// under WALRoot/<site> — the P13 durability-overhead measurement
-	// knob.  Multi-instance replay recovery is not supported: the log
-	// records durability costs (and watermark checkpoints when
-	// CheckpointEvery is set) but a crashed engine run is re-run, not
-	// resumed.
+	// under WALRoot/<site>.  Multi-instance replay recovery is not
+	// supported: the log records durability costs (and watermark
+	// checkpoints when CheckpointEvery is set) but a crashed engine run
+	// is re-run, not resumed.
 	WALRoot string
 	// WALNoSync skips per-batch fsync in WAL mode.
 	WALNoSync bool
@@ -113,8 +106,8 @@ type Options struct {
 	// guard specs) instead of building one from the spec — the
 	// multi-plan hosting path: a registry (internal/serve) compiles
 	// each named spec once and every engine run against it skips
-	// compilation entirely.  When set, Compiled and NoPrograms are
-	// ignored (the plan already embodies them).
+	// compilation entirely.  When set, Compiled is ignored (the plan
+	// already embodies it).
 	Plan *arun.Plan
 }
 
@@ -164,7 +157,7 @@ func Run(sp *spec.Spec, opt Options) (*Result, error) {
 	plan := opt.Plan
 	if plan == nil {
 		var err error
-		plan, err = arun.NewPlan(sp, arun.PlanOptions{Compiled: opt.Compiled, NoPrograms: opt.NoPrograms})
+		plan, err = arun.NewPlan(sp, arun.PlanOptions{Compiled: opt.Compiled})
 		if err != nil {
 			return nil, err
 		}
@@ -274,7 +267,6 @@ func runOne(plan *arun.Plan, eng *netEngine, sc *arun.Scratch, sat *arun.SatCach
 		defer eng.remove(inst)
 		tr = inst.transport()
 		ropt.Pipelined = true
-		ropt.PollInterval = opt.PollInterval
 	} else {
 		// A private simulator per instance, on the same latency model as
 		// the serial oracle — virtual time costs nothing, and keeping the

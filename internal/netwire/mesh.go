@@ -231,7 +231,7 @@ func (m *Mesh) BatchStats() (batches, frames int64) {
 }
 
 // WALSyncs sums completed fsync batches over all node logs (zero on a
-// volatile mesh) — the group-commit amortization P13 reports.
+// volatile mesh) — the group-commit amortization engine runs report.
 func (m *Mesh) WALSyncs() int64 {
 	var total int64
 	for _, n := range m.nodes {

@@ -177,8 +177,7 @@ type Node struct {
 	ckptStop     chan struct{}
 
 	// Delivered counts DATA frames handed to site handlers; Deduped
-	// counts suppressed duplicates (metrics for the chaos tests and
-	// the P10 experiment).
+	// counts suppressed duplicates (metrics for the chaos tests).
 	delivered atomic.Int64
 	deduped   atomic.Int64
 	// batches / batchedFrames count outbound coalescing: batch frames
@@ -528,8 +527,8 @@ func (n *Node) recvPeer(id string) *recvPeer {
 	return rp
 }
 
-// inbox serializes one site's deliveries on a single goroutine,
-// exactly like internal/livenet.
+// inbox serializes one site's deliveries on a single goroutine, the
+// per-site serialization actor.Net promises.
 type inbox struct {
 	node    *Node
 	handler func(payload any)

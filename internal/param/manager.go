@@ -299,15 +299,38 @@ func (m *Manager) History() *History { return &m.hist }
 // instantiation of the dependencies over the bindings the trace makes
 // relevant — the §5.2 correctness criterion.  It returns the first
 // violated instance, if any.
+//
+// Each instance is checked on the trace projected onto the symbols it
+// mentions.  ⊨ reads a trace only through atom membership and cuts,
+// and every cut of the projection lifts to a cut of the full trace, so
+// the verdict is the one the full trace gives — but the cost per
+// instance follows its few atoms, not the trace length.
 func (m *Manager) SatisfiesInstances() (violated *algebra.Expr, ok bool) {
 	tr := m.Trace()
+	at := make(map[string][]int, len(tr)) // symbol key → trace positions
+	for i, s := range tr {
+		k := s.Key()
+		at[k] = append(at[k], i)
+	}
+	var pos []int
+	var proj algebra.Trace
 	for _, d := range m.deps {
 		for _, b := range groundBindings(d, tr) {
 			inst := SubstExpr(d, b)
 			if !Ground(inst) {
 				continue
 			}
-			if !tr.Satisfies(inst) {
+			// Atoms are distinct keys, so their positions never collide.
+			pos = pos[:0]
+			for _, a := range inst.Atoms() {
+				pos = append(pos, at[a.Key()]...)
+			}
+			sort.Ints(pos)
+			proj = proj[:0]
+			for _, p := range pos {
+				proj = append(proj, tr[p])
+			}
+			if !proj.Satisfies(inst) {
 				return inst, false
 			}
 		}

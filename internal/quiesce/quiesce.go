@@ -2,11 +2,11 @@
 // detect distributed quiescence: the moment when no message is queued,
 // being processed, or awaiting acknowledgement anywhere.
 //
-// Both internal/livenet (goroutine channels) and internal/netwire (TCP
-// links) need the same accounting — a message counts as pending from
-// the instant it is sent until its handler has returned (and, for the
-// wire transport, until the receiver's acknowledgement has pruned it
-// from the retransmission queue).  The sender's interval and the
+// internal/netwire (TCP links) and internal/engine's per-instance
+// transports need the same accounting — a message counts as pending
+// from the instant it is sent until its handler has returned (and, for
+// the wire transport, until the receiver's acknowledgement has pruned
+// it from the retransmission queue).  The sender's interval and the
 // receiver's interval overlap by construction, so the global pending
 // sum never reads zero while anything is still in flight.
 package quiesce

@@ -18,11 +18,11 @@ import (
 // rather than a sample of one.
 //
 // Permitted nondeterminism, deliberately outside this test: the
-// wall-clock transports (livenet, netwire) interleave goroutines
-// freely, so their Lamport stamps and record interleavings vary run to
-// run.  Their traces still satisfy every check.Trace invariant (the
-// chaos suite asserts exactly that); only the simulator's virtual time
-// promises bytewise replay.
+// wall-clock transport (netwire) interleaves goroutines freely, so its
+// Lamport stamps and record interleavings vary run to run.  Its traces
+// still satisfy every check.Trace invariant (the chaos suite asserts
+// exactly that); only the simulator's virtual time promises bytewise
+// replay.
 
 // captureRun executes the workload on the distributed simulator
 // scheduler with full tracing and returns the causally ordered JSONL

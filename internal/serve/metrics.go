@@ -3,9 +3,9 @@ package serve
 import "repro/internal/obs"
 
 // Serving metrics: admission, shedding, completion latency (µs), and
-// registry churn.  P15 derives p50/p99 instance-completion latency
-// and sustained announcement throughput from these histograms via
-// snapshot diffs.
+// registry churn.  The benchmark derives p50/p99 instance-completion
+// latency and sustained announcement throughput from these histograms
+// via snapshot diffs.
 var (
 	mAdmitted   = obs.C("serve.admitted")
 	mShed       = obs.C("serve.shed")

@@ -44,11 +44,6 @@ type Config struct {
 	// before fsyncing the round, trading admission latency for fewer,
 	// wider fsyncs.  Zero commits as soon as the committer is free.
 	WALCommitInterval time.Duration
-	// WALInlineSync reverts durability to the blocking pre-pipeline
-	// path: every journal append waits for its own log's fsync inside
-	// the handler and per-tenant logs flush independently (no shared
-	// committer).  The P16 ablation; leave false in production.
-	WALInlineSync bool
 	// RegistryCap bounds cached compiled plans (DefaultRegistryCap).
 	RegistryCap int
 	// IdleTimeout bounds each instance's transport waits (default 15s).
@@ -124,8 +119,7 @@ type Server struct {
 	shards []*shard
 	// committers: log name ("registry", "shard-N") → the shared fsync
 	// scheduler every tenant's log of that name registers with, so one
-	// commit round covers all tenants on a shard.  Empty without a WAL
-	// or under WALInlineSync.
+	// commit round covers all tenants on a shard.  Empty without a WAL.
 	committers map[string]*wal.Committer
 
 	mu        sync.Mutex
@@ -174,7 +168,7 @@ func NewServer(cfg Config) (*Server, error) {
 		logs:       map[string]*tenantLog{},
 		verdicts:   newVerdictStream(4096),
 	}
-	if cfg.WALRoot != "" && !cfg.WALInlineSync {
+	if cfg.WALRoot != "" {
 		s.committers["registry"] = wal.NewCommitter(wal.CommitterOptions{Interval: cfg.WALCommitInterval})
 		for i := 0; i < cfg.Shards; i++ {
 			s.committers["shard-"+strconv.Itoa(i)] = wal.NewCommitter(wal.CommitterOptions{Interval: cfg.WALCommitInterval})
@@ -249,7 +243,7 @@ func (tl *tenantLog) appendAsync(r wal.Record) uint64 {
 }
 
 // append journals one record durably (WaitDurable): the blocking form
-// used for rare control-plane records and the WALInlineSync ablation.
+// used for rare control-plane records.
 func (tl *tenantLog) append(r wal.Record) {
 	tl.log.WaitDurable(tl.appendAsync(r))
 }
@@ -359,12 +353,7 @@ func (s *Server) Launch(tenant, name, mode string, seed int64) (*Instance, *Erro
 	admitStart := time.Now()
 	var admitLSN uint64
 	if tl != nil {
-		rec := wal.Record{Kind: wal.KAdmit, Seq: id, Site: tenant, Sym: name, Note: mode, At: seed}
-		if s.cfg.WALInlineSync {
-			tl.append(rec)
-		} else {
-			admitLSN = tl.appendAsync(rec)
-		}
+		admitLSN = tl.appendAsync(wal.Record{Kind: wal.KAdmit, Seq: id, Site: tenant, Sym: name, Note: mode, At: seed})
 	}
 
 	inst := &Instance{ID: id, Tenant: tenant, Spec: name, Mode: mode, Seed: seed, shard: sh, srv: s}
@@ -395,7 +384,7 @@ func (s *Server) Launch(tenant, name, mode string, seed int64) (*Instance, *Erro
 	// shard worker while this goroutine parks on the group commit
 	// covering its KAdmit — concurrent launches across all tenants on
 	// the shard share that one fsync round.
-	if tl != nil && !s.cfg.WALInlineSync {
+	if tl != nil {
 		tl.log.WaitDurable(admitLSN)
 	}
 	mAdmitWaitUS.Observe(time.Since(admitStart).Microseconds())
@@ -517,13 +506,9 @@ func (inst *Instance) finalize(entry *PlanEntry, out *arun.Outcome) {
 			mInstanceUS.Observe(time.Since(started).Microseconds())
 		}
 	}
-	switch {
-	case doneLog == nil:
+	if doneLog == nil {
 		publish()
-	case inst.srv.cfg.WALInlineSync:
-		doneLog.log.WaitDurable(doneLSN)
-		publish()
-	default:
+	} else {
 		doneLog.log.Notify(doneLSN, publish)
 	}
 	if release != nil {
@@ -593,12 +578,7 @@ func (s *Server) Announce(id uint64, event string, forced bool) (AnnounceResult,
 		var evLog *tenantLog
 		var evLSN uint64
 		if tl, err := s.log(inst.Tenant, inst.shard.name); err == nil && tl != nil {
-			rec := wal.Record{Kind: wal.KEvent, Seq: id, Sym: event, Note: note}
-			if s.cfg.WALInlineSync {
-				tl.append(rec)
-			} else {
-				evLog, evLSN = tl, tl.appendAsync(rec)
-			}
+			evLog, evLSN = tl, tl.appendAsync(wal.Record{Kind: wal.KEvent, Seq: id, Sym: event, Note: note})
 		}
 		decided, accepted, err := r.Attempt(sym, forced)
 		if err != nil {
