@@ -59,8 +59,9 @@ tracecheck:
 # the WAL-backed mesh (recovered fingerprints must match the simulator
 # oracle, trace invariants must hold across the restart boundary, and
 # no fire may repeat), plus the snapshot-rotate-recover loop, plus the
-# ack pump holding a commit round open (inbound frames keep being read
-# and logged during an fsync, and nothing is acked before it is durable).
+# ack pump against a stalled commit round (a Notify callback blocks the
+# receiver's committer; inbound frames keep being read and logged
+# meanwhile, and nothing is acked before it is durable).
 crashcheck:
 	$(GO) test -count=1 -run 'TestCrashRestartChaos|TestSnapshotRecovery|TestAckPumpReadsDuringCommit' ./internal/netwire
 
@@ -116,6 +117,7 @@ fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodePayload -fuzztime=2s ./internal/actor
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=2s ./internal/spec
 	$(GO) test -run=NONE -fuzz=FuzzWALReplay -fuzztime=2s ./internal/wal
+	$(GO) test -run=NONE -fuzz=FuzzBatchFrame -fuzztime=2s ./internal/netwire
 	$(GO) test -run=NONE -fuzz=FuzzGuardProgram -fuzztime=2s ./internal/gprog
 	$(GO) test -run=NONE -fuzz=FuzzModelCheck -fuzztime=2s ./internal/mc
 	$(GO) test -run=NONE -fuzz=FuzzSpecUpload -fuzztime=2s ./internal/serve

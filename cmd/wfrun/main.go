@@ -27,7 +27,7 @@
 //	wfrun [-transport sim|net]
 //	      [-sched distributed|central-residuation|central-automata|all]
 //	      [-order k1,k2,...] [-instances n] [-workers n]
-//	      [-wal dir] [-walnosync] [-walcheckpoint d] [-walcommitinterval d]
+//	      [-wal dir] [-walnosync] [-walcheckpoint d]
 //	      [-seed n] [-decisions] [-trace out.jsonl] [file.wf]
 package main
 
@@ -61,7 +61,6 @@ func main() {
 	walDir := flag.String("wal", "", "write-ahead-log root directory (net transport); reuse a dir to recover a crashed run")
 	walNoSync := flag.Bool("walnosync", false, "skip fsync on WAL flushes (fast, loses the durability guarantee)")
 	walCkpt := flag.Duration("walcheckpoint", 0, "periodic WAL watermark checkpoint interval (0 = off)")
-	walCommit := flag.Duration("walcommitinterval", 0, "shared group-commit window across all site logs (0 = commit as soon as the committer is free)")
 	flag.Parse()
 
 	var in io.Reader = os.Stdin
@@ -73,7 +72,7 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	wal := walOpts{Dir: *walDir, NoSync: *walNoSync, Checkpoint: *walCkpt, Commit: *walCommit}
+	wal := walOpts{Dir: *walDir, NoSync: *walNoSync, Checkpoint: *walCkpt}
 	if err := run(in, os.Stdout, *transport, *kindFlag, *order, *instances, *workers, *seed, *showDecisions, *traceOut, wal); err != nil {
 		fatal(err)
 	}
@@ -84,7 +83,6 @@ type walOpts struct {
 	Dir        string
 	NoSync     bool
 	Checkpoint time.Duration
-	Commit     time.Duration
 }
 
 // run executes the spec read from in on the requested transport and
@@ -195,7 +193,6 @@ func runEngine(s *spec.Spec, out io.Writer, transport string, instances, workers
 	res, err := engine.Run(s, engine.Options{
 		Instances: instances, Workers: workers, Mode: mode, Seed: seed,
 		WALRoot: wal.Dir, WALNoSync: wal.NoSync, CheckpointEvery: wal.Checkpoint,
-		WALCommitInterval: wal.Commit,
 	})
 	if err != nil {
 		return err
@@ -260,7 +257,7 @@ func runSim(s *spec.Spec, out io.Writer, kindFlag string, seed int64, showDecisi
 func runNet(s *spec.Spec, out io.Writer, wal walOpts) error {
 	mesh, err := netwire.NewMeshOpts(arun.DefaultDriver, arun.Sites(s), netwire.MeshOptions{
 		WALRoot: wal.Dir, NoSync: wal.NoSync, CheckpointEvery: wal.Checkpoint,
-		CommitInterval: wal.Commit, DeferStart: wal.Dir != "",
+		DeferStart: wal.Dir != "",
 	})
 	if err != nil {
 		return err

@@ -72,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	walRoot := fs.String("wal", "", "per-tenant WAL root; empty disables durability")
 	nosync := fs.Bool("nosync", false, "skip fsync on the WAL (group commit still orders writes)")
 	lagmax := fs.Int64("lagmax", 0, "shed admissions when WAL fsync lag exceeds this many records (default 4096, negative disables)")
-	commitIvl := fs.Duration("walcommitinterval", 0, "group-commit window: wait this long after the first pending append before fsyncing the round (0 commits as soon as the committer is free)")
 	plans := fs.Int("plans", 0, "compiled-plan cache capacity (default 64; sources are never evicted)")
 	idle := fs.Duration("idle", 0, "per-instance transport idle timeout (default 15s)")
 	verbose := fs.Bool("v", false, "progress diagnostics on stderr")
@@ -88,8 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	s, err := serve.NewServer(serve.Config{
 		Shards: *shards, MailboxDepth: *mailbox, HighWater: *highwater,
 		WALRoot: *walRoot, WALNoSync: *nosync, FsyncLagMax: *lagmax,
-		WALCommitInterval: *commitIvl, RegistryCap: *plans,
-		IdleTimeout: *idle, Logf: logf,
+		RegistryCap: *plans, IdleTimeout: *idle, Logf: logf,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "wfserve:", err)

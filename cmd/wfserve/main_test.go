@@ -229,16 +229,16 @@ func TestDaemonCrashRecovery(t *testing.T) {
 }
 
 // TestDaemonKillCommitWindow aims SIGKILL inside the group-commit
-// window: a daemon running the pipelined durability path (shared
-// committer, widened -walcommitinterval) is killed while concurrent
-// launches stream in, and every launch that was acknowledged with 202
+// window: a daemon running the pipelined durability path (one shared
+// committer per shard) is killed while concurrent launches stream in,
+// and every launch that was acknowledged with 202
 // must have its KAdmit on disk — the reply-after-durable contract.
 // In-flight (unacknowledged) launches may be lost; acknowledged ones
 // may not.
 func TestDaemonKillCommitWindow(t *testing.T) {
 	walDir := t.TempDir()
 	d := startDaemon(t, "-listen", "127.0.0.1:0", "-shards", "2",
-		"-wal", walDir, "-walcommitinterval", "2ms", "../../testdata/travel.wf")
+		"-wal", walDir, "../../testdata/travel.wf")
 
 	var mu sync.Mutex
 	acked := map[uint64]bool{}
@@ -321,7 +321,7 @@ func TestDaemonKillCommitWindow(t *testing.T) {
 
 	// The survivor restarts healthy on the same root.
 	d2 := startDaemon(t, "-listen", "127.0.0.1:0", "-shards", "2",
-		"-wal", walDir, "-walcommitinterval", "2ms")
+		"-wal", walDir)
 	if code, body := d2.get(t, "/healthz"); code != 200 {
 		t.Fatalf("healthz after kill-window restart: %d %s", code, body)
 	}

@@ -95,10 +95,6 @@ type Options struct {
 	WALRoot string
 	// WALNoSync skips per-batch fsync in WAL mode.
 	WALNoSync bool
-	// WALCommitInterval widens the mesh's shared group-commit window
-	// (all node logs coalesce into one committer's fsync rounds); zero
-	// commits as soon as the shared loop is free.
-	WALCommitInterval time.Duration
 	// CheckpointEvery enables periodic watermark checkpoints per node
 	// in WAL mode.
 	CheckpointEvery time.Duration
@@ -348,7 +344,6 @@ func newNetEngine(plan *arun.Plan, opt Options) (*netEngine, error) {
 		Fault:           opt.Fault,
 		WALRoot:         opt.WALRoot,
 		NoSync:          opt.WALNoSync,
-		CommitInterval:  opt.WALCommitInterval,
 		CheckpointEvery: opt.CheckpointEvery,
 	})
 	if err != nil {

@@ -58,7 +58,7 @@ func TestBatchCoalescingBurst(t *testing.T) {
 
 // TestBatchChaosExactlyOnce sends bursts through fault plans that
 // strike whole batches — drop, duplicate, delay, reorder are drawn
-// once per batch frame (FaultPlan.BatchVerdict) — and demands the
+// once per transmission (FaultPlan.VerdictFor) — and demands the
 // reliability layer mask all of it: every message exactly once, in
 // order, with receiver dedup and in-order release untouched by how
 // frames were grouped.
@@ -96,7 +96,7 @@ func TestBatchChaosExactlyOnce(t *testing.T) {
 }
 
 // TestBatchPartitionHeal: a partition withholds the individual frames
-// of a batch (Blocked is drawn per frame, before batch grouping); after
+// of a batch (Blocked is checked per frame, before the verdict); after
 // the window closes retransmission delivers them in order.
 func TestBatchPartitionHeal(t *testing.T) {
 	fp := &simnet.FaultPlan{

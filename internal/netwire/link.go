@@ -271,8 +271,8 @@ func (l *link) session(conn net.Conn) {
 		l.mu.Unlock()
 
 		// Coalesce whatever accumulated on the link into batch frames
-		// (flush-on-idle: a lone frame goes out as plain DATA at once,
-		// a burst is grouped up to the size thresholds).
+		// (flush-on-idle: a lone frame goes out at once as a batch of
+		// one, a burst is grouped up to the size thresholds).
 		for len(toSend) > 0 {
 			take, size := 1, len(toSend[0].payload)
 			for take < len(toSend) && take < maxBatchFrames && size < maxBatchBytes {
@@ -280,13 +280,7 @@ func (l *link) session(conn net.Conn) {
 				take++
 			}
 			mBatchFill.Observe(int64(take))
-			var err error
-			if take == 1 {
-				err = l.transmit(cw, toSend[0])
-			} else {
-				err = l.transmitBatch(cw, toSend[:take])
-			}
-			if err != nil {
+			if err := l.transmit(cw, toSend[:take]); err != nil {
 				return
 			}
 			toSend = toSend[take:]
@@ -332,54 +326,24 @@ func (l *link) session(conn net.Conn) {
 	}
 }
 
-// transmit writes one DATA frame, applying the fault plan: partitioned
-// or dropped frames are silently withheld (the retransmission timer
-// recovers them), duplicated frames are written twice, delayed and
-// reordered frames are written later from a timer.  Faults apply only
-// here — never to HELLO or ACK frames — so injected chaos is confined
-// to the payload path the reliability layer is built to mask.
-func (l *link) transmit(cw *connWriter, f *outFrame) error {
-	attempt := f.attempts
-	f.attempts++
-	if attempt > 0 {
-		mRetransmits.Inc()
+// transmit writes 1..maxBatchFrames frames as one batch frame, applying
+// the fault plan.  Partition-blocked frames are withheld individually
+// first; their retransmission recovers them, and receiver-side
+// buffering bridges the sequence gaps they leave.  The rest share one
+// VerdictFor draw, keyed by the link, the first sequence number and
+// that frame's attempt count: dropped frames are withheld (the
+// retransmission timer recovers them), duplicated ones are written
+// twice, delayed and reordered ones are written later from a timer.
+// Faults apply only here — never to HELLO or ACK frames — so injected
+// chaos is confined to the payload path the reliability layer is built
+// to mask.
+func (l *link) transmit(cw *connWriter, frames []*outFrame) error {
+	for _, f := range frames {
+		if f.attempts > 0 {
+			mRetransmits.Inc()
+		}
+		f.attempts++
 	}
-	fp := l.node.cfg.Fault
-	if fp == nil {
-		return cw.write(appendData(nil, f.seq, l.node.clock.Load(), f.from, f.to, f.payload))
-	}
-	if _, blocked := fp.Blocked(f.from, f.to, l.node.Now()); blocked {
-		return nil // withheld; retried after the partition heals
-	}
-	v := fp.VerdictFor(f.from, f.to, f.seq, attempt)
-	if v.Drop {
-		return nil
-	}
-	data := appendData(nil, f.seq, l.node.clock.Load(), f.from, f.to, f.payload)
-	if v.Extra > 0 {
-		d := time.Duration(v.Extra) * time.Microsecond
-		time.AfterFunc(d, func() {
-			cw.write(data) // late writes on a closed session are no-ops
-		})
-		return nil
-	}
-	if err := cw.write(data); err != nil {
-		return err
-	}
-	if v.Dup {
-		return cw.write(data)
-	}
-	return nil
-}
-
-// transmitBatch writes several frames as one batch frame.  The fault
-// plan strikes the batch as a unit — one BatchVerdict draw, keyed by
-// the link, the first sequence number, and that frame's attempt count
-// — so chaos tests exercise whole-batch drop, duplication, and delay.
-// Partition-blocked frames are withheld individually first (their
-// retransmission recovers them); receiver-side buffering bridges the
-// sequence gaps they leave.
-func (l *link) transmitBatch(cw *connWriter, frames []*outFrame) error {
 	fp := l.node.cfg.Fault
 	if fp != nil {
 		now := l.node.Now()
@@ -389,28 +353,16 @@ func (l *link) transmitBatch(cw *connWriter, frames []*outFrame) error {
 				kept = append(kept, f)
 			}
 		}
-		frames = kept
+		if frames = kept; len(frames) == 0 {
+			return nil
+		}
 	}
-	switch len(frames) {
-	case 0:
-		return nil
-	case 1:
-		return l.transmit(cw, frames[0])
+	if len(frames) > 1 {
+		l.node.batches.Add(1)
+		l.node.batchedFrames.Add(int64(len(frames)))
 	}
 	first := frames[0]
-	attempt := first.attempts
-	for _, f := range frames {
-		if f.attempts > 0 {
-			mRetransmits.Inc()
-		}
-		f.attempts++
-	}
-	l.node.batches.Add(1)
-	l.node.batchedFrames.Add(int64(len(frames)))
-	if fp == nil {
-		return cw.write(appendBatch(nil, l.node.clock.Load(), frames))
-	}
-	v := fp.BatchVerdict(first.from, first.to, first.seq, attempt)
+	v := fp.VerdictFor(first.from, first.to, first.seq, first.attempts-1)
 	if v.Drop {
 		return nil
 	}

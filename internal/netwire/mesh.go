@@ -34,15 +34,8 @@ type MeshOptions struct {
 	// WALRoot/<site>; reusing a root across mesh constructions is how a
 	// crashed mesh recovers.
 	WALRoot string
-	// NoSync / Batch are passed to each node's wal.Options.
+	// NoSync is passed to each node's wal.Options.
 	NoSync bool
-	Batch  time.Duration
-	// CommitInterval widens the mesh's shared group-commit window: all
-	// node logs register with one wal.Committer, so the processed⇒durable
-	// and acked⇒durable gates across every site ride coalesced fsync
-	// rounds instead of per-log flush loops.  Zero still shares the
-	// committer (rounds fire as soon as the loop is free).
-	CommitInterval time.Duration
 	// CheckpointEvery enables periodic watermark checkpoints per node.
 	CheckpointEvery time.Duration
 	// DeferStart leaves the nodes bound but not started, so the caller
@@ -73,12 +66,9 @@ func NewMeshOpts(driver simnet.SiteID, sites []simnet.SiteID, opts MeshOptions) 
 	if opts.WALRoot != "" {
 		// One fsync scheduler for the whole mesh: N sites appending in
 		// the same window cost one round of overlapped fsyncs, not N
-		// independent flush loops.
-		interval := opts.CommitInterval
-		if interval <= 0 {
-			interval = opts.Batch
-		}
-		m.committer = wal.NewCommitter(wal.CommitterOptions{Interval: interval})
+		// independent flush loops, so the processed⇒durable and
+		// acked⇒durable gates across every site ride coalesced rounds.
+		m.committer = wal.NewCommitter(wal.CommitterOptions{})
 	}
 	peers := make(map[simnet.SiteID]string, len(all))
 	for i, site := range all {
@@ -86,7 +76,7 @@ func NewMeshOpts(driver simnet.SiteID, sites []simnet.SiteID, opts MeshOptions) 
 		if opts.WALRoot != "" {
 			var err error
 			w, err = wal.Open(filepath.Join(opts.WALRoot, string(site)), wal.Options{
-				NoSync: opts.NoSync, Batch: opts.Batch, Committer: m.committer,
+				NoSync: opts.NoSync, Committer: m.committer,
 			})
 			if err != nil {
 				m.Close()

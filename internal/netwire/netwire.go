@@ -11,7 +11,7 @@
 //     frame and payload layer;
 //   - per-link outbound queues with connection reuse, reconnect with
 //     exponential backoff plus jitter, and bounded write deadlines;
-//   - at-least-once delivery: every DATA frame carries a per-link
+//   - at-least-once delivery: every DATA record carries a per-link
 //     sequence number and is retained by the sender until the
 //     receiver's cumulative acknowledgement covers it; timeouts and
 //     reconnects retransmit (go-back-N), and the receiver deduplicates
@@ -57,15 +57,15 @@ const (
 	frameVersion byte = 1
 
 	frameHello byte = 1
-	frameData  byte = 2
 	frameAck   byte = 3
-	// frameBatch coalesces several DATA records into one wire frame:
-	// the announcement fan-out of a pipelined run writes many tiny
-	// frames per link back-to-back, and batching them collapses the
-	// per-frame syscall and ack traffic.  A batch is faulted as a unit
-	// (FaultPlan.BatchVerdict); sub-frames keep their own sequence
+	// frameBatch is the one data frame: a count of 1..maxBatchFrames
+	// DATA records.  The announcement fan-out of a pipelined run writes
+	// many tiny records per link back-to-back, and grouping them
+	// collapses the per-frame syscall and ack traffic; a lone record is
+	// a batch of one.  A transmission is faulted as a unit (one
+	// FaultPlan.VerdictFor draw); records keep their own sequence
 	// numbers, so receiver dedup and in-order release are untouched by
-	// how frames happen to be grouped.
+	// how records happen to be grouped.
 	frameBatch byte = 4
 
 	// maxFrame bounds a frame body; anything larger is a protocol
@@ -96,7 +96,7 @@ type Config struct {
 	// NodeIndex breaks occurrence-index ties; it must be unique per
 	// node and < MaxNodes.
 	NodeIndex int
-	// Fault, when set, is applied to outbound DATA frames.
+	// Fault, when set, is applied to outbound data frames.
 	Fault *simnet.FaultPlan
 	// RetryMin/RetryMax bound the reconnect backoff and the
 	// retransmission timeout (defaults 15ms / 500ms).
@@ -180,8 +180,8 @@ type Node struct {
 	// counts suppressed duplicates (metrics for the chaos tests).
 	delivered atomic.Int64
 	deduped   atomic.Int64
-	// batches / batchedFrames count outbound coalescing: batch frames
-	// written and the logical DATA records they carried.
+	// batches / batchedFrames count outbound coalescing: transmissions
+	// of two or more records and the records they carried.
 	batches       atomic.Int64
 	batchedFrames atomic.Int64
 }
@@ -436,9 +436,9 @@ func (n *Node) Stats() (delivered, deduped int64) {
 	return n.delivered.Load(), n.deduped.Load()
 }
 
-// BatchStats reports outbound coalescing: batch frames written and the
-// logical DATA records they carried.  frames/batches is the achieved
-// coalescing factor.
+// BatchStats reports outbound coalescing: transmissions that carried
+// two or more DATA records, and those records.  A lone record is not
+// counted, so frames/batches is the achieved coalescing factor.
 func (n *Node) BatchStats() (batches, frames int64) {
 	return n.batches.Load(), n.batchedFrames.Load()
 }
@@ -661,7 +661,7 @@ func (n *Node) acceptLoop() {
 }
 
 // serveConn handles one inbound connection: a HELLO identifying the
-// sending node, then DATA frames, each acknowledged cumulatively on
+// sending node, then batch frames, each acknowledged cumulatively on
 // the same connection — inline on a volatile node, through the
 // connection's ackPump on a durable one, so reads never wait on fsync.
 func (n *Node) serveConn(conn net.Conn) {
@@ -688,6 +688,7 @@ func (n *Node) serveConn(conn net.Conn) {
 	}
 	var peer *recvPeer
 	var peerID string
+	var recs []pendingFrame // reused per batch; admit copies each record
 	for {
 		typ, body, err := readFrame(conn)
 		if err != nil {
@@ -710,64 +711,24 @@ func (n *Node) serveConn(conn net.Conn) {
 				// counter evolution is replayable from the log.
 				n.observeClock(clock)
 			}
-		case frameData:
+		case frameBatch:
 			if peer == nil {
 				n.logf("data before hello")
 				return
 			}
-			seq, clock, to, payload, rest, err := parseDataRecord(body)
-			if err == nil && len(rest) != 0 {
-				err = fmt.Errorf("%d trailing bytes", len(rest))
-			}
+			// The payloads alias the frame buffer, which is not reused,
+			// so buffering them in the peer is safe.
+			recs, err = parseBatch(recs[:0], body)
 			if err != nil {
-				n.logf("bad data from %s: %v", peerID, err)
+				n.logf("bad batch from %s: %v", peerID, err)
 				return
 			}
-			if n.wal == nil {
-				n.observeClock(clock)
-			}
-			// The payload bytes alias the frame buffer, which is not
-			// reused, so buffering them in the peer is safe.
-			ready, dup, ack := peer.admit(seq, pendingFrame{seq: seq, clock: clock, to: to, payload: payload})
-			if dup {
-				n.deduped.Add(1)
-			}
-			if !n.deliverReady(peerID, peer, ready) {
-				return
-			}
-			// Acknowledge after the delivery is accounted for, so the
-			// sender's pending interval overlaps the receiver's — and,
-			// in WAL mode, through the pump, which acks only once the
-			// logged deliveries are durable, so the sender never prunes
-			// a frame we could lose.
-			if pump != nil {
-				pump.offer(ack, peer.lastLsn.Load())
-			} else if err := cw.write(appendAck(nil, ack)); err != nil {
-				return
-			}
-		case frameBatch:
-			if peer == nil {
-				n.logf("batch before hello")
-				return
-			}
-			count, used := binary.Uvarint(body)
-			if used <= 0 || count == 0 || count > maxBatchFrames {
-				n.logf("bad batch count from %s", peerID)
-				return
-			}
-			rest := body[used:]
 			var ack uint64
-			for i := 0; i < int(count); i++ {
-				seq, clock, to, payload, r, err := parseDataRecord(rest)
-				if err != nil {
-					n.logf("bad batch record from %s: %v", peerID, err)
-					return
-				}
-				rest = r
+			for _, f := range recs {
 				if n.wal == nil {
-					n.observeClock(clock)
+					n.observeClock(f.clock)
 				}
-				ready, dup, a := peer.admit(seq, pendingFrame{seq: seq, clock: clock, to: to, payload: payload})
+				ready, dup, a := peer.admit(f.seq, f)
 				if dup {
 					n.deduped.Add(1)
 				}
@@ -776,12 +737,12 @@ func (n *Node) serveConn(conn net.Conn) {
 					return
 				}
 			}
-			if len(rest) != 0 {
-				n.logf("bad batch from %s: %d trailing bytes", peerID, len(rest))
-				return
-			}
-			// One cumulative acknowledgement covers the whole batch:
-			// coalescing saves ack frames as well as data frames.
+			// One cumulative acknowledgement covers the whole batch, sent
+			// after the deliveries are accounted for so the sender's
+			// pending interval overlaps the receiver's — and, in WAL mode,
+			// through the pump, which acks only once the logged deliveries
+			// are durable, so the sender never prunes a frame we could
+			// lose.
 			if pump != nil {
 				pump.offer(ack, peer.lastLsn.Load())
 			} else if err := cw.write(appendAck(nil, ack)); err != nil {
@@ -971,39 +932,51 @@ func parseHello(body []byte) (string, int64, error) {
 	return id, clock, nil
 }
 
-func appendData(dst []byte, seq uint64, clock int64, from, to simnet.SiteID, payload []byte) []byte {
-	dst = append(dst, frameVersion, frameData)
-	return appendDataRecord(dst, seq, clock, from, to, payload)
-}
-
-// appendDataRecord appends one self-delimiting DATA record — the body
-// shared by frameData (one record) and frameBatch (several).
-func appendDataRecord(dst []byte, seq uint64, clock int64, from, to simnet.SiteID, payload []byte) []byte {
-	dst = binary.AppendUvarint(dst, seq)
-	dst = binary.AppendVarint(dst, clock)
-	dst = binary.AppendUvarint(dst, uint64(len(from)))
-	dst = append(dst, from...)
-	dst = binary.AppendUvarint(dst, uint64(len(to)))
-	dst = append(dst, to...)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return dst
-}
-
-// appendBatch builds one batch frame from several queued frames, all
-// stamped with the same (current) Lamport clock.
+// appendBatch builds one batch frame from 1..maxBatchFrames queued
+// frames, all stamped with the same (current) Lamport clock.  Each
+// becomes one self-delimiting DATA record.
 func appendBatch(dst []byte, clock int64, frames []*outFrame) []byte {
 	dst = append(dst, frameVersion, frameBatch)
 	dst = binary.AppendUvarint(dst, uint64(len(frames)))
 	for _, f := range frames {
-		dst = appendDataRecord(dst, f.seq, clock, f.from, f.to, f.payload)
+		dst = binary.AppendUvarint(dst, f.seq)
+		dst = binary.AppendVarint(dst, clock)
+		dst = binary.AppendUvarint(dst, uint64(len(f.from)))
+		dst = append(dst, f.from...)
+		dst = binary.AppendUvarint(dst, uint64(len(f.to)))
+		dst = append(dst, f.to...)
+		dst = binary.AppendUvarint(dst, uint64(len(f.payload)))
+		dst = append(dst, f.payload...)
 	}
 	return dst
 }
 
+// parseBatch parses a batch frame body — a count of 1..maxBatchFrames
+// followed by exactly that many DATA records — appending the records to
+// dst.  The whole frame is checked before any record is used, so a
+// malformed frame delivers nothing.  Payloads alias body.
+func parseBatch(dst []pendingFrame, body []byte) ([]pendingFrame, error) {
+	count, used := binary.Uvarint(body)
+	if used <= 0 || count == 0 || count > maxBatchFrames {
+		return dst, fmt.Errorf("bad batch count")
+	}
+	rest := body[used:]
+	for i := uint64(0); i < count; i++ {
+		seq, clock, to, payload, r, err := parseDataRecord(rest)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, pendingFrame{seq: seq, clock: clock, to: to, payload: payload})
+		rest = r
+	}
+	if len(rest) != 0 {
+		return dst, fmt.Errorf("%d trailing bytes", len(rest))
+	}
+	return dst, nil
+}
+
 // parseDataRecord parses one DATA record and returns the unconsumed
-// remainder, letting the batch receive loop walk a frame of
-// concatenated records.
+// remainder, letting parseBatch walk a frame of concatenated records.
 func parseDataRecord(body []byte) (seq uint64, clock int64, to simnet.SiteID, payload []byte, rest []byte, err error) {
 	pos := 0
 	seq, n := binary.Uvarint(body)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algebra"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/spec"
@@ -417,4 +418,54 @@ event c site=s1
 		}
 	}
 	srv2.Drain()
+}
+
+// TestAnnounceUnjournaledRefused: an announce whose shard log cannot be
+// had — the lazy Open hits a shard committer a drain has already closed
+// — is refused with 503 before the attempt runs, so nothing is
+// acknowledged that a restart would not replay: the event stays
+// unresolved and no verdict is published.
+func TestAnnounceUnjournaledRefused(t *testing.T) {
+	srv, err := NewServer(Config{Shards: 1, WALRoot: t.TempDir(), WALNoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	chain := "workflow chain\ndep c1: ~b + a . b\nevent a site=s1\nevent b site=s2\n"
+	if _, rerr := srv.RegisterSpec("acme", "chain", chain); rerr != nil {
+		t.Fatal(rerr)
+	}
+	inst, rerr := srv.Launch("acme", "chain", ModeExternal, 5)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+
+	// Close the shard's committer and drop the cached log, so the next
+	// journal append must reopen the log against the closed committer.
+	sh := inst.shard.name
+	srv.committers[sh].Close()
+	srv.mu.Lock()
+	stale := srv.logs["acme/"+sh]
+	delete(srv.logs, "acme/"+sh)
+	srv.mu.Unlock()
+	defer stale.log.Close()
+
+	if _, rerr := srv.Announce(inst.ID, "a", false); rerr == nil || rerr.Status != 503 {
+		t.Fatalf("announce with no shard log: %v, want 503", rerr)
+	}
+	resolved := make(chan bool, 1)
+	if !srv.enqueue(inst.shard, func() {
+		inst.mu.Lock()
+		r := inst.runner
+		inst.mu.Unlock()
+		resolved <- r.Resolved(algebra.Sym("a"))
+	}) {
+		t.Fatal("shard mailbox refused the probe")
+	}
+	if <-resolved {
+		t.Error("the refused announce still ran its attempt: a is resolved")
+	}
+	if seq := srv.verdicts.Seq(); seq != 0 {
+		t.Errorf("%d verdicts published after a refused announce", seq)
+	}
 }

@@ -39,11 +39,6 @@ type Config struct {
 	// (appended minus durable LSN) exceeds this many records (default
 	// 4096; 0 keeps the default, negative disables the check).
 	FsyncLagMax int64
-	// WALCommitInterval widens group-commit batches: each shard's
-	// shared committer waits this long after the first pending append
-	// before fsyncing the round, trading admission latency for fewer,
-	// wider fsyncs.  Zero commits as soon as the committer is free.
-	WALCommitInterval time.Duration
 	// RegistryCap bounds cached compiled plans (DefaultRegistryCap).
 	RegistryCap int
 	// IdleTimeout bounds each instance's transport waits (default 15s).
@@ -169,9 +164,9 @@ func NewServer(cfg Config) (*Server, error) {
 		verdicts:   newVerdictStream(4096),
 	}
 	if cfg.WALRoot != "" {
-		s.committers["registry"] = wal.NewCommitter(wal.CommitterOptions{Interval: cfg.WALCommitInterval})
+		s.committers["registry"] = wal.NewCommitter(wal.CommitterOptions{})
 		for i := 0; i < cfg.Shards; i++ {
-			s.committers["shard-"+strconv.Itoa(i)] = wal.NewCommitter(wal.CommitterOptions{Interval: cfg.WALCommitInterval})
+			s.committers["shard-"+strconv.Itoa(i)] = wal.NewCommitter(wal.CommitterOptions{})
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -191,9 +186,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.WALRoot != "" {
 		if err := s.recover(); err != nil {
-			for _, c := range s.committers {
-				c.Close()
-			}
+			s.closeLogs()
 			return nil, err
 		}
 	}
@@ -575,10 +568,17 @@ func (s *Server) Announce(id uint64, event string, forced bool) (AnnounceResult,
 		if forced {
 			note = "forced"
 		}
-		var evLog *tenantLog
+		// Journal before attempting: an attempt that cannot be journaled
+		// must not run, or its reply would acknowledge an event a restart
+		// never replays.
+		evLog, err := s.log(inst.Tenant, inst.shard.name)
+		if err != nil {
+			ch <- reply{rerr: errf(503, "shard log: %v", err)}
+			return
+		}
 		var evLSN uint64
-		if tl, err := s.log(inst.Tenant, inst.shard.name); err == nil && tl != nil {
-			evLog, evLSN = tl, tl.appendAsync(wal.Record{Kind: wal.KEvent, Seq: id, Sym: event, Note: note})
+		if evLog != nil {
+			evLSN = evLog.appendAsync(wal.Record{Kind: wal.KEvent, Seq: id, Sym: event, Note: note})
 		}
 		decided, accepted, err := r.Attempt(sym, forced)
 		if err != nil {
@@ -733,16 +733,19 @@ func (s *Server) drain() {
 			}
 		}
 	}
-	// Seal the logs.
+	s.closeLogs()
+}
+
+// closeLogs seals every open log (Close commits what is pending), then
+// stops the shared commit loops.
+func (s *Server) closeLogs() {
 	s.mu.Lock()
 	logs := s.logs
 	s.logs = map[string]*tenantLog{}
 	s.mu.Unlock()
 	for _, tl := range logs {
-		tl.log.Sync()
 		tl.log.Close()
 	}
-	// Logs are sealed; stop the shared commit loops.
 	for _, c := range s.committers {
 		c.Close()
 	}

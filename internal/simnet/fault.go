@@ -110,27 +110,13 @@ func (fp *FaultPlan) hash(from, to SiteID, seq uint64, attempt int, salt byte) (
 
 // VerdictFor decides the fate of one transmission attempt of a frame.
 // Attempts at or beyond the fault cap are always delivered faithfully.
+// Netwire draws it once per transmission, keyed by the first sequence
+// number carried, and strikes every record of the batch as a unit.
 func (fp *FaultPlan) VerdictFor(from, to SiteID, seq uint64, attempt int) Verdict {
 	if fp == nil || attempt >= maxFaultAttempts {
 		return Verdict{}
 	}
 	p, raw := fp.hash(from, to, seq, attempt, 'v')
-	return fp.verdict(p, raw)
-}
-
-// BatchVerdict decides the fate of one transmission attempt of a
-// coalesced batch frame: the whole batch is dropped, duplicated, or
-// delayed as a unit, which is how faults strike a transport that
-// writes many logical frames per TCP write.  The draw is keyed by the
-// link, the first sequence number the batch carries, and the attempt
-// count — deterministic like VerdictFor, but salted separately so the
-// batch stream and the per-frame stream are independent.  Retries see
-// fresh verdicts, so a batch always gets through eventually.
-func (fp *FaultPlan) BatchVerdict(from, to SiteID, firstSeq uint64, attempt int) Verdict {
-	if fp == nil || attempt >= maxFaultAttempts {
-		return Verdict{}
-	}
-	p, raw := fp.hash(from, to, firstSeq, attempt, 'b')
 	return fp.verdict(p, raw)
 }
 

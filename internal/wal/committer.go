@@ -7,24 +7,25 @@ import (
 	"time"
 )
 
-// Committer is a shared fsync scheduler: every log opened with
-// Options{Committer: c} registers here instead of running its own
-// flush loop, and the committer drains them in coalesced rounds.  One
-// round claims every dirty log's pending buffer, writes them all
-// (page-cache speed), overlaps their fsyncs on a bounded worker pool,
-// and then releases every parked waiter and durability notification
-// across every log at once.  N busy logs therefore cost one round of
-// overlapped fsyncs per interval instead of N independent fsync
-// loops, which is what lets many per-tenant logs on one serve shard
-// amortize a single commit window.
-//
-// Lifecycle: close the logs first, then the committer.  Closing the
-// committer early is safe — still-registered logs detach and fall
-// back to their own flusher goroutines — but forfeits coalescing.
-type Committer struct {
-	interval time.Duration
-	parallel int
+// commitParallel bounds concurrent fsyncs per round.
+const commitParallel = 8
 
+// Committer is the fsync scheduler every log commits through: a log
+// opened with Options{Committer: c} shares c's loop, and one opened
+// without gets a private committer of its own.  One round claims every
+// dirty log's pending buffer, writes them all (page-cache speed),
+// overlaps their fsyncs on a bounded worker pool, and then releases
+// every parked waiter and durability notification across every log at
+// once.  A round starts as soon as the loop is free, so appends that
+// arrive during an fsync ride the next one: N busy logs cost one round
+// of overlapped fsyncs instead of N independent fsync loops, which is
+// what lets many per-tenant logs on one serve shard amortize a single
+// commit.
+//
+// Lifecycle: Close marks the committer closed, after which Open on it
+// fails.  Logs still registered keep being committed by the same loop,
+// and the loop exits when the last of them closes.
+type Committer struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	logs   map[*Log]bool // registered → currently in the dirty queue
@@ -36,28 +37,13 @@ type Committer struct {
 	rounds atomic.Int64
 }
 
-// CommitterOptions configure a Committer.
-type CommitterOptions struct {
-	// Interval, when positive, is how long a round waits after the
-	// first pending append before committing, widening the group.
-	// Zero commits as soon as the loop is free — fsync latency itself
-	// batches concurrent appenders.
-	Interval time.Duration
-	// Parallel bounds concurrent fsyncs per round (default 8).
-	Parallel int
-}
+// CommitterOptions configure a Committer.  It has no fields; the
+// commit policy is fixed.
+type CommitterOptions struct{}
 
 // NewCommitter starts a shared commit loop.
-func NewCommitter(opts CommitterOptions) *Committer {
-	c := &Committer{
-		interval: opts.Interval,
-		parallel: opts.Parallel,
-		logs:     map[*Log]bool{},
-		done:     make(chan struct{}),
-	}
-	if c.parallel <= 0 {
-		c.parallel = 8
-	}
+func NewCommitter(CommitterOptions) *Committer {
+	c := &Committer{logs: map[*Log]bool{}, done: make(chan struct{})}
 	c.cond = sync.NewCond(&c.mu)
 	go c.loop()
 	return c
@@ -67,8 +53,7 @@ func NewCommitter(opts CommitterOptions) *Committer {
 // logs; per-log fsync counts stay on Log.Syncs).
 func (c *Committer) Rounds() int64 { return c.rounds.Load() }
 
-// register adds a log; false means the committer is already closed
-// and the log should flush itself.
+// register adds a log; false means the committer is closed.
 func (c *Committer) register(l *Log) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -79,7 +64,8 @@ func (c *Committer) register(l *Log) bool {
 	return true
 }
 
-// unregister removes a closed log.
+// unregister removes a closed log, waking the loop so a closed
+// committer can exit once its last log is gone.
 func (c *Committer) unregister(l *Log) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -90,12 +76,13 @@ func (c *Committer) unregister(l *Log) {
 			break
 		}
 	}
+	c.cond.Signal()
 }
 
 // nudge marks a log dirty and wakes the loop.  Idempotent per round.
 func (c *Committer) nudge(l *Log) {
 	c.mu.Lock()
-	if inDirty, registered := c.logs[l]; registered && !inDirty && !c.closed {
+	if inDirty, registered := c.logs[l]; registered && !inDirty {
 		c.logs[l] = true
 		c.dirty = append(c.dirty, l)
 		c.cond.Signal()
@@ -103,65 +90,37 @@ func (c *Committer) nudge(l *Log) {
 	c.mu.Unlock()
 }
 
-// Close stops the loop after a final round.  Logs still registered
-// (close order violated) detach and regain their own flushers, so no
-// pending append is ever stranded.
+// Close marks the committer closed.  With no log registered it waits
+// for the loop to exit; otherwise it returns at once and the loop
+// keeps committing the remaining logs until the last one closes.
 func (c *Committer) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
 	c.closed = true
-	var leftover []*Log
-	for l := range c.logs {
-		leftover = append(leftover, l)
-	}
-	c.logs = map[*Log]bool{}
-	c.dirty = nil
-	c.cond.Broadcast()
+	idle := len(c.logs) == 0
+	c.cond.Signal()
 	c.mu.Unlock()
-	for _, l := range leftover {
-		l.mu.Lock()
-		l.committer = nil
-		stillOpen := !l.closed
-		l.mu.Unlock()
-		if stillOpen {
-			go l.flusher()
-		}
+	if idle {
+		<-c.done
 	}
-	<-c.done
 }
 
-// loop is the round scheduler: wait for dirt, optionally widen the
-// batch, then commit the claimed set.
+// loop is the round scheduler: wait for dirt, then commit the claimed
+// set.  It exits once the committer is closed and no log is left.
 func (c *Committer) loop() {
 	defer close(c.done)
 	for {
 		c.mu.Lock()
-		for len(c.dirty) == 0 && !c.closed {
+		for len(c.dirty) == 0 && !(c.closed && len(c.logs) == 0) {
 			c.cond.Wait()
 		}
-		if c.closed && len(c.dirty) == 0 {
+		if len(c.dirty) == 0 {
 			c.mu.Unlock()
 			return
 		}
-		if c.interval > 0 && !c.closed {
-			c.mu.Unlock()
-			time.Sleep(c.interval)
-			c.mu.Lock()
-		}
 		batch := c.dirty
-		if c.spare != nil {
-			c.dirty = c.spare[:0]
-			c.spare = nil
-		} else {
-			c.dirty = nil
-		}
+		c.dirty, c.spare = c.spare[:0], nil
 		for _, l := range batch {
-			if _, ok := c.logs[l]; ok {
-				c.logs[l] = false
-			}
+			c.logs[l] = false
 		}
 		c.mu.Unlock()
 		c.commit(batch)
@@ -189,11 +148,6 @@ func (c *Committer) commit(batch []*Log) {
 	for _, l := range batch {
 		f, data, lsn, ok := l.takePending()
 		if !ok {
-			// Raced a detach handoff mid-flush: if bytes are still
-			// pending, queue the log for the next round.
-			if l.hasPending() {
-				c.nudge(l)
-			}
 			continue
 		}
 		wrote := false
@@ -202,12 +156,11 @@ func (c *Committer) commit(batch []*Log) {
 		}
 		pends = append(pends, pend{l: l, f: f, data: data, lsn: lsn, synced: wrote && !l.opts.NoSync})
 	}
-	// Overlap the fsyncs: one goroutine per log up to the parallel
-	// bound.  On one spindle the kernel merges the flushes; on real
-	// arrays they genuinely proceed in parallel.  Either way every
-	// waiter parked on any of these logs shares this one commit
-	// window.  A round with a single flush syncs inline — no goroutine,
-	// no semaphore.
+	// Overlap the fsyncs: one goroutine per log up to commitParallel.
+	// On one spindle the kernel merges the flushes; on real arrays they
+	// genuinely proceed in parallel.  Either way every waiter parked on
+	// any of these logs shares this one round.  A round with a single
+	// flush syncs inline — no goroutine, no semaphore.
 	nsync := 0
 	for i := range pends {
 		if pends[i].synced {
@@ -221,7 +174,7 @@ func (c *Committer) commit(batch []*Log) {
 			}
 		}
 	} else if nsync > 1 {
-		sem := make(chan struct{}, c.parallel)
+		sem := make(chan struct{}, commitParallel)
 		var wg sync.WaitGroup
 		for i := range pends {
 			if !pends[i].synced {

@@ -15,7 +15,7 @@ import (
 // there were records — i.e. cross-log coalescing actually happened.
 func TestCommitterCoalesces(t *testing.T) {
 	root := t.TempDir()
-	c := NewCommitter(CommitterOptions{Interval: 2 * time.Millisecond})
+	c := NewCommitter(CommitterOptions{})
 	const L, N = 6, 40
 	logs := make([]*Log, L)
 	for i := range logs {
@@ -144,8 +144,9 @@ func TestNotify(t *testing.T) {
 }
 
 // TestCommitterCloseEarly violates the close order on purpose: closing
-// the committer while logs are still open and appending must hand each
-// log back its own flusher, so no append is stranded un-durable.
+// the committer while logs are still open and appending must keep
+// committing them on the same loop, so no append is stranded
+// un-durable, and the loop must exit once the last of them closes.
 func TestCommitterCloseEarly(t *testing.T) {
 	root := t.TempDir()
 	c := NewCommitter(CommitterOptions{})
@@ -160,11 +161,24 @@ func TestCommitterCloseEarly(t *testing.T) {
 	for _, l := range logs {
 		l.Append(Record{Kind: KFire, Site: "a", Sym: "x", At: 1})
 	}
-	c.Close() // logs detach, regain their own flushers
-	for _, l := range logs {
+	c.Close() // logs stay registered; the loop keeps committing them
+	for i, l := range logs {
 		lsn := l.Append(Record{Kind: KFire, Site: "a", Sym: "y", At: 2})
 		l.WaitDurable(lsn)
+		if l.Durable() < lsn {
+			t.Fatalf("log %d: append after committer Close never became durable", i)
+		}
+		select {
+		case <-c.done:
+			t.Fatalf("commit loop exited with %d logs still open", len(logs)-i)
+		default:
+		}
 		l.Close()
+	}
+	select {
+	case <-c.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("commit loop still running after its last log closed")
 	}
 	for i := range logs {
 		l, err := Open(filepath.Join(root, fmt.Sprint("log", i)), Options{})
@@ -175,6 +189,29 @@ func TestCommitterCloseEarly(t *testing.T) {
 			t.Fatalf("log %d recovered %d fires, want 2", i, got)
 		}
 		l.Close()
+	}
+}
+
+// TestCommitterClosedRefusesOpen: Open against a closed committer is an
+// error, not a log nobody commits; a log opened without a committer
+// gets a private one that its Close stops.
+func TestCommitterClosedRefusesOpen(t *testing.T) {
+	root := t.TempDir()
+	c := NewCommitter(CommitterOptions{})
+	c.Close()
+	if l, err := Open(filepath.Join(root, "late"), Options{Committer: c}); err == nil {
+		l.Close()
+		t.Fatal("Open on a closed committer succeeded")
+	}
+
+	l := openT(t, filepath.Join(root, "private"))
+	own := l.committer
+	l.WaitDurable(l.Append(Record{Kind: KFire, Site: "a", Sym: "x", At: 1}))
+	l.Close()
+	select {
+	case <-own.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("private commit loop still running after its log closed")
 	}
 }
 
@@ -192,7 +229,7 @@ func TestWALAppendZeroAlloc(t *testing.T) {
 	defer l.Close()
 	rec := Record{Kind: KFire, Site: "site-a", Sym: "event", At: 7}
 	// Warm up the two recycled buffers (buf/spare ping-pong through the
-	// flusher) well past the measured run's worst-case backlog, so no
+	// committer) well past the measured run's worst-case backlog, so no
 	// append can outgrow a buffer mid-measurement.
 	big := Record{Kind: KFire, Site: "site-a", Sym: "event", Payload: make([]byte, 512<<10)}
 	for i := 0; i < 4; i++ {

@@ -111,17 +111,11 @@ type Options struct {
 	// NoSync skips fsync after each flush (group commit still orders
 	// writes; durability then depends on the OS).  For benchmarks.
 	NoSync bool
-	// Batch, when positive, is an extra delay the flusher waits after
-	// the first pending append before flushing, to widen group-commit
-	// batches.  Zero flushes as soon as the flusher is free — fsync
-	// latency itself batches concurrent appenders.  Ignored when
-	// Committer is set (the committer's Interval plays this role).
-	Batch time.Duration
 	// Committer, when set, registers the log with a shared fsync
-	// scheduler instead of spawning a dedicated flusher goroutine:
-	// all logs on one committer flush in coalesced rounds, so N busy
-	// logs cost one round of overlapped fsyncs rather than N
-	// independent flush loops.  Close the logs before the committer.
+	// scheduler: all logs on one committer flush in coalesced rounds,
+	// so N busy logs cost one round of overlapped fsyncs rather than N
+	// independent flush loops.  Nil gives the log a private committer,
+	// which Close stops.
 	Committer *Committer
 }
 
@@ -185,7 +179,8 @@ type Log struct {
 	lastLSN    uint64 // last assigned
 	committing bool   // a flush of this log is in flight
 	closed     bool
-	committer  *Committer // shared scheduler, nil when self-flushed
+	committer  *Committer // nil once closed
+	private    bool       // committer was created by Open; Close stops it
 	notif      notifyHeap // durability callbacks parked by LSN
 
 	durable   atomic.Uint64
@@ -300,10 +295,13 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l.f = f
-	if c := opts.Committer; c != nil && c.register(l) {
-		l.committer = c
-	} else {
-		go l.flusher()
+	l.committer = opts.Committer
+	if l.committer == nil {
+		l.committer, l.private = NewCommitter(CommitterOptions{}), true
+	}
+	if !l.committer.register(l) {
+		f.Close()
+		return nil, fmt.Errorf("wal: committer closed")
 	}
 	return l, nil
 }
@@ -379,12 +377,6 @@ func (l *Log) Append(r Record) uint64 {
 	l.lastLSN++
 	lsn := l.lastLSN
 	c := l.committer
-	if c == nil {
-		// Wake the per-log flusher.  A committer-owned log skips the
-		// broadcast: nothing waits on appends (durability waiters wake
-		// from finishCommit), and the nudge below schedules the round.
-		l.cond.Broadcast()
-	}
 	l.mu.Unlock()
 	mRecords.Inc()
 	mPending.Add(1)
@@ -450,52 +442,21 @@ func (l *Log) Sync() {
 // whenever the durable LSN advances.
 func (l *Log) OnDurable(fn func()) { l.onDurable.Store(fn) }
 
-// flusher is the per-log group-commit loop (used when no Committer is
-// attached): it swaps out whatever appends accumulated, writes and
-// fsyncs them as one batch, and advances the durable LSN.  Appends
-// arriving during an fsync pile into the next batch, which is the
-// whole batching story.
-func (l *Log) flusher() {
-	for {
-		l.mu.Lock()
-		for (len(l.buf) == 0 || l.committing) && !l.closed {
-			l.cond.Wait()
-		}
-		if l.closed && (len(l.buf) == 0 || l.committing) {
-			l.mu.Unlock()
-			return
-		}
-		if d := l.opts.Batch; d > 0 && !l.closed {
-			l.mu.Unlock()
-			time.Sleep(d)
-			l.mu.Lock()
-		}
-		l.mu.Unlock()
-		l.commitOnce()
-	}
-}
-
 // takePending claims the pending buffer for one commit: it marks the
-// log committing (write order within one log must match append order,
-// so flushes never overlap) and hands back the file, the bytes, and
-// the LSN the flush will make durable.
+// log committing (Snapshot waits for the flush to land before rotating
+// the file) and hands back the file, the bytes, and the LSN the flush
+// will make durable.  Only the committer's loop calls it, one round at
+// a time, so flushes of one log never overlap.
 func (l *Log) takePending() (f *os.File, data []byte, lsn uint64, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.committing || len(l.buf) == 0 {
+	if len(l.buf) == 0 {
 		return nil, nil, 0, false
 	}
 	l.committing = true
 	data = l.buf
 	l.buf = nil
 	return l.f, data, l.lastLSN, true
-}
-
-// hasPending reports un-flushed appended bytes.
-func (l *Log) hasPending() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf) > 0
 }
 
 // finishCommit advances the durable LSN after a write (and fsync,
@@ -535,23 +496,6 @@ func (l *Log) finishCommit(data []byte, lsn uint64, synced bool) {
 	if fn, ok := l.onDurable.Load().(func()); ok && fn != nil {
 		fn()
 	}
-}
-
-// commitOnce runs one full write+fsync round for this log and updates
-// the commit-rate estimate.
-func (l *Log) commitOnce() {
-	f, data, lsn, ok := l.takePending()
-	if !ok {
-		return
-	}
-	start := time.Now()
-	synced := false
-	if _, err := f.Write(data); err == nil && !l.opts.NoSync {
-		f.Sync()
-		synced = true
-	}
-	l.observeRate(int64(lsn-l.durable.Load()), time.Since(start))
-	l.finishCommit(data, lsn, synced)
 }
 
 // observeRate folds one commit of n records over dt into the decaying
@@ -629,8 +573,9 @@ func (l *Log) Snapshot(meta Meta, sites map[string][]byte) error {
 	return nil
 }
 
-// Close flushes, fsyncs, and closes the log, then detaches it from
-// its committer (if any) and fires every still-parked notification.
+// Close flushes, fsyncs, and closes the log, then detaches it from its
+// committer (stopping a private one) and fires every still-parked
+// notification.
 func (l *Log) Close() {
 	l.mu.Lock()
 	if l.closed {
@@ -651,8 +596,9 @@ func (l *Log) Close() {
 	c := l.committer
 	l.committer = nil
 	l.mu.Unlock()
-	if c != nil {
-		c.unregister(l)
+	c.unregister(l)
+	if l.private {
+		c.Close()
 	}
 	for _, fn := range fns {
 		fn()

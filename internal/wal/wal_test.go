@@ -314,7 +314,7 @@ func FuzzWALReplay(f *testing.F) {
 	// committer appending concurrently, so the seed covers records laid
 	// down in group-committed batches rather than one flush per append.
 	cdir := f.TempDir()
-	c := NewCommitter(CommitterOptions{Interval: time.Millisecond})
+	c := NewCommitter(CommitterOptions{})
 	var cl [2]*Log
 	for i := range cl {
 		l, err := Open(filepath.Join(cdir, fmt.Sprint("l", i)), Options{Committer: c})
