@@ -102,13 +102,14 @@ modelcheck:
 
 # Every benchmark must still compile and survive one iteration (keeps
 # the perf harness from rotting between measurement sessions), and the
-# zero-allocation contracts on the three hot paths — wire encoding,
-# program-mode announcement delivery, and steady-state WAL append —
-# must still hold.
+# zero-allocation contracts on the four hot paths — wire encoding,
+# program-mode announcement delivery, steady-state WAL append, and a
+# netwire batch transmission plus its inline ack — must still hold.
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test -count=1 -run 'TestAnnounceDeliverZeroAlloc|TestEncodeZeroAlloc' ./internal/actor
 	$(GO) test -count=1 -run 'TestWALAppendZeroAlloc' ./internal/wal
+	$(GO) test -count=1 -run 'TestTransmitZeroAlloc' ./internal/netwire
 
 # Every fuzz target gets a brief run; corpora live under each package's
 # testdata/fuzz/.  Targets run sequentially because go test allows only
@@ -118,6 +119,7 @@ fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=2s ./internal/spec
 	$(GO) test -run=NONE -fuzz=FuzzWALReplay -fuzztime=2s ./internal/wal
 	$(GO) test -run=NONE -fuzz=FuzzBatchFrame -fuzztime=2s ./internal/netwire
+	$(GO) test -run=NONE -fuzz=FuzzReadFrame -fuzztime=2s ./internal/netwire
 	$(GO) test -run=NONE -fuzz=FuzzGuardProgram -fuzztime=2s ./internal/gprog
 	$(GO) test -run=NONE -fuzz=FuzzModelCheck -fuzztime=2s ./internal/mc
 	$(GO) test -run=NONE -fuzz=FuzzSpecUpload -fuzztime=2s ./internal/serve

@@ -1,10 +1,15 @@
 package netwire_test
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/actor"
+	"repro/internal/algebra"
 	"repro/internal/netwire"
 	"repro/internal/simnet"
 )
@@ -92,6 +97,76 @@ func TestBatchChaosExactlyOnce(t *testing.T) {
 	// receiver's sequence filter.
 	if totalDeduped == 0 {
 		t.Error("drop/dup-heavy plans produced no dedup hits")
+	}
+}
+
+// TestBatchDelayPayloadsExact: under a delay plan about half the
+// transmissions are built in a private copy and written late from a
+// timer, while the rest reuse the link's frame buffer in between.  Sends
+// are paced so there are many transmissions, and payload lengths vary.
+// Every payload must arrive byte-exact, exactly once and in order, and
+// the receiver must see no malformed frame: retransmission would mask a
+// late write that aliased the reused buffer, but not the parse error it
+// causes first.
+func TestBatchDelayPayloadsExact(t *testing.T) {
+	fp := &simnet.FaultPlan{Seed: 41, Delay: 0.5, DelayMax: 1500}
+	var mu sync.Mutex
+	var errs []string
+	mk := func(id string, idx int, logf func(string, ...any)) *netwire.Node {
+		return netwire.NewNode(netwire.Config{
+			ID: id, ListenAddr: "127.0.0.1:0", NodeIndex: idx, Fault: fp,
+			RetryMin: 2 * time.Millisecond, RetryMax: 50 * time.Millisecond, Logf: logf,
+		})
+	}
+	a := mk("A", 0, nil)
+	b := mk("B", 1, func(format string, args ...any) {
+		mu.Lock()
+		errs = append(errs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	})
+	t.Cleanup(func() { a.Close(); b.Close() })
+	addrA, err := a.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrB, err := b.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := &collect{}
+	a.Register("sa", func(actor.Net, any) {})
+	b.Register("sb", func(_ actor.Net, p any) { cb.add(p) })
+	peers := map[simnet.SiteID]string{"sa": addrA, "sb": addrB}
+	a.Start(peers)
+	b.Start(peers)
+
+	const n = 400
+	sent := make([]actor.AnnounceMsg, n)
+	for i := range sent {
+		sent[i] = actor.AnnounceMsg{Sym: algebra.Sym(fmt.Sprintf("e%d%s", i, strings.Repeat("x", i%37))), At: int64(i)}
+		a.Send("sa", "sb", sent[i])
+		if i%4 == 3 {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if !netwire.WaitIdleAll(20*time.Second, a, b) {
+		t.Fatalf("cluster not idle (a=%d b=%d pending)", a.Pending(), b.Pending())
+	}
+	mu.Lock()
+	if len(errs) > 0 {
+		t.Errorf("receiver saw %d malformed inbound frames, first: %s", len(errs), errs[0])
+	}
+	mu.Unlock()
+	got := cb.snapshot()
+	if len(got) != n {
+		t.Fatalf("sb received %d messages, want %d", len(got), n)
+	}
+	for i, m := range got {
+		want, _ := actor.AppendPayload(nil, sent[i])
+		have, err := actor.AppendPayload(nil, m)
+		if err != nil || !bytes.Equal(have, want) {
+			t.Fatalf("position %d: payload %x, want %x (%v)", i, have, want, err)
+		}
 	}
 }
 

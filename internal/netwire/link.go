@@ -1,6 +1,7 @@
 package netwire
 
 import (
+	"bufio"
 	"hash/fnv"
 	"math/rand"
 	"net"
@@ -202,15 +203,16 @@ func (l *link) session(conn net.Conn) {
 		conn.Close()
 	}()
 
-	if err := cw.write(appendHello(nil, l.node.cfg.ID, l.node.clock.Load())); err != nil {
+	if err := cw.writeHello(l.node.cfg.ID, l.node.clock.Load()); err != nil {
 		return
 	}
 
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
+		br := bufio.NewReader(conn)
 		for {
-			typ, body, err := readFrame(conn)
+			typ, body, err := readFrame(br)
 			if err != nil {
 				return
 			}
@@ -239,6 +241,10 @@ func (l *link) session(conn net.Conn) {
 	prevAcked := l.acked
 	l.mu.Unlock()
 	rto := l.node.cfg.retryMin()
+	// One retransmission timer, re-armed on every pass that waits with
+	// frames unacked.
+	timer := time.NewTimer(rto)
+	defer timer.Stop()
 
 	for {
 		var toSend []*outFrame
@@ -307,13 +313,20 @@ func (l *link) session(conn net.Conn) {
 			}
 			continue
 		}
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		timer.Reset(rto)
 		select {
 		case <-l.wake:
 		case <-l.closed:
 			return
 		case <-readerDone:
 			return
-		case <-time.After(rto):
+		case <-timer.C:
 			// Retransmission timeout without ack progress: go back to
 			// the oldest unacked frame and back off.
 			l.mu.Lock()
@@ -366,19 +379,22 @@ func (l *link) transmit(cw *connWriter, frames []*outFrame) error {
 	if v.Drop {
 		return nil
 	}
-	data := appendBatch(nil, l.node.clock.Load(), frames)
+	clock := l.node.clock.Load()
 	if v.Extra > 0 {
+		// The timer writes after cw's buffer has been reused, so the
+		// late frame is built in storage of its own.
+		frame := appendBatch(make([]byte, 4, 64), clock, frames)
 		d := time.Duration(v.Extra) * time.Microsecond
 		time.AfterFunc(d, func() {
-			cw.write(data) // late writes on a closed session are no-ops
+			cw.writeFrame(frame) // late writes on a closed session are no-ops
 		})
 		return nil
 	}
-	if err := cw.write(data); err != nil {
+	if err := cw.writeBatch(clock, frames); err != nil {
 		return err
 	}
 	if v.Dup {
-		return cw.write(data)
+		return cw.writeBatch(clock, frames)
 	}
 	return nil
 }

@@ -8,7 +8,10 @@
 //
 //   - a compact length-prefixed binary framing over the actor wire
 //     codec (internal/actor/wirecodec.go), version-checked on both the
-//     frame and payload layer;
+//     frame and payload layer; every frame leaves in one write from a
+//     per-connection buffer, and frames are read through a
+//     per-connection bufio.Reader, so a burst of queued frames costs
+//     one read;
 //   - per-link outbound queues with connection reuse, reconnect with
 //     exponential backoff plus jitter, and bounded write deadlines;
 //   - at-least-once delivery: every DATA record carries a per-link
@@ -36,6 +39,7 @@
 package netwire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -62,10 +66,11 @@ const (
 	// DATA records.  The announcement fan-out of a pipelined run writes
 	// many tiny records per link back-to-back, and grouping them
 	// collapses the per-frame syscall and ack traffic; a lone record is
-	// a batch of one.  A transmission is faulted as a unit (one
-	// FaultPlan.VerdictFor draw); records keep their own sequence
-	// numbers, so receiver dedup and in-order release are untouched by
-	// how records happen to be grouped.
+	// a batch of one.  A volatile receiver acknowledges once per drained
+	// read burst, not once per frame.  A transmission is faulted as a
+	// unit (one FaultPlan.VerdictFor draw); records keep their own
+	// sequence numbers, so receiver dedup and in-order release are
+	// untouched by how records happen to be grouped.
 	frameBatch byte = 4
 
 	// maxFrame bounds a frame body; anything larger is a protocol
@@ -661,9 +666,10 @@ func (n *Node) acceptLoop() {
 }
 
 // serveConn handles one inbound connection: a HELLO identifying the
-// sending node, then batch frames, each acknowledged cumulatively on
-// the same connection — inline on a volatile node, through the
-// connection's ackPump on a durable one, so reads never wait on fsync.
+// sending node, then batch frames, acknowledged cumulatively on the
+// same connection — inline on a volatile node, once per drained read
+// burst, and through the connection's ackPump on a durable one, so
+// reads never wait on fsync.
 func (n *Node) serveConn(conn net.Conn) {
 	if n.cfg.Debug != nil {
 		wrapped, frame, err := obs.SniffConn(conn)
@@ -686,11 +692,12 @@ func (n *Node) serveConn(conn net.Conn) {
 		defer close(pump.done)
 		go pump.run(n.wal, conn, cw)
 	}
+	br := bufio.NewReader(conn)
 	var peer *recvPeer
 	var peerID string
 	var recs []pendingFrame // reused per batch; admit copies each record
 	for {
-		typ, body, err := readFrame(conn)
+		typ, body, err := readFrame(br)
 		if err != nil {
 			if err != io.EOF && !n.isClosed() {
 				n.logf("inbound %s: %v", peerID, err)
@@ -716,8 +723,8 @@ func (n *Node) serveConn(conn net.Conn) {
 				n.logf("data before hello")
 				return
 			}
-			// The payloads alias the frame buffer, which is not reused,
-			// so buffering them in the peer is safe.
+			// The payloads alias the frame body, which readFrame
+			// allocates afresh, so buffering them in the peer is safe.
 			recs, err = parseBatch(recs[:0], body)
 			if err != nil {
 				n.logf("bad batch from %s: %v", peerID, err)
@@ -742,11 +749,15 @@ func (n *Node) serveConn(conn net.Conn) {
 			// pending interval overlaps the receiver's — and, in WAL mode,
 			// through the pump, which acks only once the logged deliveries
 			// are durable, so the sender never prunes a frame we could
-			// lose.
+			// lose.  Inline, the ack waits only while another complete
+			// frame is already buffered: reading that frame cannot block,
+			// and its own ack covers this batch too.
 			if pump != nil {
 				pump.offer(ack, peer.lastLsn.Load())
-			} else if err := cw.write(appendAck(nil, ack)); err != nil {
-				return
+			} else if !frameBuffered(br) {
+				if err := cw.writeAck(ack); err != nil {
+					return
+				}
 			}
 		default:
 			n.logf("unexpected inbound frame type %d from %s", typ, peerID)
@@ -803,7 +814,7 @@ func (p *ackPump) run(w *wal.Log, conn net.Conn, cw *connWriter) {
 		if w.Durable() < lsn {
 			return
 		}
-		if err := cw.write(appendAck(nil, ack)); err != nil {
+		if err := cw.writeAck(ack); err != nil {
 			return
 		}
 	}
@@ -852,33 +863,59 @@ func (n *Node) deliverReady(peerID string, rp *recvPeer, ready []pendingFrame) b
 
 // connWriter serializes frame writes on one connection with a bounded
 // deadline; it survives races between session teardown and delayed
-// (fault-injected) writes.
+// (fault-injected) writes.  Frames are built in a reusable buffer
+// behind their length prefix and leave in a single Write: with
+// TCP_NODELAY a separate header write would be a segment of its own.
 type connWriter struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	timeout time.Duration
 	closed  bool
+	buf     []byte // frame under construction; guarded by mu
 }
 
 func newConnWriter(conn net.Conn, timeout time.Duration) *connWriter {
-	return &connWriter{conn: conn, timeout: timeout}
+	return &connWriter{conn: conn, timeout: timeout, buf: make([]byte, 4, 256)}
 }
 
-// write sends one complete frame (body already including version and
-// type) under the length prefix.
-func (w *connWriter) write(body []byte) error {
+func (w *connWriter) writeHello(id string, clock int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.buf = appendHello(w.buf[:4], id, clock)
+	return w.send(w.buf)
+}
+
+func (w *connWriter) writeAck(upTo uint64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.buf = appendAck(w.buf[:4], upTo)
+	return w.send(w.buf)
+}
+
+func (w *connWriter) writeBatch(clock int64, frames []*outFrame) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.buf = appendBatch(w.buf[:4], clock, frames)
+	return w.send(w.buf)
+}
+
+// writeFrame sends a frame the caller built in storage of its own,
+// frame[:4] reserved for the length prefix.
+func (w *connWriter) writeFrame(frame []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.send(frame)
+}
+
+// send fills in the length prefix of frame (frame[:4]) and writes the
+// whole frame at once.  The caller holds w.mu.
+func (w *connWriter) send(frame []byte) error {
 	if w.closed {
 		return net.ErrClosed
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 	w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	if _, err := w.conn.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.conn.Write(body)
+	_, err := w.conn.Write(frame)
 	return err
 }
 
@@ -891,24 +928,42 @@ func (w *connWriter) shutdown() {
 }
 
 // readFrame reads one length-prefixed frame and returns its type and
-// body (excluding version and type bytes).
-func readFrame(conn net.Conn) (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+// body (excluding version and type bytes).  The body is allocated per
+// frame, never a view of r's buffer: batch payloads alias it and may
+// sit in the receiver's reorder buffer long after the next read.
+func readFrame(r *bufio.Reader) (byte, []byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := binary.BigEndian.Uint32(hdr)
 	if size < 2 || size > maxFrame {
 		return 0, nil, fmt.Errorf("netwire: frame size %d out of range", size)
 	}
+	r.Discard(4) // cannot fail: Peek just buffered these bytes
 	body := make([]byte, size)
-	if _, err := io.ReadFull(conn, body); err != nil {
+	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, err
 	}
 	if body[0] != frameVersion {
 		return 0, nil, fmt.Errorf("netwire: frame version %d, want %d", body[0], frameVersion)
 	}
 	return body[1], body[2:], nil
+}
+
+// frameBuffered reports whether r already holds a complete frame of
+// valid size, so that the next readFrame returns without reading the
+// connection.
+func frameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := r.Peek(4)
+	size := binary.BigEndian.Uint32(hdr)
+	return size >= 2 && size <= maxFrame && r.Buffered()-4 >= int(size)
 }
 
 func appendHello(dst []byte, id string, clock int64) []byte {

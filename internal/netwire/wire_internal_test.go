@@ -1,8 +1,10 @@
 package netwire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 	"time"
 
@@ -81,6 +83,90 @@ func FuzzBatchFrame(f *testing.F) {
 			if len(r.payload) > len(body) {
 				t.Fatalf("payload of %d bytes from a %d-byte frame", len(r.payload), len(body))
 			}
+		}
+	})
+}
+
+// chunkReader hands out its stream at most n bytes per Read, so the
+// fuzzer controls where reads split frames.
+type chunkReader struct {
+	data  []byte
+	n     int
+	reads int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	c.reads++
+	k := copy(p[:min(len(p), c.n)], c.data)
+	c.data = c.data[k:]
+	return k, nil
+}
+
+// FuzzReadFrame reads arbitrary byte streams, split into arbitrary
+// chunks, through the receivers' buffered reader.  readFrame must never
+// panic and must agree with a direct walk of the stream: a size below
+// 2, a size above maxFrame, a bad version and a truncated frame are
+// errors, anything else yields the frame's type and body.  Whenever
+// frameBuffered reports a complete frame, the next readFrame must
+// return it whole without reading the stream again — the inline ack is
+// written only when that predicate is false, so a wrong "true" would
+// hold an ack behind a read that can block.
+func FuzzReadFrame(f *testing.F) {
+	ack := framed(appendAck(nil, 300))
+	hello := framed(appendHello(nil, "node", 9))
+	f.Add(ack, uint8(2))                                            // split header
+	f.Add(hello, uint8(6))                                          // split body
+	f.Add(append(bytes.Clone(hello), ack...), uint8(64))            // two frames in one chunk
+	f.Add([]byte{}, uint8(1))                                       // zero-length stream
+	f.Add([]byte{0, 0, 0, 1, 1}, uint8(8))                          // size below 2
+	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame+1), uint8(8)) // size above maxFrame
+	f.Add([]byte{0, 0, 0, 2, 2, frameAck}, uint8(8))                // bad version
+	f.Fuzz(func(t *testing.T, stream []byte, chunk uint8) {
+		src := &chunkReader{data: stream, n: int(chunk)%48 + 1}
+		br := bufio.NewReaderSize(src, 32)
+		rest := stream
+		for {
+			complete := frameBuffered(br)
+			reads := src.reads
+			typ, body, err := readFrame(br)
+			if complete && src.reads != reads {
+				t.Fatalf("frameBuffered reported a complete frame, but readFrame read the stream")
+			}
+			// The reference walk of the same stream.
+			if len(rest) < 4 {
+				if err == nil {
+					t.Fatalf("read a frame from a %d-byte tail", len(rest))
+				}
+				return
+			}
+			size := binary.BigEndian.Uint32(rest)
+			switch {
+			case size < 2 || size > maxFrame:
+				if err == nil {
+					t.Fatalf("accepted frame size %d", size)
+				}
+				return
+			case uint64(len(rest)-4) < uint64(size):
+				if err == nil || complete {
+					t.Fatalf("truncated frame: err %v, complete %v", err, complete)
+				}
+				return
+			case rest[4] != frameVersion:
+				if err == nil {
+					t.Fatalf("accepted frame version %d", rest[4])
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("rejected a valid frame: %v", err)
+			}
+			if typ != rest[5] || !bytes.Equal(body, rest[6:4+size]) {
+				t.Fatalf("frame mismatch: type %d body %x, want type %d body %x", typ, body, rest[5], rest[6:4+size])
+			}
+			rest = rest[4+size:]
 		}
 	})
 }
