@@ -12,10 +12,11 @@
 #   make benchsmoke  compile-and-run every benchmark once
 #   make fuzzsmoke   brief run of every fuzz target
 #   make bench       the P* cost benchmarks (informational)
+#   make benchdiff   compare the two newest BENCH_<pr>.json reports against the bounds
 
 GO ?= go
 
-.PHONY: ci build vet test race enginestress tracecheck crashcheck walcheck servecheck modelcheck bench benchsmoke fuzzsmoke
+.PHONY: ci build vet test race enginestress tracecheck crashcheck walcheck servecheck modelcheck bench benchsmoke benchdiff fuzzsmoke
 
 ci: build vet test race enginestress tracecheck crashcheck walcheck servecheck modelcheck benchsmoke fuzzsmoke
 
@@ -102,12 +103,14 @@ modelcheck:
 
 # Every benchmark must still compile and survive one iteration (keeps
 # the perf harness from rotting between measurement sessions), and the
-# zero-allocation contracts on the four hot paths — wire encoding,
-# program-mode announcement delivery, steady-state WAL append, and a
-# netwire batch transmission plus its inline ack — must still hold.
+# allocation contracts on the five hot paths — wire encoding,
+# program-mode announcement delivery, steady-state WAL append, a
+# netwire batch transmission plus its inline ack (all zero), and one
+# whole dense12 engine instance (bounded) — must still hold.
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test -count=1 -run 'TestAnnounceDeliverZeroAlloc|TestEncodeZeroAlloc' ./internal/actor
+	$(GO) test -count=1 -run 'TestInstanceAllocs' ./internal/engine
 	$(GO) test -count=1 -run 'TestWALAppendZeroAlloc' ./internal/wal
 	$(GO) test -count=1 -run 'TestTransmitZeroAlloc' ./internal/netwire
 
@@ -128,3 +131,10 @@ fuzzsmoke:
 
 bench:
 	$(GO) test -bench 'BenchmarkP' -benchtime 1x ./...
+
+# Compare the two newest checked-in full benchmark reports
+# (BENCH_<pr>.json, numbered by change) against BENCHMARK.json's bounds.
+benchdiff:
+	@set -- $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -2); \
+	test $$# -eq 2 || { echo "benchdiff: need two BENCH_*.json files" >&2; exit 1; }; \
+	$(GO) run ./benchmark -compare $$1,$$2

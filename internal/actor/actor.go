@@ -72,25 +72,19 @@ type Actor struct {
 	dir   *Directory
 	hooks *Hooks
 
-	know   temporal.Knowledge
-	guards map[string]temporal.Formula // polarity key → current residual guard
-	// reducedVer records the knowledge version each residual guard was
-	// last reduced at; while it matches, the residual is already fully
-	// reduced and Reduce is skipped.
-	reducedVer map[string]uint64
-	// localNeg maps polarity key → the consensus-eliminated symbols of
-	// that polarity's guard.
-	localNeg map[string]map[string]algebra.Symbol
-	pols     map[string]*polarity
+	know temporal.Knowledge
+	// pols holds the base polarity at index 0 and its complement at 1
+	// (the gprog.PolPos / gprog.PolNeg order).
+	pols [2]polarity
 	// ordered holds both polarities sorted by symbol key, precomputed
 	// so broadcast-order walks never re-sort (or allocate).
 	ordered [2]*polarity
 
 	// prog, when attached, is the compiled bitset mirror of both
 	// guards: it assimilates the same facts as know and answers
-	// Decide/Eval without touching the formula trees.  The guards map
-	// stays authoritative for everything the fast path does not cover
-	// (rounds, waves, promise soundness).
+	// Decide/Eval without touching the formula trees.  Each polarity's
+	// residual guard stays authoritative for everything the fast path
+	// does not cover (rounds, waves, promise soundness).
 	prog *gprog.State
 
 	roundSeq int
@@ -107,9 +101,21 @@ type Actor struct {
 
 type polarity struct {
 	sym algebra.Symbol
+	key string // sym.Key(), fixed at construction
 	// progPol is this polarity's index into the compiled guard
 	// program (gprog.PolPos / gprog.PolNeg).
-	progPol     int
+	progPol int
+	// guard is the current residual guard; reducedVer records the
+	// knowledge version it was last reduced at.  While that matches,
+	// the residual is already fully reduced and Reduce is skipped.
+	guard      temporal.Formula
+	reducedVer uint64
+	// localNeg holds the consensus-eliminated symbols of the guard.
+	localNeg map[string]algebra.Symbol
+
+	// The protocol maps (holdsOnMe, promisesBy, promiseClaims,
+	// pastInquirers) stay nil until put first writes them: most
+	// polarities of a short instance never hold, promise or get asked.
 	attempted   bool
 	forced      bool
 	attemptTime simnet.Time
@@ -187,35 +193,16 @@ type GuardSpec struct {
 func New(base algebra.Symbol, site simnet.SiteID, dir *Directory, hooks *Hooks,
 	pos, neg GuardSpec) *Actor {
 	base = base.Base()
-	a := &Actor{
-		base:       base,
-		site:       site,
-		dir:        dir,
-		hooks:      hooks,
-		guards:     map[string]temporal.Formula{},
-		reducedVer: map[string]uint64{},
-		localNeg:   map[string]map[string]algebra.Symbol{},
-		pols:       map[string]*polarity{},
+	comp := base.Complement()
+	a := &Actor{base: base, site: site, dir: dir, hooks: hooks}
+	a.pols = [2]polarity{
+		{sym: base, key: base.Key(), progPol: gprog.PolPos, guard: pos.Guard, localNeg: pos.LocalNeg},
+		{sym: comp, key: comp.Key(), progPol: gprog.PolNeg, guard: neg.Guard, localNeg: neg.LocalNeg},
 	}
-	for i, s := range []algebra.Symbol{base, base.Complement()} {
-		a.pols[s.Key()] = &polarity{
-			sym:           s,
-			progPol:       i,
-			holdsOnMe:     map[string]bool{},
-			promisesBy:    map[string]promiseInfo{},
-			promiseClaims: map[string]promiseClaim{},
-			pastInquirers: map[simnet.SiteID]bool{},
-		}
-	}
-	a.ordered[0] = a.pols[base.Key()]
-	a.ordered[1] = a.pols[base.Complement().Key()]
-	if a.ordered[1].sym.Key() < a.ordered[0].sym.Key() {
+	a.ordered = [2]*polarity{&a.pols[0], &a.pols[1]}
+	if a.ordered[1].key < a.ordered[0].key {
 		a.ordered[0], a.ordered[1] = a.ordered[1], a.ordered[0]
 	}
-	a.guards[base.Key()] = pos.Guard
-	a.guards[base.Complement().Key()] = neg.Guard
-	a.localNeg[base.Key()] = pos.LocalNeg
-	a.localNeg[base.Complement().Key()] = neg.LocalNeg
 	return a
 }
 
@@ -230,6 +217,9 @@ func (a *Actor) AttachProgram(p *gprog.Prog) {
 		return
 	}
 	a.prog = p.NewState()
+	// The knowledge ends up holding the program's symbols plus this
+	// actor's own pair, which fire records.
+	a.know.SizeHint(p.Syms() + 2)
 }
 
 // SyncProgram rebuilds the program state from the actor's knowledge —
@@ -281,7 +271,7 @@ func (a *Actor) unhold(s algebra.Symbol) {
 // occurred without our cooperation, so no agreement round trip is
 // needed.
 func (a *Actor) localView(p *polarity) *temporal.Knowledge {
-	ln := a.localNeg[p.sym.Key()]
+	ln := p.localNeg
 	if len(ln) == 0 || !a.localFactsClean() {
 		return &a.know
 	}
@@ -425,16 +415,20 @@ func (a *Actor) Base() algebra.Symbol { return a.base }
 func (a *Actor) Site() simnet.SiteID { return a.site }
 
 // GuardOf returns the current (possibly reduced) guard of a polarity.
-func (a *Actor) GuardOf(s algebra.Symbol) temporal.Formula { return a.guards[s.Key()] }
+func (a *Actor) GuardOf(s algebra.Symbol) temporal.Formula {
+	if p := a.lookup(s); p != nil {
+		return p.guard
+	}
+	return temporal.Formula{}
+}
 
 // residualGuard returns the polarity's knowledge-reduced residual
 // guard, re-reducing only when the knowledge changed since the last
 // reduction — the stored residual already reflects everything older,
 // and reducing it again under unchanged knowledge is the identity.
 func (a *Actor) residualGuard(n Net, p *polarity) temporal.Formula {
-	key := p.sym.Key()
-	g := a.guards[key]
-	if v := a.know.Version(); a.reducedVer[key] != v {
+	g := p.guard
+	if v := a.know.Version(); p.reducedVer != v {
 		if a.Trace.On() {
 			// Compare by key, not by value: a Formula's dynamic type
 			// need not be comparable, and the key is only computed once
@@ -445,22 +439,22 @@ func (a *Actor) residualGuard(n Net, p *polarity) temporal.Formula {
 				a.Trace.Emit(obs.Record{
 					Lamport: n.Clock(),
 					Kind:    obs.KindResiduate,
-					Sym:     key,
+					Sym:     p.key,
 					Guard:   after,
 				})
 			}
 		} else {
 			g = a.know.Reduce(g)
 		}
-		a.guards[key] = g
-		a.reducedVer[key] = v
+		p.guard = g
+		p.reducedVer = v
 	}
 	return g
 }
 
 // Occurred reports whether the polarity has occurred, with its index.
 func (a *Actor) Occurred(s algebra.Symbol) (int64, bool) {
-	p := a.pols[s.Key()]
+	p := a.lookup(s)
 	if p == nil || !p.occurred {
 		return 0, false
 	}
@@ -469,7 +463,7 @@ func (a *Actor) Occurred(s algebra.Symbol) (int64, bool) {
 
 // Parked reports whether an attempt for the polarity is parked.
 func (a *Actor) Parked(s algebra.Symbol) bool {
-	p := a.pols[s.Key()]
+	p := a.lookup(s)
 	return p != nil && p.attempted && !p.occurred && !p.rejected
 }
 
@@ -484,11 +478,23 @@ func (a *Actor) logf(format string, args ...any) {
 }
 
 func (a *Actor) pol(s algebra.Symbol) *polarity {
-	p, ok := a.pols[s.Key()]
-	if !ok {
+	p := a.lookup(s)
+	if p == nil {
 		panic(fmt.Sprintf("actor %s: message about foreign symbol %s", a.base, s))
 	}
 	return p
+}
+
+// lookup returns the polarity whose key is s's, or nil when s is not
+// one of this actor's two symbols.
+func (a *Actor) lookup(s algebra.Symbol) *polarity {
+	k := s.Key()
+	for i := range a.pols {
+		if a.pols[i].key == k {
+			return &a.pols[i]
+		}
+	}
+	return nil
 }
 
 // Handle implements simnet.Handler for messages addressed to this
@@ -519,7 +525,9 @@ func (a *Actor) Deliver(n Net, payload any) {
 
 func (a *Actor) onAttempt(n Net, m AttemptMsg) {
 	p := a.pol(m.Sym)
-	a.logf("attempt %s forced=%v", m.Sym, m.Forced)
+	if a.Log != nil { // checked here: the varargs box is per-delivery
+		a.logf("attempt %s forced=%v", m.Sym, m.Forced)
+	}
 	mAttempts.Inc()
 	if a.Trace.On() {
 		verdict := ""
@@ -769,7 +777,7 @@ func (a *Actor) hypothesis(p *polarity) []algebra.Symbol {
 func (a *Actor) onInquire(n Net, m InquireMsg) {
 	mInquiries.Inc()
 	p := a.pol(m.Target)
-	p.pastInquirers[m.ReplyTo] = true
+	put(&p.pastInquirers, m.ReplyTo, true)
 	if p.occurred {
 		n.Send(a.site, m.ReplyTo, InquireReplyMsg{
 			Target: m.Target, Requester: m.Requester, Round: m.Round,
@@ -791,7 +799,7 @@ func (a *Actor) onInquire(n Net, m InquireMsg) {
 		a.deferred = append(a.deferred, m)
 		return
 	}
-	p.holdsOnMe[claimKey(m.Requester, m.Round)] = true
+	put(&p.holdsOnMe, claimKey(m.Requester, m.Round), true)
 	hyp := m.Hyp
 	if len(hyp) == 0 {
 		hyp = []algebra.Symbol{m.Requester}
@@ -812,7 +820,7 @@ func (a *Actor) onInquire(n Net, m InquireMsg) {
 			promised = true
 			conds = granted
 			afterReq = a.orderedAfter(p, m.Requester, conds)
-			p.promisesBy[m.Requester.Key()] = promiseInfo{requester: m.Requester, conds: conds}
+			put(&p.promisesBy, m.Requester.Key(), promiseInfo{requester: m.Requester, conds: conds})
 		}
 	}
 	a.logf("reply to %s about %s: held, promised=%v conds=%v afterReq=%v",
@@ -904,7 +912,7 @@ func (a *Actor) counterConditions(p *polarity, hyp []algebra.Symbol) []algebra.S
 		inHyp[h.Key()] = true
 	}
 	var out []algebra.Symbol
-	for _, u := range view.Unresolved(a.guards[p.sym.Key()]) {
+	for _, u := range view.Unresolved(p.guard) {
 		if inHyp[u.Key()] || u.SameEvent(a.base) {
 			continue
 		}
@@ -929,7 +937,7 @@ func (a *Actor) counterConditions(p *polarity, hyp []algebra.Symbol) []algebra.S
 // they may lapse before discharge.
 func (a *Actor) promiseSound(p *polarity, hypSet []algebra.Symbol) bool {
 	view := a.know.PermanentClone()
-	if ln := a.localNeg[p.sym.Key()]; len(ln) > 0 && a.localFactsClean() {
+	if ln := p.localNeg; len(ln) > 0 && a.localFactsClean() {
 		for _, f := range ln {
 			if view.Status(f) == temporal.StatusUnknown {
 				view.Hold(f)
@@ -962,14 +970,14 @@ func (a *Actor) promiseSound(p *polarity, hypSet []algebra.Symbol) bool {
 			view.CondPromise(c.target)
 		}
 	}
-	return view.Decide(a.guards[p.sym.Key()]) == temporal.True
+	return view.Decide(p.guard) == temporal.True
 }
 
 // localFactsClean reports that this actor has produced no enabling
 // fact: neither polarity occurred and no conditional promise is
 // outstanding.
 func (a *Actor) localFactsClean() bool {
-	for _, q := range a.pols {
+	for _, q := range a.ordered {
 		if q.occurred || len(q.promisesBy) > 0 {
 			return false
 		}
@@ -979,7 +987,7 @@ func (a *Actor) localFactsClean() bool {
 
 func (a *Actor) minActiveRoundSym() (string, bool) {
 	best := ""
-	for _, p := range a.pols {
+	for _, p := range a.ordered {
 		if p.round != nil && len(p.round.pending) > 0 {
 			if best == "" || p.sym.Key() < best {
 				best = p.sym.Key()
@@ -1003,9 +1011,9 @@ func (a *Actor) onReply(n Net, m InquireReplyMsg) {
 			if _, had := p.promiseClaims[m.Target.Key()]; !had {
 				p.retry = true // a new claim may close the commit wave
 			}
-			p.promiseClaims[m.Target.Key()] = promiseClaim{
+			put(&p.promiseClaims, m.Target.Key(), promiseClaim{
 				target: m.Target, site: site, conds: m.Conds, afterReq: m.AfterReq,
-			}
+			})
 		} else {
 			n.Send(a.site, site, ReleaseMsg{
 				Target: m.Target, Requester: m.Requester, Round: m.Round, Promise: true,
@@ -1106,7 +1114,7 @@ func (a *Actor) settleClaims(n Net, p *polarity, fired bool) {
 			Target: c.target, Requester: p.sym, Promise: true, Fired: discharge,
 		})
 	}
-	p.promiseClaims = map[string]promiseClaim{}
+	p.promiseClaims = nil
 	p.wave = nil
 }
 
@@ -1194,7 +1202,9 @@ func (a *Actor) fire(n Net, p *polarity) {
 	p.fireReady = false
 	p.at = at
 	a.observe(p.sym, at)
-	a.logf("FIRE %s@%d", p.sym, at)
+	if a.Log != nil { // checked here: the varargs box is per-fire
+		a.logf("FIRE %s@%d", p.sym, at)
+	}
 	mFires.Inc()
 	if a.Trace.On() {
 		a.Trace.Emit(obs.Record{
@@ -1214,7 +1224,7 @@ func (a *Actor) fire(n Net, p *polarity) {
 	a.settleClaims(n, p, true)
 	// Conditional promises on the fired symbol are discharged by the
 	// announcement itself.
-	p.promisesBy = map[string]promiseInfo{}
+	p.promisesBy = nil
 
 	comp := a.pol(p.sym.Complement())
 	a.endRound(n, comp)
@@ -1285,6 +1295,14 @@ func (a *Actor) answerDeferred(n Net) {
 // precomputed at construction — delivery walks it on every
 // announcement, so it must not sort or allocate.
 func (a *Actor) sortedPols() []*polarity { return a.ordered[:] }
+
+// put sets m[k] = v, making the map on first use.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
+}
 
 func claimKey(requester algebra.Symbol, round int) string {
 	return fmt.Sprintf("%s#%d", requester.Key(), round)

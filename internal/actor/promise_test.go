@@ -158,12 +158,13 @@ func TestDualPolarityPromises(t *testing.T) {
 	// r2 (◇~x, abort path): conditions r1 vs r2 are not complementary,
 	// so the second grant must be refused while the first stands.
 	a := promiseRig("x", temporal.TrueF())
-	a.guards[sym("~x").Key()] = temporal.TrueF()
+	a.pol(sym("~x")).guard = temporal.TrueF()
 	px := a.pol(sym("x"))
 	pnx := a.pol(sym("~x"))
 	px.attempted = true
 	pnx.attempted = true
 
+	px.promisesBy = map[string]promiseInfo{}
 	px.promisesBy["r1"] = promiseInfo{requester: sym("r1"), conds: []algebra.Symbol{sym("r1")}}
 	if exclusiveWithAll(px.promisesBy, sym("r2"), []algebra.Symbol{sym("r2")}) {
 		t.Fatal("~x promise to r2 must be blocked by x's promise to r1")

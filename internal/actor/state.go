@@ -147,8 +147,8 @@ func (a *Actor) Restore(st ActorState) error {
 		if err != nil {
 			return fmt.Errorf("actor %s@%s: %w", a.base, a.site, err)
 		}
-		p, ok := a.pols[sym.Key()]
-		if !ok {
+		p := a.lookup(sym)
+		if p == nil {
 			return fmt.Errorf("actor %s@%s: unknown polarity %s", a.base, a.site, ps.Sym)
 		}
 		p.attempted = ps.Attempted
@@ -159,7 +159,7 @@ func (a *Actor) Restore(st ActorState) error {
 		p.at = ps.At
 		p.rejected = ps.Rejected
 		for _, s := range ps.PastInquirers {
-			p.pastInquirers[simnet.SiteID(s)] = true
+			put(&p.pastInquirers, simnet.SiteID(s), true)
 		}
 	}
 	// The facts above were loaded into the knowledge map wholesale;

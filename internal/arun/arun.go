@@ -248,14 +248,13 @@ func guardSpecFor(c *core.Compiled, s algebra.Symbol) actor.GuardSpec {
 type siteHost struct {
 	site   simnet.SiteID
 	actors map[string]*actor.Actor
-	order  []string
+	order  []string // sorted once all actors are added
 }
 
 func (h *siteHost) add(a *actor.Actor) {
 	key := a.Base().Key()
 	h.actors[key] = a
 	h.order = append(h.order, key)
-	sort.Strings(h.order)
 }
 
 func (h *siteHost) one(n actor.Net, s algebra.Symbol, p any) {
@@ -693,6 +692,7 @@ func (r *Runner) outcome() *Outcome {
 	sort.Slice(recs, func(i, j int) bool { return recs[i].at < recs[j].at })
 	out := &Outcome{
 		Occurred:      make(map[string]int64, len(recs)),
+		Trace:         make([]string, 0, len(recs)),
 		Decisions:     r.decs,
 		Announcements: r.anns,
 	}

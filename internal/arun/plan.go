@@ -304,6 +304,7 @@ func (p *Plan) build(tr Transport, opt RunnerOptions, quietTrace bool) (*runnerB
 	}
 	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
 	for _, site := range sites {
+		sort.Strings(hosts[site].order)
 		tr.Register(site, hosts[site].deliver)
 	}
 	if p.observe && hosted(p.driver) {

@@ -247,20 +247,24 @@ type State struct {
 	ovFalse []uint64
 }
 
-// NewState returns a fresh all-unknown State for the program.
+// NewState returns a fresh all-unknown State for the program.  The
+// six bitmasks are cut from one slab: a state is built per actor per
+// instance, so its allocation count is paid on every instance.
 func (p *Prog) NewState() *State {
-	s := &State{
+	w := p.words
+	slab := make([]uint64, 6*w)
+	cut := func(i int) []uint64 { return slab[i*w : (i+1)*w : (i+1)*w] }
+	return &State{
 		p:         p,
 		status:    make([]temporal.Status, len(p.syms)),
 		times:     make([]int64, len(p.syms)),
-		decTrue:   make([]uint64, p.words),
-		decFalse:  make([]uint64, p.words),
-		permTrue:  make([]uint64, p.words),
-		permFalse: make([]uint64, p.words),
-		ovTrue:    make([]uint64, p.words),
-		ovFalse:   make([]uint64, p.words),
+		decTrue:   cut(0),
+		decFalse:  cut(1),
+		permTrue:  cut(2),
+		permFalse: cut(3),
+		ovTrue:    cut(4),
+		ovFalse:   cut(5),
 	}
-	return s
 }
 
 // Prog returns the program the state was derived from.

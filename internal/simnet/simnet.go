@@ -23,7 +23,7 @@ package simnet
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 )
 
@@ -98,9 +98,10 @@ type Network struct {
 	now   Time
 	queue eventQueue
 	sites map[SiteID]Handler
-	// rng is built lazily from seed: most networks (every engine
-	// instance, every zero-jitter model) never draw a random number,
-	// and seeding a rand.Rand costs more than a short simulation.
+	// rng is a PCG generator (two words of state) built lazily from
+	// seed.  Every remote send under a jittered model such as
+	// DefaultLatency draws from it, so each simulated instance seeds
+	// one; zero-jitter models never draw and never build it.
 	rng     *rand.Rand
 	seed    int64
 	latency LatencyModel
@@ -143,7 +144,7 @@ func New(lat LatencyModel, seed int64) *Network {
 // rand returns the seeded generator, constructing it on first use.
 func (n *Network) rand() *rand.Rand {
 	if n.rng == nil {
-		n.rng = rand.New(rand.NewSource(n.seed))
+		n.rng = rand.New(rand.NewPCG(uint64(n.seed), 0))
 	}
 	return n.rng
 }
@@ -195,7 +196,7 @@ func (n *Network) Send(from, to SiteID, payload any) {
 	} else {
 		lat = n.latency.Remote
 		if n.latency.Jitter > 0 {
-			lat += Time(n.rand().Int63n(int64(n.latency.Jitter) + 1))
+			lat += Time(n.rand().Int64N(int64(n.latency.Jitter) + 1))
 		}
 	}
 	if n.fault == nil || from == to {

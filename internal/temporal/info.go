@@ -184,6 +184,16 @@ func (k *Knowledge) PermanentClone() *Knowledge {
 	return cp
 }
 
+// SizeHint presizes empty knowledge for n facts, so a holder that
+// knows its symbol universe pays for one map instead of rehashing as
+// the first announcements arrive.  It does nothing once a fact is
+// recorded.
+func (k *Knowledge) SizeHint(n int) {
+	if k.m == nil && n > 0 {
+		k.m = make(map[string]fact, n)
+	}
+}
+
 func (k *Knowledge) set(s algebra.Symbol, f fact) {
 	if k.m == nil {
 		k.m = make(map[string]fact)
