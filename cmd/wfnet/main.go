@@ -12,8 +12,8 @@
 //	    ports need to be chosen up front.  The drive is pipelined: an
 //	    attempt completes as soon as its own decision reaches the
 //	    driver; cluster-wide quiescence (the PING/STAT protocol below)
-//	    is only consulted — at the -poll interval — for attempts that
-//	    park without a decision, and once at shutdown.
+//	    is only consulted for attempts that park without a decision,
+//	    and once at shutdown.  -poll spaces those PING/STAT rounds.
 //
 //	wfnet -serve -index i -sites s1,s2 [-id name] [-listen addr]
 //	      [-peers site=addr,...] [-wal dir] [-v] file.wf
@@ -103,9 +103,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	peersFlag := fs.String("peers", "", "worker mode: static site=addr,... routing table (skips the PEERS handshake)")
 	walDir := fs.String("wal", "", "write-ahead-log root directory; every process logs under <dir>/<node-id>, and reusing a dir recovers a crashed run")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-attempt quiescence timeout")
-	poll := fs.Duration("poll", 5*time.Millisecond, "quiescence polling interval: the spacing of PING/STAT rounds and the pipelined decision-wait slice")
+	poll := fs.Duration("poll", 5*time.Millisecond, "quiescence polling interval: the spacing of the cluster's PING/STAT rounds")
 	verbose := fs.Bool("v", false, "transport diagnostics on stderr")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *poll <= 0 {
+		fmt.Fprintln(stderr, "wfnet: -poll must be positive")
 		return 2
 	}
 	if fs.NArg() != 1 {
@@ -196,7 +200,7 @@ func runServe(sp *spec.Spec, cfg serveConfig, stdin io.Reader, stdout, stderr io
 	// frame can arrive ahead of its handler.  A non-empty WAL means this
 	// worker is being restarted after a crash: replay it through the
 	// freshly built actors before the node starts talking to peers.
-	if err := installActors(node, sp, func(s simnet.SiteID) bool { return hosted[s] }); err != nil {
+	if _, err := newRunner(node, sp, arun.RunnerOptions{Hosted: func(s simnet.SiteID) bool { return hosted[s] }}); err != nil {
 		fmt.Fprintln(stderr, "wfnet:", err)
 		return 1
 	}
@@ -258,21 +262,21 @@ func runServe(sp *spec.Spec, cfg serveConfig, stdin io.Reader, stdout, stderr io
 	return 0
 }
 
-// installActors builds the hosted actors on a transport, replaying the
+// newRunner builds the hosted actors on a transport, replaying the
 // node's WAL through them first when it holds a crashed run's state.
 // Both paths register every handler before the transport starts.
-func installActors(tr arun.Transport, sp *spec.Spec, hosted func(simnet.SiteID) bool) error {
-	rec, ok := tr.(netwire.Recoverer)
-	if ok && rec.NeedsRecovery() {
-		plan, err := arun.NewPlan(sp, arun.PlanOptions{Observe: true})
-		if err != nil {
-			return err
-		}
-		_, err = plan.Resume(tr, arun.RunnerOptions{Hosted: hosted})
-		return err
+func newRunner(tr arun.Transport, sp *spec.Spec, opt arun.RunnerOptions) (*arun.Runner, error) {
+	plan, err := arun.NewPlan(sp, arun.PlanOptions{Observe: true})
+	if err != nil {
+		return nil, err
 	}
-	_, err := arun.New(tr, sp, arun.Options{Hosted: hosted})
-	return err
+	if rec, ok := tr.(netwire.Recoverer); ok && rec.NeedsRecovery() {
+		return plan.Resume(tr, opt)
+	}
+	// One runner = one execution = one instance tag, so repeated runs
+	// into a shared capture stay separable per instance.
+	opt.Instance = obs.Shared().NextInst()
+	return plan.NewRunner(tr, opt)
 }
 
 func parsePeers(kvs []string) (map[simnet.SiteID]string, error) {
@@ -341,7 +345,8 @@ type cluster struct {
 	workers []*worker
 	// poll spaces the PING/STAT rounds of a quiescence wait, so parked
 	// pipelined attempts probe the cluster at a bounded rate instead of
-	// saturating the control pipes.
+	// saturating the control pipes.  It is also the interval of the
+	// cluster's idle signal (IdleWait).
 	poll time.Duration
 }
 
@@ -406,13 +411,33 @@ func (c *cluster) WaitIdle(timeout time.Duration) bool {
 		if !time.Now().Before(deadline) {
 			return false
 		}
-		// A genuinely busy round waits out the polling interval; an
-		// idle-looking one (first round, or counters still settling)
-		// re-polls as fast as the pipes allow.
+		// A genuinely busy round waits out the polling interval, or
+		// gives up if that would pass the deadline; an idle-looking one
+		// (first round, or counters still settling) re-polls as fast as
+		// the pipes allow.
 		if !allIdle && c.poll > 0 {
-			time.Sleep(min(c.poll, time.Until(deadline)))
+			if time.Until(deadline) < c.poll {
+				return false
+			}
+			time.Sleep(c.poll)
 		}
 	}
+}
+
+// IdleNow is one quiescence probe bounded by the polling interval.
+// The cluster's peers are other processes, so it cannot see idleness
+// as an event and polls itself: a busy first round answers at once,
+// and an idle cluster confirms in three pipe round trips.  (WaitIdle(0)
+// could never confirm: the round-pair rule needs several rounds.)
+func (c *cluster) IdleNow() bool { return c.WaitIdle(c.poll) }
+
+// IdleWait closes after one polling interval, which sends a pipelined
+// attempt still waiting for its decision back to IdleNow for the next
+// probe.
+func (c *cluster) IdleWait() (<-chan struct{}, func()) {
+	ch := make(chan struct{})
+	t := time.AfterFunc(c.poll, func() { close(ch) })
+	return ch, func() { t.Stop() }
 }
 
 func (c *cluster) Close() {
@@ -536,27 +561,11 @@ func runLocal(sp *spec.Spec, specPath string, n int, timeout, poll time.Duration
 	// consulted only for parked attempts and the final settle.  With a
 	// non-empty coordinator WAL this is a restart: the driver's own log
 	// replays through the fresh observer before the node goes live.
-	var r *arun.Runner
-	if cl.NeedsRecovery() {
-		plan, perr := arun.NewPlan(sp, arun.PlanOptions{Observe: true})
-		if perr == nil {
-			r, err = plan.Resume(cl, arun.RunnerOptions{
-				Hosted:       func(s simnet.SiteID) bool { return s == arun.DefaultDriver },
-				IdleTimeout:  timeout,
-				Pipelined:    true,
-				PollInterval: poll,
-			})
-		} else {
-			err = perr
-		}
-	} else {
-		r, err = arun.New(cl, sp, arun.Options{
-			Hosted:       func(s simnet.SiteID) bool { return s == arun.DefaultDriver },
-			IdleTimeout:  timeout,
-			Pipelined:    true,
-			PollInterval: poll,
-		})
-	}
+	r, err := newRunner(cl, sp, arun.RunnerOptions{
+		Hosted:      func(s simnet.SiteID) bool { return s == arun.DefaultDriver },
+		IdleTimeout: timeout,
+		Pipelined:   true,
+	})
 	if err != nil {
 		fmt.Fprintln(stderr, "wfnet:", err)
 		return 1

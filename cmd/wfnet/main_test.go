@@ -74,6 +74,9 @@ func TestUsageErrors(t *testing.T) {
 	if code := run([]string{"-serve", "../../testdata/travel.wf"}, strings.NewReader(""), &out, &errb); code != 2 {
 		t.Errorf("-serve without -sites: exit %d, want 2", code)
 	}
+	if code := run([]string{"-local", "2", "-poll", "0", "../../testdata/travel.wf"}, strings.NewReader(""), &out, &errb); code != 2 {
+		t.Errorf("-poll 0: exit %d, want 2", code)
+	}
 }
 
 // TestWorkerSignalDrain: a SIGTERM'd worker drains instead of dying

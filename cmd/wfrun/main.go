@@ -140,7 +140,7 @@ func applyOrder(s *spec.Spec, order string) error {
 		alpha[b.Key()] = true
 	}
 	placement := s.Placement()
-	var agents []*sched.AgentScript
+	var agents []*spec.AgentScript
 	for i, part := range strings.Split(order, ",") {
 		part = strings.TrimSpace(part)
 		sym, err := algebra.ParseSymbol(part)
@@ -154,10 +154,10 @@ func applyOrder(s *spec.Spec, order string) error {
 		if site == "" {
 			site = "s0"
 		}
-		agents = append(agents, &sched.AgentScript{
+		agents = append(agents, &spec.AgentScript{
 			ID:    fmt.Sprintf("replay-%d-%s", i, sym.Key()),
 			Site:  site,
-			Steps: []sched.Step{{Sym: sym, Think: simnet.Time(10 * (i + 1))}},
+			Steps: []spec.Step{{Sym: sym, Think: simnet.Time(10 * (i + 1))}},
 		})
 	}
 	s.Agents = agents
@@ -224,7 +224,7 @@ func runSim(s *spec.Spec, out io.Writer, kindFlag string, seed int64, showDecisi
 	}
 
 	for _, kind := range kinds {
-		r, err := sched.Run(s.RunConfig(kind, seed))
+		r, err := sched.Run(sched.SpecConfig(s, kind, seed))
 		if err != nil {
 			return err
 		}
@@ -263,35 +263,28 @@ func runNet(s *spec.Spec, out io.Writer, wal walOpts) error {
 		return err
 	}
 	defer mesh.Close()
-	var (
-		r         *arun.Runner
-		recovered bool
-	)
-	if wal.Dir != "" {
-		// A reused WAL directory resumes the crashed run: rebuild the
-		// actors, replay the logs through them, then start the mesh and
-		// let Run re-drive the schedule idempotently.
-		plan, err := arun.NewPlan(s, arun.PlanOptions{Driver: arun.DefaultDriver, Observe: true})
-		if err != nil {
-			return err
-		}
-		opt := arun.RunnerOptions{IdleTimeout: 30 * time.Second}
-		if mesh.NeedsRecovery() {
-			r, err = plan.Resume(mesh, opt)
-			recovered = true
-		} else {
-			r, err = plan.NewRunner(mesh, opt)
-		}
-		if err != nil {
-			return err
-		}
-		mesh.Start()
-	} else {
-		r, err = arun.New(mesh, s, arun.Options{IdleTimeout: 30 * time.Second})
-		if err != nil {
-			return err
-		}
+	// A reused WAL directory resumes the crashed run: rebuild the
+	// actors, replay the logs through them, then start the mesh and let
+	// Run re-drive the schedule idempotently.
+	plan, err := arun.NewPlan(s, arun.PlanOptions{Observe: true})
+	if err != nil {
+		return err
 	}
+	opt := arun.RunnerOptions{IdleTimeout: 30 * time.Second}
+	var r *arun.Runner
+	recovered := mesh.NeedsRecovery()
+	if recovered {
+		r, err = plan.Resume(mesh, opt)
+	} else {
+		// One runner = one execution = one instance tag, so repeated
+		// runs into a shared capture stay separable per instance.
+		opt.Instance = obs.Shared().NextInst()
+		r, err = plan.NewRunner(mesh, opt)
+	}
+	if err != nil {
+		return err
+	}
+	mesh.Start()
 	o, err := r.Run()
 	if err != nil {
 		return err

@@ -89,11 +89,11 @@ type (
 	// SchedulerKind selects a scheduler implementation.
 	SchedulerKind = sched.Kind
 	// AgentScript is a scripted task agent.
-	AgentScript = sched.AgentScript
+	AgentScript = spec.AgentScript
 	// AgentStep is one step of an agent script.
-	AgentStep = sched.Step
+	AgentStep = spec.Step
 	// Placement maps events to sites.
-	Placement = sched.Placement
+	Placement = spec.Placement
 	// LatencyModel configures the simulated network.
 	LatencyModel = simnet.LatencyModel
 	// SiteID names a simulated site.
@@ -198,6 +198,11 @@ func ParseGuard(src string) (Guard, error) { return temporal.ParseFormula(src) }
 // Run executes a workflow on the selected scheduler over the simulated
 // network and reports the realized trace and metrics.
 func Run(cfg RunConfig) (*RunReport, error) { return sched.Run(cfg) }
+
+// SpecConfig assembles a run configuration from a parsed spec.
+func SpecConfig(s *Spec, kind SchedulerKind, seed int64) RunConfig {
+	return sched.SpecConfig(s, kind, seed)
+}
 
 // SchedulerKinds lists the three scheduler implementations.
 func SchedulerKinds() []SchedulerKind { return sched.Kinds() }

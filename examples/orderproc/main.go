@@ -82,7 +82,7 @@ func run(agents []*dce.AgentScript) {
 		log.Fatal(err)
 	}
 	for _, kind := range dce.SchedulerKinds() {
-		cfg := s.RunConfig(kind, 7)
+		cfg := dce.SpecConfig(s, kind, 7)
 		cfg.Agents = agents
 		r, err := dce.Run(cfg)
 		if err != nil {

@@ -57,7 +57,7 @@ func runScenario(title, buyOutcome string) {
 		}},
 	}
 	for _, kind := range dce.SchedulerKinds() {
-		cfg := s.RunConfig(kind, 1996)
+		cfg := dce.SpecConfig(s, kind, 1996)
 		cfg.Agents = agents
 		r, err := dce.Run(cfg)
 		if err != nil {

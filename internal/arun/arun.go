@@ -6,15 +6,20 @@
 //
 // The runner installs one actor per event at its placed site (exactly
 // as internal/sched does on the simulator), subscribes a driver site
-// to every event, and then drives the spec's agent scripts serially:
-// one attempt at a time, quiescing the transport between attempts, in
-// the deterministic merge order of the agents' think times.  After the
-// agents drain it closes the run out to a maximal trace with the same
-// complement-then-positive passes as the simulator harness.  The final
-// outcome — which events occurred, which were left unresolved, whether
-// the trace satisfies the workflow — is then comparable across
-// transports even though wall-clock interleavings differ; the chaos
-// tests in internal/netwire assert equality under seeded fault plans.
+// to every event, and then drives the spec's agent scripts: one
+// attempt at a time, in the deterministic merge order of the agents'
+// think times, quiescing the transport between attempts (serial) or
+// waiting only for each attempt's own decision or for the transport
+// to go idle (pipelined).  Every transport reports idleness both as a
+// state and as an event, so that wait is one select.  After the agents
+// drain, the same drive loop closes the run out to a maximal trace
+// with the simulator harness's complement-then-positive passes; an
+// externally-fed run (Attempt, then Finish) is that loop with no
+// scripts.  The final outcome — which events occurred, which were
+// left unresolved, whether the trace satisfies the workflow — is then
+// comparable across transports even though wall-clock interleavings
+// differ; the chaos tests in internal/netwire assert equality under
+// seeded fault plans.
 package arun
 
 import (
@@ -27,9 +32,7 @@ import (
 	"repro/internal/actor"
 	"repro/internal/algebra"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/quiesce"
-	"repro/internal/sched"
 	"repro/internal/simnet"
 	"repro/internal/spec"
 )
@@ -40,50 +43,20 @@ const DefaultDriver simnet.SiteID = "ctl"
 
 // Transport is the asynchronous substrate the runner installs actors
 // on.  Register must be called for every hosted site before messages
-// flow; WaitIdle blocks until no messages are in flight (stably) or
-// the timeout elapses.
+// flow.  WaitIdle blocks until no messages are in flight or the timeout
+// elapses.  IdleNow and IdleWait are the same idle state as an event:
+// IdleNow reads it, and IdleWait registers a waiter and returns a
+// channel that closes when the transport may have gone idle, plus a
+// cancel that must be called once the wait is over.  A transition
+// that completed before IdleWait registered need not close the
+// channel, so a waiter re-checks IdleNow after taking it.
 type Transport interface {
 	actor.Net
 	Register(site simnet.SiteID, h func(n actor.Net, payload any))
 	WaitIdle(timeout time.Duration) bool
-	Close()
-}
-
-// IdleNotifier is optionally implemented by Transports whose idle
-// state is event-driven (internal/engine's per-instance transport):
-// IdleWait registers a waiter and returns the channel closed by the
-// next pending-count zero-transition plus a deregistration func, and
-// IdleNow reads the count directly.  When the transport provides it,
-// the pipelined attempt wait selects on the decision gate and the idle
-// signal simultaneously — a parked attempt is detected the moment the
-// transport drains rather than on the next poll slice, which is most
-// of the net-mode inter-attempt latency.
-type IdleNotifier interface {
 	IdleNow() bool
 	IdleWait() (idle <-chan struct{}, cancel func())
-}
-
-// Options configure a Runner.
-type Options struct {
-	// Driver is the runner's own site (default "ctl").  It must not
-	// collide with any actor site.
-	Driver simnet.SiteID
-	// Hosted filters which sites this process installs actors for; nil
-	// hosts everything.  Multi-process deployments (cmd/wfnet) host
-	// disjoint subsets while sharing the full directory.
-	Hosted func(site simnet.SiteID) bool
-	// IdleTimeout bounds each quiescence wait (default 10s).
-	IdleTimeout time.Duration
-	// Compiled reuses a pre-compiled workflow (optional).
-	Compiled *core.Compiled
-	// Pipelined completes each attempt on its own decision instead of
-	// global quiescence (see RunnerOptions.Pipelined).
-	Pipelined bool
-	// PollInterval is the pipelined decision-wait slice (default 200µs).
-	PollInterval time.Duration
-	// Tracer receives the actors' decision records (see
-	// RunnerOptions.Tracer); nil falls back to obs.Shared().
-	Tracer *obs.Tracer
+	Close()
 }
 
 // Outcome is the comparable result of a run.
@@ -123,7 +96,6 @@ type Runner struct {
 	driver    simnet.SiteID
 	timeout   time.Duration
 	pipelined bool
-	poll      time.Duration
 	satCache  *SatCache
 
 	// hosts are this runner's installed site hosts, retained so
@@ -182,8 +154,8 @@ func alphabetAndExtras(sp *spec.Spec) (bases, extras []algebra.Symbol) {
 	for _, b := range bases {
 		known[b.Key()] = true
 	}
-	var walk func(steps []sched.Step)
-	walk = func(steps []sched.Step) {
+	var walk func(steps []spec.Step)
+	walk = func(steps []spec.Step) {
 		for _, st := range steps {
 			b := st.Sym.Base()
 			if !known[b.Key()] {
@@ -198,31 +170,6 @@ func alphabetAndExtras(sp *spec.Spec) (bases, extras []algebra.Symbol) {
 	}
 	sort.Slice(extras, func(i, j int) bool { return extras[i].Less(extras[j]) })
 	return bases, extras
-}
-
-// New compiles (unless pre-compiled), installs the hosted actors on
-// the transport, and registers the driver as observer.  The directory
-// — placement and subscriptions — is computed identically in every
-// process regardless of the Hosted filter, so cross-process routing
-// agrees.  New builds a fresh Plan per call; callers running the same
-// spec repeatedly should build the Plan once and use NewRunner (as
-// internal/engine does).
-func New(tr Transport, sp *spec.Spec, opt Options) (*Runner, error) {
-	p, err := NewPlan(sp, PlanOptions{Driver: opt.Driver, Observe: true, Compiled: opt.Compiled})
-	if err != nil {
-		return nil, err
-	}
-	tracer := opt.Tracer
-	if tracer == nil {
-		tracer = obs.Shared()
-	}
-	return p.NewRunner(tr, RunnerOptions{
-		Hosted: opt.Hosted, IdleTimeout: opt.IdleTimeout,
-		Pipelined: opt.Pipelined, PollInterval: opt.PollInterval,
-		// One New call = one execution = one instance tag, so repeated
-		// runs into a shared capture stay separable per instance.
-		Tracer: tracer, Instance: tracer.NextInst(),
-	})
 }
 
 // guardSpecFor assembles a polarity's guard spec (with the consensus
@@ -408,12 +355,8 @@ func (r *Runner) StateDigest() string {
 	return b.String()
 }
 
-// attempt submits one attempt from the driver.  In the default mode
-// it then quiesces the whole transport — the serial, lockstep drive.
-// In pipelined mode it only waits for this attempt's own decision
-// (or for the transport to park), which is what lets many attempts —
-// and, in internal/engine, many instances — overlap.
-func (r *Runner) attempt(sym algebra.Symbol, forced bool) error {
+// submit sends one attempt from the driver.
+func (r *Runner) submit(sym algebra.Symbol, forced bool) error {
 	site, err := r.plan.siteFor(sym)
 	if err != nil {
 		return err
@@ -422,9 +365,20 @@ func (r *Runner) attempt(sym algebra.Symbol, forced bool) error {
 	if r.plan.observe {
 		replyTo = r.driver
 	}
-	msg := actor.AttemptMsg{Sym: sym, Forced: forced, ReplyTo: replyTo}
+	r.tr.Send(r.driver, site, actor.AttemptMsg{Sym: sym, Forced: forced, ReplyTo: replyTo})
+	return nil
+}
+
+// attempt submits one attempt from the driver.  In the default mode
+// it then quiesces the whole transport — the serial, lockstep drive.
+// In pipelined mode it only waits for this attempt's own decision
+// (or for the transport to park), which is what lets many attempts —
+// and, in internal/engine, many instances — overlap.
+func (r *Runner) attempt(sym algebra.Symbol, forced bool) error {
 	if !r.pipelined {
-		r.tr.Send(r.driver, site, msg)
+		if err := r.submit(sym, forced); err != nil {
+			return err
+		}
 		if !r.tr.WaitIdle(r.timeout) {
 			return fmt.Errorf("arun: transport did not quiesce after attempting %s", sym)
 		}
@@ -434,7 +388,9 @@ func (r *Runner) attempt(sym algebra.Symbol, forced bool) error {
 	r.mu.Lock()
 	start := r.decGen[key]
 	r.mu.Unlock()
-	r.tr.Send(r.driver, site, msg)
+	if err := r.submit(sym, forced); err != nil {
+		return err
+	}
 	return r.awaitAttempt(sym, key, start)
 }
 
@@ -449,95 +405,52 @@ func (r *Runner) awaitAttempt(sym algebra.Symbol, key string, start uint64) erro
 		r.mu.Unlock()
 		return m
 	}
-	notify, _ := r.tr.(IdleNotifier)
-	deadline := time.Now().Add(r.timeout)
-	// One timer re-armed per round; the old time.After allocated a
-	// fresh timer every poll slice of every attempt.
 	timer := time.NewTimer(r.timeout)
 	defer timer.Stop()
-	for {
-		if moved() {
-			return nil
-		}
+	for !moved() {
 		// Take the channels first, then re-check: a pulse between the
 		// check and the wait closes a channel we already hold, so no
-		// wakeup is lost.
+		// wakeup is lost.  The IdleNow read is required, not a
+		// shortcut: a zero-transition that completed before IdleWait
+		// registered need not close the channel.
 		ch := r.decGate.Chan()
-		var idle <-chan struct{}
-		cancel := func() {}
-		if notify != nil {
-			idle, cancel = notify.IdleWait()
-		}
-		if moved() {
+		idle, cancel := r.tr.IdleWait()
+		if moved() || r.tr.IdleNow() {
 			cancel()
 			return nil
 		}
-		if notify != nil && notify.IdleNow() {
-			// Already parked with the attempt undecided: the drive loop
-			// moves on and a later decision folds in.  The explicit read
-			// is required, not a shortcut — a zero-transition that
-			// completed before IdleWait registered never pulses.
-			cancel()
-			return nil
-		}
-		wait := r.poll
-		if notify != nil {
-			// Event-driven transport: no poll slice needed, the timer
-			// only bounds the overall deadline.
-			wait = time.Until(deadline)
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
-		parked := false
 		select {
 		case <-ch:
 		case <-idle:
-			parked = true
 		case <-timer.C:
-		}
-		cancel()
-		if moved() {
-			return nil
-		}
-		if parked {
-			return nil
-		}
-		if notify == nil {
-			// No decision within the poll slice: probe for a parked
-			// transport.  A single short WaitIdle is enough — if it
-			// reports idle and the decision still has not arrived, the
-			// attempt is held (promise outstanding) and the drive loop
-			// should move on.
-			if r.tr.WaitIdle(r.poll) && !moved() {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
+			cancel()
 			return fmt.Errorf("arun: no decision for %s before timeout", sym)
 		}
+		cancel()
 	}
+	return nil
 }
 
 // agState is one agent script mid-drive.
 type agState struct {
 	id      string
-	queue   []sched.Step
+	queue   []spec.Step
 	waiting string // outstanding attempt's symbol key, "" if none
 	clock   simnet.Time
 }
 
 // Run drives the agents to completion (or stall), closes the run out
 // to a maximal trace, and returns the outcome.
-func (r *Runner) Run() (*Outcome, error) {
-	agents := make([]*agState, 0, len(r.plan.sp.Agents))
+func (r *Runner) Run() (*Outcome, error) { return r.drive(r.plan.sp.Agents) }
+
+// drive is the one drive loop: it runs the scripts (none, for an
+// externally-fed run), closes the run out, settles the transport and
+// reads the outcome.
+func (r *Runner) drive(scripts []*spec.AgentScript) (*Outcome, error) {
+	agents := make([]*agState, 0, len(scripts))
 	budget := 64
-	for _, ag := range r.plan.sp.Agents {
-		agents = append(agents, &agState{id: ag.ID, queue: append([]sched.Step(nil), ag.Steps...)})
+	for _, ag := range scripts {
+		agents = append(agents, &agState{id: ag.ID, queue: append([]spec.Step(nil), ag.Steps...)})
 		budget += 8 * len(ag.Steps)
 	}
 
@@ -556,7 +469,7 @@ func (r *Runner) Run() (*Outcome, error) {
 			if d.Accepted {
 				ag.queue = ag.queue[1:]
 			} else {
-				ag.queue = append([]sched.Step(nil), ag.queue[0].OnReject...)
+				ag.queue = append([]spec.Step(nil), ag.queue[0].OnReject...)
 			}
 			changed = true
 		}
@@ -651,18 +564,17 @@ func (r *Runner) Run() (*Outcome, error) {
 			}
 		}
 		if (allResolved() && agentsDone()) || !progress {
-			if r.pipelined {
-				// A pipelined drive can appear stalled or done while
-				// decisions and announcements are still in flight: settle
-				// with one full quiescence, and resume if anything new
-				// folds in or the resolution picture changed.
-				r.tr.WaitIdle(r.timeout)
-				if fold() {
-					continue
-				}
-				if !(allResolved() && agentsDone()) && progress {
-					continue
-				}
+			// A pipelined drive can appear stalled or done while
+			// decisions and announcements are still in flight: settle
+			// with one full quiescence, and resume if anything new folds
+			// in or the resolution picture changed.  After a serial
+			// attempt the transport is already idle, so this is a no-op.
+			r.tr.WaitIdle(r.timeout)
+			if fold() {
+				continue
+			}
+			if !(allResolved() && agentsDone()) && progress {
+				continue
 			}
 			break
 		}
@@ -670,13 +582,10 @@ func (r *Runner) Run() (*Outcome, error) {
 	if _, err := driveAgents(); err != nil {
 		return nil, err
 	}
-	if r.pipelined {
-		// The closing quiescence: per-attempt completion never proved
-		// the mesh empty, so establish it once before reading the
-		// outcome.
-		if !r.tr.WaitIdle(r.timeout) {
-			return nil, fmt.Errorf("arun: transport did not quiesce at end of run")
-		}
+	// The closing quiescence: per-attempt completion never proved the
+	// transport empty, so establish it once before reading the outcome.
+	if !r.tr.WaitIdle(r.timeout) {
+		return nil, fmt.Errorf("arun: transport did not quiesce at end of run")
 	}
 	return r.outcome(), nil
 }

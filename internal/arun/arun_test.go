@@ -29,7 +29,11 @@ func loadSpec(t *testing.T, path string) *spec.Spec {
 func runOn(t *testing.T, sp *spec.Spec, tr arun.Transport) *arun.Outcome {
 	t.Helper()
 	defer tr.Close()
-	r, err := arun.New(tr, sp, arun.Options{IdleTimeout: 15 * time.Second})
+	plan, err := arun.NewPlan(sp, arun.PlanOptions{Observe: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := plan.NewRunner(tr, arun.RunnerOptions{IdleTimeout: 15 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +94,7 @@ func TestDriverCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := arun.NewSimTransport(1, nil)
-	defer tr.Close()
-	if _, err := arun.New(tr, sp, arun.Options{}); err == nil {
+	if _, err := arun.NewPlan(sp, arun.PlanOptions{Observe: true}); err == nil {
 		t.Fatal("expected driver-site collision error")
 	}
 }

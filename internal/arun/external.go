@@ -11,7 +11,7 @@ import (
 // and feeds it attempts as they arrive over the wire — each announce
 // is one Attempt, and Finish closes the run out when the caller (or a
 // drain) decides no more events are coming.  Both entry points reuse
-// the same attempt submission and closeout passes as Run, so an
+// Run's attempt submission and drive loop, so an
 // externally-fed instance reaches the same outcome fingerprint as a
 // scripted run that attempted the same events in the same order.
 
@@ -22,18 +22,11 @@ import (
 // when decided, whether the event was accepted.  Callers must
 // serialize Attempt/Finish per Runner.
 func (r *Runner) Attempt(sym algebra.Symbol, forced bool) (decided, accepted bool, err error) {
-	if _, err := r.plan.siteFor(sym); err != nil {
+	if err := r.submit(sym, forced); err != nil {
 		return false, false, err
 	}
-	if err := r.attempt(sym, forced); err != nil {
-		return false, false, err
-	}
-	if r.pipelined {
-		// Per-attempt completion proved the decision or a park, but the
-		// decision may still be in flight; settle before reading.
-		if !r.tr.WaitIdle(r.timeout) {
-			return false, false, fmt.Errorf("arun: transport did not quiesce after external attempt %s", sym)
-		}
+	if !r.tr.WaitIdle(r.timeout) {
+		return false, false, fmt.Errorf("arun: transport did not quiesce after external attempt %s", sym)
 	}
 	d, ok := r.takeDecision(sym.Key())
 	if !ok {
@@ -47,42 +40,9 @@ func (r *Runner) Attempt(sym algebra.Symbol, forced bool) (decided, accepted boo
 func (r *Runner) Resolved(base algebra.Symbol) bool { return r.resolved(base) }
 
 // Finish closes an externally-driven run out to a maximal trace and
-// returns the outcome: the same complement-then-positive passes as
-// Run, minus the agent drive.  For every unresolved base event it
-// first attempts the complement ("this will never occur"); where that
-// is refused — the event is obligated — it attempts the event itself.
-// Idempotent in effect: once every base is resolved the passes are
-// no-ops and the outcome is stable.
-func (r *Runner) Finish() (*Outcome, error) {
-	triedComp := map[string]bool{}
-	triedPos := map[string]bool{}
-	for pass := 0; pass < 2*len(r.plan.bases)+4; pass++ {
-		progress := false
-		for _, b := range r.plan.bases {
-			if r.resolved(b) {
-				continue
-			}
-			switch {
-			case !triedComp[b.Key()]:
-				triedComp[b.Key()] = true
-				if err := r.attempt(b.Complement(), false); err != nil {
-					return nil, err
-				}
-				progress = true
-			case !triedPos[b.Key()]:
-				triedPos[b.Key()] = true
-				if err := r.attempt(b, false); err != nil {
-					return nil, err
-				}
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	if !r.tr.WaitIdle(r.timeout) {
-		return nil, fmt.Errorf("arun: transport did not quiesce at finish")
-	}
-	return r.outcome(), nil
-}
+// returns the outcome: Run's drive loop with no agent scripts.  For
+// every unresolved base event it first attempts the complement ("this
+// will never occur"); where that is refused — the event is obligated —
+// it attempts the event itself.  Idempotent in effect: once every base
+// is resolved the passes are no-ops and the outcome is stable.
+func (r *Runner) Finish() (*Outcome, error) { return r.drive(nil) }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/arun"
+	"repro/internal/netwire"
 	"repro/internal/spec"
 )
 
@@ -18,16 +19,23 @@ func mustSym(t *testing.T, s string) algebra.Symbol {
 	return sym
 }
 
-// externalDrive feeds events one Attempt at a time and closes out.
+// externalDrive feeds events one Attempt at a time and closes out, on
+// the seeded simulator.
 func externalDrive(t *testing.T, sp *spec.Spec, seed int64, events []string) *arun.Outcome {
+	t.Helper()
+	return externalDriveOn(t, sp, arun.NewSimTransport(seed, nil), false, events)
+}
+
+// externalDriveOn is externalDrive on any transport, serial or
+// pipelined.
+func externalDriveOn(t *testing.T, sp *spec.Spec, tr arun.Transport, pipelined bool, events []string) *arun.Outcome {
 	t.Helper()
 	plan, err := arun.NewPlan(sp, arun.PlanOptions{Observe: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := arun.NewSimTransport(seed, nil)
 	defer tr.Close()
-	r, err := plan.NewRunner(tr, arun.RunnerOptions{IdleTimeout: 15 * time.Second})
+	r, err := plan.NewRunner(tr, arun.RunnerOptions{IdleTimeout: 15 * time.Second, Pipelined: pipelined})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +134,33 @@ func TestExternalTravelSettles(t *testing.T) {
 	if out1.Fingerprint() != out2.Fingerprint() {
 		t.Errorf("second Finish changed the outcome:\n %s\n %s",
 			out1.Fingerprint(), out2.Fingerprint())
+	}
+}
+
+// TestExternalPipelinedMesh: Attempt ×N + Finish on the loopback TCP
+// mesh with the pipelined drive reaches the simulator oracle's
+// fingerprint — Finish's closeout runs the same drive loop as Run, so
+// its pipelined settle is the one Run uses.
+func TestExternalPipelinedMesh(t *testing.T) {
+	for _, tc := range []struct {
+		file   string
+		events []string
+	}{
+		{"../../testdata/travel.wf", []string{"s_buy", "s_book", "c_buy", "c_book"}},
+		{"../../testdata/travel.wf", nil},
+		{"../../testdata/mutex.wf", nil},
+	} {
+		sp := loadSpec(t, tc.file)
+		oracle := externalDrive(t, sp, 1, tc.events)
+		mesh, err := netwire.NewMesh(arun.DefaultDriver, arun.Sites(sp), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := externalDriveOn(t, sp, mesh, true, tc.events)
+		if out.Fingerprint() != oracle.Fingerprint() {
+			t.Errorf("%s %v: pipelined mesh diverged:\n oracle %s\n mesh   %s",
+				tc.file, tc.events, oracle.Fingerprint(), out.Fingerprint())
+		}
 	}
 }
 

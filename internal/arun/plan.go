@@ -173,15 +173,12 @@ type RunnerOptions struct {
 	// IdleTimeout bounds each quiescence wait (default 10s).
 	IdleTimeout time.Duration
 	// Pipelined completes each attempt as soon as its own decision
-	// arrives instead of waiting for the whole transport to go idle;
-	// full quiescence is only established when the drive appears to
-	// stall and once at the end of the run.  Requires a transport
-	// whose WaitIdle is cheap to probe, and changes interleavings —
-	// sound for confluent workflows (see DESIGN.md decision 13).
+	// arrives (or the transport goes idle with it undecided) instead of
+	// waiting for the whole transport to go idle; full quiescence is
+	// only established when the drive appears to stall and once at the
+	// end of the run.  It changes interleavings — sound for confluent
+	// workflows (see DESIGN.md decision 13).
 	Pipelined bool
-	// PollInterval is the pipelined mode's decision-wait slice and
-	// idle-probe budget (default 200µs).
-	PollInterval time.Duration
 	// Scratch recycles the runner's observation maps across instances
 	// (optional; see NewScratch).
 	Scratch *Scratch
@@ -233,10 +230,6 @@ func (p *Plan) build(tr Transport, opt RunnerOptions, quietTrace bool) (*runnerB
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	poll := opt.PollInterval
-	if poll <= 0 {
-		poll = 200 * time.Microsecond
-	}
 	scratch := opt.Scratch
 	if scratch == nil {
 		scratch = NewScratch()
@@ -245,7 +238,7 @@ func (p *Plan) build(tr Transport, opt RunnerOptions, quietTrace bool) (*runnerB
 	}
 	r := &Runner{
 		tr: tr, plan: p, driver: p.driver, timeout: timeout,
-		pipelined: opt.Pipelined, poll: poll, satCache: opt.SatCache,
+		pipelined: opt.Pipelined, satCache: opt.SatCache,
 		occ: scratch.occ, dec: scratch.dec, decGen: scratch.decGen,
 	}
 	var hooks *actor.Hooks

@@ -64,6 +64,18 @@ func (s *SimTransport) WaitIdle(time.Duration) bool {
 	return s.Net.Idle()
 }
 
+// IdleNow drains the virtual event queue: the simulator runs on the
+// caller's goroutine, so asking whether it is idle is what runs it.
+func (s *SimTransport) IdleNow() bool { return s.WaitIdle(0) }
+
+// IdleWait returns a closed channel: by the time a waiter could block,
+// IdleNow has already run the simulator to quiescence.
+func (s *SimTransport) IdleWait() (<-chan struct{}, func()) { return closedChan, func() {} }
+
+// closedChan is the idle signal of a transport that is always idle
+// once asked.
+var closedChan = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
 // Close implements Transport (no resources to release).
 func (s *SimTransport) Close() {}
 

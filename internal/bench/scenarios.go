@@ -9,6 +9,7 @@ import (
 	"repro/internal/param"
 	"repro/internal/sched"
 	"repro/internal/simnet"
+	"repro/internal/spec"
 	"repro/internal/temporal"
 )
 
@@ -22,10 +23,10 @@ func E10() *Table {
 	r, err := sched.Run(sched.Config{
 		Workflow:  w,
 		Kind:      sched.Distributed,
-		Placement: sched.Placement{"e": "se", "f": "sf"},
-		Agents: []*sched.AgentScript{
-			{ID: "f-agent", Site: "sf", Steps: []sched.Step{{Sym: sym("f"), Think: 10}}},
-			{ID: "e-agent", Site: "se", Steps: []sched.Step{{Sym: sym("~e"), Think: 4000}}},
+		Placement: spec.Placement{"e": "se", "f": "sf"},
+		Agents: []*spec.AgentScript{
+			{ID: "f-agent", Site: "sf", Steps: []spec.Step{{Sym: sym("f"), Think: 10}}},
+			{ID: "e-agent", Site: "se", Steps: []spec.Step{{Sym: sym("~e"), Think: 4000}}},
 		},
 		Seed: 10,
 	})
@@ -60,10 +61,10 @@ func E11() *Table {
 	r, err := sched.Run(sched.Config{
 		Workflow:  w,
 		Kind:      sched.Distributed,
-		Placement: sched.Placement{"e": "se", "f": "sf"},
-		Agents: []*sched.AgentScript{
-			{ID: "ae", Site: "se", Steps: []sched.Step{{Sym: sym("e"), Think: 10}}},
-			{ID: "af", Site: "sf", Steps: []sched.Step{{Sym: sym("f"), Think: 12}}},
+		Placement: spec.Placement{"e": "se", "f": "sf"},
+		Agents: []*spec.AgentScript{
+			{ID: "ae", Site: "se", Steps: []spec.Step{{Sym: sym("e"), Think: 10}}},
+			{ID: "af", Site: "sf", Steps: []spec.Step{{Sym: sym("f"), Think: 12}}},
 		},
 		Seed:     11,
 		Closeout: true,
@@ -100,10 +101,10 @@ func E12() *Table {
 	}
 	scenarios := []struct {
 		name   string
-		second sched.Step
+		second spec.Step
 	}{
-		{"commit", sched.Step{Sym: sym("c_buy"), Think: 40}},
-		{"compensate", sched.Step{Sym: sym("~c_buy"), Think: 40}},
+		{"commit", spec.Step{Sym: sym("c_buy"), Think: 40}},
+		{"compensate", spec.Step{Sym: sym("~c_buy"), Think: 40}},
 	}
 	for _, sc := range scenarios {
 		for _, kind := range sched.Kinds() {
@@ -114,14 +115,14 @@ func E12() *Table {
 			r, err := sched.Run(sched.Config{
 				Workflow: w,
 				Kind:     kind,
-				Placement: sched.Placement{
+				Placement: spec.Placement{
 					"s_buy": "buy", "c_buy": "buy",
 					"s_book": "book", "c_book": "book",
 					"s_cancel": "cancel",
 				},
-				Agents: []*sched.AgentScript{
-					{ID: "buy", Site: "buy", Steps: []sched.Step{{Sym: sym("s_buy"), Think: 10}, sc.second}},
-					{ID: "book", Site: "book", Steps: []sched.Step{{Sym: sym("s_book"), Think: 30}, {Sym: sym("c_book"), Think: 20}}},
+				Agents: []*spec.AgentScript{
+					{ID: "buy", Site: "buy", Steps: []spec.Step{{Sym: sym("s_buy"), Think: 10}, sc.second}},
+					{ID: "book", Site: "book", Steps: []spec.Step{{Sym: sym("s_book"), Think: 30}, {Sym: sym("c_book"), Think: 20}}},
 				},
 				Seed:        1996,
 				Triggerable: []string{"s_book", "s_cancel"},

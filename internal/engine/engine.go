@@ -480,10 +480,9 @@ func (x *instXport) WaitIdle(timeout time.Duration) bool {
 }
 
 // IdleNow and IdleWait expose the tracker's event-driven idle signal
-// (arun.IdleNotifier): the runner's per-attempt wait selects on it
+// (arun.Transport): the runner's per-attempt wait selects on it
 // alongside the decision gate, so a parked instance is detected the
-// instant its last in-flight message completes — no poll slice, no
-// repeated quiescence probes between attempts.
+// instant its last in-flight message completes.
 func (x *instXport) IdleNow() bool { return x.inst.pend.IdleNow() }
 
 func (x *instXport) IdleWait() (<-chan struct{}, func()) { return x.inst.pend.IdleWait() }

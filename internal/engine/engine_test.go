@@ -75,7 +75,11 @@ agent fin site=s3
 // reproduce.
 func oracleFingerprint(t testing.TB, sp *spec.Spec) string {
 	t.Helper()
-	r, err := arun.New(arun.NewSimTransport(1996, nil), sp, arun.Options{IdleTimeout: 30 * time.Second})
+	plan, err := arun.NewPlan(sp, arun.PlanOptions{Observe: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := plan.NewRunner(arun.NewSimTransport(1996, nil), arun.RunnerOptions{IdleTimeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

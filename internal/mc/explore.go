@@ -28,7 +28,6 @@ import (
 	"repro/internal/actor"
 	"repro/internal/algebra"
 	"repro/internal/arun"
-	"repro/internal/sched"
 	"repro/internal/simnet"
 	"repro/internal/spec"
 )
@@ -222,8 +221,8 @@ func outOfAlphabetAttempt(sp *spec.Spec) string {
 		known[b.Key()] = true
 	}
 	var found string
-	var walk func(steps []sched.Step)
-	walk = func(steps []sched.Step) {
+	var walk func(steps []spec.Step)
+	walk = func(steps []spec.Step) {
 		for _, st := range steps {
 			if found != "" {
 				return
@@ -310,6 +309,16 @@ func (c *ctrlNet) Clock() int64 { return c.occ }
 
 // Close implements arun.Transport.
 func (c *ctrlNet) Close() {}
+
+// IdleNow implements arun.Transport: the pump runs on the caller's
+// goroutine, so asking whether the network is idle is what pumps it.
+func (c *ctrlNet) IdleNow() bool { return c.WaitIdle(0) }
+
+// IdleWait implements arun.Transport with an already-closed channel:
+// IdleNow has pumped the queues dry before any waiter could block.
+func (c *ctrlNet) IdleWait() (<-chan struct{}, func()) { return idleNow, func() {} }
+
+var idleNow = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
 // WaitIdle implements arun.Transport: pump deliveries — consulting the
 // script at choice points — until no message is queued.  The timeout is

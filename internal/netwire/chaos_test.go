@@ -145,7 +145,11 @@ func chaosRun(t *testing.T, sp *spec.Spec, tr arun.Transport) *arun.Outcome {
 	defer tr.Close()
 	tracer := obs.NewTracer(1)
 	tracer.Enable(true) // full capture: the checker needs every record
-	r, err := arun.New(tr, sp, arun.Options{IdleTimeout: 30 * time.Second, Tracer: tracer})
+	plan, err := arun.NewPlan(sp, arun.PlanOptions{Observe: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := plan.NewRunner(tr, arun.RunnerOptions{IdleTimeout: 30 * time.Second, Tracer: tracer, Instance: tracer.NextInst()})
 	if err != nil {
 		t.Fatal(err)
 	}

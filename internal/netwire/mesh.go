@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/actor"
+	"repro/internal/quiesce"
 	"repro/internal/simnet"
 	"repro/internal/wal"
 )
@@ -23,6 +24,10 @@ type Mesh struct {
 	peers     map[simnet.SiteID]string
 	started   bool
 	committer *wal.Committer
+	// idle is the one tracker every node counts into.  A receiver
+	// counts a frame before it acks it, so the shared count never
+	// reads zero while anything is in flight anywhere in the mesh.
+	idle quiesce.NotifyTracker
 }
 
 // MeshOptions configure durability and lifecycle beyond the plain
@@ -95,6 +100,7 @@ func NewMeshOpts(driver simnet.SiteID, sites []simnet.SiteID, opts MeshOptions) 
 			RetryMin: 5 * time.Millisecond,
 			RetryMax: 200 * time.Millisecond,
 		})
+		n.pend = &m.idle
 		addr, err := n.Listen()
 		if err != nil {
 			n.Close()
@@ -190,15 +196,16 @@ func (m *Mesh) NextOccurrence() int64 { return m.nodes[m.driver].NextOccurrence(
 // Clock reads the driver node's occurrence bound without advancing it.
 func (m *Mesh) Clock() int64 { return m.nodes[m.driver].Clock() }
 
-// WaitIdle waits for genuine cluster-wide quiescence: the sum of all
-// nodes' pending work stably zero.
-func (m *Mesh) WaitIdle(timeout time.Duration) bool {
-	nodes := make([]*Node, 0, len(m.order))
-	for _, site := range m.order {
-		nodes = append(nodes, m.nodes[site])
-	}
-	return WaitIdleAll(timeout, nodes...)
-}
+// WaitIdle waits for genuine cluster-wide quiescence: the mesh's
+// shared pending count at zero.
+func (m *Mesh) WaitIdle(timeout time.Duration) bool { return m.idle.WaitIdle(timeout) }
+
+// IdleNow reports whether nothing is in flight anywhere in the mesh.
+func (m *Mesh) IdleNow() bool { return m.idle.IdleNow() }
+
+// IdleWait returns the channel the mesh's next zero-transition closes,
+// and its cancel (see quiesce.NotifyTracker.IdleWait).
+func (m *Mesh) IdleWait() (<-chan struct{}, func()) { return m.idle.IdleWait() }
 
 // Stats sums delivery metrics over all nodes.
 func (m *Mesh) Stats() (delivered, deduped int64) {

@@ -160,7 +160,11 @@ type Node struct {
 	cfg   Config
 	start time.Time
 	clock atomic.Int64 // Lamport occurrence counter
-	pend  quiesce.Tracker
+	// pend counts this node's in-flight work: queued or running local
+	// deliveries plus unacknowledged outbound frames.  A standalone
+	// node owns it; every node of a Mesh counts into the mesh's one
+	// tracker instead, so a single read of it covers the whole mesh.
+	pend *quiesce.NotifyTracker
 
 	lis net.Listener
 
@@ -199,6 +203,7 @@ func NewNode(cfg Config) *Node {
 	n := &Node{
 		cfg:   cfg,
 		start: time.Now(),
+		pend:  new(quiesce.NotifyTracker),
 		sites: map[simnet.SiteID]*inbox{},
 		links: map[string]*link{},
 		recvs: map[string]*recvPeer{},
@@ -411,20 +416,27 @@ func (n *Node) Send(from, to simnet.SiteID, payload any) {
 
 // Pending returns the number of in-flight items this node accounts
 // for: queued or running local deliveries plus unacknowledged outbound
-// frames.
+// frames (for a Mesh node, the whole mesh's).
 func (n *Node) Pending() int64 { return n.pend.Pending() }
 
-// WaitIdle blocks until this node is idle (stable), or the timeout
-// elapses.  For a mesh, use WaitIdleAll — a node can be locally idle
-// while a peer still owes it traffic.
+// WaitIdle blocks until this node's tracker reads zero, or the timeout
+// elapses.  For separately built nodes, use WaitIdleAll — a node can be
+// locally idle while a peer still owes it traffic.
 func (n *Node) WaitIdle(timeout time.Duration) bool {
 	return n.pend.WaitIdle(timeout)
 }
 
-// WaitIdleAll waits until the sum of pending counts over all nodes is
-// stably zero.  With every node of the mesh passed in, that sum covers
-// each message from send to handler completion and acknowledgement, so
-// a stable zero is genuine distributed quiescence.
+// IdleNow reports whether this node's tracker reads zero.
+func (n *Node) IdleNow() bool { return n.pend.IdleNow() }
+
+// IdleWait returns the channel the tracker's next zero-transition
+// closes, and its cancel (see quiesce.NotifyTracker.IdleWait).
+func (n *Node) IdleWait() (<-chan struct{}, func()) { return n.pend.IdleWait() }
+
+// WaitIdleAll waits until the sum of pending counts over separately
+// built nodes is stably zero.  With every node of the cluster passed
+// in, that sum covers each message from send to handler completion and
+// acknowledgement, so a stable zero is genuine distributed quiescence.
 func WaitIdleAll(timeout time.Duration, nodes ...*Node) bool {
 	return quiesce.WaitIdleFunc(timeout, func() int64 {
 		var sum int64

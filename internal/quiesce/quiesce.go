@@ -7,8 +7,12 @@
 // from the instant it is sent until its handler has returned (and, for
 // the wire transport, until the receiver's acknowledgement has pruned
 // it from the retransmission queue).  The sender's interval and the
-// receiver's interval overlap by construction, so the global pending
-// sum never reads zero while anything is still in flight.
+// receiver's interval overlap by construction, so a count shared by
+// every party never reads zero while anything is still in flight: one
+// read of a shared NotifyTracker is a consistent snapshot, and its
+// zero-transitions are the idle signal.  Only counts kept apart (nodes
+// built separately, or in other processes) fall back to polling their
+// sum, with WaitIdleFunc.
 package quiesce
 
 import (
@@ -17,85 +21,36 @@ import (
 	"time"
 )
 
-// DefaultPoll is the observation interval WaitIdle uses between
-// pending-count reads; DefaultStability is how many consecutive zero
-// observations count as idle.
-const (
-	DefaultPoll      = time.Millisecond
-	DefaultStability = 3
-)
-
-// Tracker counts pending work items.  The zero value is ready to use.
-type Tracker struct {
-	pending atomic.Int64
-}
-
-// Add records n new pending items.
-func (t *Tracker) Add(n int64) { t.pending.Add(n) }
-
-// Done records the completion of one pending item.
-func (t *Tracker) Done() { t.pending.Add(-1) }
-
-// Pending returns the current number of pending items.
-func (t *Tracker) Pending() int64 { return t.pending.Load() }
-
-// WaitIdle blocks until the tracker reads zero, stable across several
-// observations, or the timeout elapses.  It reports whether quiescence
-// was reached.  The stability requirement guards against the window
-// where one handler has finished but is about to send more messages.
-func (t *Tracker) WaitIdle(timeout time.Duration) bool {
-	return WaitIdleFunc(timeout, func() int64 { return t.pending.Load() })
-}
-
-// WaitIdleEvery is WaitIdle with an explicit observation interval, for
-// callers whose latency budget is tighter (or looser) than the
-// default polling cadence.
-func (t *Tracker) WaitIdleEvery(timeout, poll time.Duration) bool {
-	return WaitIdleFuncEvery(timeout, poll, DefaultStability, func() int64 { return t.pending.Load() })
-}
-
-// WaitIdleFunc is WaitIdle over an arbitrary pending-count observation
-// — for example the sum over every node of a multi-process mesh.
+// WaitIdleFunc polls a pending count that is summed over separately
+// counted parts until it has read zero three times in a row, 1ms apart,
+// or the timeout elapses.  It reports whether quiescence was reached.
+// Reading the parts one after another is not a consistent cut, so a
+// single zero proves nothing; the repeated reads guard against the
+// window where one part has finished but another is about to receive.
+// A single NotifyTracker shared by every part needs none of this.
 func WaitIdleFunc(timeout time.Duration, pending func() int64) bool {
-	return WaitIdleFuncEvery(timeout, DefaultPoll, DefaultStability, pending)
-}
-
-// WaitIdleFuncEvery polls the pending count every poll interval until
-// it has read zero for stability consecutive observations, or the
-// timeout elapses.  stability < 1 is treated as 1 — a single zero
-// observation, which is sound whenever the pending accounting has the
-// overlap property described in the package comment, and is what the
-// per-instance completion waits of internal/engine use.
-func WaitIdleFuncEvery(timeout, poll time.Duration, stability int, pending func() int64) bool {
-	if poll <= 0 {
-		poll = DefaultPoll
-	}
-	if stability < 1 {
-		stability = 1
-	}
 	deadline := time.Now().Add(timeout)
 	stable := 0
 	for time.Now().Before(deadline) {
 		if pending() == 0 {
-			stable++
-			if stable >= stability {
+			if stable++; stable >= 3 {
 				return true
 			}
 		} else {
 			stable = 0
 		}
-		time.Sleep(poll)
+		time.Sleep(time.Millisecond)
 	}
 	return pending() == 0
 }
 
-// NotifyTracker is a Tracker whose completions can wake parked
-// waiters: Done pulses a gate when the count transitions to zero while
-// a waiter is registered, so an idle wait sleeps until a completion
-// instead of burning poll slices.  Acting on a single zero observation
-// is sound only under the overlap property described in the package
-// comment — the per-instance accounting of internal/engine has it.
-// The zero value is ready to use.
+// NotifyTracker counts pending work items, and its completions can
+// wake parked waiters: Done pulses a gate when the count transitions
+// to zero while a waiter is registered, so an idle wait sleeps until a
+// completion instead of polling.  Acting on a single zero observation
+// is sound under the overlap property described in the package
+// comment, as long as every party to the run counts into the same
+// tracker.  The zero value is ready to use.
 type NotifyTracker struct {
 	pending atomic.Int64
 	waiters atomic.Int32

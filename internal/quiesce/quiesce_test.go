@@ -8,46 +8,29 @@ import (
 )
 
 func TestTrackerCounts(t *testing.T) {
-	var tr Tracker
-	if got := tr.Pending(); got != 0 {
-		t.Fatalf("zero-value Pending = %d", got)
+	var tr NotifyTracker
+	if got := tr.Pending(); got != 0 || !tr.IdleNow() {
+		t.Fatalf("zero-value Pending = %d, IdleNow = %v", got, tr.IdleNow())
 	}
 	tr.Add(3)
 	tr.Add(2)
-	if got := tr.Pending(); got != 5 {
-		t.Fatalf("Pending after Add(3), Add(2) = %d", got)
+	if got := tr.Pending(); got != 5 || tr.IdleNow() {
+		t.Fatalf("Pending after Add(3), Add(2) = %d, IdleNow = %v", got, tr.IdleNow())
 	}
 	for i := 0; i < 5; i++ {
 		tr.Done()
 	}
-	if got := tr.Pending(); got != 0 {
-		t.Fatalf("Pending after draining = %d", got)
+	if got := tr.Pending(); got != 0 || !tr.IdleNow() {
+		t.Fatalf("Pending after draining = %d, IdleNow = %v", got, tr.IdleNow())
 	}
 }
 
-// TestWaitIdleStableZero: an idle tracker confirms quiescence well
-// within the timeout, and a busy one refuses until drained.
-func TestWaitIdleStableZero(t *testing.T) {
-	var tr Tracker
-	if !tr.WaitIdle(time.Second) {
-		t.Fatal("idle tracker did not report idle")
-	}
-	tr.Add(1)
-	if tr.WaitIdle(20 * time.Millisecond) {
-		t.Fatal("busy tracker reported idle")
-	}
-	tr.Done()
-	if !tr.WaitIdle(time.Second) {
-		t.Fatal("drained tracker did not report idle")
-	}
-}
-
-// TestWaitIdleChurn: a counter that keeps bouncing through zero must
-// not satisfy the stability requirement until the churn stops — the
-// window where one handler finished but is about to send more work is
-// exactly what the consecutive-zero rule guards against.
+// TestWaitIdleChurn: a summed count that keeps bouncing through zero
+// must not satisfy WaitIdleFunc's repeated-zero rule until the churn
+// stops — the window where one part finished but is about to receive
+// more work is exactly what the rule guards against.
 func TestWaitIdleChurn(t *testing.T) {
-	var tr Tracker
+	var tr NotifyTracker
 	stop := make(chan struct{})
 	var churning sync.WaitGroup
 	churning.Add(1)
@@ -67,23 +50,22 @@ func TestWaitIdleChurn(t *testing.T) {
 		}
 	}()
 
-	// Observed zeros must reset on churn: with a generous poll the
-	// tracker is almost always mid-item, so idle must not be declared.
-	idle := WaitIdleFuncEvery(30*time.Millisecond, 100*time.Microsecond, 50, tr.Pending)
+	idle := WaitIdleFunc(30*time.Millisecond, tr.Pending)
 	close(stop)
 	churning.Wait()
 	if idle {
-		t.Error("churning tracker reported stable idle")
+		t.Error("churning count reported stable idle")
 	}
-	if !tr.WaitIdle(time.Second) {
-		t.Fatal("tracker did not settle after churn stopped")
+	if !WaitIdleFunc(time.Second, tr.Pending) {
+		t.Fatal("count did not settle after churn stopped")
 	}
 }
 
-// TestWaitIdleFuncSum covers the mesh usage: quiescence over the sum of
-// several trackers, reached only when every one drains.
+// TestWaitIdleFuncSum covers the separately-built-nodes usage:
+// quiescence over the sum of several trackers, reached only when every
+// one drains.
 func TestWaitIdleFuncSum(t *testing.T) {
-	var a, b Tracker
+	var a, b NotifyTracker
 	a.Add(1)
 	b.Add(1)
 	sum := func() int64 { return a.Pending() + b.Pending() }
@@ -97,44 +79,7 @@ func TestWaitIdleFuncSum(t *testing.T) {
 	}
 }
 
-// TestConcurrentArmSettle hammers one tracker from many goroutines
-// while waiters arm concurrently — the shape the -race build checks.
-func TestConcurrentArmSettle(t *testing.T) {
-	var tr Tracker
-	const workers = 8
-	const items = 200
-	var wg sync.WaitGroup
-	tr.Add(workers * items) // arm everything up front: never dips to zero early
-	var results [4]atomic.Bool
-	for i := range results {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			results[slot].Store(tr.WaitIdle(5 * time.Second))
-		}(i)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < items; i++ {
-				tr.Done()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := tr.Pending(); got != 0 {
-		t.Fatalf("Pending after settle = %d", got)
-	}
-	for i := range results {
-		if !results[i].Load() {
-			t.Errorf("waiter %d missed the settle", i)
-		}
-	}
-}
-
-// TestNotifyTrackerWaitIdle mirrors TestWaitIdleStableZero on the
-// event-driven tracker: idle immediately when zero, refuses while
+// TestNotifyTrackerWaitIdle: idle immediately when zero, refuses while
 // pending, and wakes on the drain without polling.
 func TestNotifyTrackerWaitIdle(t *testing.T) {
 	var tr NotifyTracker

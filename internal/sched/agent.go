@@ -4,35 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/actor"
-	"repro/internal/algebra"
 	"repro/internal/simnet"
+	"repro/internal/spec"
 )
-
-// Step is one action of an agent's script: attempt an event after a
-// think delay, then continue — or, if the attempt is rejected, switch
-// to the OnReject continuation (e.g. "if commit is refused, abort").
-type Step struct {
-	Sym    algebra.Symbol
-	Forced bool
-	Think  simnet.Time
-	// OnReject replaces the remaining script when this step's attempt
-	// is rejected.
-	OnReject []Step
-}
-
-// AgentScript is a serial task agent: it attempts its steps one at a
-// time, each after the previous decision arrives (paper §2: the agent
-// requests permission for controllable events and reports the rest).
-type AgentScript struct {
-	ID    string
-	Site  simnet.SiteID
-	Steps []Step
-}
-
-// At is a convenience constructor for a step.
-func At(sym algebra.Symbol, think simnet.Time) Step {
-	return Step{Sym: sym, Think: think}
-}
 
 // agentTick is the timer payload that fires an agent's next attempt.
 type agentTick struct {
@@ -41,10 +15,10 @@ type agentTick struct {
 
 // agentRun executes one script.
 type agentRun struct {
-	script *AgentScript
+	script *spec.AgentScript
 	sub    Submitter
 	host   *siteHost
-	queue  []Step
+	queue  []spec.Step
 	done   bool
 	// sentAt is when the outstanding attempt left the agent; used for
 	// the agent-perceived decision latency.
@@ -53,12 +27,12 @@ type agentRun struct {
 	onLatency func(simnet.Time)
 }
 
-func newAgentRun(script *AgentScript, sub Submitter, host *siteHost) *agentRun {
+func newAgentRun(script *spec.AgentScript, sub Submitter, host *siteHost) *agentRun {
 	return &agentRun{
 		script: script,
 		sub:    sub,
 		host:   host,
-		queue:  append([]Step(nil), script.Steps...),
+		queue:  append([]spec.Step(nil), script.Steps...),
 	}
 }
 
@@ -101,7 +75,7 @@ func (a *agentRun) onDecision(n *simnet.Network, d actor.DecisionMsg) {
 	if d.Accepted {
 		a.queue = a.queue[1:]
 	} else {
-		a.queue = append([]Step(nil), step.OnReject...)
+		a.queue = append([]spec.Step(nil), step.OnReject...)
 	}
 	a.scheduleNext(n)
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/core"
+	"repro/internal/spec"
 )
 
 func residualsOf(t *testing.T, srcs ...string) []*algebra.Expr {
@@ -81,9 +82,9 @@ func TestCentralRejectsJointlyDoomedEvent(t *testing.T) {
 		r, err := Run(Config{
 			Workflow: w,
 			Kind:     kind,
-			Agents: []*AgentScript{
-				{ID: "x", Site: "s0", Steps: []Step{
-					At(sym("a"), 10), At(sym("b"), 10),
+			Agents: []*spec.AgentScript{
+				{ID: "x", Site: "s0", Steps: []spec.Step{
+					spec.At(sym("a"), 10), spec.At(sym("b"), 10),
 				}},
 			},
 			Seed:     3,
@@ -145,10 +146,10 @@ func TestCentralGuardsObligations(t *testing.T) {
 	r, err := Run(Config{
 		Workflow: w,
 		Kind:     CentralGuards,
-		Agents: []*AgentScript{
-			{ID: "a", Site: "s0", Steps: []Step{
-				At(sym("e"), 5),
-				{Sym: sym("~f"), Think: 5, OnReject: []Step{At(sym("f"), 5)}},
+		Agents: []*spec.AgentScript{
+			{ID: "a", Site: "s0", Steps: []spec.Step{
+				spec.At(sym("e"), 5),
+				{Sym: sym("~f"), Think: 5, OnReject: []spec.Step{spec.At(sym("f"), 5)}},
 			}},
 		},
 		Seed:     1,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gprog"
 	"repro/internal/simnet"
+	"repro/internal/spec"
 	"repro/internal/temporal"
 )
 
@@ -135,7 +136,7 @@ func (d *distributedSubmitter) Attempt(n *simnet.Network, origin simnet.SiteID,
 // the compiled workflow and returns the submitter plus the hosts (for
 // agent registration).  noElim disables the consensus-elimination
 // optimization (the P6 ablation).
-func installDistributed(n *simnet.Network, c *core.Compiled, pl Placement,
+func installDistributed(n *simnet.Network, c *core.Compiled, pl spec.Placement,
 	hooks *actor.Hooks, noElim bool) (Submitter, map[simnet.SiteID]*siteHost) {
 	dir := actor.NewDirectory()
 	hosts := map[simnet.SiteID]*siteHost{}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/simnet"
+	"repro/internal/spec"
 )
 
 // Config describes one run.
@@ -19,9 +20,9 @@ type Config struct {
 	// site ("s0").  Ignored by the centralized schedulers for
 	// decisions (everything is decided at CentralSite) but still used
 	// for agent sites.
-	Placement Placement
+	Placement spec.Placement
 	// Agents are the task agents driving the run.
-	Agents []*AgentScript
+	Agents []*spec.AgentScript
 	// Latency is the network model; the zero value selects
 	// simnet.DefaultLatency.
 	Latency simnet.LatencyModel
@@ -52,6 +53,20 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
+// SpecConfig assembles a run configuration from a parsed spec: its
+// workflow, placement, agents and triggerable symbols, with closeout.
+func SpecConfig(sp *spec.Spec, kind Kind, seed int64) Config {
+	return Config{
+		Workflow:    sp.Workflow,
+		Kind:        kind,
+		Placement:   sp.Placement(),
+		Agents:      sp.Agents,
+		Seed:        seed,
+		Triggerable: sp.Triggerable(),
+		Closeout:    true,
+	}
+}
+
 // Run executes the configuration and reports the outcome.
 func Run(cfg Config) (*Report, error) {
 	if cfg.Workflow == nil || len(cfg.Workflow.Deps) == 0 {
@@ -77,7 +92,7 @@ func RunCompiled(c *core.Compiled, cfg Config) (*Report, error) {
 	}
 	pl := cfg.Placement
 	if pl == nil {
-		pl = Placement{}
+		pl = spec.Placement{}
 	}
 
 	net := simnet.New(lat, cfg.Seed)

@@ -35,6 +35,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/simnet"
+	"repro/internal/spec"
 )
 
 // Kind selects a scheduler implementation.
@@ -55,26 +56,13 @@ func Kinds() []Kind {
 	return []Kind{Distributed, CentralResiduation, CentralAutomata, CentralGuards}
 }
 
-// Placement maps base-event keys to the sites of their actors (and of
-// the agents that attempt them).  Events without an entry default to
-// site "s0".
-type Placement map[string]simnet.SiteID
-
-// SiteFor returns the placement of an event.
-func (p Placement) SiteFor(s algebra.Symbol) simnet.SiteID {
-	if site, ok := p[s.Base().Key()]; ok {
-		return site
-	}
-	return "s0"
-}
-
 // RoundRobinPlacement spreads the workflow's events over n sites in
 // alphabetical order.
-func RoundRobinPlacement(w *core.Workflow, n int) Placement {
+func RoundRobinPlacement(w *core.Workflow, n int) spec.Placement {
 	if n < 1 {
 		n = 1
 	}
-	pl := Placement{}
+	pl := spec.Placement{}
 	for i, b := range w.Alphabet().Bases() {
 		pl[b.Key()] = simnet.SiteID(fmt.Sprintf("s%d", i%n))
 	}

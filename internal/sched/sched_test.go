@@ -6,6 +6,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/simnet"
+	"repro/internal/spec"
 )
 
 func sym(k string) algebra.Symbol {
@@ -31,41 +32,41 @@ func travelWorkflow(t *testing.T) *core.Workflow {
 	return w
 }
 
-func travelPlacement() Placement {
-	return Placement{
+func travelPlacement() spec.Placement {
+	return spec.Placement{
 		"s_buy": "site-buy", "c_buy": "site-buy",
 		"s_book": "site-book", "c_book": "site-book",
 		"s_cancel": "site-cancel",
 	}
 }
 
-func happyAgents() []*AgentScript {
-	return []*AgentScript{
-		{ID: "buy", Site: "site-buy", Steps: []Step{
-			At(sym("s_buy"), 10),
-			At(sym("c_buy"), 40),
+func happyAgents() []*spec.AgentScript {
+	return []*spec.AgentScript{
+		{ID: "buy", Site: "site-buy", Steps: []spec.Step{
+			spec.At(sym("s_buy"), 10),
+			spec.At(sym("c_buy"), 40),
 		}},
-		{ID: "book", Site: "site-book", Steps: []Step{
-			At(sym("s_book"), 30),
-			At(sym("c_book"), 20),
-		}},
-	}
-}
-
-func failureAgents() []*AgentScript {
-	return []*AgentScript{
-		{ID: "buy", Site: "site-buy", Steps: []Step{
-			At(sym("s_buy"), 10),
-			At(sym("~c_buy"), 40), // buy fails to commit
-		}},
-		{ID: "book", Site: "site-book", Steps: []Step{
-			At(sym("s_book"), 30),
-			At(sym("c_book"), 20),
+		{ID: "book", Site: "site-book", Steps: []spec.Step{
+			spec.At(sym("s_book"), 30),
+			spec.At(sym("c_book"), 20),
 		}},
 	}
 }
 
-func runTravel(t *testing.T, kind Kind, agents []*AgentScript) *Report {
+func failureAgents() []*spec.AgentScript {
+	return []*spec.AgentScript{
+		{ID: "buy", Site: "site-buy", Steps: []spec.Step{
+			spec.At(sym("s_buy"), 10),
+			spec.At(sym("~c_buy"), 40), // buy fails to commit
+		}},
+		{ID: "book", Site: "site-book", Steps: []spec.Step{
+			spec.At(sym("s_book"), 30),
+			spec.At(sym("c_book"), 20),
+		}},
+	}
+}
+
+func runTravel(t *testing.T, kind Kind, agents []*spec.AgentScript) *Report {
 	t.Helper()
 	r, err := Run(Config{
 		Workflow:    travelWorkflow(t),
@@ -163,7 +164,7 @@ func TestDistributedLocalizesMessages(t *testing.T) {
 // implement identical decision rules, so with identical seeds their
 // traces match exactly.
 func TestCentralSchedulersAgree(t *testing.T) {
-	for _, agents := range [][]*AgentScript{happyAgents(), failureAgents()} {
+	for _, agents := range [][]*spec.AgentScript{happyAgents(), failureAgents()} {
 		a := runTravel(t, CentralResiduation, agents)
 		b := runTravel(t, CentralAutomata, agents)
 		if a.Trace.String() != b.Trace.String() {
@@ -180,20 +181,20 @@ func TestKleinPrimitivesEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schedules := [][]Step{
-		{At(sym("e"), 10), At(sym("f"), 10)},
-		{At(sym("f"), 10), At(sym("e"), 10)},
-		{At(sym("~e"), 10), At(sym("f"), 10)},
-		{At(sym("e"), 10), At(sym("~f"), 10)},
+	schedules := [][]spec.Step{
+		{spec.At(sym("e"), 10), spec.At(sym("f"), 10)},
+		{spec.At(sym("f"), 10), spec.At(sym("e"), 10)},
+		{spec.At(sym("~e"), 10), spec.At(sym("f"), 10)},
+		{spec.At(sym("e"), 10), spec.At(sym("~f"), 10)},
 	}
 	for i, steps := range schedules {
 		r, err := Run(Config{
 			Workflow: w,
 			Kind:     Distributed,
-			Placement: Placement{
+			Placement: spec.Placement{
 				"e": "se", "f": "sf",
 			},
-			Agents:   []*AgentScript{{ID: "drv", Site: "se", Steps: steps}},
+			Agents:   []*spec.AgentScript{{ID: "drv", Site: "se", Steps: steps}},
 			Seed:     int64(i + 1),
 			Closeout: true,
 		})
@@ -217,9 +218,9 @@ func TestAgentRejectBranch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Occur ē; then attempt e (rejected), falling back to attempting f.
-	agents := []*AgentScript{{ID: "a", Site: "s0", Steps: []Step{
-		At(sym("~e"), 5),
-		{Sym: sym("e"), Think: 5, OnReject: []Step{At(sym("f"), 5)}},
+	agents := []*spec.AgentScript{{ID: "a", Site: "s0", Steps: []spec.Step{
+		spec.At(sym("~e"), 5),
+		{Sym: sym("e"), Think: 5, OnReject: []spec.Step{spec.At(sym("f"), 5)}},
 	}}}
 	r, err := Run(Config{Workflow: w, Kind: Distributed, Agents: agents, Seed: 3, Closeout: true})
 	if err != nil {
@@ -240,14 +241,14 @@ func TestExample11EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agents := []*AgentScript{
-		{ID: "ae", Site: "se", Steps: []Step{At(sym("e"), 10)}},
-		{ID: "af", Site: "sf", Steps: []Step{At(sym("f"), 12)}},
+	agents := []*spec.AgentScript{
+		{ID: "ae", Site: "se", Steps: []spec.Step{spec.At(sym("e"), 10)}},
+		{ID: "af", Site: "sf", Steps: []spec.Step{spec.At(sym("f"), 12)}},
 	}
 	r, err := Run(Config{
 		Workflow:  w,
 		Kind:      Distributed,
-		Placement: Placement{"e": "se", "f": "sf"},
+		Placement: spec.Placement{"e": "se", "f": "sf"},
 		Agents:    agents,
 		Seed:      11,
 		Closeout:  true,
@@ -289,7 +290,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Workflow: w, Kind: "warp-drive"}); err == nil {
 		t.Fatal("unknown kind must error")
 	}
-	if _, err := Run(Config{Workflow: w, Agents: []*AgentScript{{ID: "x"}}}); err == nil {
+	if _, err := Run(Config{Workflow: w, Agents: []*spec.AgentScript{{ID: "x"}}}); err == nil {
 		t.Fatal("agent without site must error")
 	}
 }
@@ -336,12 +337,12 @@ func TestConsensusEliminationSound(t *testing.T) {
 		r, err := Run(Config{
 			Workflow:               w,
 			Kind:                   Distributed,
-			Placement:              Placement{"e": "s1", "f": "s2", "g": "s3"},
+			Placement:              spec.Placement{"e": "s1", "f": "s2", "g": "s3"},
 			NoConsensusElimination: noElim,
-			Agents: []*AgentScript{
-				{ID: "a", Site: "s1", Steps: []Step{At(sym("e"), 10)}},
-				{ID: "b", Site: "s2", Steps: []Step{At(sym("f"), 20)}},
-				{ID: "c", Site: "s3", Steps: []Step{At(sym("g"), 30)}},
+			Agents: []*spec.AgentScript{
+				{ID: "a", Site: "s1", Steps: []spec.Step{spec.At(sym("e"), 10)}},
+				{ID: "b", Site: "s2", Steps: []spec.Step{spec.At(sym("f"), 20)}},
+				{ID: "c", Site: "s3", Steps: []spec.Step{spec.At(sym("g"), 30)}},
 			},
 			Seed:     5,
 			Closeout: true,
@@ -388,14 +389,14 @@ func TestStrengthenedTravel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(second Step) *Report {
+	run := func(second spec.Step) *Report {
 		r, err := Run(Config{
 			Workflow:  w,
 			Kind:      Distributed,
 			Placement: travelPlacement(),
-			Agents: []*AgentScript{
-				{ID: "buy", Site: "site-buy", Steps: []Step{At(sym("s_buy"), 10), second}},
-				{ID: "book", Site: "site-book", Steps: []Step{At(sym("s_book"), 30), At(sym("c_book"), 20)}},
+			Agents: []*spec.AgentScript{
+				{ID: "buy", Site: "site-buy", Steps: []spec.Step{spec.At(sym("s_buy"), 10), second}},
+				{ID: "book", Site: "site-book", Steps: []spec.Step{spec.At(sym("s_book"), 30), spec.At(sym("c_book"), 20)}},
 			},
 			Seed:        1996,
 			Triggerable: []string{"s_book", "s_cancel", "~s_cancel"},
@@ -408,7 +409,7 @@ func TestStrengthenedTravel(t *testing.T) {
 	}
 
 	// Committed: the cycle unwinds, everything commits, no cancel.
-	r := run(At(sym("c_buy"), 40))
+	r := run(spec.At(sym("c_buy"), 40))
 	if !r.Satisfied || len(r.Unresolved) != 0 {
 		t.Fatalf("committed: satisfied=%v unresolved=%v trace=%v", r.Satisfied, r.Unresolved, r.Trace)
 	}
@@ -424,7 +425,7 @@ func TestStrengthenedTravel(t *testing.T) {
 
 	// Compensated: buy never commits, cancel is triggered, book still
 	// commits (covered by the cancel).
-	r = run(At(sym("~c_buy"), 40))
+	r = run(spec.At(sym("~c_buy"), 40))
 	if !r.Satisfied || len(r.Unresolved) != 0 {
 		t.Fatalf("compensated: satisfied=%v unresolved=%v trace=%v", r.Satisfied, r.Unresolved, r.Trace)
 	}
@@ -444,11 +445,11 @@ func TestPromiseChainTriple(t *testing.T) {
 	r, err := Run(Config{
 		Workflow:  w,
 		Kind:      Distributed,
-		Placement: Placement{"a": "sa", "b": "sb", "c": "sc"},
-		Agents: []*AgentScript{
-			{ID: "aa", Site: "sa", Steps: []Step{At(sym("a"), 10)}},
-			{ID: "ab", Site: "sb", Steps: []Step{At(sym("b"), 20)}},
-			{ID: "ac", Site: "sc", Steps: []Step{At(sym("c"), 30)}},
+		Placement: spec.Placement{"a": "sa", "b": "sb", "c": "sc"},
+		Agents: []*spec.AgentScript{
+			{ID: "aa", Site: "sa", Steps: []spec.Step{spec.At(sym("a"), 10)}},
+			{ID: "ab", Site: "sb", Steps: []spec.Step{spec.At(sym("b"), 20)}},
+			{ID: "ac", Site: "sc", Steps: []spec.Step{spec.At(sym("c"), 30)}},
 		},
 		Seed:     13,
 		Closeout: true,

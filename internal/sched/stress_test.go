@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/simnet"
+	"repro/internal/spec"
 	"repro/internal/workload"
 )
 
@@ -77,7 +78,7 @@ func TestStressAdversarialSchedules(t *testing.T) {
 	bases := []string{"a", "b", "c"}
 	r := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 25; iter++ {
-		var agents []*sched.AgentScript
+		var agents []*spec.AgentScript
 		perm := r.Perm(len(bases))
 		for i, bi := range perm {
 			name := bases[bi]
@@ -85,10 +86,10 @@ func TestStressAdversarialSchedules(t *testing.T) {
 			if r.Intn(3) == 0 {
 				s = s.Complement()
 			}
-			agents = append(agents, &sched.AgentScript{
+			agents = append(agents, &spec.AgentScript{
 				ID:   fmt.Sprintf("ag-%d", i),
 				Site: simnet.SiteID("s" + name),
-				Steps: []sched.Step{
+				Steps: []spec.Step{
 					{Sym: s, Think: simnet.Time(5 + r.Intn(200))},
 				},
 			})
@@ -97,7 +98,7 @@ func TestStressAdversarialSchedules(t *testing.T) {
 			rep, err := sched.Run(sched.Config{
 				Workflow:  w,
 				Kind:      kind,
-				Placement: sched.Placement{"a": "sa", "b": "sb", "c": "sc"},
+				Placement: spec.Placement{"a": "sa", "b": "sb", "c": "sc"},
 				Agents:    agents,
 				Seed:      r.Int63(),
 				Closeout:  true,
@@ -124,20 +125,20 @@ func TestStressConcurrentAttempts(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 15; iter++ {
-		var agents []*sched.AgentScript
+		var agents []*spec.AgentScript
 		for i, name := range []string{"a", "b", "c"} {
 			site := simnet.SiteID("s" + name)
 			agents = append(agents,
-				&sched.AgentScript{ID: fmt.Sprintf("pos-%d", i), Site: site,
-					Steps: []sched.Step{{Sym: sym(name), Think: simnet.Time(1 + r.Intn(30))}}},
-				&sched.AgentScript{ID: fmt.Sprintf("neg-%d", i), Site: site,
-					Steps: []sched.Step{{Sym: sym("~" + name), Think: simnet.Time(1 + r.Intn(30))}}},
+				&spec.AgentScript{ID: fmt.Sprintf("pos-%d", i), Site: site,
+					Steps: []spec.Step{{Sym: sym(name), Think: simnet.Time(1 + r.Intn(30))}}},
+				&spec.AgentScript{ID: fmt.Sprintf("neg-%d", i), Site: site,
+					Steps: []spec.Step{{Sym: sym("~" + name), Think: simnet.Time(1 + r.Intn(30))}}},
 			)
 		}
 		rep, err := sched.Run(sched.Config{
 			Workflow:  w,
 			Kind:      sched.Distributed,
-			Placement: sched.Placement{"a": "sa", "b": "sb", "c": "sc"},
+			Placement: spec.Placement{"a": "sa", "b": "sb", "c": "sc"},
 			Agents:    agents,
 			Seed:      r.Int63(),
 			Closeout:  true,

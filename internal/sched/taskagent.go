@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/simnet"
+	"repro/internal/spec"
 	"repro/internal/task"
 )
 
@@ -17,25 +18,25 @@ import (
 // choice but to accept them — and a rejected step falls back to the
 // skeleton's abort event when one is possible, which is how a
 // transaction whose commit is refused aborts instead.
-func AgentFromTask(in *task.Instance, site simnet.SiteID, plan []string, think simnet.Time) (*AgentScript, error) {
+func AgentFromTask(in *task.Instance, site simnet.SiteID, plan []string, think simnet.Time) (*spec.AgentScript, error) {
 	if site == "" {
 		return nil, fmt.Errorf("sched: task agent %s needs a site", in.ID)
 	}
 	// Validate the plan against the skeleton by walking a copy.
 	walk := *in
-	script := &AgentScript{ID: in.ID, Site: site}
+	script := &spec.AgentScript{ID: in.ID, Site: site}
 	for _, label := range plan {
 		if err := walk.Apply(label); err != nil {
 			return nil, fmt.Errorf("sched: task agent %s: %w", in.ID, err)
 		}
 		attrs := in.Skel.EventAttrsOf(label)
-		step := Step{
+		step := spec.Step{
 			Sym:    in.Symbol(label),
 			Forced: !attrs.Rejectable,
 			Think:  think,
 		}
 		if attrs.Rejectable && label != "abort" && skeletonHasAbort(in.Skel) {
-			step.OnReject = []Step{{
+			step.OnReject = []spec.Step{{
 				Sym:    in.Symbol("abort"),
 				Forced: true,
 				Think:  think,
@@ -56,7 +57,7 @@ func AgentFromTask(in *task.Instance, site simnet.SiteID, plan []string, think s
 		if occurred[label] || reachable[label] {
 			continue
 		}
-		script.Steps = append(script.Steps, Step{
+		script.Steps = append(script.Steps, spec.Step{
 			Sym:   in.Symbol(label).Complement(),
 			Think: think,
 		})

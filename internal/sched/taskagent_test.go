@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dep"
+	"repro/internal/spec"
 	"repro/internal/task"
 )
 
@@ -75,11 +76,11 @@ func TestTwoTransactionsEndToEnd(t *testing.T) {
 	r, err := Run(Config{
 		Workflow: w,
 		Kind:     Distributed,
-		Placement: Placement{
+		Placement: spec.Placement{
 			"start_inv": "s-inv", "commit_inv": "s-inv", "abort_inv": "s-inv",
 			"start_pay": "s-pay", "commit_pay": "s-pay", "abort_pay": "s-pay",
 		},
-		Agents:   []*AgentScript{agInv, agPay},
+		Agents:   []*spec.AgentScript{agInv, agPay},
 		Seed:     21,
 		Closeout: true,
 	})
@@ -113,11 +114,11 @@ func TestTwoTransactionsEndToEnd(t *testing.T) {
 	r2, err := Run(Config{
 		Workflow: w2,
 		Kind:     Distributed,
-		Placement: Placement{
+		Placement: spec.Placement{
 			"start_inv": "s-inv", "commit_inv": "s-inv", "abort_inv": "s-inv",
 			"start_pay": "s-pay", "commit_pay": "s-pay", "abort_pay": "s-pay",
 		},
-		Agents:   []*AgentScript{agInv2, agPay2},
+		Agents:   []*spec.AgentScript{agInv2, agPay2},
 		Seed:     22,
 		Closeout: true,
 	})

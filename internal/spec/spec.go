@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/simnet"
 )
 
@@ -62,7 +61,7 @@ type Spec struct {
 	// Events carries per-event metadata, keyed by base symbol.
 	Events map[string]EventMeta
 	// Agents are the scripted task agents.
-	Agents []*sched.AgentScript
+	Agents []*AgentScript
 }
 
 // Parse reads a spec.
@@ -71,7 +70,7 @@ func Parse(r io.Reader) (*Spec, error) {
 		Workflow: &core.Workflow{},
 		Events:   map[string]EventMeta{},
 	}
-	var current *sched.AgentScript
+	var current *AgentScript
 	scanner := bufio.NewScanner(r)
 	lineNo := 0
 	for scanner.Scan() {
@@ -127,7 +126,7 @@ func Parse(r io.Reader) (*Spec, error) {
 			if len(fields) < 3 || !strings.HasPrefix(fields[2], "site=") {
 				return nil, perr(lineNo, "agent", "", nil, "agent needs an id and site=")
 			}
-			current = &sched.AgentScript{
+			current = &AgentScript{
 				ID:   fields[1],
 				Site: simnet.SiteID(strings.TrimPrefix(fields[2], "site=")),
 			}
@@ -154,21 +153,21 @@ func Parse(r io.Reader) (*Spec, error) {
 	return s, nil
 }
 
-func parseStep(raw string, fields []string, lineNo int) (sched.Step, error) {
+func parseStep(raw string, fields []string, lineNo int) (Step, error) {
 	if len(fields) < 1 {
-		return sched.Step{}, perr(lineNo, "step", "", nil, "step needs a symbol")
+		return Step{}, perr(lineNo, "step", "", nil, "step needs a symbol")
 	}
 	sym, err := algebra.ParseSymbol(fields[0])
 	if err != nil {
-		return sched.Step{}, perr(lineNo, "step", fields[0], err, "%v", err).at(raw, fields[0])
+		return Step{}, perr(lineNo, "step", fields[0], err, "%v", err).at(raw, fields[0])
 	}
-	st := sched.Step{Sym: sym}
+	st := Step{Sym: sym}
 	for _, opt := range fields[1:] {
 		switch {
 		case strings.HasPrefix(opt, "think="):
 			n, err := strconv.ParseInt(strings.TrimPrefix(opt, "think="), 10, 64)
 			if err != nil || n < 0 {
-				return sched.Step{}, perr(lineNo, "step", st.Sym.Key(), nil, "bad think value %q", opt).at(raw, opt)
+				return Step{}, perr(lineNo, "step", st.Sym.Key(), nil, "bad think value %q", opt).at(raw, opt)
 			}
 			st.Think = simnet.Time(n)
 		case opt == "forced":
@@ -177,12 +176,12 @@ func parseStep(raw string, fields []string, lineNo int) (sched.Step, error) {
 			for _, part := range strings.Split(strings.TrimPrefix(opt, "onreject="), ";") {
 				alt, err := algebra.ParseSymbol(part)
 				if err != nil {
-					return sched.Step{}, perr(lineNo, "step", part, err, "onreject %q: %v", part, err).at(raw, part)
+					return Step{}, perr(lineNo, "step", part, err, "onreject %q: %v", part, err).at(raw, part)
 				}
-				st.OnReject = append(st.OnReject, sched.Step{Sym: alt})
+				st.OnReject = append(st.OnReject, Step{Sym: alt})
 			}
 		default:
-			return sched.Step{}, perr(lineNo, "step", st.Sym.Key(), nil, "unknown step option %q", opt).at(raw, opt)
+			return Step{}, perr(lineNo, "step", st.Sym.Key(), nil, "unknown step option %q", opt).at(raw, opt)
 		}
 	}
 	return st, nil
@@ -193,8 +192,8 @@ func ParseString(src string) (*Spec, error) { return Parse(strings.NewReader(src
 
 // Placement derives the scheduler placement from the event metadata;
 // events without a site default to "s0".
-func (s *Spec) Placement() sched.Placement {
-	pl := sched.Placement{}
+func (s *Spec) Placement() Placement {
+	pl := Placement{}
 	for key, meta := range s.Events {
 		if meta.Site != "" {
 			pl[key] = meta.Site
@@ -217,19 +216,6 @@ func (s *Spec) Triggerable() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// RunConfig assembles a scheduler configuration from the spec.
-func (s *Spec) RunConfig(kind sched.Kind, seed int64) sched.Config {
-	return sched.Config{
-		Workflow:    s.Workflow,
-		Kind:        kind,
-		Placement:   s.Placement(),
-		Agents:      s.Agents,
-		Seed:        seed,
-		Triggerable: s.Triggerable(),
-		Closeout:    true,
-	}
 }
 
 // Format renders the spec back to text (canonical expressions).

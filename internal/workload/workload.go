@@ -13,14 +13,15 @@ import (
 	"repro/internal/dep"
 	"repro/internal/sched"
 	"repro/internal/simnet"
+	"repro/internal/spec"
 )
 
 // Workload bundles everything a scheduler run needs.
 type Workload struct {
 	Name        string
 	Workflow    *core.Workflow
-	Agents      []*sched.AgentScript
-	Placement   sched.Placement
+	Agents      []*spec.AgentScript
+	Placement   spec.Placement
 	Triggerable []string
 }
 
@@ -43,15 +44,15 @@ func event(i int) algebra.Symbol { return algebra.Sym(fmt.Sprintf("e%03d", i)) }
 // spread assigns events round-robin over sites and builds one agent
 // per event attempting it at the given think time.
 func spread(name string, w *core.Workflow, sites int, think func(i int) simnet.Time) *Workload {
-	wl := &Workload{Name: name, Workflow: w, Placement: sched.Placement{}}
+	wl := &Workload{Name: name, Workflow: w, Placement: spec.Placement{}}
 	bases := w.Alphabet().Bases()
 	for i, b := range bases {
 		site := simnet.SiteID(fmt.Sprintf("s%d", i%max(1, sites)))
 		wl.Placement[b.Key()] = site
-		wl.Agents = append(wl.Agents, &sched.AgentScript{
+		wl.Agents = append(wl.Agents, &spec.AgentScript{
 			ID:    "agent-" + b.Key(),
 			Site:  site,
-			Steps: []sched.Step{{Sym: b, Think: think(i)}},
+			Steps: []spec.Step{{Sym: b, Think: think(i)}},
 		})
 	}
 	return wl
@@ -204,7 +205,7 @@ func Mix(nDeps, nEvents int, seed int64, sites int) *Workload {
 // suffixing events with the instance id — the embarrassing-parallel
 // case where Theorem 2/4 independence pays off.
 func Travel(n int) *Workload {
-	wl := &Workload{Name: fmt.Sprintf("travel-%d", n), Workflow: &core.Workflow{}, Placement: sched.Placement{}}
+	wl := &Workload{Name: fmt.Sprintf("travel-%d", n), Workflow: &core.Workflow{}, Placement: spec.Placement{}}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("%03d", i)
 		sBuy := algebra.Sym("s_buy" + id)
@@ -229,10 +230,10 @@ func Travel(n int) *Workload {
 		wl.Placement[sCancel.Key()] = cancelSite
 		wl.Triggerable = append(wl.Triggerable, sBook.Key(), sCancel.Key())
 		wl.Agents = append(wl.Agents,
-			&sched.AgentScript{ID: "buy" + id, Site: buySite, Steps: []sched.Step{
+			&spec.AgentScript{ID: "buy" + id, Site: buySite, Steps: []spec.Step{
 				{Sym: sBuy, Think: 10}, {Sym: cBuy, Think: 40},
 			}},
-			&sched.AgentScript{ID: "book" + id, Site: bookSite, Steps: []sched.Step{
+			&spec.AgentScript{ID: "book" + id, Site: bookSite, Steps: []spec.Step{
 				{Sym: sBook, Think: 30}, {Sym: cBook, Think: 20},
 			}},
 		)
