@@ -43,9 +43,11 @@ race:
 # The multi-instance engine's 256-instance stress run, always uncached
 # and under the race detector: the worker pool, the shared plan, the
 # scratch recycling, and the instance demultiplexers all interleave
-# here with randomized per-instance jitter.
+# here with randomized per-instance jitter.  The recycling equivalence
+# check runs alongside: a reused scratch's runs must match fresh
+# builds seed for seed.
 enginestress:
-	$(GO) test -race -count=1 -run 'TestEngineStress256|TestEngineChaosNet' ./internal/engine
+	$(GO) test -race -count=1 -run 'TestEngineStress256|TestEngineChaosNet|TestScratchRecyclingEquivalence' ./internal/engine
 
 # The observability gates, always uncached: bytewise golden replay of
 # the traced simulator runs, and the trace-invariant checker over the

@@ -72,6 +72,11 @@ type Actor struct {
 	dir   *Directory
 	hooks *Hooks
 
+	// know holds the facts outside the compiled program's universe —
+	// this actor's own pair and promise conditions — plus, folded in
+	// on demand, a copy of the program state's facts for the tree
+	// evaluator (see knowledge).  Without a program it holds every
+	// fact.
 	know temporal.Knowledge
 	// pols holds the base polarity at index 0 and its complement at 1
 	// (the gprog.PolPos / gprog.PolNeg order).
@@ -80,12 +85,15 @@ type Actor struct {
 	// so broadcast-order walks never re-sort (or allocate).
 	ordered [2]*polarity
 
-	// prog, when attached, is the compiled bitset mirror of both
-	// guards: it assimilates the same facts as know and answers
-	// Decide/Eval without touching the formula trees.  Each polarity's
-	// residual guard stays authoritative for everything the fast path
-	// does not cover (rounds, waves, promise soundness).
+	// prog, when attached, is the compiled bitset form of both guards
+	// and the only store of the facts in its symbol universe: it
+	// answers Decide/Eval without touching the formula trees.  Each
+	// polarity's residual guard stays authoritative for everything the
+	// fast path does not cover (rounds, waves, promise soundness).
 	prog *gprog.State
+	// unfolded records that prog holds facts know has not been given
+	// yet; knowledge folds them in before the tree evaluator reads.
+	unfolded bool
 
 	roundSeq int
 	deferred []InquireMsg
@@ -192,75 +200,112 @@ type GuardSpec struct {
 // hooks may be nil.
 func New(base algebra.Symbol, site simnet.SiteID, dir *Directory, hooks *Hooks,
 	pos, neg GuardSpec) *Actor {
-	base = base.Base()
-	comp := base.Complement()
-	a := &Actor{base: base, site: site, dir: dir, hooks: hooks}
+	a := &Actor{base: base.Base(), site: site, dir: dir, hooks: hooks}
+	a.Reset(pos, neg)
+	return a
+}
+
+// Reset puts the actor in the state New leaves it in, with the given
+// guard specs: no facts, no protocol state, nothing attempted or
+// triggerable.  It keeps what does not depend on the run — event,
+// site, directory, hooks, attached program, trace scope and log — and
+// the storage of the knowledge map and program state, so a recycled
+// instance (arun.Scratch) rebuilds its actors without allocating.  New
+// initialises through it, so a reset actor and a new one cannot drift
+// apart.  The caller must own the actor: no message may be in flight
+// to it.
+func (a *Actor) Reset(pos, neg GuardSpec) {
+	a.know.Reset()
+	if a.prog != nil {
+		a.prog.Reset()
+	}
+	a.unfolded = false
+	a.roundSeq = 0
+	clear(a.deferred)
+	a.deferred = a.deferred[:0]
+	comp := a.base.Complement()
 	a.pols = [2]polarity{
-		{sym: base, key: base.Key(), progPol: gprog.PolPos, guard: pos.Guard, localNeg: pos.LocalNeg},
+		{sym: a.base, key: a.base.Key(), progPol: gprog.PolPos, guard: pos.Guard, localNeg: pos.LocalNeg},
 		{sym: comp, key: comp.Key(), progPol: gprog.PolNeg, guard: neg.Guard, localNeg: neg.LocalNeg},
 	}
 	a.ordered = [2]*polarity{&a.pols[0], &a.pols[1]}
 	if a.ordered[1].key < a.ordered[0].key {
 		a.ordered[0], a.ordered[1] = a.ordered[1], a.ordered[0]
 	}
-	return a
 }
 
 // AttachProgram switches the actor to compiled-guard mode: a per-actor
-// mutable State over the shared immutable program assimilates every
-// fact alongside know, and decide consults its bitset verdict before
-// falling back to the formula trees.  Attach before any message flows;
-// the program must be compiled from the same guard specs New received.
+// mutable State over the shared immutable program becomes the store of
+// every fact in the program's universe, and decide consults its bitset
+// verdict before falling back to the formula trees.  Attach before any
+// message flows; the program must be compiled from the same guard specs
+// New received.
 func (a *Actor) AttachProgram(p *gprog.Prog) {
 	if p == nil {
 		a.prog = nil
 		return
 	}
 	a.prog = p.NewState()
-	// The knowledge ends up holding the program's symbols plus this
-	// actor's own pair, which fire records.
-	a.know.SizeHint(p.Syms() + 2)
-}
-
-// SyncProgram rebuilds the program state from the actor's knowledge —
-// the resynchronization point after wholesale knowledge mutation
-// (snapshot Restore).
-func (a *Actor) SyncProgram() {
-	if a.prog != nil {
-		a.prog.Sync(&a.know)
-	}
 }
 
 // The observe/hold/unhold/markImpossible wrappers are the only paths
-// that mutate a.know during the protocol: they keep the compiled
-// program's bitmasks in lockstep with the knowledge map.
+// that record facts during the protocol.  Each fact is written once:
+// into the program state when its symbol is in the program's universe,
+// into the knowledge map otherwise.
 
 func (a *Actor) observe(s algebra.Symbol, t int64) {
-	a.know.Observe(s, t)
-	if a.prog != nil {
-		a.prog.Observe(s, t)
+	if a.prog != nil && a.prog.Observe(s, t) {
+		a.unfolded = true
+		return
 	}
+	a.know.Observe(s, t)
 }
 
 func (a *Actor) markImpossible(s algebra.Symbol) {
-	a.know.MarkImpossible(s)
-	if a.prog != nil {
-		a.prog.MarkImpossible(s)
+	if a.prog != nil && a.prog.MarkImpossible(s) {
+		a.unfolded = true
+		return
 	}
+	a.know.MarkImpossible(s)
 }
 
 func (a *Actor) hold(s algebra.Symbol) {
-	a.know.Hold(s)
-	if a.prog != nil {
-		a.prog.Hold(s)
+	if a.prog != nil && a.prog.Hold(s) {
+		a.unfolded = true
+		return
 	}
+	a.know.Hold(s)
 }
 
 func (a *Actor) unhold(s algebra.Symbol) {
-	a.know.Unhold(s)
-	if a.prog != nil {
-		a.prog.Unhold(s)
+	if a.prog != nil && a.prog.Unhold(s) {
+		a.unfolded = true
+		return
 	}
+	a.know.Unhold(s)
+}
+
+// status reads one symbol's fact from the store that holds it.
+func (a *Actor) status(s algebra.Symbol) temporal.Status {
+	if a.prog != nil {
+		if st, ok := a.prog.Status(s); ok {
+			return st
+		}
+	}
+	return a.know.Status(s)
+}
+
+// knowledge is the tree path's one way to the actor's facts: the
+// knowledge map, with the program state's facts folded in first when
+// they changed since the last fold.  A fold moves the map's Version
+// only where a fact changed, so residual caching keyed on it keeps
+// skipping re-reductions under unchanged knowledge.
+func (a *Actor) knowledge() *temporal.Knowledge {
+	if a.unfolded {
+		a.prog.Fold(&a.know)
+		a.unfolded = false
+	}
+	return &a.know
 }
 
 // localView returns the knowledge to decide a polarity with: when the
@@ -271,11 +316,12 @@ func (a *Actor) unhold(s algebra.Symbol) {
 // occurred without our cooperation, so no agreement round trip is
 // needed.
 func (a *Actor) localView(p *polarity) *temporal.Knowledge {
+	k := a.knowledge()
 	ln := p.localNeg
 	if len(ln) == 0 || !a.localFactsClean() {
-		return &a.know
+		return k
 	}
-	view := a.know.Clone()
+	view := k.Clone()
 	for _, f := range ln {
 		if view.Status(f) == temporal.StatusUnknown {
 			view.Hold(f)
@@ -296,7 +342,7 @@ func (a *Actor) missingConds(p *polarity) []algebra.Symbol {
 			if _, claimed := p.promiseClaims[cond.Key()]; claimed {
 				continue
 			}
-			if a.know.Status(cond) == temporal.StatusOccurred {
+			if a.status(cond) == temporal.StatusOccurred {
 				continue
 			}
 			seen[cond.Key()] = cond
@@ -340,7 +386,7 @@ func (a *Actor) decideWave(p *polarity, g temporal.Formula) (map[string]bool, bo
 				if l.Kind() == temporal.LitEventually && len(l.Syms()) == 1 {
 					t := l.Syms()[0]
 					if _, have := p.promiseClaims[t.Key()]; have &&
-						a.know.Status(t) != temporal.StatusImpossible {
+						a.status(t) != temporal.StatusImpossible {
 						wave[t.Key()] = true
 						continue
 					}
@@ -374,11 +420,11 @@ func (a *Actor) closeWave(p *polarity, wave map[string]bool) bool {
 			for _, cond := range p.promiseClaims[k].conds {
 				ck := cond.Key()
 				if ck == p.sym.Key() || wave[ck] ||
-					a.know.Status(cond) == temporal.StatusOccurred {
+					a.status(cond) == temporal.StatusOccurred {
 					continue
 				}
 				if _, have := p.promiseClaims[ck]; !have ||
-					a.know.Status(cond) == temporal.StatusImpossible {
+					a.status(cond) == temporal.StatusImpossible {
 					return false
 				}
 				wave[ck] = true
@@ -428,13 +474,14 @@ func (a *Actor) GuardOf(s algebra.Symbol) temporal.Formula {
 // and reducing it again under unchanged knowledge is the identity.
 func (a *Actor) residualGuard(n Net, p *polarity) temporal.Formula {
 	g := p.guard
-	if v := a.know.Version(); p.reducedVer != v {
+	k := a.knowledge()
+	if v := k.Version(); p.reducedVer != v {
 		if a.Trace.On() {
 			// Compare by key, not by value: a Formula's dynamic type
 			// need not be comparable, and the key is only computed once
 			// the tracing gate passed.
 			before := g.Key()
-			g = a.know.Reduce(g)
+			g = k.Reduce(g)
 			if after := g.Key(); after != before {
 				a.Trace.Emit(obs.Record{
 					Lamport: n.Clock(),
@@ -444,7 +491,7 @@ func (a *Actor) residualGuard(n Net, p *polarity) temporal.Formula {
 				})
 			}
 		} else {
-			g = a.know.Reduce(g)
+			g = k.Reduce(g)
 		}
 		p.guard = g
 		p.reducedVer = v
@@ -558,7 +605,7 @@ func (a *Actor) onAttempt(n Net, m AttemptMsg) {
 	if first {
 		p.attemptTime = n.Now()
 	}
-	if a.know.Status(p.sym) == temporal.StatusImpossible || a.pol(p.sym.Complement()).occurred {
+	if a.status(p.sym) == temporal.StatusImpossible || a.pol(p.sym.Complement()).occurred {
 		a.reject(n, p, "complement occurred")
 		return
 	}
@@ -637,7 +684,7 @@ func (a *Actor) settlePromises(n Net) {
 		for key, info := range p.promisesBy {
 			lapsed, due := false, true
 			for _, c := range info.conds {
-				switch a.know.Status(c) {
+				switch a.status(c) {
 				case temporal.StatusImpossible:
 					lapsed = true
 				case temporal.StatusOccurred:
@@ -785,7 +832,7 @@ func (a *Actor) onInquire(n Net, m InquireMsg) {
 		})
 		return
 	}
-	if a.know.Status(m.Target) == temporal.StatusImpossible || a.pol(m.Target.Complement()).occurred {
+	if a.status(m.Target) == temporal.StatusImpossible || a.pol(m.Target.Complement()).occurred {
 		n.Send(a.site, m.ReplyTo, InquireReplyMsg{
 			Target: m.Target, Requester: m.Requester, Round: m.Round,
 			Impossible: true,
@@ -901,7 +948,7 @@ func (a *Actor) orderedAfter(p *polarity, requester algebra.Symbol, conds []alge
 // polarity's guard (bounded, to keep waves small).
 func (a *Actor) counterConditions(p *polarity, hyp []algebra.Symbol) []algebra.Symbol {
 	const maxExtras = 8
-	view := a.know.PermanentClone()
+	view := a.knowledge().PermanentClone()
 	for _, h := range hyp {
 		if view.Status(h) == temporal.StatusUnknown {
 			view.Observe(h, math.MaxInt64)
@@ -936,7 +983,7 @@ func (a *Actor) counterConditions(p *polarity, hyp []algebra.Symbol) []algebra.S
 // other rounds (holds, conditional promises received) are stripped —
 // they may lapse before discharge.
 func (a *Actor) promiseSound(p *polarity, hypSet []algebra.Symbol) bool {
-	view := a.know.PermanentClone()
+	view := a.knowledge().PermanentClone()
 	if ln := p.localNeg; len(ln) > 0 && a.localFactsClean() {
 		for _, f := range ln {
 			if view.Status(f) == temporal.StatusUnknown {
@@ -1069,7 +1116,9 @@ func (a *Actor) finishRound(n Net, p *polarity) {
 		return
 	}
 	a.traceEval(n, p, g, "unknown")
-	a.logf("round for %s inconclusive (guard %s, know %s)", p.sym, g.Key(), a.know.String())
+	if a.Log != nil { // checked here: folding and printing the knowledge is not free
+		a.logf("round for %s inconclusive (guard %s, know %s)", p.sym, g.Key(), a.knowledge().String())
+	}
 	a.endRound(n, p)
 	if p.retry {
 		p.retry = false

@@ -424,7 +424,7 @@ func TestKnowledgeIsolation(t *testing.T) {
 	r.attempt(t, sym("g"), false)
 	r.run()
 	eActor := r.actors["e"]
-	if eActor.know.Status(sym("g")) != temporal.StatusUnknown {
+	if eActor.status(sym("g")) != temporal.StatusUnknown {
 		t.Fatal("e's actor must not hear about g")
 	}
 }

@@ -16,14 +16,14 @@ import (
 // visited-state pruning on.
 //
 // Everything that can influence a future decision is included:
-// knowledge facts, deferred inquiries (in queue order — they replay in
-// order), and per polarity the attempt/occurrence/rejection record,
-// the open round with its pending set and holds, outstanding holds and
-// promises in both directions, the commit wave, the retry mark, and
-// the past-inquirer set.  Deliberately excluded: attemptTime (latency
-// metrics only, never read by the protocol), the residual-guard and
-// program caches (both derived from the knowledge facts), and the
-// trace scope.
+// knowledge facts (from both stores, program state and map), deferred
+// inquiries (in queue order — they replay in order), and per polarity
+// the attempt/occurrence/rejection record, the open round with its
+// pending set and holds, outstanding holds and promises in both
+// directions, the commit wave, the retry mark, and the past-inquirer
+// set.  Deliberately excluded: attemptTime (latency metrics only,
+// never read by the protocol), the residual-guard cache (derived from
+// the facts), and the trace scope.
 func (a *Actor) StateDigest() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s@%s r%d", a.base.Key(), a.site, a.roundSeq)
@@ -34,7 +34,7 @@ func (a *Actor) StateDigest() string {
 		at  int64
 	}
 	var facts []fact
-	a.know.Range(func(key string, st temporal.Status, at int64) {
+	a.knowledge().Range(func(key string, st temporal.Status, at int64) {
 		facts = append(facts, fact{key, st, at})
 	})
 	sort.Slice(facts, func(i, j int) bool { return facts[i].key < facts[j].key })

@@ -67,7 +67,7 @@ func (a *Actor) Export() (ActorState, error) {
 		return st, fmt.Errorf("actor %s@%s: %d deferred inquiries", a.base, a.site, len(a.deferred))
 	}
 	var badFacts []string
-	a.know.Range(func(key string, s temporal.Status, at int64) {
+	a.knowledge().Range(func(key string, s temporal.Status, at int64) {
 		switch s {
 		case temporal.StatusOccurred:
 			st.Facts = append(st.Facts, FactState{Sym: key, At: at})
@@ -116,7 +116,9 @@ func (a *Actor) Export() (ActorState, error) {
 // Restore loads exported state into a freshly built actor (guards
 // installed, no protocol activity yet).  Occurrence facts are loaded
 // first so their automatic complement-impossibility never overwrites
-// an explicit fact, then standalone impossibilities.
+// an explicit fact, then standalone impossibilities.  Facts go through
+// the same writers the protocol uses, so each lands in the one store
+// that holds its symbol.
 func (a *Actor) Restore(st ActorState) error {
 	if st.Base != a.base.Key() {
 		return fmt.Errorf("actor %s@%s: restore of %s", a.base, a.site, st.Base)
@@ -130,7 +132,7 @@ func (a *Actor) Restore(st ActorState) error {
 		if err != nil {
 			return fmt.Errorf("actor %s@%s: %w", a.base, a.site, err)
 		}
-		a.know.Observe(sym, f.At)
+		a.observe(sym, f.At)
 	}
 	for _, f := range st.Facts {
 		if !f.Impossible {
@@ -140,7 +142,7 @@ func (a *Actor) Restore(st ActorState) error {
 		if err != nil {
 			return fmt.Errorf("actor %s@%s: %w", a.base, a.site, err)
 		}
-		a.know.MarkImpossible(sym)
+		a.markImpossible(sym)
 	}
 	for _, ps := range st.Pols {
 		sym, err := algebra.ParseSymbol(ps.Sym)
@@ -162,9 +164,5 @@ func (a *Actor) Restore(st ActorState) error {
 			put(&p.pastInquirers, simnet.SiteID(s), true)
 		}
 	}
-	// The facts above were loaded into the knowledge map wholesale;
-	// rebuild the compiled program's bitmasks to match before any
-	// replayed delivery consults them.
-	a.SyncProgram()
 	return nil
 }

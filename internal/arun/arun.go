@@ -112,6 +112,10 @@ type Runner struct {
 	decGate quiesce.Gate
 	anns    int
 	decs    int
+
+	// timer bounds each per-attempt wait (awaitAttempt); it is created
+	// on the first wait and re-armed for every later one.
+	timer *time.Timer
 }
 
 type occRec struct {
@@ -196,6 +200,9 @@ type siteHost struct {
 	site   simnet.SiteID
 	actors map[string]*actor.Actor
 	order  []string // sorted once all actors are added
+	// handler is deliver as the transport registers it, bound once so
+	// a recycled host registers without allocating.
+	handler func(actor.Net, any)
 }
 
 func (h *siteHost) add(a *actor.Actor) {
@@ -405,8 +412,8 @@ func (r *Runner) awaitAttempt(sym algebra.Symbol, key string, start uint64) erro
 		r.mu.Unlock()
 		return m
 	}
-	timer := time.NewTimer(r.timeout)
-	defer timer.Stop()
+	timeout := r.startTimer()
+	defer r.stopTimer()
 	for !moved() {
 		// Take the channels first, then re-check: a pulse between the
 		// check and the wait closes a channel we already hold, so no
@@ -422,13 +429,36 @@ func (r *Runner) awaitAttempt(sym algebra.Symbol, key string, start uint64) erro
 		select {
 		case <-ch:
 		case <-idle:
-		case <-timer.C:
+		case <-timeout:
 			cancel()
 			return fmt.Errorf("arun: no decision for %s before timeout", sym)
 		}
 		cancel()
 	}
 	return nil
+}
+
+// startTimer arms the runner's one attempt timer for a wait.  Only the
+// drive goroutine waits, so one timer, stopped after every wait, serves
+// them all.
+func (r *Runner) startTimer() <-chan time.Time {
+	if r.timer == nil {
+		r.timer = time.NewTimer(r.timeout)
+	} else {
+		r.timer.Reset(r.timeout)
+	}
+	return r.timer.C
+}
+
+// stopTimer disarms the attempt timer and drains a tick that fired
+// unread, so the next startTimer cannot see a stale expiry.
+func (r *Runner) stopTimer() {
+	if !r.timer.Stop() {
+		select {
+		case <-r.timer.C:
+		default:
+		}
+	}
 }
 
 // agState is one agent script mid-drive.

@@ -2,6 +2,7 @@ package arun
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -22,16 +23,15 @@ import (
 // directory (placement and watch subscriptions), the per-polarity
 // guard specs with their parsed consensus-elimination sets, and the
 // parsed triggerable symbols.  Building it costs one compile plus some
-// parsing; NewRunner then instantiates fresh actors against the shared
-// plan, which is what lets internal/engine run hundreds of concurrent
-// instances of one workflow without recompiling or re-placing per
-// instance.  A Plan is immutable after NewPlan and safe for concurrent
-// NewRunner calls.
+// parsing; NewRunner then instantiates actors against the shared plan
+// (or resets a recycled set of them, see Scratch), which is what lets
+// internal/engine run hundreds of concurrent instances of one workflow
+// without recompiling or re-placing per instance.  A Plan is immutable
+// after NewPlan and safe for concurrent NewRunner calls.
 type Plan struct {
-	sp     *spec.Spec
-	c      *core.Compiled
-	bases  []algebra.Symbol
-	extras []algebra.Symbol
+	sp    *spec.Spec
+	c     *core.Compiled
+	bases []algebra.Symbol
 	// observe: the driver site is subscribed to every base and
 	// registered as a message handler, and attempts carry it as
 	// ReplyTo — the cross-process observation mode.  Without it the
@@ -41,16 +41,24 @@ type Plan struct {
 	driver  simnet.SiteID
 	dir     *actor.Directory
 	siteOf  map[string]simnet.SiteID // base key → actor site
-	pos     map[string]actor.GuardSpec
-	neg     map[string]actor.GuardSpec
-	// progs holds the compiled guard programs, one per base event,
-	// shared read-only across every instance's actors (each actor
-	// derives its own mutable gprog.State).
-	progs map[string]*gprog.Prog
-	// extraProg is the ⊤/⊤ program every out-of-alphabet extra shares.
-	extraProg *gprog.Prog
-	trig      []algebra.Symbol
-	sites     []simnet.SiteID // sorted distinct actor sites
+	// actors lists every actor the plan installs: the alphabet's bases
+	// in sorted order, then the out-of-alphabet extras.
+	actors []actorPlan
+	sites  []simnet.SiteID // sorted distinct actor sites
+}
+
+// actorPlan is one actor's share of a plan: everything New, Reset and
+// AttachProgram need, computed once.
+type actorPlan struct {
+	base     algebra.Symbol
+	site     simnet.SiteID
+	pos, neg actor.GuardSpec
+	// prog is the compiled guard program, shared read-only across every
+	// instance's actors (each actor derives its own mutable
+	// gprog.State).  Extras share one ⊤/⊤ program.
+	prog *gprog.Prog
+	// trig lists the polarities the scheduler may cause proactively.
+	trig []algebra.Symbol
 }
 
 // PlanOptions configure NewPlan.
@@ -85,13 +93,11 @@ func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
 		sp: sp, c: c, observe: opt.Observe, driver: driver,
 		dir:    actor.NewDirectory(),
 		siteOf: map[string]simnet.SiteID{},
-		pos:    map[string]actor.GuardSpec{},
-		neg:    map[string]actor.GuardSpec{},
-		progs:  map[string]*gprog.Prog{},
 	}
-	p.bases, p.extras = alphabetAndExtras(sp)
+	var extras []algebra.Symbol
+	p.bases, extras = alphabetAndExtras(sp)
 	pl := sp.Placement()
-	all := append(append([]algebra.Symbol{}, p.bases...), p.extras...)
+	all := append(append([]algebra.Symbol{}, p.bases...), extras...)
 	seenSite := map[simnet.SiteID]bool{}
 	for _, b := range all {
 		site := pl.SiteFor(b)
@@ -123,23 +129,30 @@ func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
 			}
 		}
 		pos, neg := guardSpecFor(c, b), guardSpecFor(c, b.Complement())
-		p.pos[b.Key()], p.neg[b.Key()] = pos, neg
-		p.progs[b.Key()] = gprog.Compile(
-			gprog.GuardInput{Guard: pos.Guard, LocalNeg: pos.LocalNeg},
-			gprog.GuardInput{Guard: neg.Guard, LocalNeg: neg.LocalNeg})
+		p.actors = append(p.actors, actorPlan{
+			base: b, site: site, pos: pos, neg: neg,
+			prog: gprog.Compile(
+				gprog.GuardInput{Guard: pos.Guard, LocalNeg: pos.LocalNeg},
+				gprog.GuardInput{Guard: neg.Guard, LocalNeg: neg.LocalNeg}),
+		})
 	}
-	p.extraProg = gprog.Compile(
-		gprog.GuardInput{Guard: temporal.TrueF()},
-		gprog.GuardInput{Guard: temporal.TrueF()})
+	top := actor.GuardSpec{Guard: temporal.TrueF()}
+	extraProg := gprog.Compile(gprog.GuardInput{Guard: top.Guard}, gprog.GuardInput{Guard: top.Guard})
+	for _, x := range extras {
+		p.actors = append(p.actors, actorPlan{
+			base: x, site: p.siteOf[x.Key()], pos: top, neg: top, prog: extraProg,
+		})
+	}
 	for _, key := range sp.Triggerable() {
 		s, err := algebra.ParseSymbol(key)
 		if err != nil {
 			return nil, fmt.Errorf("arun: triggerable %q: %w", key, err)
 		}
-		if _, ok := p.siteOf[s.Base().Key()]; !ok {
+		i := slices.IndexFunc(p.actors, func(ap actorPlan) bool { return ap.base.SameEvent(s) })
+		if i < 0 {
 			return nil, fmt.Errorf("arun: triggerable %q has no actor", key)
 		}
-		p.trig = append(p.trig, s)
+		p.actors[i].trig = append(p.actors[i].trig, s)
 	}
 	return p, nil
 }
@@ -179,8 +192,9 @@ type RunnerOptions struct {
 	// end of the run.  It changes interleavings — sound for confluent
 	// workflows (see DESIGN.md decision 13).
 	Pipelined bool
-	// Scratch recycles the runner's observation maps across instances
-	// (optional; see NewScratch).
+	// Scratch recycles a whole built instance — site hosts, actors,
+	// their program states, knowledge maps and trace scopes — and the
+	// runner's observation maps across runs (optional; see Scratch).
 	Scratch *Scratch
 	// SatCache shares trace-satisfaction results across runners of
 	// the same spec (optional; see NewSatCache).
@@ -194,10 +208,10 @@ type RunnerOptions struct {
 	Instance uint32
 }
 
-// NewRunner instantiates fresh actors for the plan on a transport.
-// Unless the plan observes through the driver site, the runner
-// registers hooks on its actors and observes fires and decisions
-// in-process.
+// NewRunner instantiates the plan's actors on a transport: fresh
+// ones, or the set a Scratch recycles.  Unless the plan observes
+// through the driver site, the runner registers hooks on its actors
+// and observes fires and decisions in-process.
 func (p *Plan) NewRunner(tr Transport, opt RunnerOptions) (*Runner, error) {
 	b, err := p.build(tr, opt, false)
 	if err != nil {
@@ -220,12 +234,10 @@ type runnerBuild struct {
 // handler on the transport.  With quietTrace, actors start with nil
 // trace scopes — Resume replays the WAL through them first (replayed
 // protocol steps were traced in the pre-crash run and must not be
-// re-emitted) and attaches the scopes afterwards.
+// re-emitted) and attaches the scopes afterwards.  A run that hosts
+// every site with live scopes takes its actors from the scratch;
+// Resume and a Hosted subset (wfnet workers) always build fresh.
 func (p *Plan) build(tr Transport, opt RunnerOptions, quietTrace bool) (*runnerBuild, error) {
-	hosted := opt.Hosted
-	if hosted == nil {
-		hosted = func(simnet.SiteID) bool { return true }
-	}
 	timeout := opt.IdleTimeout
 	if timeout <= 0 {
 		timeout = 10 * time.Second
@@ -243,96 +255,150 @@ func (p *Plan) build(tr Transport, opt RunnerOptions, quietTrace bool) (*runnerB
 	}
 	var hooks *actor.Hooks
 	if !p.observe {
-		hooks = &actor.Hooks{OnFire: r.hookFire, OnDecision: r.hookDecision}
+		scratch.runner = r
+		hooks = scratch.hooks
 	}
 	tracer := opt.Tracer
 	if tracer == nil {
 		tracer = obs.Shared()
 	}
 
-	hosts := map[simnet.SiteID]*siteHost{}
-	host := func(site simnet.SiteID) *siteHost {
-		h, ok := hosts[site]
-		if !ok {
-			h = &siteHost{site: site, actors: map[string]*actor.Actor{}}
-			hosts[site] = h
-		}
-		return h
-	}
-	attach := func(a *actor.Actor) *actor.Actor {
+	var set *instanceSet
+	if opt.Hosted == nil && !quietTrace {
+		set = scratch.instance(p, hooks, tracer, opt.Instance)
+	} else {
+		set = p.newInstanceSet(opt.Hosted, hooks)
 		if !quietTrace {
-			a.Trace = tracer.Scope(string(a.Site()), opt.Instance)
-		}
-		return a
-	}
-	for _, b := range p.bases {
-		site := p.siteOf[b.Key()]
-		if !hosted(site) {
-			continue
-		}
-		a := actor.New(b, site, p.dir, hooks, p.pos[b.Key()], p.neg[b.Key()])
-		a.AttachProgram(p.progs[b.Key()])
-		host(site).add(attach(a))
-	}
-	for _, x := range p.extras {
-		site := p.siteOf[x.Key()]
-		if !hosted(site) {
-			continue
-		}
-		a := actor.New(x, site, p.dir, hooks,
-			actor.GuardSpec{Guard: temporal.TrueF()},
-			actor.GuardSpec{Guard: temporal.TrueF()})
-		a.AttachProgram(p.extraProg)
-		host(site).add(attach(a))
-	}
-	for _, s := range p.trig {
-		if h, ok := hosts[p.siteOf[s.Base().Key()]]; ok {
-			h.actors[s.Base().Key()].SetTriggerable(s)
+			set.attachScopes(tracer, opt.Instance)
 		}
 	}
-
-	sites := make([]simnet.SiteID, 0, len(hosts))
-	for site := range hosts {
-		sites = append(sites, site)
+	for _, site := range set.sites {
+		tr.Register(site, set.hosts[site].handler)
 	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	for _, site := range sites {
-		sort.Strings(hosts[site].order)
-		tr.Register(site, hosts[site].deliver)
-	}
-	if p.observe && hosted(p.driver) {
+	if p.observe && (opt.Hosted == nil || opt.Hosted(p.driver)) {
 		tr.Register(p.driver, r.onDriverMsg)
 	}
-	r.hosts = hosts
-	b := &runnerBuild{r: r, hosts: hosts, tracer: tracer, inst: opt.Instance}
+	r.hosts = set.hosts
+	b := &runnerBuild{r: r, hosts: set.hosts, tracer: tracer, inst: opt.Instance}
 	if sp, ok := tr.(snapshotable); ok {
 		sp.SetSnapshotProvider(b.exportSite)
 	}
 	return b, nil
 }
 
-// Scratch is the recyclable per-run observation state: internal/engine
-// pools these so steady-state instance turnover does not re-allocate
-// the maps.
+// instanceSet is one built instance: its site hosts and, aligned with
+// Plan.actors, the actors they hold (nil where a site is not hosted).
+type instanceSet struct {
+	hosts  map[simnet.SiteID]*siteHost
+	sites  []simnet.SiteID // sorted hosted sites
+	actors []*actor.Actor
+}
+
+// newInstanceSet builds fresh actors for the hosted sites (nil hosts
+// every site).
+func (p *Plan) newInstanceSet(hosted func(simnet.SiteID) bool, hooks *actor.Hooks) *instanceSet {
+	set := &instanceSet{hosts: map[simnet.SiteID]*siteHost{}, actors: make([]*actor.Actor, len(p.actors))}
+	for i := range p.actors {
+		ap := &p.actors[i]
+		if hosted != nil && !hosted(ap.site) {
+			continue
+		}
+		a := actor.New(ap.base, ap.site, p.dir, hooks, ap.pos, ap.neg)
+		a.AttachProgram(ap.prog)
+		for _, s := range ap.trig {
+			a.SetTriggerable(s)
+		}
+		set.actors[i] = a
+		h, ok := set.hosts[ap.site]
+		if !ok {
+			h = &siteHost{site: ap.site, actors: map[string]*actor.Actor{}}
+			h.handler = h.deliver
+			set.hosts[ap.site] = h
+			set.sites = append(set.sites, ap.site)
+		}
+		h.add(a)
+	}
+	sort.Slice(set.sites, func(i, j int) bool { return set.sites[i] < set.sites[j] })
+	for _, h := range set.hosts {
+		sort.Strings(h.order)
+	}
+	return set
+}
+
+// attachScopes gives every actor its trace scope for one instance.
+func (set *instanceSet) attachScopes(tracer *obs.Tracer, inst uint32) {
+	for _, a := range set.actors {
+		if a != nil {
+			a.Trace = tracer.Scope(string(a.Site()), inst)
+		}
+	}
+}
+
+// Scratch is the recyclable state of one run: the runner's observation
+// maps and, once a run has hosted every site, that run's whole
+// instance — site hosts, actors, their program states, knowledge maps
+// and trace scopes.  The next run of the same plan (and tracer) resets
+// those actors in place through actor.Reset, the initialiser New
+// itself uses, instead of building them again; a run of another plan
+// builds fresh and takes the scratch over.  internal/engine pools
+// scratches so steady-state instance turnover allocates almost
+// nothing.  A scratch serves one runner at a time: hand it to the next
+// run only once the previous one is over and no message can still
+// reach its actors.
 type Scratch struct {
 	occ    map[string]occRec
 	dec    map[string]actor.DecisionMsg
 	decGen map[string]uint64
+
+	// runner is the run the hooks report to; the recycled actors keep
+	// pointing at hooks, so it is the one thing retargeted per run.
+	runner *Runner
+	hooks  *actor.Hooks
+
+	// set is the recycled instance, built by plan with tracer's scopes.
+	set    *instanceSet
+	plan   *Plan
+	tracer *obs.Tracer
 }
 
 // NewScratch allocates an empty scratch.
 func NewScratch() *Scratch {
-	return &Scratch{
+	s := &Scratch{
 		occ:    map[string]occRec{},
 		dec:    map[string]actor.DecisionMsg{},
 		decGen: map[string]uint64{},
 	}
+	s.hooks = &actor.Hooks{
+		OnFire:     func(sym algebra.Symbol, at int64, when simnet.Time) { s.runner.hookFire(sym, at, when) },
+		OnDecision: func(d actor.DecisionMsg) { s.runner.hookDecision(d) },
+	}
+	return s
 }
 
 func (s *Scratch) reset() {
 	clear(s.occ)
 	clear(s.dec)
 	clear(s.decGen)
+}
+
+// instance returns the scratch's instance of the plan, reset for one
+// more run, or — when the scratch holds none for this plan and tracer
+// — builds every site's actors fresh and keeps them for the next run.
+func (s *Scratch) instance(p *Plan, hooks *actor.Hooks, tracer *obs.Tracer, inst uint32) *instanceSet {
+	if s.set == nil || s.plan != p || s.tracer != tracer {
+		s.set, s.plan, s.tracer = p.newInstanceSet(nil, hooks), p, tracer
+		s.set.attachScopes(tracer, inst)
+		return s.set
+	}
+	for i, a := range s.set.actors {
+		ap := &p.actors[i]
+		a.Reset(ap.pos, ap.neg)
+		for _, sym := range ap.trig {
+			a.SetTriggerable(sym)
+		}
+		a.Trace.Retag(inst)
+	}
+	return s.set
 }
 
 // SatCache memoizes trace satisfaction per realized trace.  Concurrent

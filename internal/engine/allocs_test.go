@@ -12,10 +12,13 @@ import (
 )
 
 // maxInstanceAllocs bounds the allocations of one whole dense12
-// instance: building its runner (actors, program states, site hosts),
-// driving all twelve attempts through the simulator, and assembling
-// the outcome.  It is the measured count (243) plus 10 %.
-const maxInstanceAllocs = 267
+// instance run through a recycled arun.Scratch, the way internal/engine
+// runs every instance after a worker's first: resetting the scratch's
+// actors, program states, site hosts and trace scopes in place,
+// driving all twelve attempts through a fresh simulator, and
+// assembling the outcome.  It is the measured count (94) plus 10 %;
+// building the instance fresh every time costs 236.
+const maxInstanceAllocs = 103
 
 // denseSpec is the all-pairs precedence workflow over n events spread
 // round-robin over sites, one agent attempting e1..en in order: the
@@ -44,7 +47,8 @@ func denseSpec(t testing.TB, n, sites int) *spec.Spec {
 }
 
 // TestInstanceAllocs is the whole-instance allocation gate that make
-// benchsmoke runs.  TestAnnounceDeliverZeroAlloc (internal/actor)
+// benchsmoke runs.  One scratch serves every measured run, so all but
+// the warm-up reuse the instance the previous run left behind.  TestAnnounceDeliverZeroAlloc (internal/actor)
 // covers only steady-state re-delivery; a dense12 instance is over
 // after 24 facts, so every delivery it makes is a first delivery and
 // its cost is dominated by building and settling fresh state.

@@ -8,16 +8,18 @@
 // amortizes everything that does not depend on the run:
 //
 //   - one arun.Plan per workload: the workflow is compiled once, the
-//     directory and guard specs are built once, and every instance
-//     instantiates fresh actors against the shared, read-only plan;
+//     directory and guard specs are built once, and every instance's
+//     actors run against the shared, read-only plan;
 //   - per-instance completion: instances observe decisions through
 //     actor hooks and (on the wire transport) complete attempts when
 //     their own decision resolves, not when the whole mesh goes idle —
 //     internal/quiesce is demoted to a per-instance settle at the end
 //     of each run (DESIGN.md, decision 13);
-//   - a bounded worker pool sharded by instance ID, recycling the
-//     runner's observation maps (arun.Scratch) and sharing a trace
-//     satisfaction cache across instances;
+//   - a bounded worker pool sharded by instance ID, recycling each
+//     finished instance whole (arun.Scratch: site hosts, actors, their
+//     program states, knowledge maps and trace scopes, reset in place
+//     for the next instance) and sharing a trace satisfaction cache
+//     across instances;
 //   - on the wire transport, all instances share one TCP mesh: frames
 //     carry an actor.Instanced envelope, each node demultiplexes on
 //     the instance number, and the batched announcement fan-out of
@@ -206,13 +208,20 @@ func RunPlan(plan *arun.Plan, opt Options) (*Result, error) {
 			for idx := w; idx < opt.Instances; idx += workers {
 				sc := scratch.Get().(*arun.Scratch)
 				out, err := runOne(plan, eng, sc, satCache, idx, opt)
-				scratch.Put(sc)
+				// The scratch goes back only after runOne returned, and
+				// so after its deferred eng.remove(inst): the next
+				// instance resets these very actors, and that is safe
+				// because a successful run ends on WaitIdle — the
+				// instance is removed at zero pending, so no in-flight
+				// message can reach a recycled actor.  A failed run may
+				// still have messages in flight; its scratch is dropped.
 				if err != nil {
 					if errs[w] == nil {
 						errs[w] = fmt.Errorf("instance %d: %w", idx, err)
 					}
 					return
 				}
+				scratch.Put(sc)
 				outcomes[idx] = out
 			}
 		}(w)

@@ -30,7 +30,9 @@
 // Hold, Unhold, MarkImpossible, Promise, CondPromise, ClearCond) with
 // identical no-weaken rules, so its verdicts are bit-identical to the
 // tree-walking evaluator's; the property tests and FuzzGuardProgram
-// check that equivalence literal-by-literal and guard-by-guard.
+// check that equivalence literal-by-literal and guard-by-guard.  An
+// actor keeps the facts of its program's universe only here and folds
+// them into a Knowledge when it needs the tree evaluator (Fold).
 package gprog
 
 import (
@@ -295,11 +297,13 @@ func (s *State) index(sym algebra.Symbol) int32 {
 }
 
 // Observe mirrors Knowledge.Observe: the symbol occurred at t and its
-// complement became impossible (both unconditional).
-func (s *State) Observe(sym algebra.Symbol, t int64) {
+// complement became impossible (both unconditional).  Like every
+// mutator it reports whether the symbol is in the program's universe;
+// a false return recorded nothing.
+func (s *State) Observe(sym algebra.Symbol, t int64) bool {
 	si := s.index(sym)
 	if si < 0 {
-		return
+		return false
 	}
 	s.status[si] = temporal.StatusOccurred
 	s.times[si] = t
@@ -307,37 +311,47 @@ func (s *State) Observe(sym algebra.Symbol, t int64) {
 	ci := s.p.comp[si]
 	s.status[ci] = temporal.StatusImpossible
 	s.recompute(ci)
+	return true
 }
 
 // MarkImpossible mirrors Knowledge.MarkImpossible: occurrence facts
 // are never overwritten; the complement is untouched.
-func (s *State) MarkImpossible(sym algebra.Symbol) {
+func (s *State) MarkImpossible(sym algebra.Symbol) bool {
 	si := s.index(sym)
-	if si < 0 || s.status[si] == temporal.StatusOccurred {
-		return
+	if si < 0 {
+		return false
 	}
-	s.status[si] = temporal.StatusImpossible
-	s.recompute(si)
+	if s.status[si] != temporal.StatusOccurred {
+		s.status[si] = temporal.StatusImpossible
+		s.recompute(si)
+	}
+	return true
 }
 
 // Hold mirrors Knowledge.Hold: only unknown symbols become held.
-func (s *State) Hold(sym algebra.Symbol) {
+func (s *State) Hold(sym algebra.Symbol) bool {
 	si := s.index(sym)
-	if si < 0 || s.status[si] != temporal.StatusUnknown {
-		return
+	if si < 0 {
+		return false
 	}
-	s.status[si] = temporal.StatusHeld
-	s.recompute(si)
+	if s.status[si] == temporal.StatusUnknown {
+		s.status[si] = temporal.StatusHeld
+		s.recompute(si)
+	}
+	return true
 }
 
 // Unhold mirrors Knowledge.Unhold: only held symbols revert.
-func (s *State) Unhold(sym algebra.Symbol) {
+func (s *State) Unhold(sym algebra.Symbol) bool {
 	si := s.index(sym)
-	if si < 0 || s.status[si] != temporal.StatusHeld {
-		return
+	if si < 0 {
+		return false
 	}
-	s.status[si] = temporal.StatusUnknown
-	s.recompute(si)
+	if s.status[si] == temporal.StatusHeld {
+		s.status[si] = temporal.StatusUnknown
+		s.recompute(si)
+	}
+	return true
 }
 
 // Promise mirrors Knowledge.Promise: a binding ◇ promise, never
@@ -381,23 +395,23 @@ func (s *State) ClearCond(sym algebra.Symbol) {
 	s.recompute(si)
 }
 
-// Sync rebuilds the whole state from a Knowledge — the resynchronization
-// point for paths that mutate Knowledge wholesale (WAL snapshot
-// restore).  Statuses not represented in the program's universe are
-// ignored; they cannot affect either guard.
-func (s *State) Sync(k *temporal.Knowledge) {
-	for si, sym := range s.p.syms {
-		st := k.Status(sym)
-		s.status[si] = st
-		if st == temporal.StatusOccurred {
-			t, _ := k.Time(sym)
-			s.times[si] = t
-		} else {
-			s.times[si] = 0
-		}
+// Status returns what the state knows about a symbol, and whether the
+// symbol is in the program's universe at all.
+func (s *State) Status(sym algebra.Symbol) (temporal.Status, bool) {
+	si := s.index(sym)
+	if si < 0 {
+		return temporal.StatusUnknown, false
 	}
-	for li := range s.p.lits {
-		s.recomputeLit(int32(li))
+	return s.status[si], true
+}
+
+// Fold writes every universe symbol's status into a Knowledge, so a
+// holder whose facts live here can hand a complete map to the
+// tree-walking evaluator.  Symbols outside the universe are left as
+// they are; the knowledge's version moves only where a fact changed.
+func (s *State) Fold(k *temporal.Knowledge) {
+	for si, sym := range s.p.syms {
+		k.Set(sym, s.status[si], s.times[si])
 	}
 }
 

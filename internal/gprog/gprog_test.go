@@ -256,26 +256,39 @@ func TestLocalOverlay(t *testing.T) {
 	}
 }
 
-// TestSync rebuilds a state from an arbitrary knowledge and demands
-// verdict equality — the snapshot-restore path.
-func TestSync(t *testing.T) {
+// TestFold folds a state into a knowledge map at random points of a
+// mutation sequence — the way an actor hands its facts to the tree
+// evaluator — and demands that the folded map decide, evaluate and
+// reduce both guards exactly as a map that saw every mutation does.
+// A second fold with no mutation in between must not move the
+// version, which is what keeps residual caching keyed on it.
+func TestFold(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 200; trial++ {
 		pos, neg := randFormula(r), randFormula(r)
 		p := Compile(GuardInput{Guard: pos}, GuardInput{Guard: neg})
-		var k temporal.Knowledge
-		scratch := p.NewState()
-		for step := 0; step < 15; step++ {
-			mutate(r, &k, scratch)
-		}
+		var k, folded temporal.Knowledge
 		st := p.NewState()
-		st.Sync(&k)
-		for pol, g := range []temporal.Formula{pos, neg} {
-			if got, want := st.Decide(pol, false), k.Decide(g); got != want {
-				t.Fatalf("trial %d: synced Decide(pol %d)=%v, knowledge says %v", trial, pol, got, want)
+		for step := 0; step < 15; step++ {
+			mutate(r, &k, st)
+			if r.Intn(3) > 0 {
+				continue
 			}
-			if got, want := st.Eval(pol), k.Eval(g); got != want {
-				t.Fatalf("trial %d: synced Eval(pol %d)=%v, knowledge says %v", trial, pol, got, want)
+			st.Fold(&folded)
+			v := folded.Version()
+			if st.Fold(&folded); folded.Version() != v {
+				t.Fatalf("trial %d: an unchanged fold moved the version", trial)
+			}
+			for pol, g := range []temporal.Formula{pos, neg} {
+				if got, want := folded.Decide(g), k.Decide(g); got != want {
+					t.Fatalf("trial %d: folded Decide(pol %d)=%v, knowledge says %v", trial, pol, got, want)
+				}
+				if got, want := folded.Eval(g), k.Eval(g); got != want {
+					t.Fatalf("trial %d: folded Eval(pol %d)=%v, knowledge says %v", trial, pol, got, want)
+				}
+				if got, want := folded.Reduce(g).Key(), k.Reduce(g).Key(); got != want {
+					t.Fatalf("trial %d: folded Reduce(pol %d)=%s, knowledge says %s", trial, pol, got, want)
+				}
 			}
 		}
 	}

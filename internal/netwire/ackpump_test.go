@@ -34,7 +34,7 @@ func TestAckPumpReadsDuringCommit(t *testing.T) {
 	var releaseOnce sync.Once
 	unstall := func() { releaseOnce.Do(func() { close(release) }) }
 	stalled := make(chan struct{})
-	wb.Notify(1, func() { close(stalled); <-release })
+	wb.Notify(1, func(error) { close(stalled); <-release })
 	wb.Append(wal.Record{Kind: wal.KReject, Site: "sb", Sym: "primer", Note: "stall"})
 	select {
 	case <-stalled:

@@ -602,15 +602,12 @@ func (ib *inbox) loop() {
 		ib.queue = ib.queue[1:]
 		ib.mu.Unlock()
 
-		if it.lsn > 0 {
-			ib.node.wal.WaitDurable(it.lsn)
-			if ib.node.wal.Durable() < it.lsn {
-				// The log closed before this record became durable: a
-				// shutdown is racing us, and processing a delivery outside
-				// the durable prefix would fork the recovered state.
-				ib.node.pend.Done()
-				continue
-			}
+		if it.lsn > 0 && ib.node.wal.WaitDurable(it.lsn) != nil {
+			// The log closed or failed before this record became
+			// durable: processing a delivery outside the durable prefix
+			// would fork the recovered state.
+			ib.node.pend.Done()
+			continue
 		}
 		if it.clock > 0 {
 			ib.node.observeClock(it.clock)
@@ -807,10 +804,11 @@ func (p *ackPump) offer(ack, lsn uint64) {
 	}
 }
 
-// run is the pump's lifetime.  It closes the connection when the log
-// closes before the offered LSN is durable — a shutdown is in progress,
-// and acknowledging a non-durable delivery would let the sender prune a
-// frame the recovered node never saw — or when an ack write fails.
+// run is the pump's lifetime.  It closes the connection without
+// acking when the log closes or fails before the offered LSN is
+// durable — acknowledging a non-durable delivery would let the sender
+// prune a frame the recovered node never saw — or when an ack write
+// fails.
 func (p *ackPump) run(w *wal.Log, conn net.Conn, cw *connWriter) {
 	defer conn.Close()
 	for {
@@ -822,8 +820,7 @@ func (p *ackPump) run(w *wal.Log, conn net.Conn, cw *connWriter) {
 		p.mu.Lock()
 		ack, lsn := p.ack, p.lsn
 		p.mu.Unlock()
-		w.WaitDurable(lsn)
-		if w.Durable() < lsn {
+		if w.WaitDurable(lsn) != nil {
 			return
 		}
 		if err := cw.writeAck(ack); err != nil {

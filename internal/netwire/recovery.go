@@ -374,9 +374,7 @@ func (n *Node) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	lsn := n.wal.Append(wal.Record{Kind: wal.KCkpt, Payload: blob})
-	n.wal.WaitDurable(lsn)
-	return nil
+	return n.wal.WaitDurable(n.wal.Append(wal.Record{Kind: wal.KCkpt, Payload: blob}))
 }
 
 // checkpointLoop periodically appends a watermark checkpoint record.

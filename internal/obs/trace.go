@@ -177,6 +177,15 @@ func (t *Tracer) Scope(site string, inst uint32) *Scope {
 	return &Scope{t: t, site: site, inst: inst}
 }
 
+// Retag moves the scope to another instance, so a recycled actor
+// keeps its scope across runs (a nil scope stays nil).  The caller
+// must own every emitter of the scope while it retags.
+func (s *Scope) Retag(inst uint32) {
+	if s != nil {
+		s.inst = inst
+	}
+}
+
 // On reports whether emissions would be recorded — the single-atomic-
 // load gate call sites use to skip building record fields entirely.
 func (s *Scope) On() bool { return s != nil && s.t.enabled.Load() }

@@ -90,6 +90,12 @@ type Instance struct {
 
 type shard struct {
 	name string
+	// failed is set once any of the shard's logs is poisoned (wal fails
+	// closed on the first write or fsync error): the shard then answers
+	// 503 to everything placed on it, and its worker drains the tasks
+	// already queued — none of which can acknowledge anything, since
+	// nothing appended to a poisoned log becomes durable.
+	failed atomic.Bool
 	// mu guards the close handshake: enqueue holds the read side for
 	// the send, drain takes the write side to set closed before
 	// closing the mailbox, so no send can race the close.
@@ -236,9 +242,21 @@ func (tl *tenantLog) appendAsync(r wal.Record) uint64 {
 }
 
 // append journals one record durably (WaitDurable): the blocking form
-// used for rare control-plane records.
-func (tl *tenantLog) append(r wal.Record) {
-	tl.log.WaitDurable(tl.appendAsync(r))
+// used for rare control-plane records.  It fails when the log does.
+func (tl *tenantLog) append(r wal.Record) error {
+	return tl.log.WaitDurable(tl.appendAsync(r))
+}
+
+// failShard marks a shard failed after one of its logs reported err.
+func (s *Server) failShard(sh *shard, err error) {
+	if sh.failed.CompareAndSwap(false, true) {
+		s.cfg.Logf("serve: shard %s failed, draining it: %v", sh.name, err)
+	}
+}
+
+// shardFailed is the 503 every request placed on a failed shard gets.
+func shardFailed(sh *shard) *Error {
+	return errf(503, "shard %s failed: its log is not durable", sh.name)
 }
 
 // lag is the unsynced tail length.
@@ -283,7 +301,9 @@ func (s *Server) RegisterSpec(tenant, name, source string) (*PlanEntry, *Error) 
 		return nil, errf(500, "registry log: %v", err)
 	}
 	if tl != nil {
-		tl.append(wal.Record{Kind: wal.KSpecReg, Site: tenant, Sym: name, Payload: []byte(source)})
+		if err := tl.append(wal.Record{Kind: wal.KSpecReg, Site: tenant, Sym: name, Payload: []byte(source)}); err != nil {
+			return nil, errf(503, "registry log: %v", err)
+		}
 	}
 	return e, nil
 }
@@ -325,6 +345,9 @@ func (s *Server) Launch(tenant, name, mode string, seed int64) (*Instance, *Erro
 	id := s.nextID
 	s.mu.Unlock()
 	sh := s.shardFor(id)
+	if sh.failed.Load() {
+		return nil, shardFailed(sh)
+	}
 
 	if depth := len(sh.mbox); depth >= s.cfg.HighWater {
 		mShed.Inc()
@@ -363,7 +386,9 @@ func (s *Server) Launch(tenant, name, mode string, seed int64) (*Instance, *Erro
 		// restart does not resurrect the shed instance.  The KDone
 		// wait transitively covers the KAdmit (same log, lower LSN).
 		if tl != nil {
-			tl.append(wal.Record{Kind: wal.KDone, Seq: id, Note: "shed"})
+			if err := tl.append(wal.Record{Kind: wal.KDone, Seq: id, Note: "shed"}); err != nil {
+				s.failShard(sh, err)
+			}
 		}
 		s.mu.Lock()
 		delete(s.instances, id)
@@ -376,9 +401,13 @@ func (s *Server) Launch(tenant, name, mode string, seed int64) (*Instance, *Erro
 	// Reply after durable: the instance is already executing on its
 	// shard worker while this goroutine parks on the group commit
 	// covering its KAdmit — concurrent launches across all tenants on
-	// the shard share that one fsync round.
+	// the shard share that one fsync round.  A KAdmit that never
+	// becomes durable is never acknowledged.
 	if tl != nil {
-		tl.log.WaitDurable(admitLSN)
+		if err := tl.log.WaitDurable(admitLSN); err != nil {
+			s.failShard(sh, err)
+			return nil, shardFailed(sh)
+		}
 	}
 	mAdmitWaitUS.Observe(time.Since(admitStart).Microseconds())
 	return inst, nil
@@ -484,7 +513,13 @@ func (inst *Instance) finalize(entry *PlanEntry, out *arun.Outcome) {
 	inst.mu.Unlock()
 	mActive.Add(-1)
 
-	publish := func() {
+	publish := func(err error) {
+		if err != nil {
+			// The KDone is not durable: publishing the verdict would
+			// acknowledge a completion a restart does not know about.
+			inst.srv.failShard(inst.shard, err)
+			return
+		}
 		inst.srv.verdicts.push(*v)
 		mCompleted.Inc()
 		if entry != nil {
@@ -500,7 +535,7 @@ func (inst *Instance) finalize(entry *PlanEntry, out *arun.Outcome) {
 		}
 	}
 	if doneLog == nil {
-		publish()
+		publish(nil)
 	} else {
 		doneLog.log.Notify(doneLSN, publish)
 	}
@@ -543,6 +578,9 @@ func (s *Server) Announce(id uint64, event string, forced bool) (AnnounceResult,
 	}
 	if inst.Mode != ModeExternal {
 		return AnnounceResult{}, errf(409, "instance %d is %s, not external", id, inst.Mode)
+	}
+	if inst.shard.failed.Load() {
+		return AnnounceResult{}, shardFailed(inst.shard)
 	}
 	sym, err := algebra.ParseSymbol(event)
 	if err != nil {
@@ -599,7 +637,10 @@ func (s *Server) Announce(id uint64, event string, forced bool) (AnnounceResult,
 	// worker; only this caller parks until the KEvent's group commit
 	// lands, so the shard keeps absorbing other tenants' work.
 	if rep.tl != nil {
-		rep.tl.log.WaitDurable(rep.lsn)
+		if err := rep.tl.log.WaitDurable(rep.lsn); err != nil {
+			s.failShard(inst.shard, err)
+			return AnnounceResult{}, shardFailed(inst.shard)
+		}
 	}
 	return rep.res, rep.rerr
 }
@@ -625,6 +666,9 @@ func (s *Server) CloseInstance(id uint64) (*Verdict, *Error) {
 	inst.mu.Unlock()
 	if inst.Mode != ModeExternal {
 		return nil, errf(409, "instance %d is %s; it completes on its own", id, inst.Mode)
+	}
+	if inst.shard.failed.Load() {
+		return nil, shardFailed(inst.shard)
 	}
 
 	type reply struct {
@@ -668,7 +712,10 @@ func (s *Server) CloseInstance(id uint64) (*Verdict, *Error) {
 		doneLog, doneLSN := inst.doneLog, inst.doneLSN
 		inst.mu.Unlock()
 		if doneLog != nil {
-			doneLog.log.WaitDurable(doneLSN)
+			if err := doneLog.log.WaitDurable(doneLSN); err != nil {
+				s.failShard(inst.shard, err)
+				return nil, shardFailed(inst.shard)
+			}
 		}
 	}
 	return rep.v, rep.rerr

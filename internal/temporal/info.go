@@ -184,14 +184,36 @@ func (k *Knowledge) PermanentClone() *Knowledge {
 	return cp
 }
 
-// SizeHint presizes empty knowledge for n facts, so a holder that
-// knows its symbol universe pays for one map instead of rehashing as
-// the first announcements arrive.  It does nothing once a fact is
-// recorded.
-func (k *Knowledge) SizeHint(n int) {
-	if k.m == nil && n > 0 {
-		k.m = make(map[string]fact, n)
+// Reset forgets every fact and restarts the version count, keeping
+// the map's storage: a recycled holder starts from the same empty
+// knowledge a fresh one does, without re-growing the map.
+func (k *Knowledge) Reset() {
+	clear(k.m)
+	k.ver = 0
+}
+
+// Set records a symbol's status as given, bypassing the no-weaken
+// rules of the assimilation methods: it is how a holder that keeps
+// facts in another store (a compiled program's state) folds them into
+// this map.  Unknown removes the symbol; the time is kept only for an
+// occurrence.  The version moves only when the fact changes.
+func (k *Knowledge) Set(s algebra.Symbol, st Status, at int64) {
+	if st != StatusOccurred {
+		at = 0
 	}
+	key := s.Key()
+	if f := k.m[key]; f.status == st && f.time == at {
+		return
+	}
+	if st == StatusUnknown {
+		delete(k.m, key)
+	} else {
+		if k.m == nil {
+			k.m = make(map[string]fact)
+		}
+		k.m[key] = fact{status: st, time: at}
+	}
+	k.ver++
 }
 
 func (k *Knowledge) set(s algebra.Symbol, f fact) {

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,10 +137,11 @@ func (c *Committer) loop() {
 func (c *Committer) commit(batch []*Log) {
 	type pend struct {
 		l      *Log
-		f      *os.File
+		f      File
 		data   []byte
 		lsn    uint64
 		synced bool
+		err    error // the write's or fsync's failure; poisons the log
 	}
 	start := time.Now()
 	pends := make([]pend, 0, len(batch))
@@ -150,11 +150,8 @@ func (c *Committer) commit(batch []*Log) {
 		if !ok {
 			continue
 		}
-		wrote := false
-		if _, err := f.Write(data); err == nil {
-			wrote = true
-		}
-		pends = append(pends, pend{l: l, f: f, data: data, lsn: lsn, synced: wrote && !l.opts.NoSync})
+		_, err := f.Write(data)
+		pends = append(pends, pend{l: l, f: f, data: data, lsn: lsn, synced: err == nil && !l.opts.NoSync, err: err})
 	}
 	// Overlap the fsyncs: one goroutine per log up to commitParallel.
 	// On one spindle the kernel merges the flushes; on real arrays they
@@ -169,8 +166,8 @@ func (c *Committer) commit(batch []*Log) {
 	}
 	if nsync == 1 {
 		for i := range pends {
-			if pends[i].synced && pends[i].f.Sync() != nil {
-				pends[i].synced = false
+			if pends[i].synced {
+				pends[i].err = pends[i].f.Sync()
 			}
 		}
 	} else if nsync > 1 {
@@ -184,9 +181,7 @@ func (c *Committer) commit(batch []*Log) {
 			sem <- struct{}{}
 			go func(p *pend) {
 				defer wg.Done()
-				if p.f.Sync() != nil {
-					p.synced = false
-				}
+				p.err = p.f.Sync()
 				<-sem
 			}(&pends[i])
 		}
@@ -195,8 +190,10 @@ func (c *Committer) commit(batch []*Log) {
 	dt := time.Since(start)
 	for i := range pends {
 		p := &pends[i]
-		p.l.observeRate(int64(p.lsn-p.l.durable.Load()), dt)
-		p.l.finishCommit(p.data, p.lsn, p.synced)
+		if p.err == nil {
+			p.l.observeRate(int64(p.lsn-p.l.durable.Load()), dt)
+		}
+		p.l.finishCommit(p.data, p.lsn, p.synced, p.err)
 	}
 	if len(pends) > 0 {
 		c.rounds.Add(1)

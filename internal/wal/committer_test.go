@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -115,7 +116,11 @@ func TestNotify(t *testing.T) {
 	l := openT(t, t.TempDir())
 	lsn := l.Append(Record{Kind: KFire, Site: "a", Sym: "x", At: 1})
 	ch := make(chan uint64, 3)
-	l.Notify(lsn, func() { ch <- 1 })
+	l.Notify(lsn, func(err error) {
+		if err == nil {
+			ch <- 1
+		}
+	})
 	select {
 	case <-ch:
 	case <-time.After(2 * time.Second):
@@ -126,12 +131,16 @@ func TestNotify(t *testing.T) {
 	}
 	// Already durable: fires inline.
 	fired := false
-	l.Notify(lsn, func() { fired = true })
+	l.Notify(lsn, func(err error) { fired = err == nil })
 	if !fired {
 		t.Fatal("notify on durable LSN did not fire inline")
 	}
 	// Parked past the end of the log: Close must release it.
-	l.Notify(lsn+100, func() { ch <- 2 })
+	l.Notify(lsn+100, func(err error) {
+		if errors.Is(err, ErrClosed) {
+			ch <- 2
+		}
+	})
 	l.Close()
 	select {
 	case v := <-ch:

@@ -28,11 +28,20 @@
 // per-site serialized actor state; the log writes a snapshot file,
 // rotates to a fresh generation, and deletes the old one.  Recovery
 // restores the snapshot first and replays only the tail.
+//
+// The log fails closed.  The first failed write or fsync poisons it:
+// the durable LSN freezes where it stood, the file is never written or
+// synced again, waiters and parked notifications are released with the
+// error, and every later append is recorded nowhere — its LSN can
+// never become durable, so waiting on it reports the same error.  A
+// failed fsync leaves the page cache's state unknowable, so nothing
+// appended from there on may be acknowledged.
 package wal
 
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -163,6 +172,17 @@ func (r *Recovery) Empty() bool {
 // PairKey builds the OutCounts key for a (from, to) site pair.
 func PairKey(from, to string) string { return from + "\x00" + to }
 
+// File is what the commit path needs of a log file: write the pending
+// bytes, then make them durable.  *os.File implements it; WrapFile is
+// the seam that puts a fault-injecting wrapper in between.
+type File interface {
+	Write(p []byte) (int, error)
+	Sync() error
+}
+
+// ErrClosed reports that the log closed before an LSN became durable.
+var ErrClosed = errors.New("wal: log closed")
+
 // Log is one node's write-ahead log: group-committed appends with an
 // advancing durable LSN.
 type Log struct {
@@ -172,6 +192,8 @@ type Log struct {
 	mu         sync.Mutex
 	cond       *sync.Cond
 	f          *os.File
+	w          File  // the commit path's view of f (WrapFile)
+	err        error // the first commit failure; sticky (poisoned)
 	gen        uint64
 	buf        []byte // pending encoded records
 	spare      []byte // recycled flush buffer (capacity reuse)
@@ -194,7 +216,7 @@ type Log struct {
 // notifyEntry parks one callback until the durable LSN reaches lsn.
 type notifyEntry struct {
 	lsn uint64
-	fn  func()
+	fn  func(error)
 }
 
 // notifyHeap is a min-heap on lsn (hand-rolled: the hot path pushes
@@ -294,7 +316,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l.f = f
+	l.f, l.w = f, f
 	l.committer = opts.Committer
 	if l.committer == nil {
 		l.committer, l.private = NewCommitter(CommitterOptions{}), true
@@ -366,9 +388,17 @@ func (l *Log) Recovery() *Recovery { return l.rec }
 // WaitDurable with the returned LSN or park a Notify callback on it.
 // The encode path reuses the log's scratch and flush buffers, so a
 // steady-state append allocates nothing (gated by
-// TestWALAppendZeroAlloc in make benchsmoke).
+// TestWALAppendZeroAlloc in make benchsmoke).  On a poisoned log
+// Append fails: it records nothing and returns an LSN that will never
+// be durable, so WaitDurable and Notify on it report the poison (Err).
 func (l *Log) Append(r Record) uint64 {
 	l.mu.Lock()
+	if l.err != nil {
+		l.lastLSN++
+		lsn := l.lastLSN
+		l.mu.Unlock()
+		return lsn
+	}
 	if l.buf == nil && l.spare != nil {
 		l.buf, l.spare = l.spare, nil
 	}
@@ -400,42 +430,80 @@ func (l *Log) CommitRate() float64 {
 	return math.Float64frombits(l.rate.Load())
 }
 
-// WaitDurable blocks until the given LSN is durable (or the log is
-// closed, which flushes everything first).
-func (l *Log) WaitDurable(lsn uint64) {
+// Err returns the error that poisoned the log, or nil while it is
+// healthy.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
+}
+
+// WaitDurable blocks until the given LSN is durable and returns nil.
+// It returns the poison error instead when the log failed before the
+// LSN became durable, and ErrClosed when the log closed first (Close
+// flushes everything, so that only happens to a failing log).
+func (l *Log) WaitDurable(lsn uint64) error {
 	if l.durable.Load() >= lsn {
-		return
+		return nil
 	}
 	start := time.Now()
 	l.mu.Lock()
-	for l.durable.Load() < lsn && !l.closed {
+	for l.durable.Load() < lsn && !l.closed && l.err == nil {
 		l.cond.Wait()
 	}
+	err := l.pastDurable(lsn)
 	l.mu.Unlock()
 	mParkUS.Observe(time.Since(start).Microseconds())
+	return err
 }
 
-// Notify parks fn until the durable LSN reaches lsn, then runs it on
-// the commit goroutine (keep it short).  An already-durable LSN runs
-// fn inline before Notify returns.  Close fires every still-parked
-// callback after the final flush, so no callback is ever dropped.
-func (l *Log) Notify(lsn uint64, fn func()) {
+// pastDurable is the outcome of a wait on lsn that has ended: nil when
+// it is durable, else why it never will be.  Called with l.mu held.
+func (l *Log) pastDurable(lsn uint64) error {
+	switch {
+	case l.durable.Load() >= lsn:
+		return nil
+	case l.err != nil:
+		return l.err
+	default:
+		return ErrClosed
+	}
+}
+
+// Notify parks fn until the durable LSN reaches lsn, then runs it with
+// nil on the commit goroutine (keep it short).  An already-durable LSN
+// runs fn inline before Notify returns.  When the log fails first, fn
+// runs with the poison error instead — no callback fires as durable
+// past the failed LSN — and one parked when the log is already failed
+// or closed runs inline with the error.  No callback is ever dropped.
+func (l *Log) Notify(lsn uint64, fn func(error)) {
 	l.mu.Lock()
-	if l.durable.Load() >= lsn || l.closed {
+	if l.durable.Load() >= lsn || l.closed || l.err != nil {
+		err := l.pastDurable(lsn)
 		l.mu.Unlock()
-		fn()
+		fn(err)
 		return
 	}
 	l.notif.push(notifyEntry{lsn: lsn, fn: fn})
 	l.mu.Unlock()
 }
 
-// Sync flushes and (unless NoSync) fsyncs everything appended so far.
-func (l *Log) Sync() {
+// Sync flushes and (unless NoSync) fsyncs everything appended so far,
+// returning the poison error if the log failed first.
+func (l *Log) Sync() error {
 	l.mu.Lock()
 	lsn := l.lastLSN
 	l.mu.Unlock()
-	l.WaitDurable(lsn)
+	return l.WaitDurable(lsn)
+}
+
+// WrapFile puts wrap between the commit path and the current log
+// file, until Snapshot rotates to a new one: the seam fault injection
+// (a failing write, EIO on the Nth fsync) plugs into.
+func (l *Log) WrapFile(wrap func(File) File) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.w = wrap(l.f)
 }
 
 // OnDurable registers a callback invoked (from the commit goroutine)
@@ -446,29 +514,49 @@ func (l *Log) OnDurable(fn func()) { l.onDurable.Store(fn) }
 // log committing (Snapshot waits for the flush to land before rotating
 // the file) and hands back the file, the bytes, and the LSN the flush
 // will make durable.  Only the committer's loop calls it, one round at
-// a time, so flushes of one log never overlap.
-func (l *Log) takePending() (f *os.File, data []byte, lsn uint64, ok bool) {
+// a time, so flushes of one log never overlap.  A poisoned log has
+// nothing to take: its file is never written or synced again.
+func (l *Log) takePending() (f File, data []byte, lsn uint64, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.buf) == 0 {
+	if len(l.buf) == 0 || l.err != nil {
 		return nil, nil, 0, false
 	}
 	l.committing = true
 	data = l.buf
 	l.buf = nil
-	return l.f, data, l.lastLSN, true
+	return l.w, data, l.lastLSN, true
 }
 
-// finishCommit advances the durable LSN after a write (and fsync,
-// when synced), recycles the flush buffer, wakes parked waiters, and
-// fires the durability notifications the advance released.
-func (l *Log) finishCommit(data []byte, lsn uint64, synced bool) {
+// finishCommit ends one commit of data up to lsn.  On success it
+// advances the durable LSN, recycles the flush buffer, wakes parked
+// waiters and fires the notifications the advance released.  On
+// failure it poisons the log: the durable LSN stays, the pending tail
+// is dropped, and every waiter and parked notification is released
+// with the error.
+func (l *Log) finishCommit(data []byte, lsn uint64, synced bool, err error) {
 	prev := l.durable.Load()
-	var fns []func()
+	var fns []func(error)
 	l.mu.Lock()
 	l.committing = false
 	if l.spare == nil || cap(data) > cap(l.spare) {
 		l.spare = data[:0]
+	}
+	if err != nil {
+		l.err = fmt.Errorf("wal: commit of LSNs %d..%d: %w", prev+1, lsn, err)
+		err = l.err
+		l.buf = nil
+		for len(l.notif) > 0 {
+			fns = append(fns, l.notif.pop().fn)
+		}
+		lost := l.lastLSN - prev
+		l.cond.Broadcast()
+		l.mu.Unlock()
+		mPending.Add(-int64(lost))
+		for _, fn := range fns {
+			fn(err)
+		}
+		return
 	}
 	for {
 		cur := l.durable.Load()
@@ -491,7 +579,7 @@ func (l *Log) finishCommit(data []byte, lsn uint64, synced bool) {
 		mWidth.Observe(int64(lsn - prev))
 	}
 	for _, fn := range fns {
-		fn()
+		fn(nil)
 	}
 	if fn, ok := l.onDurable.Load().(func()); ok && fn != nil {
 		fn()
@@ -528,7 +616,9 @@ func (l *Log) observeRate(n int64, dt time.Duration) {
 // flight — so the discarded log prefix is fully captured by the
 // snapshot.
 func (l *Log) Snapshot(meta Meta, sites map[string][]byte) error {
-	l.Sync()
+	if err := l.Sync(); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.committing {
@@ -566,7 +656,7 @@ func (l *Log) Snapshot(meta Meta, sites map[string][]byte) error {
 		return err
 	}
 	old, oldGen := l.f, l.gen
-	l.f, l.gen = nf, next
+	l.f, l.w, l.gen = nf, nf, next
 	old.Close()
 	os.Remove(l.logPath(oldGen))
 	os.Remove(l.snapPath(oldGen))
@@ -575,7 +665,8 @@ func (l *Log) Snapshot(meta Meta, sites map[string][]byte) error {
 
 // Close flushes, fsyncs, and closes the log, then detaches it from its
 // committer (stopping a private one) and fires every still-parked
-// notification.
+// notification (with ErrClosed: the final flush made everything
+// durable unless the log failed, and a failure already released them).
 func (l *Log) Close() {
 	l.mu.Lock()
 	if l.closed {
@@ -584,10 +675,12 @@ func (l *Log) Close() {
 	}
 	lsn := l.lastLSN
 	l.mu.Unlock()
-	l.WaitDurable(lsn)
+	// A failure here has already poisoned the log and released every
+	// waiter and parked notification with the error.
+	_ = l.WaitDurable(lsn)
 	l.mu.Lock()
 	l.closed = true
-	var fns []func()
+	var fns []func(error)
 	for len(l.notif) > 0 {
 		fns = append(fns, l.notif.pop().fn)
 	}
@@ -601,7 +694,7 @@ func (l *Log) Close() {
 		c.Close()
 	}
 	for _, fn := range fns {
-		fn()
+		fn(ErrClosed)
 	}
 	if f != nil {
 		f.Close()
