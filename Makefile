@@ -13,10 +13,11 @@
 #   make fuzzsmoke   brief run of every fuzz target
 #   make bench       the P* cost benchmarks (informational)
 #   make benchdiff   compare the two newest BENCH_<pr>.json reports against the bounds
+#   make profile     CPU profile of one recycled dense12 instance, with its top 10
 
 GO ?= go
 
-.PHONY: ci build vet test race enginestress tracecheck crashcheck walcheck servecheck modelcheck bench benchsmoke benchdiff fuzzsmoke
+.PHONY: ci build vet test race enginestress tracecheck crashcheck walcheck servecheck modelcheck bench benchsmoke benchdiff fuzzsmoke profile
 
 ci: build vet test race enginestress tracecheck crashcheck walcheck servecheck modelcheck benchsmoke fuzzsmoke
 
@@ -140,3 +141,14 @@ benchdiff:
 	@set -- $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -2); \
 	test $$# -eq 2 || { echo "benchdiff: need two BENCH_*.json files" >&2; exit 1; }; \
 	$(GO) run ./benchmark -compare $$1,$$2
+
+# A reproducible CPU profile of the engine's steady state:
+# BenchmarkDense12Instance (one recycled dense12 instance per iteration
+# on the engine's simulator transport) for PROFILE_TIME, written to
+# dense12.cpu.prof next to the test binary that reads it, then its
+# top 10 by flat time.
+PROFILE_TIME ?= 5s
+
+profile:
+	$(GO) test -run=NONE -bench=BenchmarkDense12Instance -benchtime=$(PROFILE_TIME) -cpuprofile=dense12.cpu.prof -o dense12.test ./internal/engine
+	$(GO) tool pprof -top -nodecount=10 dense12.test dense12.cpu.prof

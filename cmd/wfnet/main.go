@@ -65,6 +65,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/spec"
+	"repro/internal/symtab"
 	"repro/internal/wal"
 )
 
@@ -357,6 +358,7 @@ func (c *cluster) Clock() int64                             { return c.node.Cloc
 func (c *cluster) Register(site simnet.SiteID, h func(n actor.Net, payload any)) {
 	c.node.Register(site, h)
 }
+func (c *cluster) UseSymbols(tab *symtab.Table) { c.node.UseSymbols(tab) }
 
 // Recovery and snapshots delegate to the coordinator's own node; the
 // workers recover their own WALs independently in runServe.

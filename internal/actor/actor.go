@@ -41,6 +41,7 @@ import (
 	"repro/internal/gprog"
 	"repro/internal/obs"
 	"repro/internal/simnet"
+	"repro/internal/symtab"
 	"repro/internal/temporal"
 )
 
@@ -68,15 +69,16 @@ type Net interface {
 // Actor manages one event (both polarities) at one site.
 type Actor struct {
 	base  algebra.Symbol
+	id    symtab.ID // base's id in the directory's table
+	tab   *symtab.Table
 	site  simnet.SiteID
 	dir   *Directory
 	hooks *Hooks
 
-	// know holds the facts outside the compiled program's universe —
-	// this actor's own pair and promise conditions — plus, folded in
-	// on demand, a copy of the program state's facts for the tree
-	// evaluator (see knowledge).  Without a program it holds every
-	// fact.
+	// know holds, folded in on demand, a copy of the program state's
+	// facts for the tree evaluator (see knowledge), plus the facts
+	// about symbols the program has no slot for — every fact, for an
+	// actor without a program.
 	know temporal.Knowledge
 	// pols holds the base polarity at index 0 and its complement at 1
 	// (the gprog.PolPos / gprog.PolNeg order).
@@ -86,17 +88,25 @@ type Actor struct {
 	ordered [2]*polarity
 
 	// prog, when attached, is the compiled bitset form of both guards
-	// and the only store of the facts in its symbol universe: it
+	// and the only store of the facts about the plan's symbols: it
 	// answers Decide/Eval without touching the formula trees.  Each
 	// polarity's residual guard stays authoritative for everything the
 	// fast path does not cover (rounds, waves, promise soundness).
-	prog *gprog.State
+	// It points at progState, which the actor embeds so a fresh build
+	// pays no allocation for the state itself.
+	prog      *gprog.State
+	progState gprog.State
 	// unfolded records that prog holds facts know has not been given
 	// yet; knowledge folds them in before the tree evaluator reads.
 	unfolded bool
 
 	roundSeq int
 	deferred []InquireMsg
+
+	// counts tallies the protocol steps since the owner last took them
+	// (TakeCounts): plain fields, because an actor runs on one
+	// goroutine at a time and its instance publishes the sum once.
+	counts Counts
 
 	// Log, when set, receives a line per significant action.
 	Log func(format string, args ...any)
@@ -109,7 +119,7 @@ type Actor struct {
 
 type polarity struct {
 	sym algebra.Symbol
-	key string // sym.Key(), fixed at construction
+	id  symtab.ID
 	// progPol is this polarity's index into the compiled guard
 	// program (gprog.PolPos / gprog.PolNeg).
 	progPol int
@@ -134,9 +144,9 @@ type polarity struct {
 	fireReady   bool
 	round       *round
 	holdsOnMe   map[string]bool
-	// promisesBy maps requester symbol key → the outstanding
-	// conditional promise this actor gave on this symbol.
-	promisesBy map[string]promiseInfo
+	// promisesBy maps requester symbol → the outstanding conditional
+	// promise this actor gave on this symbol.
+	promisesBy map[symtab.ID]promiseInfo
 	// promiseClaims maps target symbol key → the conditional promises
 	// this polarity has received.  Claims persist across rounds: they
 	// are consumed at fire (discharge) or at reject (lapse).
@@ -167,6 +177,7 @@ type round struct {
 
 type claim struct {
 	target algebra.Symbol
+	id     symtab.ID // target's
 	site   simnet.SiteID
 }
 
@@ -175,6 +186,7 @@ type claim struct {
 type promiseInfo struct {
 	requester algebra.Symbol
 	conds     []algebra.Symbol
+	condIDs   []symtab.ID // conds' ids, aligned
 }
 
 // promiseClaim is a promise this actor received.
@@ -197,10 +209,13 @@ type GuardSpec struct {
 
 // New creates an actor for the base event at the site, with the guard
 // specs for both polarities (⊤ when a polarity is unconstrained).  The
-// hooks may be nil.
+// event must be in the directory's table (Place puts it there), and so
+// must every symbol its protocol messages will name.  The hooks may be
+// nil.
 func New(base algebra.Symbol, site simnet.SiteID, dir *Directory, hooks *Hooks,
 	pos, neg GuardSpec) *Actor {
-	a := &Actor{base: base.Base(), site: site, dir: dir, hooks: hooks}
+	a := &Actor{base: base.Base(), site: site, dir: dir, tab: dir.tab, hooks: hooks}
+	a.id = a.tab.MustLookup(a.base)
 	a.Reset(pos, neg)
 	return a
 }
@@ -221,79 +236,92 @@ func (a *Actor) Reset(pos, neg GuardSpec) {
 	}
 	a.unfolded = false
 	a.roundSeq = 0
+	a.counts = Counts{}
 	clear(a.deferred)
 	a.deferred = a.deferred[:0]
-	comp := a.base.Complement()
+	comp := a.id.Complement()
 	a.pols = [2]polarity{
-		{sym: a.base, key: a.base.Key(), progPol: gprog.PolPos, guard: pos.Guard, localNeg: pos.LocalNeg},
-		{sym: comp, key: comp.Key(), progPol: gprog.PolNeg, guard: neg.Guard, localNeg: neg.LocalNeg},
+		{sym: a.base, id: a.id, progPol: gprog.PolPos, guard: pos.Guard, localNeg: pos.LocalNeg},
+		{sym: a.tab.Sym(comp), id: comp, progPol: gprog.PolNeg, guard: neg.Guard, localNeg: neg.LocalNeg},
 	}
 	a.ordered = [2]*polarity{&a.pols[0], &a.pols[1]}
-	if a.ordered[1].key < a.ordered[0].key {
+	if a.tab.Key(comp) < a.tab.Key(a.id) {
 		a.ordered[0], a.ordered[1] = a.ordered[1], a.ordered[0]
 	}
 }
 
 // AttachProgram switches the actor to compiled-guard mode: a per-actor
 // mutable State over the shared immutable program becomes the store of
-// every fact in the program's universe, and decide consults its bitset
-// verdict before falling back to the formula trees.  Attach before any
-// message flows; the program must be compiled from the same guard specs
-// New received.
+// every fact about a symbol of the program's table, and decide consults
+// its bitset verdict before falling back to the formula trees.  Attach
+// before any message flows; the program must be compiled from the same
+// guard specs New received, onto the directory's table.
 func (a *Actor) AttachProgram(p *gprog.Prog) {
 	if p == nil {
 		a.prog = nil
 		return
 	}
-	a.prog = p.NewState()
+	if p.Table() != a.tab {
+		panic(fmt.Sprintf("actor %s: program lowered onto another symbol table", a.base))
+	}
+	p.InitState(&a.progState)
+	a.prog = &a.progState
 }
 
 // The observe/hold/unhold/markImpossible wrappers are the only paths
 // that record facts during the protocol.  Each fact is written once:
-// into the program state when its symbol is in the program's universe,
-// into the knowledge map otherwise.
+// into the program state when the id has a slot there (every symbol of
+// the table the program was lowered onto), into the knowledge map
+// otherwise — an actor with no program, or a symbol added to the table
+// after the program was compiled.
 
-func (a *Actor) observe(s algebra.Symbol, t int64) {
-	if a.prog != nil && a.prog.Observe(s, t) {
+func (a *Actor) observe(id symtab.ID, t int64) {
+	if a.prog != nil && a.prog.ObserveID(id, t) {
 		a.unfolded = true
 		return
 	}
-	a.know.Observe(s, t)
+	a.know.Observe(a.tab.Sym(id), t)
 }
 
-func (a *Actor) markImpossible(s algebra.Symbol) {
-	if a.prog != nil && a.prog.MarkImpossible(s) {
+func (a *Actor) markImpossible(id symtab.ID) {
+	if a.prog != nil && a.prog.MarkImpossibleID(id) {
 		a.unfolded = true
 		return
 	}
-	a.know.MarkImpossible(s)
+	a.know.MarkImpossible(a.tab.Sym(id))
 }
 
-func (a *Actor) hold(s algebra.Symbol) {
-	if a.prog != nil && a.prog.Hold(s) {
+func (a *Actor) hold(id symtab.ID) {
+	if a.prog != nil && a.prog.HoldID(id) {
 		a.unfolded = true
 		return
 	}
-	a.know.Hold(s)
+	a.know.Hold(a.tab.Sym(id))
 }
 
-func (a *Actor) unhold(s algebra.Symbol) {
-	if a.prog != nil && a.prog.Unhold(s) {
+func (a *Actor) unhold(id symtab.ID) {
+	if a.prog != nil && a.prog.UnholdID(id) {
 		a.unfolded = true
 		return
 	}
-	a.know.Unhold(s)
+	a.know.Unhold(a.tab.Sym(id))
 }
 
 // status reads one symbol's fact from the store that holds it.
-func (a *Actor) status(s algebra.Symbol) temporal.Status {
+func (a *Actor) status(id symtab.ID) temporal.Status {
 	if a.prog != nil {
-		if st, ok := a.prog.Status(s); ok {
+		if st, ok := a.prog.StatusID(id); ok {
 			return st
 		}
 	}
-	return a.know.Status(s)
+	return a.know.Status(a.tab.Sym(id))
 }
+
+// idOf resolves a symbol a protocol message names to its id.  Only
+// attempts, announcements and decisions carry ids; inquiries, replies,
+// releases and the promise conditions they carry name their symbols,
+// and every one of them is in the plan's table.
+func (a *Actor) idOf(s algebra.Symbol) symtab.ID { return a.tab.MustLookup(s) }
 
 // knowledge is the tree path's one way to the actor's facts: the
 // knowledge map, with the program state's facts folded in first when
@@ -342,7 +370,7 @@ func (a *Actor) missingConds(p *polarity) []algebra.Symbol {
 			if _, claimed := p.promiseClaims[cond.Key()]; claimed {
 				continue
 			}
-			if a.status(cond) == temporal.StatusOccurred {
+			if a.status(a.idOf(cond)) == temporal.StatusOccurred {
 				continue
 			}
 			seen[cond.Key()] = cond
@@ -386,7 +414,7 @@ func (a *Actor) decideWave(p *polarity, g temporal.Formula) (map[string]bool, bo
 				if l.Kind() == temporal.LitEventually && len(l.Syms()) == 1 {
 					t := l.Syms()[0]
 					if _, have := p.promiseClaims[t.Key()]; have &&
-						a.status(t) != temporal.StatusImpossible {
+						a.status(a.idOf(t)) != temporal.StatusImpossible {
 						wave[t.Key()] = true
 						continue
 					}
@@ -419,12 +447,13 @@ func (a *Actor) closeWave(p *polarity, wave map[string]bool) bool {
 		for k := range wave {
 			for _, cond := range p.promiseClaims[k].conds {
 				ck := cond.Key()
-				if ck == p.sym.Key() || wave[ck] ||
-					a.status(cond) == temporal.StatusOccurred {
+				cid := a.idOf(cond)
+				if cid == p.id || wave[ck] ||
+					a.status(cid) == temporal.StatusOccurred {
 					continue
 				}
 				if _, have := p.promiseClaims[ck]; !have ||
-					a.status(cond) == temporal.StatusImpossible {
+					a.status(cid) == temporal.StatusImpossible {
 					return false
 				}
 				wave[ck] = true
@@ -457,12 +486,15 @@ func (a *Actor) waveConsistent(p *polarity, wave map[string]bool, negs []algebra
 // Base returns the actor's base event symbol.
 func (a *Actor) Base() algebra.Symbol { return a.base }
 
+// ID returns the base event's symbol id.
+func (a *Actor) ID() symtab.ID { return a.id }
+
 // Site returns the actor's site.
 func (a *Actor) Site() simnet.SiteID { return a.site }
 
 // GuardOf returns the current (possibly reduced) guard of a polarity.
 func (a *Actor) GuardOf(s algebra.Symbol) temporal.Formula {
-	if p := a.lookup(s); p != nil {
+	if p := a.lookupSym(s); p != nil {
 		return p.guard
 	}
 	return temporal.Formula{}
@@ -486,7 +518,7 @@ func (a *Actor) residualGuard(n Net, p *polarity) temporal.Formula {
 				a.Trace.Emit(obs.Record{
 					Lamport: n.Clock(),
 					Kind:    obs.KindResiduate,
-					Sym:     p.key,
+					Sym:     a.tab.Key(p.id),
 					Guard:   after,
 				})
 			}
@@ -501,7 +533,7 @@ func (a *Actor) residualGuard(n Net, p *polarity) temporal.Formula {
 
 // Occurred reports whether the polarity has occurred, with its index.
 func (a *Actor) Occurred(s algebra.Symbol) (int64, bool) {
-	p := a.lookup(s)
+	p := a.lookupSym(s)
 	if p == nil || !p.occurred {
 		return 0, false
 	}
@@ -510,13 +542,13 @@ func (a *Actor) Occurred(s algebra.Symbol) (int64, bool) {
 
 // Parked reports whether an attempt for the polarity is parked.
 func (a *Actor) Parked(s algebra.Symbol) bool {
-	p := a.lookup(s)
+	p := a.lookupSym(s)
 	return p != nil && p.attempted && !p.occurred && !p.rejected
 }
 
 // SetTriggerable marks a polarity as proactively triggerable by the
 // scheduler (task attribute, §2).
-func (a *Actor) SetTriggerable(s algebra.Symbol) { a.pol(s).triggerable = true }
+func (a *Actor) SetTriggerable(s algebra.Symbol) { a.polSym(s).triggerable = true }
 
 func (a *Actor) logf(format string, args ...any) {
 	if a.Log != nil {
@@ -524,25 +556,38 @@ func (a *Actor) logf(format string, args ...any) {
 	}
 }
 
-func (a *Actor) pol(s algebra.Symbol) *polarity {
-	p := a.lookup(s)
+func (a *Actor) pol(id symtab.ID) *polarity {
+	p := a.lookup(id)
 	if p == nil {
-		panic(fmt.Sprintf("actor %s: message about foreign symbol %s", a.base, s))
+		panic(fmt.Sprintf("actor %s: message about foreign symbol id %d", a.base, id))
 	}
 	return p
 }
 
-// lookup returns the polarity whose key is s's, or nil when s is not
-// one of this actor's two symbols.
-func (a *Actor) lookup(s algebra.Symbol) *polarity {
-	k := s.Key()
-	for i := range a.pols {
-		if a.pols[i].key == k {
-			return &a.pols[i]
-		}
+// polSym is pol for a symbol given by name.
+func (a *Actor) polSym(s algebra.Symbol) *polarity { return a.pol(a.idOf(s)) }
+
+// lookup returns the polarity the id names, or nil when it is not one
+// of this actor's two symbols.  pols is indexed by the id's bar bit.
+func (a *Actor) lookup(id symtab.ID) *polarity {
+	if !id.SameEvent(a.id) {
+		return nil
 	}
-	return nil
+	return &a.pols[id&1]
 }
+
+// lookupSym is lookup for a symbol given by name; nil when the table
+// does not hold it.
+func (a *Actor) lookupSym(s algebra.Symbol) *polarity {
+	id, ok := a.tab.Lookup(s)
+	if !ok {
+		return nil
+	}
+	return a.lookup(id)
+}
+
+// other returns the polarity opposite p.
+func (a *Actor) other(p *polarity) *polarity { return &a.pols[(p.id^1)&1] }
 
 // Handle implements simnet.Handler for messages addressed to this
 // actor.  Sites hosting several actors demultiplex before calling it.
@@ -571,11 +616,11 @@ func (a *Actor) Deliver(n Net, payload any) {
 }
 
 func (a *Actor) onAttempt(n Net, m AttemptMsg) {
-	p := a.pol(m.Sym)
+	p := a.pol(m.ID)
 	if a.Log != nil { // checked here: the varargs box is per-delivery
 		a.logf("attempt %s forced=%v", m.Sym, m.Forced)
 	}
-	mAttempts.Inc()
+	a.counts.Attempts++
 	if a.Trace.On() {
 		verdict := ""
 		if m.Forced {
@@ -584,7 +629,7 @@ func (a *Actor) onAttempt(n Net, m AttemptMsg) {
 		a.Trace.Emit(obs.Record{
 			Lamport: n.Clock(),
 			Kind:    obs.KindAttempt,
-			Sym:     m.Sym.Key(),
+			Sym:     a.tab.Key(m.ID),
 			Verdict: verdict,
 		})
 	}
@@ -605,7 +650,7 @@ func (a *Actor) onAttempt(n Net, m AttemptMsg) {
 	if first {
 		p.attemptTime = n.Now()
 	}
-	if a.status(p.sym) == temporal.StatusImpossible || a.pol(p.sym.Complement()).occurred {
+	if a.status(p.id) == temporal.StatusImpossible || a.other(p).occurred {
 		a.reject(n, p, "complement occurred")
 		return
 	}
@@ -615,7 +660,7 @@ func (a *Actor) onAttempt(n Net, m AttemptMsg) {
 		return
 	}
 	a.decide(n, p)
-	if first && !p.occurred && !p.rejected {
+	if first && !p.occurred && !p.rejected && len(p.pastInquirers) > 0 {
 		// The symbol is now attempted: past inquirers may be able to
 		// obtain the conditional promise they were missing.  Sorted so
 		// the send order — and with it the simulator's delivery
@@ -647,22 +692,22 @@ func (a *Actor) onNudge(n Net, _ NudgeMsg) {
 }
 
 func (a *Actor) onAnnounce(n Net, m AnnounceMsg) {
-	if m.Sym.SameEvent(a.base) {
+	if m.ID.SameEvent(a.id) {
 		return // our own occurrences are recorded at fire time
 	}
 	if a.Log != nil { // checked here: the varargs box is per-delivery
 		a.logf("announce %s@%d", m.Sym, m.At)
 	}
-	mAnnouncements.Inc()
+	a.counts.Announcements++
 	if a.Trace.On() {
 		a.Trace.Emit(obs.Record{
 			Lamport: n.Clock(),
 			Kind:    obs.KindAnnounce,
-			Sym:     m.Sym.Key(),
+			Sym:     a.tab.Key(m.ID),
 			At:      m.At,
 		})
 	}
-	a.observe(m.Sym, m.At)
+	a.observe(m.ID, m.At)
 	a.answerDeferred(n)
 	a.settlePromises(n)
 	for _, p := range a.sortedPols() {
@@ -681,9 +726,12 @@ func (a *Actor) onAnnounce(n Net, m AnnounceMsg) {
 // impossible condition lapses.
 func (a *Actor) settlePromises(n Net) {
 	for _, p := range a.sortedPols() {
+		if len(p.promisesBy) == 0 {
+			continue
+		}
 		for key, info := range p.promisesBy {
 			lapsed, due := false, true
-			for _, c := range info.conds {
+			for _, c := range info.condIDs {
 				switch a.status(c) {
 				case temporal.StatusImpossible:
 					lapsed = true
@@ -783,7 +831,7 @@ func (a *Actor) startRound(n Net, p *polarity, g temporal.Formula) {
 	kept := targets[:0]
 	seen := map[string]bool{}
 	for _, t := range targets {
-		if t.SameEvent(a.base) || seen[t.Key()] {
+		if a.idOf(t).SameEvent(a.id) || seen[t.Key()] {
 			continue
 		}
 		seen[t.Key()] = true
@@ -822,8 +870,8 @@ func (a *Actor) hypothesis(p *polarity) []algebra.Symbol {
 }
 
 func (a *Actor) onInquire(n Net, m InquireMsg) {
-	mInquiries.Inc()
-	p := a.pol(m.Target)
+	a.counts.Inquiries++
+	p := a.polSym(m.Target)
 	put(&p.pastInquirers, m.ReplyTo, true)
 	if p.occurred {
 		n.Send(a.site, m.ReplyTo, InquireReplyMsg{
@@ -832,7 +880,7 @@ func (a *Actor) onInquire(n Net, m InquireMsg) {
 		})
 		return
 	}
-	if a.status(m.Target) == temporal.StatusImpossible || a.pol(m.Target.Complement()).occurred {
+	if a.status(p.id) == temporal.StatusImpossible || a.other(p).occurred {
 		n.Send(a.site, m.ReplyTo, InquireReplyMsg{
 			Target: m.Target, Requester: m.Requester, Round: m.Round,
 			Impossible: true,
@@ -854,8 +902,9 @@ func (a *Actor) onInquire(n Net, m InquireMsg) {
 	promised := false
 	conds := hyp
 	afterReq := false
-	comp := a.pol(m.Target.Complement())
-	if existing, already := p.promisesBy[m.Requester.Key()]; already {
+	comp := a.other(p)
+	reqID := a.idOf(m.Requester)
+	if existing, already := p.promisesBy[reqID]; already {
 		// A promise to this requester is already outstanding; repeat
 		// it with its original conditions.
 		promised = true
@@ -867,7 +916,11 @@ func (a *Actor) onInquire(n Net, m InquireMsg) {
 			promised = true
 			conds = granted
 			afterReq = a.orderedAfter(p, m.Requester, conds)
-			put(&p.promisesBy, m.Requester.Key(), promiseInfo{requester: m.Requester, conds: conds})
+			condIDs := make([]symtab.ID, len(conds))
+			for i, c := range conds {
+				condIDs[i] = a.idOf(c)
+			}
+			put(&p.promisesBy, reqID, promiseInfo{requester: m.Requester, conds: conds, condIDs: condIDs})
 		}
 	}
 	a.logf("reply to %s about %s: held, promised=%v conds=%v afterReq=%v",
@@ -910,7 +963,7 @@ func (a *Actor) grantConds(p *polarity, hyp []algebra.Symbol) ([]algebra.Symbol,
 // sets must be mutually exclusive (some event appears with opposite
 // polarities), so at most one of the two commit waves can occur.
 // Promising both polarities is otherwise forbidden.
-func exclusiveWithAll(compPromises map[string]promiseInfo, requester algebra.Symbol,
+func exclusiveWithAll(compPromises map[symtab.ID]promiseInfo, requester algebra.Symbol,
 	conds []algebra.Symbol) bool {
 	mine := append(append([]algebra.Symbol(nil), conds...), requester)
 	for _, info := range compPromises {
@@ -1045,7 +1098,7 @@ func (a *Actor) minActiveRoundSym() (string, bool) {
 }
 
 func (a *Actor) onReply(n Net, m InquireReplyMsg) {
-	p := a.pol(m.Requester)
+	p := a.polSym(m.Requester)
 	site, siteErr := a.dir.SiteOf(m.Target)
 	if siteErr != nil {
 		panic(siteErr)
@@ -1075,15 +1128,16 @@ func (a *Actor) onReply(n Net, m InquireReplyMsg) {
 		return
 	}
 	delete(p.round.pending, m.Target.Key())
+	target := a.idOf(m.Target)
 	switch {
 	case m.Occurred:
-		a.observe(m.Target, m.At)
+		a.observe(target, m.At)
 	case m.Impossible:
-		a.markImpossible(m.Target)
+		a.markImpossible(target)
 	default:
 		if m.Held {
-			p.round.holds = append(p.round.holds, claim{target: m.Target, site: site})
-			a.hold(m.Target)
+			p.round.holds = append(p.round.holds, claim{target: m.Target, id: target, site: site})
+			a.hold(target)
 		}
 	}
 	if len(p.round.pending) == 0 {
@@ -1136,7 +1190,7 @@ func (a *Actor) endRound(n Net, p *polarity) {
 		n.Send(a.site, c.site, ReleaseMsg{
 			Target: c.target, Requester: p.sym, Round: p.round.id,
 		})
-		a.unhold(c.target)
+		a.unhold(c.id)
 	}
 	p.round = nil
 	a.answerDeferred(n)
@@ -1147,6 +1201,10 @@ func (a *Actor) endRound(n Net, p *polarity) {
 // (those events must now occur) and the rest lapse; on rejection,
 // everything lapses.
 func (a *Actor) settleClaims(n Net, p *polarity, fired bool) {
+	if len(p.promiseClaims) == 0 {
+		p.promiseClaims, p.wave = nil, nil
+		return
+	}
 	// Sorted claim order keeps the release sends — and the simulated
 	// delivery sequence they induce — replay-deterministic.
 	keys := make([]string, 0, len(p.promiseClaims))
@@ -1192,17 +1250,18 @@ func (a *Actor) releaseUnneededHolds(n Net, p *polarity, g temporal.Formula) {
 		n.Send(a.site, c.site, ReleaseMsg{
 			Target: c.target, Requester: p.sym, Round: p.round.id,
 		})
-		a.unhold(c.target)
+		a.unhold(c.id)
 	}
 	p.round.holds = kept
 }
 
 func (a *Actor) onRelease(n Net, m ReleaseMsg) {
-	p := a.pol(m.Target)
+	p := a.polSym(m.Target)
 	a.logf("release of %s by %s (promise=%v fired=%v)", m.Target, m.Requester, m.Promise, m.Fired)
 	if m.Promise {
-		_, promised := p.promisesBy[m.Requester.Key()]
-		delete(p.promisesBy, m.Requester.Key())
+		reqID := a.idOf(m.Requester)
+		_, promised := p.promisesBy[reqID]
+		delete(p.promisesBy, reqID)
 		if m.Fired && promised && !p.occurred && !p.rejected {
 			// The requester used our promise: the event is obligated.
 			if !p.attempted {
@@ -1229,7 +1288,7 @@ func (a *Actor) tryFire(n Net, p *polarity) {
 	if p.occurred || p.rejected {
 		return
 	}
-	comp := a.pol(p.sym.Complement())
+	comp := a.other(p)
 	if len(p.holdsOnMe) > 0 || len(comp.promisesBy) > 0 {
 		p.fireReady = true
 		a.logf("%s ready but blocked (holds=%d, complement promises=%d)",
@@ -1245,28 +1304,34 @@ func (a *Actor) fire(n Net, p *polarity) {
 	// frames until their log records — and transitively this fire
 	// record — are durable.
 	if j, ok := n.(Journal); ok {
-		j.JournalFire(a.site, p.sym.Key(), at)
+		j.JournalFire(a.site, a.tab.Key(p.id), at)
 	}
 	p.occurred = true
 	p.fireReady = false
 	p.at = at
-	a.observe(p.sym, at)
+	a.observe(p.id, at)
 	if a.Log != nil { // checked here: the varargs box is per-fire
 		a.logf("FIRE %s@%d", p.sym, at)
 	}
-	mFires.Inc()
+	a.counts.Fires++
 	if a.Trace.On() {
 		a.Trace.Emit(obs.Record{
 			Lamport: n.Clock(),
 			Kind:    obs.KindFire,
-			Sym:     p.sym.Key(),
+			Sym:     a.tab.Key(p.id),
 			At:      at,
 		})
 	}
-	a.hooks.fire(p.sym, at, n.Now())
+	ann := AnnounceMsg{Sym: p.sym, ID: p.id, At: at}
+	a.hooks.fire(ann, n.Now())
 
-	for _, site := range a.dir.SubscribersOf(p.sym) {
-		n.Send(a.site, site, AnnounceMsg{Sym: p.sym, At: at})
+	// One box serves every subscriber: payloads are immutable once
+	// sent.
+	if subs := a.dir.SubscribersOf(p.id); len(subs) > 0 {
+		var msg any = ann
+		for _, site := range subs {
+			n.Send(a.site, site, msg)
+		}
 	}
 	a.sendDecision(n, p, true, "")
 	a.endRound(n, p)
@@ -1275,7 +1340,7 @@ func (a *Actor) fire(n Net, p *polarity) {
 	// announcement itself.
 	p.promisesBy = nil
 
-	comp := a.pol(p.sym.Complement())
+	comp := a.other(p)
 	a.endRound(n, comp)
 	if comp.attempted && !comp.occurred {
 		a.reject(n, comp, "complement occurred")
@@ -1292,17 +1357,17 @@ func (a *Actor) reject(n Net, p *polarity, reason string) {
 	p.rejected = true
 	p.fireReady = false
 	if j, ok := n.(Journal); ok {
-		j.JournalReject(a.site, p.sym.Key(), reason)
+		j.JournalReject(a.site, a.tab.Key(p.id), reason)
 	}
 	a.endRound(n, p)
 	a.settleClaims(n, p, false)
 	a.logf("REJECT %s: %s", p.sym, reason)
-	mRejects.Inc()
+	a.counts.Rejects++
 	if a.Trace.On() {
 		a.Trace.Emit(obs.Record{
 			Lamport: n.Clock(),
 			Kind:    obs.KindReject,
-			Sym:     p.sym.Key(),
+			Sym:     a.tab.Key(p.id),
 			Verdict: reason,
 		})
 	}
@@ -1315,6 +1380,7 @@ func (a *Actor) reject(n Net, p *polarity, reason string) {
 func (a *Actor) sendDecision(n Net, p *polarity, accepted bool, reason string) {
 	d := DecisionMsg{
 		Sym:         p.sym,
+		ID:          p.id,
 		Accepted:    accepted,
 		At:          p.at,
 		AttemptedAt: p.attemptTime,

@@ -45,8 +45,8 @@ func newRig(t *testing.T, deps ...string) *rig {
 		actors: map[string]*Actor{},
 	}
 	hooks := &Hooks{
-		OnFire: func(s algebra.Symbol, at int64, _ simnet.Time) {
-			r.trace = append(r.trace, s)
+		OnFire: func(ann AnnounceMsg, _ simnet.Time) {
+			r.trace = append(r.trace, ann.Sym)
 		},
 		OnDecision: func(d DecisionMsg) { r.decisions = append(r.decisions, d) },
 	}
@@ -94,7 +94,7 @@ func (r *rig) attempt(t *testing.T, s algebra.Symbol, forced bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.net.Send(site, site, AttemptMsg{Sym: s, Forced: forced})
+	r.net.Send(site, site, AttemptMsg{Sym: s, ID: r.dir.Table().MustLookup(s), Forced: forced})
 }
 
 func (r *rig) run() { r.net.Run(100000) }
@@ -230,7 +230,7 @@ func TestHoldAgreement(t *testing.T) {
 		t.Fatalf("f must fire after release: %v", got)
 	}
 	a := r.actors["f"]
-	if len(a.pol(sym("f")).holdsOnMe) != 0 {
+	if len(a.polSym(sym("f")).holdsOnMe) != 0 {
 		t.Fatal("hold on f must be released")
 	}
 }
@@ -409,7 +409,7 @@ func TestDirectoryErrors(t *testing.T) {
 	}
 	d.Subscribe(sym("e"), "s2")
 	d.Subscribe(sym("e"), "s2") // idempotent
-	if got := d.SubscribersOf(sym("~e")); len(got) != 1 || got[0] != "s2" {
+	if got := d.SubscribersOf(d.Table().MustLookup(sym("~e"))); len(got) != 1 || got[0] != "s2" {
 		t.Fatalf("subscribers: %v", got)
 	}
 	if got := d.Events(); len(got) != 1 || got[0] != "e" {
@@ -424,7 +424,7 @@ func TestKnowledgeIsolation(t *testing.T) {
 	r.attempt(t, sym("g"), false)
 	r.run()
 	eActor := r.actors["e"]
-	if eActor.status(sym("g")) != temporal.StatusUnknown {
+	if eActor.status(eActor.idOf(sym("g"))) != temporal.StatusUnknown {
 		t.Fatal("e's actor must not hear about g")
 	}
 }

@@ -40,11 +40,11 @@ func announceActorMode(tb testing.TB, prog bool) (*Actor, AnnounceMsg) {
 	neg := GuardSpec{Guard: c.GuardOf(b.Complement())}
 	a := New(b, "sb", dir, &Hooks{}, pos, neg)
 	if prog {
-		a.AttachProgram(gprog.Compile(
+		a.AttachProgram(gprog.CompileOn(dir.Table(),
 			gprog.GuardInput{Guard: pos.Guard, LocalNeg: pos.LocalNeg},
 			gprog.GuardInput{Guard: neg.Guard, LocalNeg: neg.LocalNeg}))
 	}
-	return a, AnnounceMsg{Sym: sym("a"), At: 1}
+	return a, AnnounceMsg{Sym: sym("a"), ID: dir.Table().MustLookup(sym("a")), At: 1}
 }
 
 func announceActor(tb testing.TB) (*Actor, AnnounceMsg) {

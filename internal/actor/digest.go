@@ -81,9 +81,14 @@ func (a *Actor) StateDigest() string {
 		if len(p.wave) > 0 {
 			fmt.Fprintf(&b, " wave%v", sortedKeys(p.wave))
 		}
-		for _, k := range sortedMapKeys(p.promisesBy) {
-			pi := p.promisesBy[k]
-			fmt.Fprintf(&b, " gave(%s->%s", k, pi.requester.Key())
+		gave := make([]promiseInfo, 0, len(p.promisesBy))
+		for _, pi := range p.promisesBy {
+			gave = append(gave, pi)
+		}
+		sort.Slice(gave, func(i, j int) bool { return gave[i].requester.Key() < gave[j].requester.Key() })
+		for _, pi := range gave {
+			k := pi.requester.Key()
+			fmt.Fprintf(&b, " gave(%s->%s", k, k)
 			for _, c := range pi.conds {
 				fmt.Fprintf(&b, ",%s", c.Key())
 			}

@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/simnet"
+	"repro/internal/symtab"
 )
 
 func TestDirectoryPlaceAndSiteOf(t *testing.T) {
@@ -56,7 +56,7 @@ func TestDirectorySubscribe(t *testing.T) {
 	d.Subscribe(sym("~a"), "s2")
 	d.Subscribe(sym("~a"), "s1") // dup via complement
 
-	got := d.SubscribersOf(a)
+	got := d.SubscribersOf(d.Table().MustLookup(a))
 	want := []simnet.SiteID{"s1", "s2", "s3"}
 	if len(got) != len(want) {
 		t.Fatalf("SubscribersOf(a) = %v; want %v", got, want)
@@ -67,12 +67,12 @@ func TestDirectorySubscribe(t *testing.T) {
 		}
 	}
 	// Either polarity reads the same list.
-	if neg := d.SubscribersOf(sym("~a")); len(neg) != len(want) {
+	if neg := d.SubscribersOf(d.Table().MustLookup(sym("~a"))); len(neg) != len(want) {
 		t.Fatalf("SubscribersOf(~a) = %v; want %v", neg, want)
 	}
-	// Unknown events have no subscribers (and no error: announcements
-	// to nobody are legal).
-	if s := d.SubscribersOf(sym("ghost")); len(s) != 0 {
+	// Ids past the table have no subscribers (and no error:
+	// announcements to nobody are legal).
+	if s := d.SubscribersOf(symtab.ID(d.Table().Len())); len(s) != 0 {
 		t.Fatalf("SubscribersOf(ghost) = %v; want empty", s)
 	}
 }
@@ -101,19 +101,19 @@ func TestDirectoryEvents(t *testing.T) {
 // must be safe to fire — callers never guard the calls.
 func TestHooksNilSafety(t *testing.T) {
 	var h *Hooks
-	h.fire(sym("a"), 1, 2)
+	h.fire(AnnounceMsg{Sym: sym("a"), At: 1}, 2)
 	h.decision(DecisionMsg{})
 
 	h = &Hooks{}
-	h.fire(sym("a"), 1, 2)
+	h.fire(AnnounceMsg{Sym: sym("a"), At: 1}, 2)
 	h.decision(DecisionMsg{})
 
 	fired, decided := 0, 0
 	h = &Hooks{
-		OnFire:     func(algebra.Symbol, int64, simnet.Time) { fired++ },
+		OnFire:     func(AnnounceMsg, simnet.Time) { fired++ },
 		OnDecision: func(DecisionMsg) { decided++ },
 	}
-	h.fire(sym("a"), 1, 2)
+	h.fire(AnnounceMsg{Sym: sym("a"), At: 1}, 2)
 	h.decision(DecisionMsg{})
 	if fired != 1 || decided != 1 {
 		t.Fatalf("hooks not invoked: fired=%d decided=%d", fired, decided)

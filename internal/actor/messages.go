@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/simnet"
+	"repro/internal/symtab"
 )
 
 // AttemptMsg asks an event's actor to let the event occur.  Task
@@ -13,6 +14,9 @@ import (
 // closing a run out to a maximal trace.
 type AttemptMsg struct {
 	Sym algebra.Symbol
+	// ID is Sym's plan symbol id.  Every sender sets it; a payload
+	// decoded off the wire gets it from the plan's table.
+	ID symtab.ID
 	// Forced marks a non-rejectable event (like abort): the scheduler
 	// has no choice but to accept it, guard or no guard.
 	Forced bool
@@ -26,6 +30,7 @@ type AttemptMsg struct {
 // the event, and to the observer.
 type AnnounceMsg struct {
 	Sym algebra.Symbol
+	ID  symtab.ID // Sym's plan symbol id, as on AttemptMsg
 	At  int64
 }
 
@@ -106,6 +111,7 @@ type ReleaseMsg struct {
 // through it to the attempting agent).
 type DecisionMsg struct {
 	Sym      algebra.Symbol
+	ID       symtab.ID // Sym's plan symbol id, as on AttemptMsg
 	Accepted bool
 	// At is the occurrence index for accepted events.
 	At int64

@@ -5,13 +5,14 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/simnet"
+	"repro/internal/symtab"
 	"repro/internal/temporal"
 )
 
 func TestExclusiveWithAll(t *testing.T) {
 	a, b := sym("a"), sym("b")
-	existing := map[string]promiseInfo{
-		"r1": {requester: sym("r1"), conds: []algebra.Symbol{sym("r1"), sym("~x")}},
+	existing := map[symtab.ID]promiseInfo{
+		2: {requester: sym("r1"), conds: []algebra.Symbol{sym("r1"), sym("~x")}},
 	}
 	// Candidate containing x is exclusive with the existing promise
 	// (x vs ~x): allowed.
@@ -23,8 +24,8 @@ func TestExclusiveWithAll(t *testing.T) {
 		t.Error("compatible condition sets must be rejected")
 	}
 	// Requester polarity itself can provide the exclusivity.
-	existing2 := map[string]promiseInfo{
-		"q": {requester: sym("~a"), conds: []algebra.Symbol{sym("~a")}},
+	existing2 := map[symtab.ID]promiseInfo{
+		2: {requester: sym("~a"), conds: []algebra.Symbol{sym("~a")}},
 	}
 	if !exclusiveWithAll(existing2, a, []algebra.Symbol{a}) {
 		t.Error("complementary requesters are exclusive")
@@ -41,13 +42,14 @@ func promiseRig(base string, guardPos temporal.Formula) *Actor {
 	dir := NewDirectory()
 	b := sym(base)
 	dir.Place(b, "site")
+	internGuard(dir, guardPos)
 	return New(b, "site", dir, nil, GuardSpec{Guard: guardPos}, GuardSpec{Guard: temporal.TrueF()})
 }
 
 func TestGrantCondsDirect(t *testing.T) {
 	// Guard ◇r: sound with hyp {r} alone.
 	a := promiseRig("x", temporal.Lit(temporal.Eventually(sym("r"))))
-	p := a.pol(sym("x"))
+	p := a.polSym(sym("x"))
 	p.attempted = true
 	conds, ok := a.grantConds(p, []algebra.Symbol{sym("r")})
 	if !ok || len(conds) != 1 || !conds[0].Equal(sym("r")) {
@@ -59,7 +61,7 @@ func TestGrantCondsCounterCondition(t *testing.T) {
 	// Guard ◇z: the hypothesis {r} does not help; the grant must add z
 	// as a counter-condition.
 	a := promiseRig("x", temporal.Lit(temporal.Eventually(sym("z"))))
-	p := a.pol(sym("x"))
+	p := a.polSym(sym("x"))
 	p.attempted = true
 	conds, ok := a.grantConds(p, []algebra.Symbol{sym("r")})
 	if !ok {
@@ -80,7 +82,7 @@ func TestGrantCondsRefusesNegatives(t *testing.T) {
 	// Guard ¬r: hypothesizing the requester's occurrence falsifies it;
 	// no counter-condition can help.
 	a := promiseRig("x", temporal.Lit(temporal.NotYet(sym("r"))))
-	p := a.pol(sym("x"))
+	p := a.polSym(sym("x"))
 	p.attempted = true
 	if _, ok := a.grantConds(p, []algebra.Symbol{sym("r")}); ok {
 		t.Fatal("grant against ¬requester must fail")
@@ -90,13 +92,13 @@ func TestGrantCondsRefusesNegatives(t *testing.T) {
 func TestOrderedAfter(t *testing.T) {
 	// Guard □r: the event cannot fire before r really occurs.
 	a := promiseRig("x", temporal.Lit(temporal.Occurred(sym("r"))))
-	p := a.pol(sym("x"))
+	p := a.polSym(sym("x"))
 	if !a.orderedAfter(p, sym("r"), []algebra.Symbol{sym("r")}) {
 		t.Error("□r guard must be ordered after the requester")
 	}
 	// Guard ⊤: could fire any time.
 	b := promiseRig("y", temporal.TrueF())
-	q := b.pol(sym("y"))
+	q := b.polSym(sym("y"))
 	if b.orderedAfter(q, sym("r"), []algebra.Symbol{sym("r")}) {
 		t.Error("unconstrained event is not ordered after the requester")
 	}
@@ -106,7 +108,7 @@ func TestPromiseSoundRejectsOrderedHypotheses(t *testing.T) {
 	// Guard ◇(a·b): both a and b in the hypothesis share one
 	// timestamp, so the ordered sequence must not be assumed.
 	a := promiseRig("x", temporal.Lit(temporal.Eventually(sym("a"), sym("b"))))
-	p := a.pol(sym("x"))
+	p := a.polSym(sym("x"))
 	if a.promiseSound(p, []algebra.Symbol{sym("a"), sym("b")}) {
 		t.Fatal("multi-member ◇ sequences must not be satisfied by unordered hypotheses")
 	}
@@ -129,7 +131,7 @@ func TestPromiseLapseOnImpossibleRequester(t *testing.T) {
 
 	r.attempt(t, sym("a"), false)
 	r.run()
-	if len(bActor.pol(sym("b")).promisesBy) == 0 {
+	if len(bActor.polSym(sym("b")).promisesBy) == 0 {
 		t.Fatal("b must have promised a")
 	}
 	if len(r.trace) != 0 {
@@ -140,7 +142,7 @@ func TestPromiseLapseOnImpossibleRequester(t *testing.T) {
 	// b's promise lapses — b's complement is no longer blocked.
 	r.attempt(t, sym("~a"), false)
 	r.run()
-	if n := len(bActor.pol(sym("b")).promisesBy); n != 0 {
+	if n := len(bActor.polSym(sym("b")).promisesBy); n != 0 {
 		t.Fatalf("promise must lapse after ~a, still %d outstanding", n)
 	}
 	r.attempt(t, sym("~b"), false)
@@ -158,14 +160,14 @@ func TestDualPolarityPromises(t *testing.T) {
 	// r2 (◇~x, abort path): conditions r1 vs r2 are not complementary,
 	// so the second grant must be refused while the first stands.
 	a := promiseRig("x", temporal.TrueF())
-	a.pol(sym("~x")).guard = temporal.TrueF()
-	px := a.pol(sym("x"))
-	pnx := a.pol(sym("~x"))
+	a.polSym(sym("~x")).guard = temporal.TrueF()
+	px := a.polSym(sym("x"))
+	pnx := a.polSym(sym("~x"))
 	px.attempted = true
 	pnx.attempted = true
 
-	px.promisesBy = map[string]promiseInfo{}
-	px.promisesBy["r1"] = promiseInfo{requester: sym("r1"), conds: []algebra.Symbol{sym("r1")}}
+	px.promisesBy = map[symtab.ID]promiseInfo{}
+	px.promisesBy[2] = promiseInfo{requester: sym("r1"), conds: []algebra.Symbol{sym("r1")}}
 	if exclusiveWithAll(px.promisesBy, sym("r2"), []algebra.Symbol{sym("r2")}) {
 		t.Fatal("~x promise to r2 must be blocked by x's promise to r1")
 	}
@@ -189,8 +191,8 @@ func TestPromisePersistsAcrossRounds(t *testing.T) {
 	)
 	net := simnet.New(simnet.LatencyModel{Local: 1, Remote: 10}, 1)
 	var fired []string
-	hooks := &Hooks{OnFire: func(s algebra.Symbol, _ int64, _ simnet.Time) {
-		fired = append(fired, s.Key())
+	hooks := &Hooks{OnFire: func(ann AnnounceMsg, _ simnet.Time) {
+		fired = append(fired, ann.Sym.Key())
 	}}
 	eActor := New(sym("e"), "s-e", dir, hooks, GuardSpec{Guard: guard}, GuardSpec{Guard: temporal.TrueF()})
 	fActor := New(sym("f"), "s-f", dir, hooks, GuardSpec{Guard: temporal.TrueF()}, GuardSpec{Guard: temporal.TrueF()})
@@ -204,8 +206,8 @@ func TestPromisePersistsAcrossRounds(t *testing.T) {
 
 	// e attempts; g is attempted too so it can promise (its guard □e
 	// orders it after e).
-	net.Send("s-g", "s-g", AttemptMsg{Sym: sym("g")})
-	net.Send("s-e", "s-e", AttemptMsg{Sym: sym("e")})
+	net.Send("s-g", "s-g", AttemptMsg{Sym: sym("g"), ID: dir.Table().MustLookup(sym("g"))})
+	net.Send("s-e", "s-e", AttemptMsg{Sym: sym("e"), ID: dir.Table().MustLookup(sym("e"))})
 	net.Run(10000)
 	if len(fired) < 2 {
 		t.Fatalf("e and then g must fire, got %v", fired)
@@ -244,7 +246,7 @@ func TestAccessorsAndStrings(t *testing.T) {
 			t.Error("foreign symbol must panic")
 		}
 	}()
-	a.pol(sym("other"))
+	a.polSym(sym("other"))
 }
 
 func TestActorLogging(t *testing.T) {
@@ -275,5 +277,20 @@ func TestDeferredInquiryAnswered(t *testing.T) {
 	r.run()
 	if len(r.actors["a"].deferred)+len(r.actors["b"].deferred) != 0 {
 		t.Fatal("deferred inquiries must drain")
+	}
+}
+
+// internGuard adds every symbol the guards mention to the directory's
+// table, so a lone test actor can resolve the names its protocol
+// messages carry.
+func internGuard(dir *Directory, guards ...temporal.Formula) {
+	for _, g := range guards {
+		for _, prod := range g.Products() {
+			for _, l := range prod.Lits() {
+				for _, s := range l.Syms() {
+					dir.Table().Add(s)
+				}
+			}
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/simnet"
+	"repro/internal/symtab"
 	"repro/internal/temporal"
 )
 
@@ -128,28 +129,28 @@ func (a *Actor) Restore(st ActorState) error {
 		if f.Impossible {
 			continue
 		}
-		sym, err := algebra.ParseSymbol(f.Sym)
+		id, err := a.restoreID(f.Sym)
 		if err != nil {
-			return fmt.Errorf("actor %s@%s: %w", a.base, a.site, err)
+			return err
 		}
-		a.observe(sym, f.At)
+		a.observe(id, f.At)
 	}
 	for _, f := range st.Facts {
 		if !f.Impossible {
 			continue
 		}
-		sym, err := algebra.ParseSymbol(f.Sym)
+		id, err := a.restoreID(f.Sym)
 		if err != nil {
-			return fmt.Errorf("actor %s@%s: %w", a.base, a.site, err)
+			return err
 		}
-		a.markImpossible(sym)
+		a.markImpossible(id)
 	}
 	for _, ps := range st.Pols {
-		sym, err := algebra.ParseSymbol(ps.Sym)
+		id, err := a.restoreID(ps.Sym)
 		if err != nil {
-			return fmt.Errorf("actor %s@%s: %w", a.base, a.site, err)
+			return err
 		}
-		p := a.lookup(sym)
+		p := a.lookup(id)
 		if p == nil {
 			return fmt.Errorf("actor %s@%s: unknown polarity %s", a.base, a.site, ps.Sym)
 		}
@@ -165,4 +166,18 @@ func (a *Actor) Restore(st ActorState) error {
 		}
 	}
 	return nil
+}
+
+// restoreID resolves a snapshot's symbol text to its id in the plan's
+// table: the snapshot edge, where names turn back into ids.
+func (a *Actor) restoreID(key string) (symtab.ID, error) {
+	sym, err := algebra.ParseSymbol(key)
+	if err != nil {
+		return symtab.None, fmt.Errorf("actor %s@%s: %w", a.base, a.site, err)
+	}
+	id, ok := a.tab.Lookup(sym)
+	if !ok {
+		return symtab.None, fmt.Errorf("actor %s@%s: snapshot names %s, which is not in the plan", a.base, a.site, key)
+	}
+	return id, nil
 }

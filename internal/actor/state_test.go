@@ -46,7 +46,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	n := &recNet{}
 
 	a.Deliver(n, InquireMsg{Target: x, Requester: r, ReplyTo: "sr", Round: 1, Hyp: []algebra.Symbol{r}})
-	p := a.pol(x)
+	p := a.polSym(x)
 	if !p.pastInquirers["sr"] || len(p.holdsOnMe) != 1 || len(p.promisesBy) != 1 {
 		t.Fatalf("inquiry must record the inquirer, a hold and a promise: %s", a.StateDigest())
 	}
@@ -57,11 +57,11 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	// The hold is released, then r's announcement makes the promise due:
 	// x self-triggers and fires, which discharges the promise.
 	a.Deliver(n, ReleaseMsg{Target: x, Requester: r, Round: 1})
-	a.Deliver(n, AnnounceMsg{Sym: r, At: 1})
+	a.Deliver(n, AnnounceMsg{Sym: r, ID: a.idOf(r), At: 1})
 	if _, ok := a.Occurred(x); !ok {
 		t.Fatalf("x must fire once its promise is due: %s", a.StateDigest())
 	}
-	if p.promisesBy != nil || p.promiseClaims != nil || a.pol(nx).promiseClaims != nil {
+	if p.promisesBy != nil || p.promiseClaims != nil || a.polSym(nx).promiseClaims != nil {
 		t.Fatal("fire and settleClaims must reset the promise maps to nil")
 	}
 
@@ -90,11 +90,11 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	// answered from the occurrence, with no hold and no new promise.
 	for _, act := range []*Actor{a, b} {
 		act.Deliver(n, InquireReplyMsg{Target: sym("q"), Requester: nx, Promised: true, Conds: []algebra.Symbol{nx}})
-		if _, ok := act.pol(nx).promiseClaims["q"]; !ok {
+		if _, ok := act.polSym(nx).promiseClaims["q"]; !ok {
 			t.Fatalf("claim after reset not recorded: %s", act.StateDigest())
 		}
 		act.Deliver(n, InquireMsg{Target: x, Requester: sym("q"), ReplyTo: "sq", Round: 2})
-		px := act.pol(x)
+		px := act.polSym(x)
 		if !px.pastInquirers["sq"] || len(px.holdsOnMe) != 0 || px.promisesBy != nil {
 			t.Fatalf("inquiry after fire: %s", act.StateDigest())
 		}

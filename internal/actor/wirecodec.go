@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/simnet"
+	"repro/internal/symtab"
 )
 
 // Wire codec for the actor protocol: a compact, hand-rolled binary
@@ -23,6 +24,12 @@ import (
 // decoder is total: arbitrary input yields a message or an error,
 // never a panic or an oversized allocation (FuzzDecodePayload locks
 // this in).
+//
+// Symbols travel by name; ids are plan-scoped and never cross the
+// wire.  DecodePayloadOn is the edge where names turn back into ids:
+// it resolves the symbol of every attempt, announcement and decision
+// against the receiving plan's table once per payload, and a name the
+// plan does not hold is a decode error, never a wrong id.
 
 // WireVersion identifies the codec revision; bump on any layout change.
 const WireVersion = 1
@@ -111,9 +118,14 @@ func AppendPayload(dst []byte, payload any) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodePayload parses one encoded payload.
-func DecodePayload(data []byte) (any, error) {
-	r := &wireReader{buf: data}
+// DecodePayload parses one encoded payload, leaving symbol ids unset.
+func DecodePayload(data []byte) (any, error) { return DecodePayloadOn(nil, data) }
+
+// DecodePayloadOn parses one encoded payload and sets the symbol id of
+// an attempt, announcement or decision from the plan's table; a nil
+// table leaves ids unset.
+func DecodePayloadOn(tab *symtab.Table, data []byte) (any, error) {
+	r := &wireReader{buf: data, tab: tab}
 	version := r.byte()
 	if r.err == nil && version != WireVersion {
 		return nil, fmt.Errorf("actor: wire version %d, want %d", version, WireVersion)
@@ -122,9 +134,13 @@ func DecodePayload(data []byte) (any, error) {
 	var out any
 	switch kind {
 	case kindAttempt:
-		out = AttemptMsg{Sym: r.sym(), Forced: r.bool(), ReplyTo: simnet.SiteID(r.string())}
+		m := AttemptMsg{Sym: r.sym(), Forced: r.bool(), ReplyTo: simnet.SiteID(r.string())}
+		m.ID = r.id(m.Sym)
+		out = m
 	case kindAnnounce:
-		out = AnnounceMsg{Sym: r.sym(), At: r.varint()}
+		m := AnnounceMsg{Sym: r.sym(), At: r.varint()}
+		m.ID = r.id(m.Sym)
+		out = m
 	case kindInquire:
 		out = InquireMsg{Target: r.sym(), Requester: r.sym(),
 			ReplyTo: simnet.SiteID(r.string()), Round: int(r.varint()), Hyp: r.syms()}
@@ -138,9 +154,11 @@ func DecodePayload(data []byte) (any, error) {
 		out = ReleaseMsg{Target: r.sym(), Requester: r.sym(), Round: int(r.varint()),
 			Promise: r.bool(), Fired: r.bool()}
 	case kindDecision:
-		out = DecisionMsg{Sym: r.sym(), Accepted: r.bool(), At: r.varint(),
+		m := DecisionMsg{Sym: r.sym(), Accepted: r.bool(), At: r.varint(),
 			AttemptedAt: simnet.Time(r.varint()), DecidedAt: simnet.Time(r.varint()),
 			Reason: r.string()}
+		m.ID = r.id(m.Sym)
+		out = m
 	case kindInstanced:
 		inst := r.uvarint()
 		if r.err == nil && inst > 1<<32-1 {
@@ -152,7 +170,7 @@ func DecodePayload(data []byte) (any, error) {
 		// The nested payload is a complete encoding (version byte
 		// included).  The encoder refuses nested envelopes, so reject
 		// them here too — recursion depth stays at exactly two.
-		inner, err := DecodePayload(r.buf[r.pos:])
+		inner, err := DecodePayloadOn(tab, r.buf[r.pos:])
 		if err != nil {
 			return nil, err
 		}
@@ -249,6 +267,7 @@ type wireReader struct {
 	buf []byte
 	pos int
 	err error
+	tab *symtab.Table // resolves ids; nil leaves them unset
 }
 
 func (r *wireReader) fail(format string, args ...any) {
@@ -354,6 +373,18 @@ func (r *wireReader) sym() algebra.Symbol {
 		}
 	}
 	return s
+}
+
+// id resolves a decoded symbol against the reader's table.
+func (r *wireReader) id(s algebra.Symbol) symtab.ID {
+	if r.err != nil || r.tab == nil {
+		return symtab.None
+	}
+	id, ok := r.tab.Lookup(s)
+	if !ok {
+		r.fail("symbol %s is not in the plan", s)
+	}
+	return id
 }
 
 func (r *wireReader) syms() []algebra.Symbol {

@@ -2,9 +2,11 @@ package actor
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/symtab"
 )
 
 // samplePayloads covers every message type, polarity, parameters, and
@@ -125,5 +127,89 @@ func FuzzDecodePayload(f *testing.F) {
 		if !reflect.DeepEqual(msg, again) {
 			t.Fatalf("codec not canonical:\n first  %#v\n second %#v", msg, again)
 		}
+		// Against a plan's table, a payload decodes to an error or to
+		// ids that name exactly the decoded symbols.
+		tab := fuzzTable()
+		if resolved, err := DecodePayloadOn(tab, data); err == nil {
+			checkIDs(t, tab, resolved)
+		}
 	})
+}
+
+// fuzzTable is a plan table holding two of samplePayloads' three
+// events, so the corpus exercises both resolution and refusal.
+func fuzzTable() *symtab.Table {
+	tab := symtab.New()
+	tab.Add(algebra.Sym("e"))
+	tab.Add(algebra.Sym("f"))
+	return tab
+}
+
+// checkIDs fails unless every id-carrying message names its symbol's
+// id in tab.
+func checkIDs(t *testing.T, tab *symtab.Table, msg any) {
+	t.Helper()
+	var sym algebra.Symbol
+	var id symtab.ID
+	switch m := msg.(type) {
+	case AttemptMsg:
+		sym, id = m.Sym, m.ID
+	case AnnounceMsg:
+		sym, id = m.Sym, m.ID
+	case DecisionMsg:
+		sym, id = m.Sym, m.ID
+	case Instanced:
+		checkIDs(t, tab, m.Msg)
+		return
+	default:
+		return
+	}
+	if want, ok := tab.Lookup(sym); !ok || id != want {
+		t.Fatalf("%#v resolved to id %d, want the table's id for %s", msg, id, sym)
+	}
+}
+
+// TestDecodeResolvesIDs: decoding against a plan's table sets the id
+// of every attempt, announcement and decision, leaves the bytes'
+// round trip identical, and refuses a name the plan does not hold
+// instead of resolving it to a wrong id.
+func TestDecodeResolvesIDs(t *testing.T) {
+	tab := fuzzTable()
+	for _, payload := range samplePayloads() {
+		enc, err := AppendPayload(nil, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := DecodePayloadOn(tab, enc)
+		names := payload
+		if in, ok := payload.(Instanced); ok {
+			names = in.Msg
+		}
+		var sym algebra.Symbol
+		carries := true
+		switch m := names.(type) {
+		case AttemptMsg:
+			sym = m.Sym
+		case AnnounceMsg:
+			sym = m.Sym
+		case DecisionMsg:
+			sym = m.Sym
+		default:
+			carries = false
+		}
+		if _, known := tab.Lookup(sym); carries && !known {
+			if err == nil || !strings.Contains(err.Error(), "not in the plan") {
+				t.Errorf("%v: decoded against a table without %s: %v, %v; want a not-in-the-plan error", payload, sym, msg, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%v: %v", payload, err)
+		}
+		checkIDs(t, tab, msg)
+		again, err := AppendPayload(nil, msg)
+		if err != nil || string(again) != string(enc) {
+			t.Errorf("%v: resolved payload re-encodes to %x, want %x (%v)", payload, again, enc, err)
+		}
+	}
 }

@@ -24,6 +24,7 @@ package arun
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -35,6 +36,7 @@ import (
 	"repro/internal/quiesce"
 	"repro/internal/simnet"
 	"repro/internal/spec"
+	"repro/internal/symtab"
 )
 
 // DefaultDriver is the site the runner itself occupies: attempts
@@ -56,17 +58,23 @@ type Transport interface {
 	WaitIdle(timeout time.Duration) bool
 	IdleNow() bool
 	IdleWait() (idle <-chan struct{}, cancel func())
+	// UseSymbols hands the transport the plan's symbol table before any
+	// handler is registered.  A transport that decodes payloads from
+	// bytes resolves their symbol ids with it; one that carries
+	// payloads in memory has nothing to resolve and ignores it.
+	UseSymbols(tab *symtab.Table)
 	Close()
 }
 
-// Outcome is the comparable result of a run.
+// Outcome is the comparable result of a run: the run's names for
+// callers, built once when the run ends.
 type Outcome struct {
-	// Occurred maps occurred symbol keys (either polarity) to their
-	// occurrence indices.  Indices are transport-specific; the key set
-	// is not.
-	Occurred map[string]int64
-	// Trace lists the occurred keys in occurrence-index order.
+	// Trace lists the occurred keys (either polarity) in
+	// occurrence-index order.
 	Trace []string
+	// At holds each Trace entry's occurrence index.  Indices are
+	// transport-specific; the key set is not.
+	At []int64
 	// Satisfied reports whether the realized trace satisfies every
 	// dependency.
 	Satisfied bool
@@ -76,14 +84,20 @@ type Outcome struct {
 	Decisions, Announcements int
 }
 
+// Occurred maps the occurred keys to their occurrence indices.
+func (o *Outcome) Occurred() map[string]int64 {
+	m := make(map[string]int64, len(o.Trace))
+	for i, k := range o.Trace {
+		m[k] = o.At[i]
+	}
+	return m
+}
+
 // Fingerprint is a transport-independent summary: the occurred key
 // set, the unresolved set, and satisfaction.  Two runs of the same
 // spec agree on it iff they reached the same final state.
 func (o *Outcome) Fingerprint() string {
-	keys := make([]string, 0, len(o.Occurred))
-	for k := range o.Occurred {
-		keys = append(keys, k)
-	}
+	keys := slices.Clone(o.Trace)
 	sort.Strings(keys)
 	return fmt.Sprintf("occurred{%s} unresolved{%s} satisfied=%v",
 		strings.Join(keys, ","), strings.Join(o.Unresolved, ","), o.Satisfied)
@@ -98,29 +112,98 @@ type Runner struct {
 	pipelined bool
 	satCache  *SatCache
 
-	// hosts are this runner's installed site hosts, retained so
-	// StateDigest can walk every actor deterministically.
-	hosts map[simnet.SiteID]*siteHost
+	// set is this runner's installed instance: its site hosts, retained
+	// so StateDigest can walk every actor deterministically, and its
+	// actors in plan order.
+	set *instanceSet
 
-	mu  sync.Mutex
-	occ map[string]occRec
-	dec map[string]actor.DecisionMsg
-	// decGen counts decision arrivals per symbol key; pipelined
-	// attempts snapshot it before submitting and complete when it
-	// moves, which is what "per-attempt completion" means.
-	decGen  map[string]uint64
+	mu sync.Mutex
+	// obsState is what the driver observed, guarded by mu.
+	*obsState
 	decGate quiesce.Gate
-	anns    int
-	decs    int
 
 	// timer bounds each per-attempt wait (awaitAttempt); it is created
 	// on the first wait and re-armed for every later one.
 	timer *time.Timer
 }
 
+// obsState is the driver's view of one run, indexed by symbol id: the
+// occurrences, the decisions not yet consumed, and per-symbol decision
+// counts, plus the drive loop's per-run marks.  A Scratch recycles it
+// whole, so a run allocates none of it.
+type obsState struct {
+	occ []occRec
+	// fired lists the occurred ids in arrival order.  Its capacity is
+	// the plan's id count, so appends never move it.
+	fired []symtab.ID
+	dec   []decRec
+	// decGen counts decision arrivals per id; pipelined attempts
+	// snapshot it before submitting and complete when it moves, which
+	// is what "per-attempt completion" means.
+	decGen []uint64
+	anns   int
+	decs   int
+	// tried marks, per base, the closeout's attempts: triedComp and
+	// triedPos.
+	tried  []uint8
+	agents []agState
+}
+
+const (
+	triedComp uint8 = 1 << iota
+	triedPos
+)
+
 type occRec struct {
-	sym algebra.Symbol
-	at  int64
+	at int64
+	ok bool
+}
+
+type decRec struct {
+	accepted bool
+	at       int64
+	ok       bool
+}
+
+// reset empties the state for a plan of nids ids and nbases bases.
+func (o *obsState) reset(nids, nbases, nagents int) {
+	if len(o.occ) != nids {
+		o.occ = make([]occRec, nids)
+		o.dec = make([]decRec, nids)
+		o.decGen = make([]uint64, nids)
+		o.fired = make([]symtab.ID, 0, nids)
+	} else {
+		clear(o.occ)
+		clear(o.dec)
+		clear(o.decGen)
+		o.fired = o.fired[:0]
+	}
+	o.anns, o.decs = 0, 0
+	if cap(o.tried) < nbases {
+		o.tried = make([]uint8, nbases)
+	}
+	o.tried = o.tried[:nbases]
+	clear(o.tried)
+	if cap(o.agents) < nagents {
+		o.agents = make([]agState, 0, nagents)
+	}
+	o.agents = o.agents[:0]
+}
+
+// record notes an occurrence, keeping the first report of each id.
+func (o *obsState) record(id symtab.ID, at int64) {
+	o.anns++
+	if !o.occ[id].ok {
+		o.occ[id] = occRec{at: at, ok: true}
+		o.fired = append(o.fired, id)
+	}
+}
+
+// decided notes a decision.
+func (o *obsState) decided(d actor.DecisionMsg) {
+	o.decs++
+	o.dec[d.ID] = decRec{accepted: d.Accepted, at: d.At, ok: true}
+	o.decGen[d.ID]++
 }
 
 // Sites returns the sorted distinct actor sites of a spec: the
@@ -197,46 +280,46 @@ func guardSpecFor(c *core.Compiled, s algebra.Symbol) actor.GuardSpec {
 // sorted actor order so broadcast fan-out is deterministic across
 // transports.
 type siteHost struct {
-	site   simnet.SiteID
-	actors map[string]*actor.Actor
-	order  []string // sorted once all actors are added
+	site simnet.SiteID
+	tab  *symtab.Table
+	// byEvent indexes the instance's hosted actors by event (shared by
+	// the instance's hosts); order lists this site's actors sorted by
+	// key.
+	byEvent []*actor.Actor
+	order   []*actor.Actor
 	// handler is deliver as the transport registers it, bound once so
 	// a recycled host registers without allocating.
 	handler func(actor.Net, any)
 }
 
-func (h *siteHost) add(a *actor.Actor) {
-	key := a.Base().Key()
-	h.actors[key] = a
-	h.order = append(h.order, key)
-}
-
-func (h *siteHost) one(n actor.Net, s algebra.Symbol, p any) {
-	a, ok := h.actors[s.Base().Key()]
-	if !ok {
-		panic(fmt.Sprintf("arun: site %s has no actor for %s", h.site, s.Base()))
+// actor returns this site's actor for the id's event.
+func (h *siteHost) actor(id symtab.ID) *actor.Actor {
+	if ev := id.Event(); ev > 0 && ev < len(h.byEvent) {
+		if a := h.byEvent[ev]; a != nil && a.Site() == h.site {
+			return a
+		}
 	}
-	a.Deliver(n, p)
+	panic(fmt.Sprintf("arun: site %s has no actor for symbol id %d", h.site, id))
 }
 
 func (h *siteHost) deliver(n actor.Net, p any) {
 	switch msg := p.(type) {
 	case actor.AttemptMsg:
-		h.one(n, msg.Sym, p)
+		h.actor(msg.ID).Deliver(n, p)
 	case actor.AnnounceMsg:
-		for _, k := range h.order {
-			h.actors[k].Deliver(n, p)
+		for _, a := range h.order {
+			a.Deliver(n, p)
 		}
 	case actor.NudgeMsg:
-		for _, k := range h.order {
-			h.actors[k].Deliver(n, p)
+		for _, a := range h.order {
+			a.Deliver(n, p)
 		}
 	case actor.InquireMsg:
-		h.one(n, msg.Target, p)
+		h.actor(h.tab.MustLookup(msg.Target)).Deliver(n, p)
 	case actor.InquireReplyMsg:
-		h.one(n, msg.Requester, p)
+		h.actor(h.tab.MustLookup(msg.Requester)).Deliver(n, p)
 	case actor.ReleaseMsg:
-		h.one(n, msg.Target, p)
+		h.actor(h.tab.MustLookup(msg.Target)).Deliver(n, p)
 	default:
 		panic(fmt.Sprintf("arun: site %s: unexpected payload %T", h.site, p))
 	}
@@ -250,14 +333,9 @@ func (r *Runner) onDriverMsg(_ actor.Net, p any) {
 	r.mu.Lock()
 	switch m := p.(type) {
 	case actor.AnnounceMsg:
-		r.anns++
-		if _, seen := r.occ[m.Sym.Key()]; !seen {
-			r.occ[m.Sym.Key()] = occRec{sym: m.Sym, at: m.At}
-		}
+		r.record(m.ID, m.At)
 	case actor.DecisionMsg:
-		r.decs++
-		r.dec[m.Sym.Key()] = m
-		r.decGen[m.Sym.Key()]++
+		r.decided(m)
 		pulse = true
 	}
 	// Anything else addressed to the driver is protocol chatter the
@@ -271,108 +349,102 @@ func (r *Runner) onDriverMsg(_ actor.Net, p any) {
 // hookFire observes an occurrence through the actor hook — the
 // observation mode plans built without Observe use, sparing the
 // driver-bound announcement traffic entirely.
-func (r *Runner) hookFire(sym algebra.Symbol, at int64, _ simnet.Time) {
+func (r *Runner) hookFire(ann actor.AnnounceMsg, _ simnet.Time) {
 	r.mu.Lock()
-	r.anns++
-	if _, seen := r.occ[sym.Key()]; !seen {
-		r.occ[sym.Key()] = occRec{sym: sym, at: at}
-	}
+	r.record(ann.ID, ann.At)
 	r.mu.Unlock()
 }
 
 // hookDecision observes a decision through the actor hook.
 func (r *Runner) hookDecision(d actor.DecisionMsg) {
-	key := d.Sym.Key()
 	r.mu.Lock()
-	r.decs++
-	r.dec[key] = d
-	r.decGen[key]++
+	r.decided(d)
 	r.mu.Unlock()
 	r.decGate.Pulse()
 }
 
-func (r *Runner) takeDecision(key string) (actor.DecisionMsg, bool) {
+// takeDecision consumes the arrived decision for id, if any, and
+// reports whether it accepted.
+func (r *Runner) takeDecision(id symtab.ID) (accepted, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	d, ok := r.dec[key]
-	if ok {
-		delete(r.dec, key)
-	}
-	return d, ok
+	d := r.dec[id]
+	r.dec[id] = decRec{}
+	return d.accepted, d.ok
 }
 
-func (r *Runner) resolved(b algebra.Symbol) bool {
+// resolved reports whether either polarity of the base id occurred.
+func (r *Runner) resolved(base symtab.ID) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_, pos := r.occ[b.Base().Key()]
-	_, neg := r.occ[b.Base().Complement().Key()]
-	return pos || neg
+	return r.occ[base].ok || r.occ[base^1].ok
+}
+
+// publishCounts adds the hosted actors' protocol tallies since the
+// last publication to the process-wide actor.* counters: once per
+// drive, after its closing quiescence, so no delivery is running on
+// the actors it reads.
+func (r *Runner) publishCounts() {
+	var c actor.Counts
+	for _, a := range r.set.actors {
+		if a != nil {
+			c.Add(a.TakeCounts())
+		}
+	}
+	c.Publish()
 }
 
 // StateDigest serializes the run's complete deterministic state: every
 // hosted actor's digest (in sorted site and actor order) plus the
-// driver's observation maps.  The model checker's interleaving
+// driver's observations.  The model checker's interleaving
 // exploration (internal/mc) combines it with the transport's queued
 // messages to prune delivery-order branches that reconverge.  The
 // announcement/decision tallies are deliberately excluded — they are
 // reporting counters no future step reads.
 func (r *Runner) StateDigest() string {
 	var b strings.Builder
-	sites := make([]simnet.SiteID, 0, len(r.hosts))
-	for site := range r.hosts {
-		sites = append(sites, site)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	for _, site := range sites {
-		h := r.hosts[site]
-		for _, key := range h.order {
-			b.WriteString(h.actors[key].StateDigest())
+	for _, site := range r.set.sites {
+		for _, a := range r.set.hosts[site].order {
+			b.WriteString(a.StateDigest())
 			b.WriteString("\n")
 		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	occKeys := make([]string, 0, len(r.occ))
-	for k := range r.occ {
-		occKeys = append(occKeys, k)
-	}
-	sort.Strings(occKeys)
-	for _, k := range occKeys {
-		fmt.Fprintf(&b, "occ:%s@%d;", k, r.occ[k].at)
-	}
-	decKeys := make([]string, 0, len(r.dec))
-	for k := range r.dec {
-		decKeys = append(decKeys, k)
-	}
-	sort.Strings(decKeys)
-	for _, k := range decKeys {
-		d := r.dec[k]
-		fmt.Fprintf(&b, "dec:%s=%v@%d;", k, d.Accepted, d.At)
-	}
-	genKeys := make([]string, 0, len(r.decGen))
-	for k := range r.decGen {
-		if r.decGen[k] != 0 {
-			genKeys = append(genKeys, k)
+	tab := r.plan.tab
+	byKey := func(pick func(symtab.ID) bool) []symtab.ID {
+		var ids []symtab.ID
+		for id := symtab.ID(2); int(id) < tab.Len(); id++ {
+			if pick(id) {
+				ids = append(ids, id)
+			}
 		}
+		sort.Slice(ids, func(i, j int) bool { return tab.Key(ids[i]) < tab.Key(ids[j]) })
+		return ids
 	}
-	sort.Strings(genKeys)
-	for _, k := range genKeys {
-		fmt.Fprintf(&b, "gen:%s=%d;", k, r.decGen[k])
+	for _, id := range byKey(func(id symtab.ID) bool { return r.occ[id].ok }) {
+		fmt.Fprintf(&b, "occ:%s@%d;", tab.Key(id), r.occ[id].at)
+	}
+	for _, id := range byKey(func(id symtab.ID) bool { return r.dec[id].ok }) {
+		fmt.Fprintf(&b, "dec:%s=%v@%d;", tab.Key(id), r.dec[id].accepted, r.dec[id].at)
+	}
+	for _, id := range byKey(func(id symtab.ID) bool { return r.decGen[id] != 0 }) {
+		fmt.Fprintf(&b, "gen:%s=%d;", tab.Key(id), r.decGen[id])
 	}
 	return b.String()
 }
 
 // submit sends one attempt from the driver.
-func (r *Runner) submit(sym algebra.Symbol, forced bool) error {
-	site, err := r.plan.siteFor(sym)
-	if err != nil {
-		return err
+func (r *Runner) submit(id symtab.ID, forced bool) error {
+	site := r.plan.dir.Site(id)
+	if site == "" {
+		return fmt.Errorf("arun: no actor placed for event %s", r.plan.tab.Sym(id.Base()))
 	}
-	var replyTo simnet.SiteID
-	if r.plan.observe {
-		replyTo = r.driver
+	f := 0
+	if forced {
+		f = 1
 	}
-	r.tr.Send(r.driver, site, actor.AttemptMsg{Sym: sym, Forced: forced, ReplyTo: replyTo})
+	r.tr.Send(r.driver, site, r.plan.attempts[f][id])
 	return nil
 }
 
@@ -381,34 +453,33 @@ func (r *Runner) submit(sym algebra.Symbol, forced bool) error {
 // In pipelined mode it only waits for this attempt's own decision
 // (or for the transport to park), which is what lets many attempts —
 // and, in internal/engine, many instances — overlap.
-func (r *Runner) attempt(sym algebra.Symbol, forced bool) error {
+func (r *Runner) attempt(id symtab.ID, forced bool) error {
 	if !r.pipelined {
-		if err := r.submit(sym, forced); err != nil {
+		if err := r.submit(id, forced); err != nil {
 			return err
 		}
 		if !r.tr.WaitIdle(r.timeout) {
-			return fmt.Errorf("arun: transport did not quiesce after attempting %s", sym)
+			return fmt.Errorf("arun: transport did not quiesce after attempting %s", r.plan.tab.Key(id))
 		}
 		return nil
 	}
-	key := sym.Key()
 	r.mu.Lock()
-	start := r.decGen[key]
+	start := r.decGen[id]
 	r.mu.Unlock()
-	if err := r.submit(sym, forced); err != nil {
+	if err := r.submit(id, forced); err != nil {
 		return err
 	}
-	return r.awaitAttempt(sym, key, start)
+	return r.awaitAttempt(id, start)
 }
 
 // awaitAttempt blocks until the attempt's decision count moves past
 // the pre-send snapshot, the transport parks with the attempt still
 // undecided (held behind an inquiry — the drive loop moves on and a
 // later decision folds in), or the deadline passes.
-func (r *Runner) awaitAttempt(sym algebra.Symbol, key string, start uint64) error {
+func (r *Runner) awaitAttempt(id symtab.ID, start uint64) error {
 	moved := func() bool {
 		r.mu.Lock()
-		m := r.decGen[key] != start
+		m := r.decGen[id] != start
 		r.mu.Unlock()
 		return m
 	}
@@ -431,7 +502,7 @@ func (r *Runner) awaitAttempt(sym algebra.Symbol, key string, start uint64) erro
 		case <-idle:
 		case <-timeout:
 			cancel()
-			return fmt.Errorf("arun: no decision for %s before timeout", sym)
+			return fmt.Errorf("arun: no decision for %s before timeout", r.plan.tab.Key(id))
 		}
 		cancel()
 	}
@@ -461,45 +532,47 @@ func (r *Runner) stopTimer() {
 	}
 }
 
-// agState is one agent script mid-drive.
+// agState is one agent script mid-drive.  Its queue is a view of the
+// plan's lowered steps, which the drive only ever reslices.
 type agState struct {
-	id      string
-	queue   []spec.Step
-	waiting string // outstanding attempt's symbol key, "" if none
+	queue   []step
+	waiting symtab.ID // outstanding attempt's id, None if none
 	clock   simnet.Time
 }
 
 // Run drives the agents to completion (or stall), closes the run out
 // to a maximal trace, and returns the outcome.
-func (r *Runner) Run() (*Outcome, error) { return r.drive(r.plan.sp.Agents) }
+func (r *Runner) Run() (*Outcome, error) { return r.drive(r.plan.scripts) }
 
 // drive is the one drive loop: it runs the scripts (none, for an
 // externally-fed run), closes the run out, settles the transport and
 // reads the outcome.
-func (r *Runner) drive(scripts []*spec.AgentScript) (*Outcome, error) {
-	agents := make([]*agState, 0, len(scripts))
+func (r *Runner) drive(scripts []script) (*Outcome, error) {
+	agents := r.agents[:0]
 	budget := 64
-	for _, ag := range scripts {
-		agents = append(agents, &agState{id: ag.ID, queue: append([]spec.Step(nil), ag.Steps...)})
-		budget += 8 * len(ag.Steps)
+	for _, sc := range scripts {
+		agents = append(agents, agState{queue: sc.steps})
+		budget += 8 * len(sc.steps)
 	}
+	r.agents = agents
 
 	// fold consumes arrived decisions for outstanding attempts.
 	fold := func() bool {
 		changed := false
-		for _, ag := range agents {
-			if ag.waiting == "" {
+		for i := range agents {
+			ag := &agents[i]
+			if ag.waiting == symtab.None {
 				continue
 			}
-			d, ok := r.takeDecision(ag.waiting)
+			accepted, ok := r.takeDecision(ag.waiting)
 			if !ok {
 				continue
 			}
-			ag.waiting = ""
-			if d.Accepted {
+			ag.waiting = symtab.None
+			if accepted {
 				ag.queue = ag.queue[1:]
 			} else {
-				ag.queue = append([]spec.Step(nil), ag.queue[0].OnReject...)
+				ag.queue = ag.queue[0].onReject
 			}
 			changed = true
 		}
@@ -510,11 +583,12 @@ func (r *Runner) drive(scripts []*spec.AgentScript) (*Outcome, error) {
 	pick := func() *agState {
 		var best *agState
 		var bestAt simnet.Time
-		for _, ag := range agents {
-			if ag.waiting != "" || len(ag.queue) == 0 {
+		for i := range agents {
+			ag := &agents[i]
+			if ag.waiting != symtab.None || len(ag.queue) == 0 {
 				continue
 			}
-			at := ag.clock + ag.queue[0].Think
+			at := ag.clock + ag.queue[0].think
 			if best == nil || at < bestAt {
 				best, bestAt = ag, at
 			}
@@ -537,10 +611,10 @@ func (r *Runner) drive(scripts []*spec.AgentScript) (*Outcome, error) {
 			if budget--; budget < 0 {
 				return progress, fmt.Errorf("arun: agent drive did not converge")
 			}
-			step := ag.queue[0]
-			ag.clock += step.Think
-			ag.waiting = step.Sym.Key()
-			if err := r.attempt(step.Sym, step.Forced); err != nil {
+			st := &ag.queue[0]
+			ag.clock += st.think
+			ag.waiting = st.id
+			if err := r.attempt(st.id, st.forced); err != nil {
 				return progress, err
 			}
 			progress = true
@@ -551,8 +625,9 @@ func (r *Runner) drive(scripts []*spec.AgentScript) (*Outcome, error) {
 	// complements of unresolved events first ("this will never occur"),
 	// then — where the complement is refused, i.e. the event is
 	// obligated — the events themselves.  Mirrors sched.runCloseout.
+	bases := r.plan.baseIDs
 	allResolved := func() bool {
-		for _, b := range r.plan.bases {
+		for _, b := range bases {
 			if !r.resolved(b) {
 				return false
 			}
@@ -560,33 +635,32 @@ func (r *Runner) drive(scripts []*spec.AgentScript) (*Outcome, error) {
 		return true
 	}
 	agentsDone := func() bool {
-		for _, ag := range agents {
-			if ag.waiting != "" || len(ag.queue) > 0 {
+		for i := range agents {
+			if agents[i].waiting != symtab.None || len(agents[i].queue) > 0 {
 				return false
 			}
 		}
 		return true
 	}
-	triedComp := map[string]bool{}
-	triedPos := map[string]bool{}
-	for pass := 0; pass < 2*len(r.plan.bases)+4; pass++ {
+	tried := r.tried
+	for pass := 0; pass < 2*len(bases)+4; pass++ {
 		progress, err := driveAgents()
 		if err != nil {
 			return nil, err
 		}
-		for _, b := range r.plan.bases {
+		for i, b := range bases {
 			if r.resolved(b) {
 				continue
 			}
 			switch {
-			case !triedComp[b.Key()]:
-				triedComp[b.Key()] = true
+			case tried[i]&triedComp == 0:
+				tried[i] |= triedComp
 				if err := r.attempt(b.Complement(), false); err != nil {
 					return nil, err
 				}
 				progress = true
-			case !triedPos[b.Key()]:
-				triedPos[b.Key()] = true
+			case tried[i]&triedPos == 0:
+				tried[i] |= triedPos
 				if err := r.attempt(b, false); err != nil {
 					return nil, err
 				}
@@ -617,40 +691,42 @@ func (r *Runner) drive(scripts []*spec.AgentScript) (*Outcome, error) {
 	if !r.tr.WaitIdle(r.timeout) {
 		return nil, fmt.Errorf("arun: transport did not quiesce at end of run")
 	}
+	r.publishCounts()
 	return r.outcome(), nil
 }
 
-// outcome snapshots the driver's observations.
+// outcome snapshots the driver's observations.  The fires arrive in
+// occurrence-index order on the simulator and almost so on a mesh
+// (hooks of concurrent sites may report out of order), so one
+// insertion pass places the trace.
 func (r *Runner) outcome() *Outcome {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	recs := make([]occRec, 0, len(r.occ))
-	for _, rec := range r.occ {
-		recs = append(recs, rec)
+	fired := r.fired
+	for i := 1; i < len(fired); i++ {
+		for j := i; j > 0 && r.occ[fired[j]].at < r.occ[fired[j-1]].at; j-- {
+			fired[j], fired[j-1] = fired[j-1], fired[j]
+		}
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].at < recs[j].at })
+	tab := r.plan.tab
 	out := &Outcome{
-		Occurred:      make(map[string]int64, len(recs)),
-		Trace:         make([]string, 0, len(recs)),
+		Trace:         make([]string, len(fired)),
+		At:            make([]int64, len(fired)),
 		Decisions:     r.decs,
 		Announcements: r.anns,
 	}
-	trace := make(algebra.Trace, 0, len(recs))
-	for _, rec := range recs {
-		out.Occurred[rec.sym.Key()] = rec.at
-		out.Trace = append(out.Trace, rec.sym.Key())
-		trace = append(trace, rec.sym)
+	for i, id := range fired {
+		out.Trace[i] = tab.Key(id)
+		out.At[i] = r.occ[id].at
 	}
 	if r.satCache != nil {
-		out.Satisfied = r.satCache.satisfied(r.plan.sp.Workflow, trace, out.Trace)
+		out.Satisfied = r.satCache.satisfied(r.plan, fired)
 	} else {
-		out.Satisfied = core.SatisfiesAll(r.plan.sp.Workflow, trace)
+		out.Satisfied = core.SatisfiesAll(r.plan.sp.Workflow, r.plan.trace(fired))
 	}
-	for _, b := range r.plan.bases {
-		_, pos := r.occ[b.Key()]
-		_, neg := r.occ[b.Complement().Key()]
-		if !pos && !neg {
-			out.Unresolved = append(out.Unresolved, b.Key())
+	for _, b := range r.plan.baseIDs {
+		if !r.occ[b].ok && !r.occ[b^1].ok {
+			out.Unresolved = append(out.Unresolved, tab.Key(b))
 		}
 	}
 	return out

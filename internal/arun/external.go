@@ -22,22 +22,30 @@ import (
 // when decided, whether the event was accepted.  Callers must
 // serialize Attempt/Finish per Runner.
 func (r *Runner) Attempt(sym algebra.Symbol, forced bool) (decided, accepted bool, err error) {
-	if err := r.submit(sym, forced); err != nil {
+	id, err := r.plan.lookup(sym)
+	if err != nil {
+		return false, false, err
+	}
+	if err := r.submit(id, forced); err != nil {
 		return false, false, err
 	}
 	if !r.tr.WaitIdle(r.timeout) {
 		return false, false, fmt.Errorf("arun: transport did not quiesce after external attempt %s", sym)
 	}
-	d, ok := r.takeDecision(sym.Key())
+	accepted, ok := r.takeDecision(id)
 	if !ok {
 		return false, false, nil
 	}
-	return true, d.Accepted, nil
+	return true, accepted, nil
 }
 
 // Resolved reports whether either polarity of base has occurred — the
-// serving layer's per-event status probe.
-func (r *Runner) Resolved(base algebra.Symbol) bool { return r.resolved(base) }
+// serving layer's per-event status probe.  A symbol outside the plan
+// is never resolved.
+func (r *Runner) Resolved(base algebra.Symbol) bool {
+	id, err := r.plan.lookup(base)
+	return err == nil && r.resolved(id.Base())
+}
 
 // Finish closes an externally-driven run out to a maximal trace and
 // returns the outcome: Run's drive loop with no agent scripts.  For

@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/spec"
+	"repro/internal/symtab"
 	"repro/internal/temporal"
 )
 
@@ -28,10 +29,19 @@ import (
 // internal/engine run hundreds of concurrent instances of one workflow
 // without recompiling or re-placing per instance.  A Plan is immutable
 // after NewPlan and safe for concurrent NewRunner calls.
+//
+// NewPlan also gives every symbol of the plan its dense id
+// (internal/symtab) and lowers everything a run touches onto it — the
+// guard programs, the directory, the agents' scripts and the attempt
+// messages — so a run decides on integers and every per-run structure
+// is a slice sized once here.  Names come back only at the edges:
+// external attempts, the wire, snapshots and the Outcome.
 type Plan struct {
-	sp    *spec.Spec
-	c     *core.Compiled
-	bases []algebra.Symbol
+	sp *spec.Spec
+	c  *core.Compiled
+	// baseIDs are the ids of the workflow alphabet's bases, sorted by
+	// name.
+	baseIDs []symtab.ID
 	// observe: the driver site is subscribed to every base and
 	// registered as a message handler, and attempts carry it as
 	// ReplyTo — the cross-process observation mode.  Without it the
@@ -39,12 +49,34 @@ type Plan struct {
 	// traffic at all, which single-process engines exploit.
 	observe bool
 	driver  simnet.SiteID
-	dir     *actor.Directory
-	siteOf  map[string]simnet.SiteID // base key → actor site
+	// dir places every event and holds the plan's symbol table: the
+	// alphabet's bases in sorted order, then the extras, so two builds
+	// of one spec assign the same ids.
+	dir *actor.Directory
+	tab *symtab.Table
 	// actors lists every actor the plan installs: the alphabet's bases
 	// in sorted order, then the out-of-alphabet extras.
 	actors []actorPlan
 	sites  []simnet.SiteID // sorted distinct actor sites
+	// scripts are the spec's agents with every step's symbol resolved.
+	scripts []script
+	// attempts[forced][id] is the boxed attempt of id the driver sends:
+	// an attempt's content is fixed by the plan, so a run sends one of
+	// these instead of boxing a message per attempt.
+	attempts [2][]any
+}
+
+// script is one agent's steps lowered onto the plan's ids.
+type script struct {
+	steps []step
+}
+
+// step is one spec.Step with its symbol's id.
+type step struct {
+	id       symtab.ID
+	forced   bool
+	think    simnet.Time
+	onReject []step
 }
 
 // actorPlan is one actor's share of a plan: everything New, Reset and
@@ -91,20 +123,18 @@ func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
 	}
 	p := &Plan{
 		sp: sp, c: c, observe: opt.Observe, driver: driver,
-		dir:    actor.NewDirectory(),
-		siteOf: map[string]simnet.SiteID{},
+		dir: actor.NewDirectory(),
 	}
-	var extras []algebra.Symbol
-	p.bases, extras = alphabetAndExtras(sp)
+	p.tab = p.dir.Table()
+	bases, extras := alphabetAndExtras(sp)
 	pl := sp.Placement()
-	all := append(append([]algebra.Symbol{}, p.bases...), extras...)
+	all := append(append([]algebra.Symbol{}, bases...), extras...)
 	seenSite := map[simnet.SiteID]bool{}
 	for _, b := range all {
 		site := pl.SiteFor(b)
 		if site == driver {
 			return nil, fmt.Errorf("arun: event %s placed on the driver site %q", b, driver)
 		}
-		p.siteOf[b.Key()] = site
 		if !seenSite[site] {
 			seenSite[site] = true
 			p.sites = append(p.sites, site)
@@ -119,8 +149,10 @@ func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
 		}
 	}
 	sort.Slice(p.sites, func(i, j int) bool { return p.sites[i] < p.sites[j] })
-	for _, b := range p.bases {
-		site := p.siteOf[b.Key()]
+	for _, b := range bases {
+		id := p.tab.MustLookup(b)
+		p.baseIDs = append(p.baseIDs, id)
+		site := p.dir.Site(id)
 		for _, polKey := range []string{b.Key(), b.Complement().Key()} {
 			if eg := c.Guards[polKey]; eg != nil {
 				for _, w := range eg.Watches {
@@ -128,20 +160,37 @@ func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
 				}
 			}
 		}
+	}
+	// Lower the programs only now: the table is complete, so every
+	// program's states have a slot for every plan symbol.
+	for _, b := range bases {
 		pos, neg := guardSpecFor(c, b), guardSpecFor(c, b.Complement())
 		p.actors = append(p.actors, actorPlan{
-			base: b, site: site, pos: pos, neg: neg,
-			prog: gprog.Compile(
+			base: b, site: p.dir.Site(p.tab.MustLookup(b)), pos: pos, neg: neg,
+			prog: gprog.CompileOn(p.tab,
 				gprog.GuardInput{Guard: pos.Guard, LocalNeg: pos.LocalNeg},
 				gprog.GuardInput{Guard: neg.Guard, LocalNeg: neg.LocalNeg}),
 		})
 	}
 	top := actor.GuardSpec{Guard: temporal.TrueF()}
-	extraProg := gprog.Compile(gprog.GuardInput{Guard: top.Guard}, gprog.GuardInput{Guard: top.Guard})
+	extraProg := gprog.CompileOn(p.tab, gprog.GuardInput{Guard: top.Guard}, gprog.GuardInput{Guard: top.Guard})
 	for _, x := range extras {
 		p.actors = append(p.actors, actorPlan{
-			base: x, site: p.siteOf[x.Key()], pos: top, neg: top, prog: extraProg,
+			base: x, site: p.dir.Site(p.tab.MustLookup(x)), pos: top, neg: top, prog: extraProg,
 		})
+	}
+	for _, ag := range sp.Agents {
+		p.scripts = append(p.scripts, script{steps: p.lowerSteps(ag.Steps)})
+	}
+	var replyTo simnet.SiteID
+	if p.observe {
+		replyTo = driver
+	}
+	for f := range p.attempts {
+		p.attempts[f] = make([]any, p.tab.Len())
+		for id := symtab.ID(2); int(id) < p.tab.Len(); id++ {
+			p.attempts[f][id] = actor.AttemptMsg{Sym: p.tab.Sym(id), ID: id, Forced: f == 1, ReplyTo: replyTo}
+		}
 	}
 	for _, key := range sp.Triggerable() {
 		s, err := algebra.ParseSymbol(key)
@@ -157,8 +206,28 @@ func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
 	return p, nil
 }
 
+// lowerSteps resolves a script's symbols to the plan's ids.  Every
+// step's event is placed (alphabetAndExtras walks the same scripts),
+// so the lookups cannot miss.
+func (p *Plan) lowerSteps(steps []spec.Step) []step {
+	if len(steps) == 0 {
+		return nil
+	}
+	out := make([]step, len(steps))
+	for i, st := range steps {
+		out[i] = step{
+			id: p.tab.MustLookup(st.Sym), forced: st.Forced, think: st.Think,
+			onReject: p.lowerSteps(st.OnReject),
+		}
+	}
+	return out
+}
+
 // Compiled returns the plan's compiled workflow.
 func (p *Plan) Compiled() *core.Compiled { return p.c }
+
+// Symbols returns the plan's symbol table.
+func (p *Plan) Symbols() *symtab.Table { return p.tab }
 
 // Spec returns the spec the plan was built from (read-only by
 // convention: plans are shared across concurrent runners).
@@ -169,13 +238,14 @@ func (p *Plan) Sites() []simnet.SiteID {
 	return append([]simnet.SiteID(nil), p.sites...)
 }
 
-// siteFor resolves the actor site of a symbol.
-func (p *Plan) siteFor(s algebra.Symbol) (simnet.SiteID, error) {
-	site, ok := p.siteOf[s.Base().Key()]
+// lookup resolves a symbol given by name to its id: the edge where an
+// externally-named attempt enters the run.
+func (p *Plan) lookup(s algebra.Symbol) (symtab.ID, error) {
+	id, ok := p.tab.Lookup(s)
 	if !ok {
-		return "", fmt.Errorf("arun: no actor placed for event %s", s.Base())
+		return symtab.None, fmt.Errorf("arun: no actor placed for event %s", s.Base())
 	}
-	return site, nil
+	return id, nil
 }
 
 // RunnerOptions configure one runner over a shared plan.
@@ -194,7 +264,7 @@ type RunnerOptions struct {
 	Pipelined bool
 	// Scratch recycles a whole built instance — site hosts, actors,
 	// their program states, knowledge maps and trace scopes — and the
-	// runner's observation maps across runs (optional; see Scratch).
+	// runner's observation state across runs (optional; see Scratch).
 	Scratch *Scratch
 	// SatCache shares trace-satisfaction results across runners of
 	// the same spec (optional; see NewSatCache).
@@ -221,11 +291,10 @@ func (p *Plan) NewRunner(tr Transport, opt RunnerOptions) (*Runner, error) {
 }
 
 // runnerBuild is the intermediate state NewRunner and Resume share:
-// the runner plus the host map Resume needs for state restoration and
-// deferred trace-scope attachment.
+// the runner plus what Resume needs for deferred trace-scope
+// attachment.
 type runnerBuild struct {
 	r      *Runner
-	hosts  map[simnet.SiteID]*siteHost
 	tracer *obs.Tracer
 	inst   uint32
 }
@@ -245,13 +314,12 @@ func (p *Plan) build(tr Transport, opt RunnerOptions, quietTrace bool) (*runnerB
 	scratch := opt.Scratch
 	if scratch == nil {
 		scratch = NewScratch()
-	} else {
-		scratch.reset()
 	}
+	scratch.reset(p)
 	r := &Runner{
 		tr: tr, plan: p, driver: p.driver, timeout: timeout,
 		pipelined: opt.Pipelined, satCache: opt.SatCache,
-		occ: scratch.occ, dec: scratch.dec, decGen: scratch.decGen,
+		obsState: &scratch.obs,
 	}
 	var hooks *actor.Hooks
 	if !p.observe {
@@ -272,14 +340,15 @@ func (p *Plan) build(tr Transport, opt RunnerOptions, quietTrace bool) (*runnerB
 			set.attachScopes(tracer, opt.Instance)
 		}
 	}
+	tr.UseSymbols(p.tab)
 	for _, site := range set.sites {
 		tr.Register(site, set.hosts[site].handler)
 	}
 	if p.observe && (opt.Hosted == nil || opt.Hosted(p.driver)) {
 		tr.Register(p.driver, r.onDriverMsg)
 	}
-	r.hosts = set.hosts
-	b := &runnerBuild{r: r, hosts: set.hosts, tracer: tracer, inst: opt.Instance}
+	r.set = set
+	b := &runnerBuild{r: r, tracer: tracer, inst: opt.Instance}
 	if sp, ok := tr.(snapshotable); ok {
 		sp.SetSnapshotProvider(b.exportSite)
 	}
@@ -292,12 +361,23 @@ type instanceSet struct {
 	hosts  map[simnet.SiteID]*siteHost
 	sites  []simnet.SiteID // sorted hosted sites
 	actors []*actor.Actor
+	// byEvent indexes the hosted actors by event, for the site hosts'
+	// demultiplexing.
+	byEvent []*actor.Actor
 }
 
 // newInstanceSet builds fresh actors for the hosted sites (nil hosts
 // every site).
 func (p *Plan) newInstanceSet(hosted func(simnet.SiteID) bool, hooks *actor.Hooks) *instanceSet {
-	set := &instanceSet{hosts: map[simnet.SiteID]*siteHost{}, actors: make([]*actor.Actor, len(p.actors))}
+	set := &instanceSet{
+		hosts:   make(map[simnet.SiteID]*siteHost, len(p.sites)),
+		actors:  make([]*actor.Actor, len(p.actors)),
+		byEvent: make([]*actor.Actor, p.tab.Events()+1),
+	}
+	perSite := make(map[simnet.SiteID]int, len(p.sites))
+	for i := range p.actors {
+		perSite[p.actors[i].site]++
+	}
 	for i := range p.actors {
 		ap := &p.actors[i]
 		if hosted != nil && !hosted(ap.site) {
@@ -309,33 +389,40 @@ func (p *Plan) newInstanceSet(hosted func(simnet.SiteID) bool, hooks *actor.Hook
 			a.SetTriggerable(s)
 		}
 		set.actors[i] = a
+		set.byEvent[p.tab.MustLookup(ap.base).Event()] = a
 		h, ok := set.hosts[ap.site]
 		if !ok {
-			h = &siteHost{site: ap.site, actors: map[string]*actor.Actor{}}
+			h = &siteHost{site: ap.site, tab: p.tab, byEvent: set.byEvent,
+				order: make([]*actor.Actor, 0, perSite[ap.site])}
 			h.handler = h.deliver
 			set.hosts[ap.site] = h
 			set.sites = append(set.sites, ap.site)
 		}
-		h.add(a)
+		h.order = append(h.order, a)
 	}
-	sort.Slice(set.sites, func(i, j int) bool { return set.sites[i] < set.sites[j] })
+	slices.Sort(set.sites)
 	for _, h := range set.hosts {
-		sort.Strings(h.order)
+		slices.SortFunc(h.order, func(a, b *actor.Actor) int {
+			return strings.Compare(p.tab.Key(a.ID()), p.tab.Key(b.ID()))
+		})
 	}
 	return set
 }
 
-// attachScopes gives every actor its trace scope for one instance.
+// attachScopes gives every actor its trace scope for one instance.  A
+// site's actors share one scope: they run on the site's goroutine, and
+// a scope is fixed by its site and instance.
 func (set *instanceSet) attachScopes(tracer *obs.Tracer, inst uint32) {
-	for _, a := range set.actors {
-		if a != nil {
-			a.Trace = tracer.Scope(string(a.Site()), inst)
+	for _, site := range set.sites {
+		scope := tracer.Scope(string(site), inst)
+		for _, a := range set.hosts[site].order {
+			a.Trace = scope
 		}
 	}
 }
 
 // Scratch is the recyclable state of one run: the runner's observation
-// maps and, once a run has hosted every site, that run's whole
+// state and, once a run has hosted every site, that run's whole
 // instance — site hosts, actors, their program states, knowledge maps
 // and trace scopes.  The next run of the same plan (and tracer) resets
 // those actors in place through actor.Reset, the initialiser New
@@ -346,9 +433,7 @@ func (set *instanceSet) attachScopes(tracer *obs.Tracer, inst uint32) {
 // run only once the previous one is over and no message can still
 // reach its actors.
 type Scratch struct {
-	occ    map[string]occRec
-	dec    map[string]actor.DecisionMsg
-	decGen map[string]uint64
+	obs obsState
 
 	// runner is the run the hooks report to; the recycled actors keep
 	// pointing at hooks, so it is the one thing retargeted per run.
@@ -363,22 +448,17 @@ type Scratch struct {
 
 // NewScratch allocates an empty scratch.
 func NewScratch() *Scratch {
-	s := &Scratch{
-		occ:    map[string]occRec{},
-		dec:    map[string]actor.DecisionMsg{},
-		decGen: map[string]uint64{},
-	}
+	s := &Scratch{}
 	s.hooks = &actor.Hooks{
-		OnFire:     func(sym algebra.Symbol, at int64, when simnet.Time) { s.runner.hookFire(sym, at, when) },
+		OnFire:     func(ann actor.AnnounceMsg, when simnet.Time) { s.runner.hookFire(ann, when) },
 		OnDecision: func(d actor.DecisionMsg) { s.runner.hookDecision(d) },
 	}
 	return s
 }
 
-func (s *Scratch) reset() {
-	clear(s.occ)
-	clear(s.dec)
-	clear(s.decGen)
+// reset empties the observation state, sized for the plan's ids.
+func (s *Scratch) reset(p *Plan) {
+	s.obs.reset(p.tab.Len(), len(p.baseIDs), len(p.scripts))
 }
 
 // instance returns the scratch's instance of the plan, reset for one
@@ -403,31 +483,54 @@ func (s *Scratch) instance(p *Plan, hooks *actor.Hooks, tracer *obs.Tracer, inst
 
 // SatCache memoizes trace satisfaction per realized trace.  Concurrent
 // instances of one workflow realize a handful of distinct traces, so
-// the engine resolves almost every outcome with one map lookup instead
-// of a full dependency evaluation.  Safe for concurrent use.
+// the engine resolves almost every outcome with one lookup on the
+// trace's ids instead of a full dependency evaluation.  Ids are
+// plan-scoped but fixed by the spec — NewPlan numbers a spec's events
+// in one order — so a cache serves the plans of one spec, a recompiled
+// one included.  Safe for concurrent use.
 type SatCache struct {
 	mu sync.Mutex
-	m  map[string]bool
+	m  map[uint64][]satEntry
+}
+
+type satEntry struct {
+	trace []symtab.ID
+	sat   bool
 }
 
 // NewSatCache allocates an empty cache.
 func NewSatCache() *SatCache {
-	return &SatCache{m: map[string]bool{}}
+	return &SatCache{m: map[uint64][]satEntry{}}
 }
 
-// satisfied resolves whether the trace satisfies the workflow, keyed
-// by the joined trace text.
-func (c *SatCache) satisfied(w *core.Workflow, trace algebra.Trace, keys []string) bool {
-	k := strings.Join(keys, " ")
-	c.mu.Lock()
-	v, ok := c.m[k]
-	c.mu.Unlock()
-	if ok {
-		return v
+// satisfied resolves whether the trace — the plan's occurred ids in
+// occurrence order — satisfies the workflow.
+func (c *SatCache) satisfied(p *Plan, trace []symtab.ID) bool {
+	k := uint64(14695981039346656037) // FNV-1a over the ids
+	for _, id := range trace {
+		k ^= uint64(id)
+		k *= 1099511628211
 	}
-	v = core.SatisfiesAll(w, trace)
 	c.mu.Lock()
-	c.m[k] = v
+	for _, e := range c.m[k] {
+		if slices.Equal(e.trace, trace) {
+			c.mu.Unlock()
+			return e.sat
+		}
+	}
+	c.mu.Unlock()
+	v := core.SatisfiesAll(p.sp.Workflow, p.trace(trace))
+	c.mu.Lock()
+	c.m[k] = append(c.m[k], satEntry{trace: slices.Clone(trace), sat: v})
 	c.mu.Unlock()
 	return v
+}
+
+// trace names a trace of ids.
+func (p *Plan) trace(ids []symtab.ID) algebra.Trace {
+	t := make(algebra.Trace, len(ids))
+	for i, id := range ids {
+		t[i] = p.tab.Sym(id)
+	}
+	return t
 }

@@ -50,12 +50,7 @@ func (p *Plan) Resume(tr Transport, opt RunnerOptions) (*Runner, error) {
 	if err := rec.Recover(b); err != nil {
 		return nil, err
 	}
-	for _, h := range b.hosts {
-		for _, key := range h.order {
-			a := h.actors[key]
-			a.Trace = b.tracer.Scope(string(a.Site()), b.inst)
-		}
-	}
+	b.r.set.attachScopes(b.tracer, b.inst)
 	return b.r, nil
 }
 
@@ -79,13 +74,13 @@ func (b *runnerBuild) exportSite(site simnet.SiteID) ([]byte, error) {
 	if site == b.r.driver {
 		return b.r.exportDriver()
 	}
-	h, ok := b.hosts[site]
+	h, ok := b.r.set.hosts[site]
 	if !ok {
 		return nil, nil
 	}
 	states := make([]actor.ActorState, 0, len(h.order))
-	for _, key := range h.order {
-		st, err := h.actors[key].Export()
+	for _, a := range h.order {
+		st, err := a.Export()
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +95,7 @@ func (b *runnerBuild) RestoreSite(site simnet.SiteID, state []byte) error {
 	if site == b.r.driver {
 		return b.r.restoreDriver(state)
 	}
-	h, ok := b.hosts[site]
+	h, ok := b.r.set.hosts[site]
 	if !ok {
 		return fmt.Errorf("arun: snapshot for unhosted site %q", site)
 	}
@@ -109,8 +104,11 @@ func (b *runnerBuild) RestoreSite(site simnet.SiteID, state []byte) error {
 		return fmt.Errorf("arun: site %s snapshot: %w", site, err)
 	}
 	for _, st := range states {
-		a, ok := h.actors[st.Base]
-		if !ok {
+		var a *actor.Actor
+		if id, ok := h.tab.LookupKey(st.Base); ok {
+			a = h.byEvent[id.Event()]
+		}
+		if a == nil || a.Site() != site {
 			return fmt.Errorf("arun: site %s snapshot names unknown actor %q", site, st.Base)
 		}
 		if err := a.Restore(st); err != nil {
@@ -124,10 +122,11 @@ func (r *Runner) exportDriver() ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := runnerState{Anns: r.anns, Decs: r.decs}
-	for _, o := range r.occ {
-		st.Occ = append(st.Occ, occState{Sym: o.sym.Key(), At: o.at})
+	for _, id := range r.fired {
+		st.Occ = append(st.Occ, occState{Sym: r.plan.tab.Key(id), At: r.occ[id].at})
 	}
-	// Map order is arbitrary; sort for a deterministic snapshot.
+	// Arrival order is transport-specific; sort for a deterministic
+	// snapshot.
 	for i := 1; i < len(st.Occ); i++ {
 		for j := i; j > 0 && st.Occ[j].Sym < st.Occ[j-1].Sym; j-- {
 			st.Occ[j], st.Occ[j-1] = st.Occ[j-1], st.Occ[j]
@@ -148,9 +147,11 @@ func (r *Runner) restoreDriver(state []byte) error {
 		if err != nil {
 			return fmt.Errorf("arun: driver snapshot: %w", err)
 		}
-		if _, seen := r.occ[sym.Key()]; !seen {
-			r.occ[sym.Key()] = occRec{sym: sym, at: o.At}
+		id, err := r.plan.lookup(sym)
+		if err != nil {
+			return fmt.Errorf("arun: driver snapshot: %w", err)
 		}
+		r.record(id, o.At)
 	}
 	r.anns = st.Anns
 	r.decs = st.Decs

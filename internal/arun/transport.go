@@ -6,6 +6,7 @@ import (
 	"repro/internal/actor"
 	"repro/internal/netwire"
 	"repro/internal/simnet"
+	"repro/internal/symtab"
 )
 
 // SimTransport adapts the deterministic simulator to the Transport
@@ -75,6 +76,10 @@ func (s *SimTransport) IdleWait() (<-chan struct{}, func()) { return closedChan,
 // closedChan is the idle signal of a transport that is always idle
 // once asked.
 var closedChan = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+// UseSymbols implements Transport: simulated payloads never leave
+// memory, so there are no names to resolve.
+func (s *SimTransport) UseSymbols(*symtab.Table) {}
 
 // Close implements Transport (no resources to release).
 func (s *SimTransport) Close() {}

@@ -16,9 +16,14 @@ import (
 // runs every instance after a worker's first: resetting the scratch's
 // actors, program states, site hosts and trace scopes in place,
 // driving all twelve attempts through a fresh simulator, and
-// assembling the outcome.  It is the measured count (94) plus 10 %;
-// building the instance fresh every time costs 236.
-const maxInstanceAllocs = 103
+// assembling the outcome.  maxFreshInstanceAllocs bounds the same
+// instance built fresh, with no scratch — what internal/serve pays on
+// every launch.  Each is its measured count plus 10 %: recycled 34,
+// fresh 88.
+const (
+	maxInstanceAllocs      = 37
+	maxFreshInstanceAllocs = 96
+)
 
 // denseSpec is the all-pairs precedence workflow over n events spread
 // round-robin over sites, one agent attempting e1..en in order: the
@@ -47,11 +52,13 @@ func denseSpec(t testing.TB, n, sites int) *spec.Spec {
 }
 
 // TestInstanceAllocs is the whole-instance allocation gate that make
-// benchsmoke runs.  One scratch serves every measured run, so all but
-// the warm-up reuse the instance the previous run left behind.  TestAnnounceDeliverZeroAlloc (internal/actor)
-// covers only steady-state re-delivery; a dense12 instance is over
-// after 24 facts, so every delivery it makes is a first delivery and
-// its cost is dominated by building and settling fresh state.
+// benchsmoke runs.  In the recycled case one scratch serves every
+// measured run, so all but the warm-up reuse the instance the previous
+// run left behind; the fresh case builds every instance from the plan.
+// TestAnnounceDeliverZeroAlloc (internal/actor) covers only
+// steady-state re-delivery; a dense12 instance is over after 24 facts,
+// so every delivery it makes is a first delivery and its cost is
+// dominated by building and settling fresh state.
 func TestInstanceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under the race detector")
@@ -60,31 +67,42 @@ func TestInstanceAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := arun.RunnerOptions{
-		IdleTimeout: 10 * time.Second,
-		Scratch:     arun.NewScratch(),
-		SatCache:    arun.NewSatCache(),
-	}
-	var runErr error
-	allocs := testing.AllocsPerRun(50, func() {
-		r, err := plan.NewRunner(engine.SimTransport(7), opt)
-		if err != nil {
-			runErr = err
-			return
-		}
-		out, err := r.Run()
-		if err == nil && (!out.Satisfied || len(out.Unresolved) > 0) {
-			err = fmt.Errorf("instance not satisfied and resolved: %s", out.Fingerprint())
-		}
-		if err != nil {
-			runErr = err
-		}
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	t.Logf("one dense12 instance: %.0f allocations", allocs)
-	if allocs > maxInstanceAllocs {
-		t.Fatalf("one dense12 instance makes %.0f allocations, want ≤ %d", allocs, maxInstanceAllocs)
+	for _, tc := range []struct {
+		name    string
+		scratch *arun.Scratch
+		max     int
+	}{
+		{"recycled", arun.NewScratch(), maxInstanceAllocs},
+		{"fresh", nil, maxFreshInstanceAllocs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := arun.RunnerOptions{
+				IdleTimeout: 10 * time.Second,
+				Scratch:     tc.scratch,
+				SatCache:    arun.NewSatCache(),
+			}
+			var runErr error
+			allocs := testing.AllocsPerRun(50, func() {
+				r, err := plan.NewRunner(engine.SimTransport(7), opt)
+				if err != nil {
+					runErr = err
+					return
+				}
+				out, err := r.Run()
+				if err == nil && (!out.Satisfied || len(out.Unresolved) > 0) {
+					err = fmt.Errorf("instance not satisfied and resolved: %s", out.Fingerprint())
+				}
+				if err != nil {
+					runErr = err
+				}
+			})
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+			t.Logf("one %s dense12 instance: %.0f allocations", tc.name, allocs)
+			if allocs > float64(tc.max) {
+				t.Fatalf("one %s dense12 instance makes %.0f allocations, want ≤ %d", tc.name, allocs, tc.max)
+			}
+		})
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"repro/internal/quiesce"
 	"repro/internal/simnet"
 	"repro/internal/spec"
+	"repro/internal/symtab"
 )
 
 // Mode selects the transport the instances run on.
@@ -358,6 +359,7 @@ func newNetEngine(plan *arun.Plan, opt Options) (*netEngine, error) {
 	if err != nil {
 		return nil, err
 	}
+	mesh.UseSymbols(plan.Symbols())
 	e := &netEngine{plan: plan, mesh: mesh, instances: map[uint32]*instance{}}
 	for _, site := range plan.Sites() {
 		e.mesh.Register(site, e.siteHandler(site))
@@ -495,6 +497,10 @@ func (x *instXport) WaitIdle(timeout time.Duration) bool {
 func (x *instXport) IdleNow() bool { return x.inst.pend.IdleNow() }
 
 func (x *instXport) IdleWait() (<-chan struct{}, func()) { return x.inst.pend.IdleWait() }
+
+// UseSymbols implements arun.Transport.  The shared mesh resolves
+// against the plan's table, which newNetEngine gives it once.
+func (x *instXport) UseSymbols(*symtab.Table) {}
 
 // Close implements arun.Transport; the mesh outlives instances.
 func (x *instXport) Close() {}

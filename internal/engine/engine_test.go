@@ -217,9 +217,10 @@ func checkComplete(t *testing.T, label string, out *arun.Outcome) {
 	if len(out.Unresolved) > 0 {
 		t.Errorf("%s: events unresolved: %s", label, out.Fingerprint())
 	}
-	for sym := range out.Occurred {
+	occurred := out.Occurred()
+	for sym := range occurred {
 		if len(sym) > 0 && sym[0] != '~' {
-			if _, both := out.Occurred["~"+sym]; both {
+			if _, both := occurred["~"+sym]; both {
 				t.Errorf("%s: %s occurred with both polarities: %s", label, sym, out.Fingerprint())
 			}
 		}

@@ -19,6 +19,14 @@
 //     slots an announcement about it can change.  Assimilating a fact
 //     recomputes only those slots.
 //
+// Symbols are the plan's dense ids (internal/symtab): CompileOn lowers
+// a program onto a plan's table, so a State keeps one status and time
+// per plan id and every mutator indexes a slice — the complement of id
+// is id^1 — with no name hashed after compile.  Compile builds a
+// private table for a standalone program; the Symbol-taking mutators
+// resolve a name once and are the edge for callers that hold names
+// (the model checker, probes and tests).
+//
 // The compiled Prog is immutable and shared across all instances of a
 // workflow (the engine compiles once per plan); each actor owns one
 // mutable State.  Guards of ≤64 literals — all of the paper's examples
@@ -31,14 +39,17 @@
 // identical no-weaken rules, so its verdicts are bit-identical to the
 // tree-walking evaluator's; the property tests and FuzzGuardProgram
 // check that equivalence literal-by-literal and guard-by-guard.  An
-// actor keeps the facts of its program's universe only here and folds
-// them into a Knowledge when it needs the tree evaluator (Fold).
+// actor keeps every fact about a plan symbol only here and folds them
+// into a Knowledge when it needs the tree evaluator (Fold).
 package gprog
 
 import (
+	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/algebra"
+	"repro/internal/symtab"
 	"repro/internal/temporal"
 )
 
@@ -48,11 +59,11 @@ const (
 	PolNeg = 1
 )
 
-// litSlot is one compiled literal: its kind and the dense symbol
-// indices it mentions (exactly one unless kind == LitEventually).
+// litSlot is one compiled literal: its kind and the symbol ids it
+// mentions (exactly one unless kind == LitEventually).
 type litSlot struct {
 	kind temporal.LitKind
-	seq  []int32
+	seq  []symtab.ID
 }
 
 // polProg is the compiled guard of one polarity: flattened product
@@ -62,8 +73,8 @@ type polProg struct {
 	// prods holds nprods masks of words uint64 each, flattened.
 	prods  []uint64
 	nprods int
-	// isLocal[symIdx] marks the polarity's consensus-eliminated
-	// symbols; localLits are the literal slots any of them touch.
+	// isLocal[id] marks the polarity's consensus-eliminated symbols;
+	// localLits are the literal slots any of them touch.
 	isLocal   []bool
 	localLits []int32
 	hasLocal  bool
@@ -72,11 +83,11 @@ type polProg struct {
 // Prog is the immutable compiled program for one event's two guards.
 // It is safe for concurrent use; each instance derives its own State.
 type Prog struct {
-	syms   []algebra.Symbol
-	symIdx map[string]int32
-	comp   []int32 // symIdx → complement's symIdx (universe is closed under complement)
-	lits   []litSlot
-	// touched[symIdx] lists the literal slots that mention the symbol.
+	tab *symtab.Table
+	// n bounds the ids the program covers: the table's Len at compile.
+	n    int
+	lits []litSlot
+	// touched[id] lists the literal slots that mention the symbol.
 	touched [][]int32
 	words   int // uint64 words per literal bitmask
 	pols    [2]polProg
@@ -89,9 +100,31 @@ type GuardInput struct {
 	LocalNeg map[string]algebra.Symbol
 }
 
-// Compile lowers the two guards of one event into a flat program.
+// Compile lowers the two guards of one event into a standalone
+// program over a private table of the symbols they mention.
 func Compile(pos, neg GuardInput) *Prog {
-	p := &Prog{symIdx: map[string]int32{}}
+	tab := symtab.New()
+	for _, in := range []GuardInput{pos, neg} {
+		for _, prod := range in.Guard.Products() {
+			for _, l := range prod.Lits() {
+				for _, s := range l.Syms() {
+					tab.Add(s)
+				}
+			}
+		}
+		for _, k := range sortedKeys(in.LocalNeg) {
+			tab.Add(in.LocalNeg[k])
+		}
+	}
+	return CompileOn(tab, pos, neg)
+}
+
+// CompileOn lowers the two guards of one event onto a plan's symbol
+// table: every id the table holds gets a status slot in the program's
+// states, and the guards' literals index them directly.  Every symbol
+// the guards mention must be in the table.
+func CompileOn(tab *symtab.Table, pos, neg GuardInput) *Prog {
+	p := &Prog{tab: tab, n: tab.Len()}
 	litIdx := map[string]int32{}
 	for _, in := range []GuardInput{pos, neg} {
 		for _, prod := range in.Guard.Products() {
@@ -99,18 +132,15 @@ func Compile(pos, neg GuardInput) *Prog {
 				p.internLit(l, litIdx)
 			}
 		}
-		for _, s := range in.LocalNeg {
-			p.internSym(s)
-		}
 	}
 	p.words = (len(p.lits) + 63) / 64
 	if p.words == 0 {
 		p.words = 1
 	}
-	p.touched = make([][]int32, len(p.syms))
+	p.touched = make([][]int32, p.n)
 	for li, slot := range p.lits {
-		for _, si := range slot.seq {
-			p.touched[si] = append(p.touched[si], int32(li))
+		for _, id := range slot.seq {
+			p.touched[id] = append(p.touched[id], int32(li))
 		}
 	}
 	p.pols[PolPos] = p.compilePol(pos, litIdx)
@@ -118,29 +148,30 @@ func Compile(pos, neg GuardInput) *Prog {
 	return p
 }
 
-func (p *Prog) internSym(s algebra.Symbol) int32 {
-	if si, ok := p.symIdx[s.Key()]; ok {
-		return si
+func sortedKeys(m map[string]algebra.Symbol) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	// Intern the symbol and its complement together so the universe is
-	// closed under complement and Observe never needs to construct a
-	// complement symbol at runtime.
-	si := int32(len(p.syms))
-	c := s.Complement()
-	p.syms = append(p.syms, s, c)
-	p.symIdx[s.Key()] = si
-	p.symIdx[c.Key()] = si + 1
-	p.comp = append(p.comp, si+1, si)
-	return si
+	sort.Strings(keys)
+	return keys
+}
+
+func (p *Prog) id(s algebra.Symbol) symtab.ID {
+	id, ok := p.tab.Lookup(s)
+	if !ok || int(id) >= p.n {
+		panic(fmt.Sprintf("gprog: guard symbol %s is not in the plan's table", s))
+	}
+	return id
 }
 
 func (p *Prog) internLit(l temporal.Literal, litIdx map[string]int32) int32 {
 	if li, ok := litIdx[l.Key()]; ok {
 		return li
 	}
-	slot := litSlot{kind: l.Kind(), seq: make([]int32, len(l.Syms()))}
+	slot := litSlot{kind: l.Kind(), seq: make([]symtab.ID, len(l.Syms()))}
 	for i, s := range l.Syms() {
-		slot.seq[i] = p.internSym(s)
+		slot.seq[i] = p.id(s)
 	}
 	li := int32(len(p.lits))
 	p.lits = append(p.lits, slot)
@@ -162,12 +193,12 @@ func (p *Prog) compilePol(in GuardInput, litIdx map[string]int32) polProg {
 		}
 	}
 	if len(in.LocalNeg) > 0 {
-		pp.isLocal = make([]bool, len(p.syms))
+		pp.isLocal = make([]bool, p.n)
 		seen := make(map[int32]bool)
-		for _, s := range in.LocalNeg {
-			si := p.symIdx[s.Key()]
-			pp.isLocal[si] = true
-			for _, li := range p.touched[si] {
+		for _, k := range sortedKeys(in.LocalNeg) {
+			id := p.id(in.LocalNeg[k])
+			pp.isLocal[id] = true
+			for _, li := range p.touched[id] {
 				if !seen[li] {
 					seen[li] = true
 					pp.localLits = append(pp.localLits, li)
@@ -190,6 +221,9 @@ func (p *Prog) Lits() int { return len(p.lits) }
 // the fast path, more once the literal universe spills past 64 slots.
 func (p *Prog) Words() int { return p.words }
 
+// Table returns the symbol table the program was lowered onto.
+func (p *Prog) Table() *symtab.Table { return p.tab }
+
 // ProductLits reconstructs one polarity's products as temporal
 // literals by reading the compiled masks back, word by word.  The
 // model checker evaluates these instead of the source formula, so a
@@ -211,13 +245,13 @@ func (p *Prog) ProductLits(pol int) [][]temporal.Literal {
 			slot := &p.lits[li]
 			switch slot.kind {
 			case temporal.LitOccurred:
-				lits = append(lits, temporal.Occurred(p.syms[slot.seq[0]]))
+				lits = append(lits, temporal.Occurred(p.tab.Sym(slot.seq[0])))
 			case temporal.LitNotYet:
-				lits = append(lits, temporal.NotYet(p.syms[slot.seq[0]]))
+				lits = append(lits, temporal.NotYet(p.tab.Sym(slot.seq[0])))
 			default:
 				syms := make([]algebra.Symbol, len(slot.seq))
-				for i, si := range slot.seq {
-					syms[i] = p.syms[si]
+				for i, id := range slot.seq {
+					syms[i] = p.tab.Sym(id)
 				}
 				lits = append(lits, temporal.Eventually(syms...))
 			}
@@ -227,16 +261,14 @@ func (p *Prog) ProductLits(pol int) [][]temporal.Literal {
 	return out
 }
 
-// Syms returns the symbol universe size (for tests and stats).
-func (p *Prog) Syms() int { return len(p.syms) }
-
-// State is one instance's mutable view of a Prog: per-symbol statuses
+// State is one instance's mutable view of a Prog: per-symbol facts
 // plus the derived per-literal verdict bitmasks.  Not safe for
 // concurrent use; each actor owns one.
 type State struct {
-	p      *Prog
-	status []temporal.Status
-	times  []int64
+	p *Prog
+	// cells holds each id's fact: its status and, for an occurrence,
+	// its time.
+	cells []cell
 	// Decide-time verdict bits (holds and promises count) and
 	// permanent-facts verdict bits, one pair per literal slot.
 	decTrue   []uint64
@@ -247,26 +279,40 @@ type State struct {
 	// calls so Decide never allocates.
 	ovTrue  []uint64
 	ovFalse []uint64
+	// small backs the six bitmasks on the one-word fast path.
+	small [6]uint64
 }
 
-// NewState returns a fresh all-unknown State for the program.  The
-// six bitmasks are cut from one slab: a state is built per actor per
-// instance, so its allocation count is paid on every instance.
+type cell struct {
+	st temporal.Status
+	t  int64
+}
+
+// NewState returns a fresh all-unknown State for the program.
 func (p *Prog) NewState() *State {
+	s := new(State)
+	p.InitState(s)
+	return s
+}
+
+// InitState makes s a fresh all-unknown state of the program, in
+// place.  A state is built per actor per instance, so its allocation
+// count is paid on every instance: a holder that embeds its State (an
+// actor does) pays one allocation, the cells, on the one-word fast
+// path, where the six bitmasks live in the state itself; larger
+// programs cut them from one slab.  A state must not be copied once
+// initialised.
+func (p *Prog) InitState(s *State) {
+	*s = State{p: p, cells: make([]cell, p.n)}
 	w := p.words
-	slab := make([]uint64, 6*w)
-	cut := func(i int) []uint64 { return slab[i*w : (i+1)*w : (i+1)*w] }
-	return &State{
-		p:         p,
-		status:    make([]temporal.Status, len(p.syms)),
-		times:     make([]int64, len(p.syms)),
-		decTrue:   cut(0),
-		decFalse:  cut(1),
-		permTrue:  cut(2),
-		permFalse: cut(3),
-		ovTrue:    cut(4),
-		ovFalse:   cut(5),
+	slab := s.small[:]
+	if w > 1 {
+		slab = make([]uint64, 6*w)
 	}
+	cut := func(i int) []uint64 { return slab[i*w : (i+1)*w : (i+1)*w] }
+	s.decTrue, s.decFalse = cut(0), cut(1)
+	s.permTrue, s.permFalse = cut(2), cut(3)
+	s.ovTrue, s.ovFalse = cut(4), cut(5)
 }
 
 // Prog returns the program the state was derived from.
@@ -275,150 +321,163 @@ func (s *State) Prog() *Prog { return s.p }
 // Reset returns the state to all-unknown without reallocating, so one
 // State can replay many traces (the model checker's per-trace replay).
 func (s *State) Reset() {
-	for i := range s.status {
-		s.status[i] = temporal.StatusUnknown
-		s.times[i] = 0
-	}
+	clear(s.cells)
 	for w := 0; w < s.p.words; w++ {
 		s.decTrue[w], s.decFalse[w] = 0, 0
 		s.permTrue[w], s.permFalse[w] = 0, 0
 	}
 }
 
-// index resolves a symbol to its dense index, or -1 when the symbol
-// is irrelevant to either guard.  Key() is allocation-free for
-// unparametrized symbols, so this is the only per-message cost before
-// pure bit manipulation takes over.
-func (s *State) index(sym algebra.Symbol) int32 {
-	if si, ok := s.p.symIdx[sym.Key()]; ok {
-		return si
-	}
-	return -1
-}
+// Has reports whether the id has a slot in the state: every id of the
+// table the program was lowered onto, as the table stood at compile.
+func (s *State) Has(id symtab.ID) bool { return id > symtab.None && int(id) < len(s.cells) }
 
-// Observe mirrors Knowledge.Observe: the symbol occurred at t and its
-// complement became impossible (both unconditional).  Like every
-// mutator it reports whether the symbol is in the program's universe;
-// a false return recorded nothing.
-func (s *State) Observe(sym algebra.Symbol, t int64) bool {
-	si := s.index(sym)
-	if si < 0 {
+// ObserveID mirrors Knowledge.Observe: the symbol occurred at t and
+// its complement became impossible (both unconditional).  Like every
+// ID mutator it reports whether the id has a slot (Has); a false
+// return recorded nothing.
+func (s *State) ObserveID(id symtab.ID, t int64) bool {
+	if !s.Has(id) {
 		return false
 	}
-	s.status[si] = temporal.StatusOccurred
-	s.times[si] = t
-	s.recompute(si)
-	ci := s.p.comp[si]
-	s.status[ci] = temporal.StatusImpossible
-	s.recompute(ci)
+	s.cells[id].st = temporal.StatusOccurred
+	s.cells[id].t = t
+	s.recompute(id)
+	s.cells[id^1].st = temporal.StatusImpossible
+	s.recompute(id ^ 1)
 	return true
 }
 
-// MarkImpossible mirrors Knowledge.MarkImpossible: occurrence facts
+// MarkImpossibleID mirrors Knowledge.MarkImpossible: occurrence facts
 // are never overwritten; the complement is untouched.
-func (s *State) MarkImpossible(sym algebra.Symbol) bool {
-	si := s.index(sym)
-	if si < 0 {
+func (s *State) MarkImpossibleID(id symtab.ID) bool {
+	if !s.Has(id) {
 		return false
 	}
-	if s.status[si] != temporal.StatusOccurred {
-		s.status[si] = temporal.StatusImpossible
-		s.recompute(si)
+	if s.cells[id].st != temporal.StatusOccurred {
+		s.cells[id].st = temporal.StatusImpossible
+		s.recompute(id)
 	}
 	return true
 }
 
-// Hold mirrors Knowledge.Hold: only unknown symbols become held.
-func (s *State) Hold(sym algebra.Symbol) bool {
-	si := s.index(sym)
-	if si < 0 {
+// HoldID mirrors Knowledge.Hold: only unknown symbols become held.
+func (s *State) HoldID(id symtab.ID) bool {
+	if !s.Has(id) {
 		return false
 	}
-	if s.status[si] == temporal.StatusUnknown {
-		s.status[si] = temporal.StatusHeld
-		s.recompute(si)
+	if s.cells[id].st == temporal.StatusUnknown {
+		s.cells[id].st = temporal.StatusHeld
+		s.recompute(id)
 	}
 	return true
 }
 
-// Unhold mirrors Knowledge.Unhold: only held symbols revert.
-func (s *State) Unhold(sym algebra.Symbol) bool {
-	si := s.index(sym)
-	if si < 0 {
+// UnholdID mirrors Knowledge.Unhold: only held symbols revert.
+func (s *State) UnholdID(id symtab.ID) bool {
+	if !s.Has(id) {
 		return false
 	}
-	if s.status[si] == temporal.StatusHeld {
-		s.status[si] = temporal.StatusUnknown
-		s.recompute(si)
+	if s.cells[id].st == temporal.StatusHeld {
+		s.cells[id].st = temporal.StatusUnknown
+		s.recompute(id)
 	}
 	return true
 }
 
-// Promise mirrors Knowledge.Promise: a binding ◇ promise, never
+// PromiseID mirrors Knowledge.Promise: a binding ◇ promise, never
 // weakening occurrence facts; the complement becomes impossible.
-func (s *State) Promise(sym algebra.Symbol) {
-	si := s.index(sym)
-	if si < 0 {
+func (s *State) PromiseID(id symtab.ID) {
+	if !s.Has(id) {
 		return
 	}
-	if st := s.status[si]; st == temporal.StatusOccurred || st == temporal.StatusImpossible {
+	if st := s.cells[id].st; st == temporal.StatusOccurred || st == temporal.StatusImpossible {
 		return
 	}
-	s.status[si] = temporal.StatusPromised
-	s.recompute(si)
-	ci := s.p.comp[si]
-	s.status[ci] = temporal.StatusImpossible
-	s.recompute(ci)
+	s.cells[id].st = temporal.StatusPromised
+	s.recompute(id)
+	s.cells[id^1].st = temporal.StatusImpossible
+	s.recompute(id ^ 1)
 }
 
-// CondPromise mirrors Knowledge.CondPromise: upgrades unknown or held
-// symbols only.
-func (s *State) CondPromise(sym algebra.Symbol) {
-	si := s.index(sym)
-	if si < 0 {
+// CondPromiseID mirrors Knowledge.CondPromise: upgrades unknown or
+// held symbols only.
+func (s *State) CondPromiseID(id symtab.ID) {
+	if !s.Has(id) {
 		return
 	}
-	if st := s.status[si]; st != temporal.StatusUnknown && st != temporal.StatusHeld {
+	if st := s.cells[id].st; st != temporal.StatusUnknown && st != temporal.StatusHeld {
 		return
 	}
-	s.status[si] = temporal.StatusCondPromised
-	s.recompute(si)
+	s.cells[id].st = temporal.StatusCondPromised
+	s.recompute(id)
 }
 
-// ClearCond mirrors Knowledge.ClearCond.
-func (s *State) ClearCond(sym algebra.Symbol) {
-	si := s.index(sym)
-	if si < 0 || s.status[si] != temporal.StatusCondPromised {
+// ClearCondID mirrors Knowledge.ClearCond.
+func (s *State) ClearCondID(id symtab.ID) {
+	if !s.Has(id) || s.cells[id].st != temporal.StatusCondPromised {
 		return
 	}
-	s.status[si] = temporal.StatusUnknown
-	s.recompute(si)
+	s.cells[id].st = temporal.StatusUnknown
+	s.recompute(id)
 }
 
-// Status returns what the state knows about a symbol, and whether the
-// symbol is in the program's universe at all.
-func (s *State) Status(sym algebra.Symbol) (temporal.Status, bool) {
-	si := s.index(sym)
-	if si < 0 {
+// StatusID returns what the state knows about a symbol, and whether
+// the id has a slot at all.
+func (s *State) StatusID(id symtab.ID) (temporal.Status, bool) {
+	if !s.Has(id) {
 		return temporal.StatusUnknown, false
 	}
-	return s.status[si], true
+	return s.cells[id].st, true
 }
 
-// Fold writes every universe symbol's status into a Knowledge, so a
-// holder whose facts live here can hand a complete map to the
-// tree-walking evaluator.  Symbols outside the universe are left as
-// they are; the knowledge's version moves only where a fact changed.
+// lookup resolves a name to its id for the Symbol-taking edge below;
+// None when the table does not hold it.
+func (s *State) lookup(sym algebra.Symbol) symtab.ID {
+	id, _ := s.p.tab.Lookup(sym)
+	return id
+}
+
+// Observe is ObserveID for a symbol given by name.
+func (s *State) Observe(sym algebra.Symbol, t int64) bool { return s.ObserveID(s.lookup(sym), t) }
+
+// MarkImpossible is MarkImpossibleID for a symbol given by name.
+func (s *State) MarkImpossible(sym algebra.Symbol) bool { return s.MarkImpossibleID(s.lookup(sym)) }
+
+// Hold is HoldID for a symbol given by name.
+func (s *State) Hold(sym algebra.Symbol) bool { return s.HoldID(s.lookup(sym)) }
+
+// Unhold is UnholdID for a symbol given by name.
+func (s *State) Unhold(sym algebra.Symbol) bool { return s.UnholdID(s.lookup(sym)) }
+
+// Promise is PromiseID for a symbol given by name.
+func (s *State) Promise(sym algebra.Symbol) { s.PromiseID(s.lookup(sym)) }
+
+// CondPromise is CondPromiseID for a symbol given by name.
+func (s *State) CondPromise(sym algebra.Symbol) { s.CondPromiseID(s.lookup(sym)) }
+
+// ClearCond is ClearCondID for a symbol given by name.
+func (s *State) ClearCond(sym algebra.Symbol) { s.ClearCondID(s.lookup(sym)) }
+
+// Status is StatusID for a symbol given by name.
+func (s *State) Status(sym algebra.Symbol) (temporal.Status, bool) {
+	return s.StatusID(s.lookup(sym))
+}
+
+// Fold writes every slot's status into a Knowledge, so a holder whose
+// facts live here can hand a complete map to the tree-walking
+// evaluator.  Symbols without a slot are left as they are; the
+// knowledge's version moves only where a fact changed.
 func (s *State) Fold(k *temporal.Knowledge) {
-	for si, sym := range s.p.syms {
-		k.Set(sym, s.status[si], s.times[si])
+	for id := 2; id < len(s.cells); id++ {
+		k.Set(s.p.tab.Sym(symtab.ID(id)), s.cells[id].st, s.cells[id].t)
 	}
 }
 
 // recompute refreshes the verdict bits of every literal the symbol
 // touches.
-func (s *State) recompute(si int32) {
-	for _, li := range s.p.touched[si] {
+func (s *State) recompute(id symtab.ID) {
+	for _, li := range s.p.touched[id] {
 		s.recomputeLit(li)
 	}
 }
@@ -444,9 +503,9 @@ func setTri(tru, fls []uint64, li int32, v temporal.Tri) {
 // stat reads a symbol's status, applying the virtual-hold overlay of
 // a consensus-local decision when local is non-nil: still-unknown
 // local symbols count as held, exactly as actor.localView holds them.
-func (s *State) stat(si int32, local []bool) temporal.Status {
-	st := s.status[si]
-	if st == temporal.StatusUnknown && local != nil && local[si] {
+func (s *State) stat(id symtab.ID, local []bool) temporal.Status {
+	st := s.cells[id].st
+	if st == temporal.StatusUnknown && local != nil && local[id] {
 		return temporal.StatusHeld
 	}
 	return st
@@ -487,7 +546,7 @@ func (s *State) litVerdict(slot *litSlot, useHolds bool, local []bool) temporal.
 		case temporal.StatusImpossible:
 			return temporal.False
 		case temporal.StatusOccurred:
-			t := s.times[si]
+			t := s.cells[si].t
 			if t <= lastOcc || notYetBefore {
 				return temporal.False
 			}
@@ -566,9 +625,9 @@ func (s *State) EvalAsOf(pol int, t int64) temporal.Tri {
 func (s *State) litAsOf(slot *litSlot, t int64) temporal.Tri {
 	switch slot.kind {
 	case temporal.LitOccurred:
-		switch s.status[slot.seq[0]] {
+		switch s.cells[slot.seq[0]].st {
 		case temporal.StatusOccurred:
-			if s.times[slot.seq[0]] < t {
+			if s.cells[slot.seq[0]].t < t {
 				return temporal.True
 			}
 			return temporal.False
@@ -577,9 +636,9 @@ func (s *State) litAsOf(slot *litSlot, t int64) temporal.Tri {
 		}
 		return temporal.Unknown
 	case temporal.LitNotYet:
-		switch s.status[slot.seq[0]] {
+		switch s.cells[slot.seq[0]].st {
 		case temporal.StatusOccurred:
-			if s.times[slot.seq[0]] < t {
+			if s.cells[slot.seq[0]].t < t {
 				return temporal.False
 			}
 			return temporal.True
@@ -591,14 +650,14 @@ func (s *State) litAsOf(slot *litSlot, t int64) temporal.Tri {
 	lastOcc := int64(math.MinInt64)
 	unknown := false
 	for _, si := range slot.seq {
-		switch s.status[si] {
+		switch s.cells[si].st {
 		case temporal.StatusImpossible:
 			return temporal.False
 		case temporal.StatusOccurred:
-			if s.times[si] <= lastOcc {
+			if s.cells[si].t <= lastOcc {
 				return temporal.False
 			}
-			lastOcc = s.times[si]
+			lastOcc = s.cells[si].t
 		default:
 			unknown = true
 		}

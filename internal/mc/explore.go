@@ -30,6 +30,7 @@ import (
 	"repro/internal/arun"
 	"repro/internal/simnet"
 	"repro/internal/spec"
+	"repro/internal/symtab"
 )
 
 // ExploreOptions bound one exploration.
@@ -185,9 +186,10 @@ func AdmissibleFingerprints(sp *spec.Spec, maxEvents int) (map[string]bool, stri
 	}
 	expected := make(map[string]bool, len(admitted))
 	for _, u := range admitted {
-		oc := arun.Outcome{Occurred: make(map[string]int64, len(u)), Satisfied: true}
+		oc := arun.Outcome{Satisfied: true}
 		for i, s := range u {
-			oc.Occurred[s.Key()] = int64(i + 1)
+			oc.Trace = append(oc.Trace, s.Key())
+			oc.At = append(oc.At, int64(i+1))
 		}
 		expected[oc.Fingerprint()] = true
 	}
@@ -309,6 +311,10 @@ func (c *ctrlNet) Clock() int64 { return c.occ }
 
 // Close implements arun.Transport.
 func (c *ctrlNet) Close() {}
+
+// UseSymbols implements arun.Transport: payloads stay in memory, with
+// their ids.
+func (c *ctrlNet) UseSymbols(*symtab.Table) {}
 
 // IdleNow implements arun.Transport: the pump runs on the caller's
 // goroutine, so asking whether the network is idle is what pumps it.

@@ -227,9 +227,16 @@ func (l *link) session(conn net.Conn) {
 			l.ack(upTo)
 		}
 	}()
-	// When the reader dies the connection is unusable; unblock the
-	// transmit loop so it notices via a write error or the done channel.
-	defer func() { <-readerDone }()
+	// The session ends by closing the connection, then waiting for the
+	// ack reader: the reader is blocked in Read on this connection, and
+	// only the close unblocks it.  Waiting first would strand it — and
+	// the peer's serveConn, which waits for this side to close — for
+	// good.
+	defer func() {
+		cw.shutdown()
+		conn.Close()
+		<-readerDone
+	}()
 
 	// nextSend is the first sequence number not yet transmitted in this
 	// session; everything unacked below it was sent on this connection.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/actor"
 	"repro/internal/quiesce"
 	"repro/internal/simnet"
+	"repro/internal/symtab"
 	"repro/internal/wal"
 )
 
@@ -206,6 +207,14 @@ func (m *Mesh) IdleNow() bool { return m.idle.IdleNow() }
 // IdleWait returns the channel the mesh's next zero-transition closes,
 // and its cancel (see quiesce.NotifyTracker.IdleWait).
 func (m *Mesh) IdleWait() (<-chan struct{}, func()) { return m.idle.IdleWait() }
+
+// UseSymbols hands every node the plan's symbol table (see
+// Node.UseSymbols).
+func (m *Mesh) UseSymbols(tab *symtab.Table) {
+	for _, n := range m.nodes {
+		n.UseSymbols(tab)
+	}
+}
 
 // Stats sums delivery metrics over all nodes.
 func (m *Mesh) Stats() (delivered, deduped int64) {

@@ -53,6 +53,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/quiesce"
 	"repro/internal/simnet"
+	"repro/internal/symtab"
 	"repro/internal/wal"
 )
 
@@ -165,6 +166,9 @@ type Node struct {
 	// node owns it; every node of a Mesh counts into the mesh's one
 	// tracker instead, so a single read of it covers the whole mesh.
 	pend *quiesce.NotifyTracker
+	// syms resolves the symbol ids of decoded payloads (UseSymbols);
+	// nil leaves them unset.
+	syms atomic.Pointer[symtab.Table]
 
 	lis net.Listener
 
@@ -433,6 +437,12 @@ func (n *Node) IdleNow() bool { return n.pend.IdleNow() }
 // closes, and its cancel (see quiesce.NotifyTracker.IdleWait).
 func (n *Node) IdleWait() (<-chan struct{}, func()) { return n.pend.IdleWait() }
 
+// UseSymbols sets the plan symbol table the node resolves decoded
+// payloads against — received frames and WAL replay alike — so an
+// attempt, announcement or decision reaches its handler with its id,
+// and a name the plan does not hold is refused as a bad payload.
+func (n *Node) UseSymbols(tab *symtab.Table) { n.syms.Store(tab) }
+
 // WaitIdleAll waits until the sum of pending counts over separately
 // built nodes is stably zero.  With every node of the cluster passed
 // in, that sum covers each message from send to handler completion and
@@ -526,6 +536,12 @@ func (n *Node) link(addr string) *link {
 	if !ok {
 		l = newLink(n, addr)
 		n.links[addr] = l
+		if n.closed {
+			// A send racing Close: Close has already closed the links it
+			// saw, so this one is born closed rather than redialling a
+			// dead peer for the life of the process.
+			l.close()
+		}
 		go l.run()
 	}
 	return l
@@ -834,7 +850,7 @@ func (p *ackPump) run(w *wal.Log, conn net.Conn, cw *connWriter) {
 // kills the connection).
 func (n *Node) deliverReady(peerID string, rp *recvPeer, ready []pendingFrame) bool {
 	for _, f := range ready {
-		msg, err := actor.DecodePayload(f.payload)
+		msg, err := actor.DecodePayloadOn(n.syms.Load(), f.payload)
 		if err != nil {
 			n.logf("bad payload from %s: %v", peerID, err)
 			return false

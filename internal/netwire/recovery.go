@@ -134,7 +134,7 @@ func (n *Node) Recover(host RecoveryHost) error {
 	n.replay.Store(r)
 	defer n.replay.Store(nil)
 	for _, in := range rec.Ins {
-		msg, err := actor.DecodePayload(in.Payload)
+		msg, err := actor.DecodePayloadOn(n.syms.Load(), in.Payload)
 		if err != nil {
 			return fmt.Errorf("netwire: replay decode for site %s: %w", in.Site, err)
 		}

@@ -9,6 +9,13 @@
 // bucket; the tracer's disabled fast path is one atomic load and no
 // allocation, proven by a benchmark guard in trace_test.go.
 //
+// An atomic add is cheap only uncontended: every worker adding to one
+// process-wide counter per message serializes on its cache line.  So a
+// per-message count does not touch a Counter from the message path.
+// It is tallied in plain fields owned by the goroutine doing the work
+// and added once per unit of work — the actor.* counts once per
+// instance (actor.Counts) — which keeps the totals exact.
+//
 // Everything else — snapshotting, diffing, JSON encoding, merge
 // sorting — happens off the hot path, on whatever goroutine asks.
 package obs

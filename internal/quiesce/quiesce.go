@@ -117,7 +117,7 @@ func (t *NotifyTracker) WaitIdle(timeout time.Duration) bool {
 
 // Gate is a reusable broadcast signal: waiters take the current
 // channel with Chan and block on it; Pulse closes that channel
-// (waking everyone) and installs a fresh one.  It lets a waiter sleep
+// (waking everyone), and the next Chan takes a fresh one.  It lets a waiter sleep
 // until "something changed" — a decision arrived, a pending count hit
 // zero — instead of polling, which is what makes per-instance
 // completion cheap enough to replace global quiescence on the hot
@@ -138,12 +138,13 @@ func (g *Gate) Chan() <-chan struct{} {
 }
 
 // Pulse wakes every goroutine blocked on a previously returned
-// channel.
+// channel.  The next channel is made only when Chan asks for it, so a
+// pulse nobody waits for allocates nothing.
 func (g *Gate) Pulse() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.ch != nil {
 		close(g.ch)
+		g.ch = nil
 	}
-	g.ch = make(chan struct{})
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/simnet"
+	"repro/internal/symtab"
 	"repro/internal/temporal"
 )
 
@@ -17,6 +18,7 @@ const CentralSite simnet.SiteID = "central"
 // centralState is the shared machinery of the two centralized
 // baselines; the stepper abstracts residuation vs automata.
 type centralState struct {
+	tab      *symtab.Table
 	stepper  stepper
 	hooks    *actor.Hooks
 	occurred map[string]int64
@@ -173,8 +175,9 @@ func (as *automatonStepper) StateCount() int {
 	return n
 }
 
-func newCentralState(st stepper, hooks *actor.Hooks, bases []algebra.Symbol) *centralState {
+func newCentralState(tab *symtab.Table, st stepper, hooks *actor.Hooks, bases []algebra.Symbol) *centralState {
 	return &centralState{
+		tab:      tab,
 		stepper:  st,
 		hooks:    hooks,
 		occurred: map[string]int64{},
@@ -328,7 +331,7 @@ func (cs *centralState) fire(n *simnet.Network, s algebra.Symbol, replyTo simnet
 	cs.occurred[s.Key()] = at
 	cs.stepper.advance(s)
 	if cs.hooks != nil && cs.hooks.OnFire != nil {
-		cs.hooks.OnFire(s, at, n.Now())
+		cs.hooks.OnFire(actor.AnnounceMsg{Sym: s, ID: cs.tab.Add(s), At: at}, n.Now())
 	}
 	cs.decide(n, s, replyTo, attemptedAt, true, "")
 	cs.drainParked(n, s)
@@ -353,7 +356,7 @@ func (cs *centralState) drainParked(n *simnet.Network, justFired algebra.Symbol)
 				cs.occurred[p.sym.Key()] = at
 				cs.stepper.advance(p.sym)
 				if cs.hooks != nil && cs.hooks.OnFire != nil {
-					cs.hooks.OnFire(p.sym, at, n.Now())
+					cs.hooks.OnFire(actor.AnnounceMsg{Sym: p.sym, ID: cs.tab.Add(p.sym), At: at}, n.Now())
 				}
 				cs.decide(n, p.sym, p.replyTo, p.attemptedAt, true, "")
 				progress = true
@@ -368,7 +371,7 @@ func (cs *centralState) drainParked(n *simnet.Network, justFired algebra.Symbol)
 func (cs *centralState) decide(n *simnet.Network, s algebra.Symbol, replyTo simnet.SiteID,
 	attemptedAt simnet.Time, accepted bool, reason string) {
 	d := actor.DecisionMsg{
-		Sym: s, Accepted: accepted, At: cs.occurred[s.Key()],
+		Sym: s, ID: cs.tab.Add(s), Accepted: accepted, At: cs.occurred[s.Key()],
 		AttemptedAt: attemptedAt, DecidedAt: n.Now(), Reason: reason,
 	}
 	if cs.hooks != nil && cs.hooks.OnDecision != nil {
@@ -379,20 +382,24 @@ func (cs *centralState) decide(n *simnet.Network, s algebra.Symbol, replyTo simn
 	}
 }
 
-// centralSubmitter routes every attempt to the central site.
-type centralSubmitter struct{}
+// centralSubmitter routes every attempt to the central site.  The
+// central site decides by name, and interns an out-of-alphabet symbol
+// an agent attempts the first time it meets it.
+type centralSubmitter struct {
+	tab *symtab.Table
+}
 
 func (centralSubmitter) DecisionSite(algebra.Symbol) simnet.SiteID { return CentralSite }
 
-func (centralSubmitter) Attempt(n *simnet.Network, origin simnet.SiteID,
+func (c centralSubmitter) Attempt(n *simnet.Network, origin simnet.SiteID,
 	s algebra.Symbol, forced bool, replyTo simnet.SiteID) {
 	mAttempts.Inc()
-	n.Send(origin, CentralSite, actor.AttemptMsg{Sym: s, Forced: forced, ReplyTo: replyTo})
+	n.Send(origin, CentralSite, actor.AttemptMsg{Sym: s, ID: c.tab.Add(s), Forced: forced, ReplyTo: replyTo})
 }
 
 // installCentral wires a centralized scheduler (residuation or
 // automata per kind) and client agent sites.
-func installCentral(n *simnet.Network, c *core.Compiled, kind Kind,
+func installCentral(n *simnet.Network, tab *symtab.Table, c *core.Compiled, kind Kind,
 	hooks *actor.Hooks) (Submitter, *centralState) {
 	var st stepper
 	if kind == CentralAutomata {
@@ -400,9 +407,9 @@ func installCentral(n *simnet.Network, c *core.Compiled, kind Kind,
 	} else {
 		st = newResiduationStepper(c.Workflow)
 	}
-	cs := newCentralState(st, hooks, sortedBases(c.Workflow))
+	cs := newCentralState(tab, st, hooks, sortedBases(c.Workflow))
 	n.AddSite(CentralSite, cs)
-	return centralSubmitter{}, cs
+	return centralSubmitter{tab: tab}, cs
 }
 
 // guardCentral is the Günthör-style baseline the paper's conclusions
@@ -413,6 +420,7 @@ func installCentral(n *simnet.Network, c *core.Compiled, kind Kind,
 // scheduler's decision semantics minus the protocol — and the
 // centralized schedulers' single-site bottleneck.
 type guardCentral struct {
+	tab      *symtab.Table
 	compiled *core.Compiled
 	hooks    *actor.Hooks
 	know     temporal.Knowledge
@@ -427,8 +435,9 @@ type guardCentral struct {
 	reducedVer map[string]uint64
 }
 
-func newGuardCentral(c *core.Compiled, hooks *actor.Hooks) *guardCentral {
+func newGuardCentral(tab *symtab.Table, c *core.Compiled, hooks *actor.Hooks) *guardCentral {
 	return &guardCentral{
+		tab:        tab,
 		compiled:   c,
 		hooks:      hooks,
 		occurred:   map[string]int64{},
@@ -558,7 +567,7 @@ func (gc *guardCentral) fire(n *simnet.Network, s algebra.Symbol, replyTo simnet
 	gc.occurred[s.Key()] = at
 	gc.know.Observe(s, at)
 	if gc.hooks != nil && gc.hooks.OnFire != nil {
-		gc.hooks.OnFire(s, at, n.Now())
+		gc.hooks.OnFire(actor.AnnounceMsg{Sym: s, ID: gc.tab.Add(s), At: at}, n.Now())
 	}
 	gc.decide(n, s, replyTo, attemptedAt, true, "")
 	gc.drainParked(n, s)
@@ -581,7 +590,7 @@ func (gc *guardCentral) drainParked(n *simnet.Network, justFired algebra.Symbol)
 					gc.occurred[p.sym.Key()] = at
 					gc.know.Observe(p.sym, at)
 					if gc.hooks != nil && gc.hooks.OnFire != nil {
-						gc.hooks.OnFire(p.sym, at, n.Now())
+						gc.hooks.OnFire(actor.AnnounceMsg{Sym: p.sym, ID: gc.tab.Add(p.sym), At: at}, n.Now())
 					}
 					gc.decide(n, p.sym, p.replyTo, p.attemptedAt, true, "")
 					progress = true
@@ -602,7 +611,7 @@ func (gc *guardCentral) drainParked(n *simnet.Network, justFired algebra.Symbol)
 func (gc *guardCentral) decide(n *simnet.Network, s algebra.Symbol, replyTo simnet.SiteID,
 	attemptedAt simnet.Time, accepted bool, reason string) {
 	d := actor.DecisionMsg{
-		Sym: s, Accepted: accepted, At: gc.occurred[s.Key()],
+		Sym: s, ID: gc.tab.Add(s), Accepted: accepted, At: gc.occurred[s.Key()],
 		AttemptedAt: attemptedAt, DecidedAt: n.Now(), Reason: reason,
 	}
 	if gc.hooks != nil && gc.hooks.OnDecision != nil {

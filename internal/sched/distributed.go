@@ -10,14 +10,9 @@ import (
 	"repro/internal/gprog"
 	"repro/internal/simnet"
 	"repro/internal/spec"
+	"repro/internal/symtab"
 	"repro/internal/temporal"
 )
-
-// trueProg is the shared compiled ⊤/⊤ program for unconstrained
-// actors created lazily at attempt time.
-var trueProg = gprog.Compile(
-	gprog.GuardInput{Guard: temporal.TrueF()},
-	gprog.GuardInput{Guard: temporal.TrueF()})
 
 // siteHost demultiplexes the messages arriving at one site among the
 // actors and agents living there.
@@ -118,9 +113,9 @@ func (d *distributedSubmitter) ensureActor(s algebra.Symbol, origin simnet.SiteI
 	}
 	b := s.Base()
 	d.dir.Place(b, origin)
-	a := actor.New(b, origin, d.dir, d.hooks,
-		actor.GuardSpec{Guard: temporal.TrueF()}, actor.GuardSpec{Guard: temporal.TrueF()})
-	a.AttachProgram(trueProg)
+	top := actor.GuardSpec{Guard: temporal.TrueF()}
+	a := actor.New(b, origin, d.dir, d.hooks, top, top)
+	a.AttachProgram(gprog.CompileOn(d.dir.Table(), gprog.GuardInput{Guard: top.Guard}, gprog.GuardInput{Guard: top.Guard}))
 	h.addActor(b.Key(), a)
 	return origin
 }
@@ -129,16 +124,16 @@ func (d *distributedSubmitter) Attempt(n *simnet.Network, origin simnet.SiteID,
 	s algebra.Symbol, forced bool, replyTo simnet.SiteID) {
 	mAttempts.Inc()
 	site := d.ensureActor(s, origin)
-	n.Send(origin, site, actor.AttemptMsg{Sym: s, Forced: forced, ReplyTo: replyTo})
+	n.Send(origin, site, actor.AttemptMsg{Sym: s, ID: d.dir.Table().MustLookup(s), Forced: forced, ReplyTo: replyTo})
 }
 
 // installDistributed builds the directory, actors, and site hosts for
 // the compiled workflow and returns the submitter plus the hosts (for
 // agent registration).  noElim disables the consensus-elimination
 // optimization (the P6 ablation).
-func installDistributed(n *simnet.Network, c *core.Compiled, pl spec.Placement,
+func installDistributed(n *simnet.Network, tab *symtab.Table, c *core.Compiled, pl spec.Placement,
 	hooks *actor.Hooks, noElim bool) (Submitter, map[simnet.SiteID]*siteHost) {
-	dir := actor.NewDirectory()
+	dir := actor.NewDirectoryOn(tab)
 	hosts := map[simnet.SiteID]*siteHost{}
 	host := func(site simnet.SiteID) *siteHost {
 		h, ok := hosts[site]
@@ -157,7 +152,7 @@ func installDistributed(n *simnet.Network, c *core.Compiled, pl spec.Placement,
 		site := pl.SiteFor(b)
 		pos, neg := guardSpec(c, b, noElim), guardSpec(c, b.Complement(), noElim)
 		a := actor.New(b, site, dir, hooks, pos, neg)
-		a.AttachProgram(gprog.Compile(
+		a.AttachProgram(gprog.CompileOn(tab,
 			gprog.GuardInput{Guard: pos.Guard, LocalNeg: pos.LocalNeg},
 			gprog.GuardInput{Guard: neg.Guard, LocalNeg: neg.LocalNeg}))
 		host(site).addActor(b.Key(), a)

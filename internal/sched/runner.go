@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"repro/internal/actor"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
@@ -101,9 +102,10 @@ func RunCompiled(c *core.Compiled, cfg Config) (*Report, error) {
 
 	var sub Submitter
 	hosts := map[simnet.SiteID]*siteHost{}
+	tab := planSymbols(c.Workflow, cfg.Agents)
 	switch cfg.Kind {
 	case Distributed, "":
-		sub, hosts = installDistributed(net, c, pl, hooks, cfg.NoConsensusElimination)
+		sub, hosts = installDistributed(net, tab, c, pl, hooks, cfg.NoConsensusElimination)
 		tracer := cfg.Tracer
 		if tracer == nil {
 			tracer = obs.Shared()
@@ -131,10 +133,10 @@ func RunCompiled(c *core.Compiled, cfg Config) (*Report, error) {
 			h.actor(s).SetTriggerable(s)
 		}
 	case CentralResiduation, CentralAutomata:
-		sub, _ = installCentral(net, c, cfg.Kind, hooks)
+		sub, _ = installCentral(net, tab, c, cfg.Kind, hooks)
 	case CentralGuards:
-		net.AddSite(CentralSite, newGuardCentral(c, hooks))
-		sub = centralSubmitter{}
+		net.AddSite(CentralSite, newGuardCentral(tab, c, hooks))
+		sub = centralSubmitter{tab: tab}
 	default:
 		return nil, fmt.Errorf("sched: unknown scheduler kind %q", cfg.Kind)
 	}
@@ -162,6 +164,15 @@ func RunCompiled(c *core.Compiled, cfg Config) (*Report, error) {
 	if cfg.Closeout {
 		runCloseout(net, sub, col, c.Workflow, maxSteps)
 	}
+	// The run is over and the simulator idle: publish the actors'
+	// protocol tallies once.
+	var counts actor.Counts
+	for _, h := range hosts {
+		for _, a := range h.actors {
+			counts.Add(a.TakeCounts())
+		}
+	}
+	counts.Publish()
 
 	report := &Report{
 		Kind:           cfg.Kind,

@@ -36,6 +36,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/simnet"
 	"repro/internal/spec"
+	"repro/internal/symtab"
 )
 
 // Kind selects a scheduler implementation.
@@ -101,10 +102,10 @@ func NewCollector() *Collector {
 // Hooks returns actor hooks feeding this collector.
 func (c *Collector) Hooks() *actor.Hooks {
 	return &actor.Hooks{
-		OnFire: func(s algebra.Symbol, at int64, when simnet.Time) {
-			c.Trace = append(c.Trace, s)
+		OnFire: func(ann actor.AnnounceMsg, when simnet.Time) {
+			c.Trace = append(c.Trace, ann.Sym)
 			c.FireTimes = append(c.FireTimes, when)
-			c.occurred[s.Key()] = at
+			c.occurred[ann.Sym.Key()] = ann.At
 		},
 		OnDecision: func(d actor.DecisionMsg) {
 			c.Decisions = append(c.Decisions, d)
@@ -211,4 +212,35 @@ func sortedBases(w *core.Workflow) []algebra.Symbol {
 	bases := w.Alphabet().Bases()
 	sort.Slice(bases, func(i, j int) bool { return bases[i].Less(bases[j]) })
 	return bases
+}
+
+// planSymbols numbers a run's symbols the way arun.NewPlan does: the
+// workflow's bases in sorted order, then the out-of-alphabet events the
+// agents attempt, sorted.  Every scheduler of the run shares it, so a
+// symbol's id does not depend on who decides it.
+func planSymbols(w *core.Workflow, agents []*spec.AgentScript) *symtab.Table {
+	tab := symtab.New()
+	for _, b := range sortedBases(w) {
+		tab.Add(b)
+	}
+	var extras []algebra.Symbol
+	seen := map[string]bool{}
+	var walk func(steps []spec.Step)
+	walk = func(steps []spec.Step) {
+		for _, st := range steps {
+			if _, ok := tab.Lookup(st.Sym); !ok && !seen[st.Sym.Base().Key()] {
+				seen[st.Sym.Base().Key()] = true
+				extras = append(extras, st.Sym.Base())
+			}
+			walk(st.OnReject)
+		}
+	}
+	for _, ag := range agents {
+		walk(ag.Steps)
+	}
+	sort.Slice(extras, func(i, j int) bool { return extras[i].Less(extras[j]) })
+	for _, x := range extras {
+		tab.Add(x)
+	}
+	return tab
 }

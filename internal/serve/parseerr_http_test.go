@@ -11,7 +11,8 @@ import (
 // a 400 whose body carries the message, line, column, and offending
 // token — everything an editor needs to point at the mistake.
 func TestSpecUpload4xxBodies(t *testing.T) {
-	_, _, addr := startServer(t, Config{Shards: 2})
+	srv, _, addr := startServer(t, Config{Shards: 2})
+	defer srv.Drain()
 	cases := []struct {
 		name string
 		src  string

@@ -384,6 +384,7 @@ event c site=s1
 		tl.log.Close()
 	}
 	srv.mu.Unlock()
+	stopCrashed(srv)
 
 	srv2, err := NewServer(Config{Shards: 2, WALRoot: walRoot})
 	if err != nil {
@@ -468,4 +469,25 @@ func TestAnnounceUnjournaledRefused(t *testing.T) {
 	if seq := srv.verdicts.Seq(); seq != 0 {
 		t.Errorf("%d verdicts published after a refused announce", seq)
 	}
+}
+
+// stopCrashed ends what a simulated crash leaves running — the shard
+// workers and the commit loops — without settling any instance: the
+// restarted server owns them.  It takes the drain's once, so a later
+// Drain is a no-op.
+func stopCrashed(s *Server) {
+	s.drainOnce.Do(func() {
+		for _, sh := range s.shards {
+			sh.mu.Lock()
+			sh.closed = true
+			close(sh.mbox)
+			sh.mu.Unlock()
+		}
+		for _, sh := range s.shards {
+			sh.wg.Wait()
+		}
+		for _, c := range s.committers {
+			c.Close()
+		}
+	})
 }
