@@ -51,12 +51,15 @@ enginestress:
 	$(GO) test -race -count=1 -run 'TestEngineStress256|TestEngineChaosNet|TestScratchRecyclingEquivalence' ./internal/engine
 
 # The observability gates, always uncached: bytewise golden replay of
-# the traced simulator runs, and the trace-invariant checker over the
+# the traced simulator runs and of the checked-in protocol goldens
+# (payload logs and traces), tracing on and off delivering the same
+# messages in the same order, and the trace-invariant checker over the
 # five-workflow differential chaos suite (every captured trace must
 # satisfy causality, single terminal verdicts, and monotone Lamport
 # stamps even under injected faults).
 tracecheck:
-	$(GO) test -count=1 -run 'TestGoldenReplay' ./internal/sched
+	$(GO) test -count=1 -run 'TestGoldenReplay|TestTraceDoesNotChangeRun' ./internal/sched
+	$(GO) test -count=1 -run 'TestProtocolGolden|TestTraceDoesNotChangeRun' ./internal/arun
 	$(GO) test -count=1 -run 'TestDifferentialChaos' ./internal/netwire
 
 # The durability gate, always uncached: seeded kill/restart cycles over

@@ -8,8 +8,9 @@
 // that exclusion.  The actor:
 //
 //   - parks attempted events whose guards are not yet ⊤,
-//   - assimilates □ announcements into its knowledge and reduces its
-//     guards with the proof rules of §4.3,
+//   - assimilates □ announcements into the state of its compiled guard
+//     program (internal/gprog), the only store of its facts, which
+//     evaluates both guards by the proof rules of §4.3,
 //   - runs the agreement protocol for ¬f literals: it inquires at f's
 //     actor, which either reports f's status or grants a hold — a
 //     short-lived freeze of f — so that both sides agree whether f has
@@ -35,7 +36,9 @@ package actor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/algebra"
 	"repro/internal/gprog"
@@ -75,11 +78,6 @@ type Actor struct {
 	dir   *Directory
 	hooks *Hooks
 
-	// know holds, folded in on demand, a copy of the program state's
-	// facts for the tree evaluator (see knowledge), plus the facts
-	// about symbols the program has no slot for — every fact, for an
-	// actor without a program.
-	know temporal.Knowledge
 	// pols holds the base polarity at index 0 and its complement at 1
 	// (the gprog.PolPos / gprog.PolNeg order).
 	pols [2]polarity
@@ -87,18 +85,17 @@ type Actor struct {
 	// so broadcast-order walks never re-sort (or allocate).
 	ordered [2]*polarity
 
-	// prog, when attached, is the compiled bitset form of both guards
-	// and the only store of the facts about the plan's symbols: it
-	// answers Decide/Eval without touching the formula trees.  Each
-	// polarity's residual guard stays authoritative for everything the
-	// fast path does not cover (rounds, waves, promise soundness).
-	// It points at progState, which the actor embeds so a fresh build
-	// pays no allocation for the state itself.
-	prog      *gprog.State
-	progState gprog.State
-	// unfolded records that prog holds facts know has not been given
-	// yet; knowledge folds them in before the tree evaluator reads.
-	unfolded bool
+	// prog is the actor's state of its compiled guard program: the only
+	// store of its facts and the only evaluator of both guards.  Every
+	// decision — fire, reject, inquiry targets, hold trimming, promise
+	// waves — reads its verdicts and residual products.
+	prog gprog.State
+	// hyp is the scratch state promise soundness is judged in: the
+	// permanent facts plus a hypothesis.  Its cells are made on first
+	// use.
+	hyp gprog.State
+	// ids is scratch for the symbol lists a decision builds.
+	ids []symtab.ID
 
 	roundSeq int
 	deferred []InquireMsg
@@ -113,23 +110,17 @@ type Actor struct {
 
 	// Trace, when set, receives a decision record per protocol step.
 	// A nil scope is off; an attached scope costs one atomic load per
-	// step while its tracer is disabled.
+	// step while its tracer is disabled.  Tracing only records: a
+	// traced run decides exactly as an untraced one.
 	Trace *obs.Scope
 }
 
 type polarity struct {
 	sym algebra.Symbol
 	id  symtab.ID
-	// progPol is this polarity's index into the compiled guard
-	// program (gprog.PolPos / gprog.PolNeg).
-	progPol int
-	// guard is the current residual guard; reducedVer records the
-	// knowledge version it was last reduced at.  While that matches,
-	// the residual is already fully reduced and Reduce is skipped.
-	guard      temporal.Formula
-	reducedVer uint64
-	// localNeg holds the consensus-eliminated symbols of the guard.
-	localNeg map[string]algebra.Symbol
+	// shown is the residual guard the last trace record showed; empty
+	// until then, when it is the source guard.
+	shown string
 
 	// The protocol maps (holdsOnMe, promisesBy, promiseClaims,
 	// pastInquirers) stay nil until put first writes them: most
@@ -143,14 +134,14 @@ type polarity struct {
 	rejected    bool
 	fireReady   bool
 	round       *round
-	holdsOnMe   map[string]bool
+	holdsOnMe   map[holdKey]bool
 	// promisesBy maps requester symbol → the outstanding conditional
 	// promise this actor gave on this symbol.
 	promisesBy map[symtab.ID]promiseInfo
-	// promiseClaims maps target symbol key → the conditional promises
-	// this polarity has received.  Claims persist across rounds: they
-	// are consumed at fire (discharge) or at reject (lapse).
-	promiseClaims map[string]promiseClaim
+	// promiseClaims maps target symbol → the conditional promises this
+	// polarity has received.  Claims persist across rounds: they are
+	// consumed at fire (discharge) or at reject (lapse).
+	promiseClaims map[symtab.ID]promiseClaim
 	// triggerable: the scheduler may cause this event proactively
 	// (task attribute, §2); its actor may then promise it before any
 	// attempt and self-trigger on discharge.
@@ -161,15 +152,18 @@ type polarity struct {
 	// retry records that new information arrived during an active
 	// round; an inconclusive round is then immediately re-decided.
 	retry bool
-	// wave is the set of claim targets (by key) the pending fire
-	// decision relies on; those claims are discharged at fire, the
-	// rest lapse.
-	wave map[string]bool
+	// wave is the set of claim targets the pending fire decision relies
+	// on; those claims are discharged at fire, the rest lapse.
+	wave map[symtab.ID]bool
 }
+
+// pol is the polarity's index into the guard program: the id's bar
+// bit, as pols is indexed.
+func (p *polarity) pol() int { return int(p.id & 1) }
 
 type round struct {
 	id      int
-	pending map[string]bool
+	pending map[symtab.ID]bool
 	// holds are the agreement claims of this round; they are released
 	// when the round ends, fired or not.
 	holds []claim
@@ -179,6 +173,13 @@ type claim struct {
 	target algebra.Symbol
 	id     symtab.ID // target's
 	site   simnet.SiteID
+}
+
+// holdKey names a hold this actor granted: the requester and its
+// round.
+type holdKey struct {
+	req   symtab.ID
+	round int
 }
 
 // promiseInfo is a promise this actor gave: the requester it went to
@@ -194,127 +195,54 @@ type promiseClaim struct {
 	target   algebra.Symbol
 	site     simnet.SiteID
 	conds    []algebra.Symbol
+	condIDs  []symtab.ID // conds' ids, aligned
 	afterReq bool
 }
 
-// GuardSpec is the compiled guard of one polarity together with its
-// consensus-elimination set: the symbols whose ¬ literals this actor
-// may decide locally (core.EventGuard.LocalNeg).
-type GuardSpec struct {
-	Guard temporal.Formula
-	// LocalNeg maps symbol keys to the symbol for eliminated ¬
-	// consensus.
-	LocalNeg map[string]algebra.Symbol
-}
-
-// New creates an actor for the base event at the site, with the guard
-// specs for both polarities (⊤ when a polarity is unconstrained).  The
-// event must be in the directory's table (Place puts it there), and so
-// must every symbol its protocol messages will name.  The hooks may be
-// nil.
-func New(base algebra.Symbol, site simnet.SiteID, dir *Directory, hooks *Hooks,
-	pos, neg GuardSpec) *Actor {
+// New creates an actor for the base event at the site, deciding both
+// polarities on the program compiled from their guards onto the
+// directory's table (gprog.CompileOn).  The event must be in that
+// table (Place puts it there), and so must every symbol its protocol
+// messages will name.  The hooks may be nil.
+func New(base algebra.Symbol, site simnet.SiteID, dir *Directory, hooks *Hooks, prog *gprog.Prog) *Actor {
+	if prog.Table() != dir.tab {
+		panic(fmt.Sprintf("actor %s: program lowered onto another symbol table", base))
+	}
 	a := &Actor{base: base.Base(), site: site, dir: dir, tab: dir.tab, hooks: hooks}
 	a.id = a.tab.MustLookup(a.base)
-	a.Reset(pos, neg)
+	prog.InitState(&a.prog)
+	a.Reset()
 	return a
 }
 
-// Reset puts the actor in the state New leaves it in, with the given
-// guard specs: no facts, no protocol state, nothing attempted or
-// triggerable.  It keeps what does not depend on the run — event,
-// site, directory, hooks, attached program, trace scope and log — and
-// the storage of the knowledge map and program state, so a recycled
-// instance (arun.Scratch) rebuilds its actors without allocating.  New
-// initialises through it, so a reset actor and a new one cannot drift
-// apart.  The caller must own the actor: no message may be in flight
-// to it.
-func (a *Actor) Reset(pos, neg GuardSpec) {
-	a.know.Reset()
-	if a.prog != nil {
-		a.prog.Reset()
-	}
-	a.unfolded = false
+// Reset puts the actor in the state New leaves it in: no facts, no
+// protocol state, nothing attempted or triggerable.  It keeps what does
+// not depend on the run — event, site, directory, hooks, program,
+// trace scope and log — and the storage of the program states, so a
+// recycled instance (arun.Scratch) rebuilds its actors without
+// allocating.  New initialises through it, so a reset actor and a new
+// one cannot drift apart.  The caller must own the actor: no message
+// may be in flight to it.
+func (a *Actor) Reset() {
+	a.prog.Reset()
 	a.roundSeq = 0
 	a.counts = Counts{}
 	clear(a.deferred)
 	a.deferred = a.deferred[:0]
 	comp := a.id.Complement()
-	a.pols = [2]polarity{
-		{sym: a.base, id: a.id, progPol: gprog.PolPos, guard: pos.Guard, localNeg: pos.LocalNeg},
-		{sym: a.tab.Sym(comp), id: comp, progPol: gprog.PolNeg, guard: neg.Guard, localNeg: neg.LocalNeg},
-	}
+	a.pols = [2]polarity{{sym: a.base, id: a.id}, {sym: a.tab.Sym(comp), id: comp}}
 	a.ordered = [2]*polarity{&a.pols[0], &a.pols[1]}
 	if a.tab.Key(comp) < a.tab.Key(a.id) {
 		a.ordered[0], a.ordered[1] = a.ordered[1], a.ordered[0]
 	}
 }
 
-// AttachProgram switches the actor to compiled-guard mode: a per-actor
-// mutable State over the shared immutable program becomes the store of
-// every fact about a symbol of the program's table, and decide consults
-// its bitset verdict before falling back to the formula trees.  Attach
-// before any message flows; the program must be compiled from the same
-// guard specs New received, onto the directory's table.
-func (a *Actor) AttachProgram(p *gprog.Prog) {
-	if p == nil {
-		a.prog = nil
-		return
-	}
-	if p.Table() != a.tab {
-		panic(fmt.Sprintf("actor %s: program lowered onto another symbol table", a.base))
-	}
-	p.InitState(&a.progState)
-	a.prog = &a.progState
-}
-
-// The observe/hold/unhold/markImpossible wrappers are the only paths
-// that record facts during the protocol.  Each fact is written once:
-// into the program state when the id has a slot there (every symbol of
-// the table the program was lowered onto), into the knowledge map
-// otherwise — an actor with no program, or a symbol added to the table
-// after the program was compiled.
-
-func (a *Actor) observe(id symtab.ID, t int64) {
-	if a.prog != nil && a.prog.ObserveID(id, t) {
-		a.unfolded = true
-		return
-	}
-	a.know.Observe(a.tab.Sym(id), t)
-}
-
-func (a *Actor) markImpossible(id symtab.ID) {
-	if a.prog != nil && a.prog.MarkImpossibleID(id) {
-		a.unfolded = true
-		return
-	}
-	a.know.MarkImpossible(a.tab.Sym(id))
-}
-
-func (a *Actor) hold(id symtab.ID) {
-	if a.prog != nil && a.prog.HoldID(id) {
-		a.unfolded = true
-		return
-	}
-	a.know.Hold(a.tab.Sym(id))
-}
-
-func (a *Actor) unhold(id symtab.ID) {
-	if a.prog != nil && a.prog.UnholdID(id) {
-		a.unfolded = true
-		return
-	}
-	a.know.Unhold(a.tab.Sym(id))
-}
-
-// status reads one symbol's fact from the store that holds it.
+// status reads one symbol's fact.  Facts live only in the program
+// state; an id it has no slot for — a symbol added to the table after
+// the program was compiled — is one no guard reads, and stays unknown.
 func (a *Actor) status(id symtab.ID) temporal.Status {
-	if a.prog != nil {
-		if st, ok := a.prog.StatusID(id); ok {
-			return st
-		}
-	}
-	return a.know.Status(a.tab.Sym(id))
+	st, _ := a.prog.StatusID(id)
+	return st
 }
 
 // idOf resolves a symbol a protocol message names to its id.  Only
@@ -323,99 +251,86 @@ func (a *Actor) status(id symtab.ID) temporal.Status {
 // and every one of them is in the plan's table.
 func (a *Actor) idOf(s algebra.Symbol) symtab.ID { return a.tab.MustLookup(s) }
 
-// knowledge is the tree path's one way to the actor's facts: the
-// knowledge map, with the program state's facts folded in first when
-// they changed since the last fold.  A fold moves the map's Version
-// only where a fact changed, so residual caching keyed on it keeps
-// skipping re-reductions under unchanged knowledge.
-func (a *Actor) knowledge() *temporal.Knowledge {
-	if a.unfolded {
-		a.prog.Fold(&a.know)
-		a.unfolded = false
+// idsOf resolves names to ids.
+func (a *Actor) idsOf(ss []algebra.Symbol) []symtab.ID {
+	out := make([]symtab.ID, len(ss))
+	for i, s := range ss {
+		out[i] = a.idOf(s)
 	}
-	return &a.know
-}
-
-// localView returns the knowledge to decide a polarity with: when the
-// consensus-elimination analysis marked ¬f literals as locally
-// decidable and this actor has produced no enabling fact (no
-// occurrence and no outstanding promise on either polarity), the
-// still-unknown eliminated symbols are treated as held — f cannot have
-// occurred without our cooperation, so no agreement round trip is
-// needed.
-func (a *Actor) localView(p *polarity) *temporal.Knowledge {
-	k := a.knowledge()
-	ln := p.localNeg
-	if len(ln) == 0 || !a.localFactsClean() {
-		return k
-	}
-	view := k.Clone()
-	for _, f := range ln {
-		if view.Status(f) == temporal.StatusUnknown {
-			view.Hold(f)
-		}
-	}
-	return view
-}
-
-// missingConds lists the not-yet-covered conditions of the polarity's
-// claims: the events to inquire about next so a commit wave can close.
-func (a *Actor) missingConds(p *polarity) []algebra.Symbol {
-	seen := map[string]algebra.Symbol{}
-	for _, c := range p.promiseClaims {
-		for _, cond := range c.conds {
-			if cond.Key() == p.sym.Key() || cond.SameEvent(a.base) {
-				continue
-			}
-			if _, claimed := p.promiseClaims[cond.Key()]; claimed {
-				continue
-			}
-			if a.status(a.idOf(cond)) == temporal.StatusOccurred {
-				continue
-			}
-			seen[cond.Key()] = cond
-		}
-	}
-	out := make([]algebra.Symbol, 0, len(seen))
-	for _, c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
-// decideWave tries to satisfy some product of the guard using the
-// received conditional promises: each product defines its own
+// localClean reports whether a decision on the polarity may treat its
+// still-unknown consensus-eliminated symbols as held: the polarity has
+// such symbols, and this actor has produced no enabling fact (no
+// occurrence and no outstanding promise on either polarity) — f cannot
+// have occurred without our cooperation, so no agreement round trip is
+// needed.
+func (a *Actor) localClean(p *polarity) bool {
+	return a.prog.Prog().NeedsLocal(p.pol()) && a.localFactsClean()
+}
+
+// sortByKey orders ids by their symbols' keys, the order every
+// protocol walk over a symbol set takes.
+func (a *Actor) sortByKey(ids []symtab.ID) {
+	slices.SortFunc(ids, func(x, y symtab.ID) int { return strings.Compare(a.tab.Key(x), a.tab.Key(y)) })
+}
+
+// missingConds appends the not-yet-covered conditions of the
+// polarity's claims: the events to inquire about next so a commit wave
+// can close.
+func (a *Actor) missingConds(p *polarity, dst []symtab.ID) []symtab.ID {
+	for _, c := range p.promiseClaims {
+		for _, cond := range c.condIDs {
+			if cond.SameEvent(a.id) {
+				continue
+			}
+			if _, claimed := p.promiseClaims[cond]; claimed {
+				continue
+			}
+			if a.status(cond) == temporal.StatusOccurred {
+				continue
+			}
+			dst = append(dst, cond)
+		}
+	}
+	return dst
+}
+
+// decideWave tries to satisfy some residual product of the guard using
+// the received conditional promises: each product defines its own
 // candidate commit wave.  A product qualifies when every literal is
 // either decided true by the view or is a single-event ◇ covered by a
 // live claim; the wave then closes over the claims' conditions and
 // must be internally consistent (no event together with its
 // complement, and an event x with ¬x in the product only when its
-// promise is ordered after this event's occurrence).
-func (a *Actor) decideWave(p *polarity, g temporal.Formula) (map[string]bool, bool) {
+// promise is ordered after this event's occurrence).  Products are
+// tried in key order; the first that qualifies wins.
+func (a *Actor) decideWave(p *polarity, view gprog.View) (map[symtab.ID]bool, bool) {
 	if len(p.promiseClaims) == 0 {
 		return nil, false
 	}
-	view := a.localView(p)
-	for _, prod := range g.Products() {
-		wave := map[string]bool{}
+	prog := a.prog.Prog()
+	var slots [64]int32
+	for _, prod := range a.prog.Residual(p.pol()).Products() {
+		wave := map[symtab.ID]bool{}
 		ok := true
-		var negs []algebra.Symbol
-		for _, l := range prod.Lits() {
-			if l.Kind() == temporal.LitNotYet {
-				negs = append(negs, l.Sym())
+		var negs []symtab.ID
+		for _, li := range prog.Slots(prod, slots[:0]) {
+			kind, ids := prog.Slot(li)
+			if kind == temporal.LitNotYet {
+				negs = append(negs, ids[0])
 			}
-			switch view.DecideLit(l) {
+			switch view.Lit(li) {
 			case temporal.True:
 				continue
 			case temporal.False:
 				ok = false
 			default:
-				if l.Kind() == temporal.LitEventually && len(l.Syms()) == 1 {
-					t := l.Syms()[0]
-					if _, have := p.promiseClaims[t.Key()]; have &&
-						a.status(a.idOf(t)) != temporal.StatusImpossible {
-						wave[t.Key()] = true
+				if kind == temporal.LitEventually && len(ids) == 1 {
+					if _, have := p.promiseClaims[ids[0]]; have &&
+						a.status(ids[0]) != temporal.StatusImpossible {
+						wave[ids[0]] = true
 						continue
 					}
 				}
@@ -441,22 +356,20 @@ func (a *Actor) decideWave(p *polarity, g temporal.Formula) (map[string]bool, bo
 
 // closeWave extends the wave over the conditions of its claims; it
 // fails when a condition is impossible or has no covering claim.
-func (a *Actor) closeWave(p *polarity, wave map[string]bool) bool {
+func (a *Actor) closeWave(p *polarity, wave map[symtab.ID]bool) bool {
 	for changed := true; changed; {
 		changed = false
 		for k := range wave {
-			for _, cond := range p.promiseClaims[k].conds {
-				ck := cond.Key()
-				cid := a.idOf(cond)
-				if cid == p.id || wave[ck] ||
+			for _, cid := range p.promiseClaims[k].condIDs {
+				if cid == p.id || wave[cid] ||
 					a.status(cid) == temporal.StatusOccurred {
 					continue
 				}
-				if _, have := p.promiseClaims[ck]; !have ||
+				if _, have := p.promiseClaims[cid]; !have ||
 					a.status(cid) == temporal.StatusImpossible {
 					return false
 				}
-				wave[ck] = true
+				wave[cid] = true
 				changed = true
 			}
 		}
@@ -468,15 +381,14 @@ func (a *Actor) closeWave(p *polarity, wave map[string]bool) bool {
 // complement (or with this actor's own complement), and waves that put
 // an event x in the commit set while the product relies on ¬x —
 // unless x's promise is ordered after this event's occurrence.
-func (a *Actor) waveConsistent(p *polarity, wave map[string]bool, negs []algebra.Symbol) bool {
+func (a *Actor) waveConsistent(p *polarity, wave map[symtab.ID]bool, negs []symtab.ID) bool {
 	for k := range wave {
-		c := p.promiseClaims[k]
-		if wave[c.target.Complement().Key()] || c.target.SameEvent(a.base) {
+		if wave[k.Complement()] || k.SameEvent(a.id) {
 			return false
 		}
 	}
 	for _, x := range negs {
-		if wave[x.Key()] && !p.promiseClaims[x.Key()].afterReq {
+		if wave[x] && !p.promiseClaims[x].afterReq {
 			return false
 		}
 	}
@@ -492,43 +404,13 @@ func (a *Actor) ID() symtab.ID { return a.id }
 // Site returns the actor's site.
 func (a *Actor) Site() simnet.SiteID { return a.site }
 
-// GuardOf returns the current (possibly reduced) guard of a polarity.
+// GuardOf returns a polarity's residual guard: its guard reduced by
+// the actor's permanent facts.
 func (a *Actor) GuardOf(s algebra.Symbol) temporal.Formula {
 	if p := a.lookupSym(s); p != nil {
-		return p.guard
+		return a.prog.Residual(p.pol())
 	}
 	return temporal.Formula{}
-}
-
-// residualGuard returns the polarity's knowledge-reduced residual
-// guard, re-reducing only when the knowledge changed since the last
-// reduction — the stored residual already reflects everything older,
-// and reducing it again under unchanged knowledge is the identity.
-func (a *Actor) residualGuard(n Net, p *polarity) temporal.Formula {
-	g := p.guard
-	k := a.knowledge()
-	if v := k.Version(); p.reducedVer != v {
-		if a.Trace.On() {
-			// Compare by key, not by value: a Formula's dynamic type
-			// need not be comparable, and the key is only computed once
-			// the tracing gate passed.
-			before := g.Key()
-			g = k.Reduce(g)
-			if after := g.Key(); after != before {
-				a.Trace.Emit(obs.Record{
-					Lamport: n.Clock(),
-					Kind:    obs.KindResiduate,
-					Sym:     a.tab.Key(p.id),
-					Guard:   after,
-				})
-			}
-		} else {
-			g = k.Reduce(g)
-		}
-		p.guard = g
-		p.reducedVer = v
-	}
-	return g
 }
 
 // Occurred reports whether the polarity has occurred, with its index.
@@ -707,7 +589,7 @@ func (a *Actor) onAnnounce(n Net, m AnnounceMsg) {
 			At:      m.At,
 		})
 	}
-	a.observe(m.ID, m.At)
+	a.prog.ObserveID(m.ID, m.At)
 	a.answerDeferred(n)
 	a.settlePromises(n)
 	for _, p := range a.sortedPols() {
@@ -760,98 +642,75 @@ func (a *Actor) decide(n Net, p *polarity) {
 	if p.occurred || p.rejected || p.fireReady {
 		return
 	}
-	// Compiled fast path: the program's bitset verdict settles the two
-	// overwhelmingly common delivery outcomes — "guard now true, fire"
-	// and "nothing changed, keep waiting on the active round" — with
-	// zero allocations and no tree walk.  It is taken only where the
-	// resulting message sequence is provably identical to the tree
-	// path: no outstanding promise claims (so decideWave cannot
-	// trigger), tracing off (the tree path emits residuation/eval
-	// records), and, for firing, no open round (whose holds the tree
-	// path would trim against the residual formula).  Everything else
-	// falls through to the tree path below, which remains the oracle.
-	if a.prog != nil && len(p.promiseClaims) == 0 && !a.Trace.On() {
-		clean := a.prog.Prog().NeedsLocal(p.progPol) && a.localFactsClean()
-		switch {
-		case a.prog.Decide(p.progPol, clean) == temporal.True:
-			if p.round == nil {
-				p.wave = nil
-				a.tryFire(n, p)
-				return
-			}
-			// Open round: fall through so the tree path trims the
-			// round's holds against the residual before firing.
-		case a.prog.Eval(p.progPol) == temporal.False:
-			// Permanently false: the residual tree reduces to 0 (the
-			// equivalence TestResidualChainAgreement locks in), so
-			// reject without materializing it.
-			a.endRound(n, p)
-			a.reject(n, p, "guard reduced to 0")
-			return
-		case p.round != nil:
-			// Verdict unknown with an inquiry round already in flight:
-			// the tree path would re-reduce, trace nothing, find no
-			// wave, and skip startRound — a no-op.
-			return
-		}
-	}
-	g := a.residualGuard(n, p)
-	if g.IsFalse() {
-		a.endRound(n, p)
-		a.reject(n, p, "guard reduced to 0")
-		return
-	}
-	switch v := a.localView(p).Decide(g); v {
-	case temporal.True:
-		a.traceEval(n, p, g, "true")
-		p.wave = nil
-		a.releaseUnneededHolds(n, p, g)
-		a.tryFire(n, p)
-	case temporal.False, temporal.Unknown:
-		if wave, ok := a.decideWave(p, g); ok {
-			a.traceEval(n, p, g, "wave")
-			p.wave = wave
-			a.releaseUnneededHolds(n, p, g)
-			a.tryFire(n, p)
-			return
-		}
-		a.traceEval(n, p, g, v.String())
+	if v, done := a.evaluate(n, p); !done {
+		a.traceEval(n, p, v.String())
 		if p.round == nil {
-			a.startRound(n, p, g)
+			a.startRound(n, p)
 		}
 	}
 }
 
-func (a *Actor) startRound(n Net, p *polarity, g temporal.Formula) {
-	targets := a.localView(p).Unresolved(g)
-	targets = append(targets, a.missingConds(p)...)
+// evaluate judges the polarity on its program and acts on a conclusive
+// verdict: it fires on a true guard or on a commit wave the received
+// promises close, and rejects a guard the permanent facts made 0.  It
+// reports the decision-time verdict and whether it acted.
+func (a *Actor) evaluate(n Net, p *polarity) (temporal.Tri, bool) {
+	a.traceResidual(n, p)
+	view := a.prog.DecideView(p.pol(), a.localClean(p))
+	v := view.Verdict()
+	switch {
+	case v == temporal.True:
+		a.traceEval(n, p, "true")
+		p.wave = nil
+	case a.prog.Eval(p.pol()) == temporal.False:
+		a.endRound(n, p)
+		a.reject(n, p, "guard reduced to 0")
+		return v, true
+	default:
+		wave, ok := a.decideWave(p, view)
+		if !ok {
+			return v, false
+		}
+		a.traceEval(n, p, "wave")
+		p.wave = wave
+	}
+	// Keep only the holds that back a ¬ literal of the guard; the rest
+	// were incidental to the inquiry and would deadlock mutually
+	// fire-ready commit waves.
+	a.releaseUnneededHolds(n, p)
+	a.tryFire(n, p) // remaining holds released once the event fires
+	return v, true
+}
+
+func (a *Actor) startRound(n Net, p *polarity) {
+	targets := a.prog.Awaited(p.pol(), a.prog.DecideView(p.pol(), a.localClean(p)), a.ids[:0])
+	targets = a.missingConds(p, targets)
 	// Never inquire about our own event.  Already-claimed targets are
 	// re-inquired: the inquiry also (re-)establishes the hold that ¬
 	// literals need, and grants are idempotent.
 	kept := targets[:0]
-	seen := map[string]bool{}
 	for _, t := range targets {
-		if a.idOf(t).SameEvent(a.id) || seen[t.Key()] {
-			continue
+		if !t.SameEvent(a.id) && !slices.Contains(kept, t) {
+			kept = append(kept, t)
 		}
-		seen[t.Key()] = true
-		kept = append(kept, t)
 	}
+	a.ids = kept[:0]
 	if len(kept) == 0 {
 		return // nothing to ask; wait for announcements
 	}
 	a.roundSeq++
-	p.round = &round{id: a.roundSeq, pending: map[string]bool{}}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Less(kept[j]) })
+	p.round = &round{id: a.roundSeq, pending: make(map[symtab.ID]bool, len(kept))}
+	a.sortByKey(kept)
 	hyp := a.hypothesis(p)
 	for _, t := range kept {
-		site, err := a.dir.SiteOf(t)
+		target := a.tab.Sym(t)
+		site, err := a.dir.SiteOf(target)
 		if err != nil {
 			panic(err)
 		}
-		p.round.pending[t.Key()] = true
+		p.round.pending[t] = true
 		n.Send(a.site, site, InquireMsg{
-			Target:    t,
+			Target:    target,
 			Requester: p.sym,
 			ReplyTo:   a.site,
 			Round:     p.round.id,
@@ -894,7 +753,8 @@ func (a *Actor) onInquire(n Net, m InquireMsg) {
 		a.deferred = append(a.deferred, m)
 		return
 	}
-	put(&p.holdsOnMe, claimKey(m.Requester, m.Round), true)
+	reqID := a.idOf(m.Requester)
+	put(&p.holdsOnMe, holdKey{reqID, m.Round}, true)
 	hyp := m.Hyp
 	if len(hyp) == 0 {
 		hyp = []algebra.Symbol{m.Requester}
@@ -903,7 +763,6 @@ func (a *Actor) onInquire(n Net, m InquireMsg) {
 	conds := hyp
 	afterReq := false
 	comp := a.other(p)
-	reqID := a.idOf(m.Requester)
 	if existing, already := p.promisesBy[reqID]; already {
 		// A promise to this requester is already outstanding; repeat
 		// it with its original conditions.
@@ -916,11 +775,7 @@ func (a *Actor) onInquire(n Net, m InquireMsg) {
 			promised = true
 			conds = granted
 			afterReq = a.orderedAfter(p, m.Requester, conds)
-			condIDs := make([]symtab.ID, len(conds))
-			for i, c := range conds {
-				condIDs[i] = a.idOf(c)
-			}
-			put(&p.promisesBy, reqID, promiseInfo{requester: m.Requester, conds: conds, condIDs: condIDs})
+			put(&p.promisesBy, reqID, promiseInfo{requester: m.Requester, conds: conds, condIDs: a.idsOf(conds)})
 		}
 	}
 	a.logf("reply to %s about %s: held, promised=%v conds=%v afterReq=%v",
@@ -997,31 +852,44 @@ func (a *Actor) orderedAfter(p *polarity, requester algebra.Symbol, conds []alge
 }
 
 // counterConditions proposes the extra events a grant would need
-// beyond the requester's hypothesis: the still-unknown symbols of this
-// polarity's guard (bounded, to keep waves small).
+// beyond the requester's hypothesis: the symbols this polarity's
+// residual guard still awaits once the hypothesis occurred (bounded,
+// to keep waves small).
 func (a *Actor) counterConditions(p *polarity, hyp []algebra.Symbol) []algebra.Symbol {
 	const maxExtras = 8
-	view := a.knowledge().PermanentClone()
-	for _, h := range hyp {
-		if view.Status(h) == temporal.StatusUnknown {
-			view.Observe(h, math.MaxInt64)
-		}
-	}
-	inHyp := map[string]bool{p.sym.Key(): true}
-	for _, h := range hyp {
-		inHyp[h.Key()] = true
-	}
+	hypIDs := a.idsOf(hyp)
+	view := a.hypState(hypIDs).DecideView(p.pol(), false)
+	ids := a.prog.Awaited(p.pol(), view, a.ids[:0])
+	a.sortByKey(ids)
 	var out []algebra.Symbol
-	for _, u := range view.Unresolved(p.guard) {
-		if inHyp[u.Key()] || u.SameEvent(a.base) {
+	for i, u := range ids {
+		if (i > 0 && ids[i-1] == u) || u.SameEvent(a.id) || slices.Contains(hypIDs, u) {
 			continue
 		}
-		out = append(out, u)
+		out = append(out, a.tab.Sym(u))
 		if len(out) >= maxExtras {
 			break
 		}
 	}
+	a.ids = ids[:0]
 	return out
+}
+
+// hypState loads the scratch state with the permanent facts and the
+// hypothesis: every still-unknown member occurs, all at one time after
+// everything real, in an order a grant must not rely on (ordered
+// ◇-sequences across two hypothesis members evaluate false).
+func (a *Actor) hypState(hyp []symtab.ID) *gprog.State {
+	if a.hyp.Prog() == nil {
+		a.prog.Prog().InitState(&a.hyp)
+	}
+	a.hyp.LoadPermanent(&a.prog)
+	for _, h := range hyp {
+		if st, _ := a.hyp.StatusID(h); st == temporal.StatusUnknown {
+			a.hyp.ObserveID(h, math.MaxInt64)
+		}
+	}
+	return &a.hyp
 }
 
 // promiseSound reports whether a conditional promise of p.sym to the
@@ -1036,41 +904,25 @@ func (a *Actor) counterConditions(p *polarity, hyp []algebra.Symbol) []algebra.S
 // other rounds (holds, conditional promises received) are stripped —
 // they may lapse before discharge.
 func (a *Actor) promiseSound(p *polarity, hypSet []algebra.Symbol) bool {
-	view := a.knowledge().PermanentClone()
-	if ln := p.localNeg; len(ln) > 0 && a.localFactsClean() {
-		for _, f := range ln {
-			if view.Status(f) == temporal.StatusUnknown {
-				view.Hold(f)
-			}
-		}
-	}
-	inHyp := map[string]bool{p.sym.Key(): true}
-	for _, h := range hypSet {
-		if view.Status(h) == temporal.StatusUnknown || view.Status(h) == temporal.StatusHeld {
-			// All hypothesis members share one timestamp: they occur
-			// in the commit wave, after everything real, in an order
-			// the grant must not rely on (ordered ◇-sequences across
-			// two hypothesis members evaluate false).
-			view.Observe(h, math.MaxInt64)
-		}
-		inHyp[h.Key()] = true
-	}
+	hypIDs := a.idsOf(hypSet)
+	h := a.hypState(hypIDs)
 	// Chained promises this polarity already holds count when their
 	// conditions are covered by the hypothesis (they will be
 	// discharged in the same commit wave).
-	for _, c := range p.promiseClaims {
+	for t, c := range p.promiseClaims {
 		covered := true
-		for _, cond := range c.conds {
-			if !inHyp[cond.Key()] && view.Status(cond) != temporal.StatusOccurred {
+		for _, cond := range c.condIDs {
+			if st, _ := h.StatusID(cond); cond != p.id && !slices.Contains(hypIDs, cond) &&
+				st != temporal.StatusOccurred {
 				covered = false
 				break
 			}
 		}
 		if covered {
-			view.CondPromise(c.target)
+			h.CondPromiseID(t)
 		}
 	}
-	return view.Decide(p.guard) == temporal.True
+	return h.Decide(p.pol(), a.localClean(p)) == temporal.True
 }
 
 // localFactsClean reports that this actor has produced no enabling
@@ -1103,16 +955,17 @@ func (a *Actor) onReply(n Net, m InquireReplyMsg) {
 	if siteErr != nil {
 		panic(siteErr)
 	}
+	target := a.idOf(m.Target)
 	alive := !p.occurred && !p.rejected
 	// Promises persist beyond rounds: accept them whenever the
 	// polarity is still undecided, even from a stale round.
 	if m.Promised {
 		if alive {
-			if _, had := p.promiseClaims[m.Target.Key()]; !had {
+			if _, had := p.promiseClaims[target]; !had {
 				p.retry = true // a new claim may close the commit wave
 			}
-			put(&p.promiseClaims, m.Target.Key(), promiseClaim{
-				target: m.Target, site: site, conds: m.Conds, afterReq: m.AfterReq,
+			put(&p.promiseClaims, target, promiseClaim{
+				target: m.Target, site: site, conds: m.Conds, condIDs: a.idsOf(m.Conds), afterReq: m.AfterReq,
 			})
 		} else {
 			n.Send(a.site, site, ReleaseMsg{
@@ -1127,17 +980,16 @@ func (a *Actor) onReply(n Net, m InquireReplyMsg) {
 		}
 		return
 	}
-	delete(p.round.pending, m.Target.Key())
-	target := a.idOf(m.Target)
+	delete(p.round.pending, target)
 	switch {
 	case m.Occurred:
-		a.observe(target, m.At)
+		a.prog.ObserveID(target, m.At)
 	case m.Impossible:
-		a.markImpossible(target)
+		a.prog.MarkImpossibleID(target)
 	default:
 		if m.Held {
 			p.round.holds = append(p.round.holds, claim{target: m.Target, id: target, site: site})
-			a.hold(target)
+			a.prog.HoldID(target)
 		}
 	}
 	if len(p.round.pending) == 0 {
@@ -1146,32 +998,12 @@ func (a *Actor) onReply(n Net, m InquireReplyMsg) {
 }
 
 func (a *Actor) finishRound(n Net, p *polarity) {
-	g := a.residualGuard(n, p)
-	if g.IsFalse() {
-		a.endRound(n, p)
-		a.reject(n, p, "guard reduced to 0")
+	if _, done := a.evaluate(n, p); done {
 		return
 	}
-	if a.localView(p).Decide(g) == temporal.True {
-		a.traceEval(n, p, g, "true")
-		// Keep only the holds that back a ¬ literal of the guard; the
-		// rest were incidental to the inquiry and would deadlock
-		// mutually fire-ready commit waves.
-		p.wave = nil
-		a.releaseUnneededHolds(n, p, g)
-		a.tryFire(n, p) // remaining holds released once the event fires
-		return
-	}
-	if wave, ok := a.decideWave(p, g); ok {
-		a.traceEval(n, p, g, "wave")
-		p.wave = wave
-		a.releaseUnneededHolds(n, p, g)
-		a.tryFire(n, p)
-		return
-	}
-	a.traceEval(n, p, g, "unknown")
-	if a.Log != nil { // checked here: folding and printing the knowledge is not free
-		a.logf("round for %s inconclusive (guard %s, know %s)", p.sym, g.Key(), a.knowledge().String())
+	a.traceEval(n, p, "unknown")
+	if a.Log != nil { // checked here: printing the residual is not free
+		a.logf("round for %s inconclusive (guard %s)", p.sym, a.prog.Residual(p.pol()).Key())
 	}
 	a.endRound(n, p)
 	if p.retry {
@@ -1190,7 +1022,7 @@ func (a *Actor) endRound(n Net, p *polarity) {
 		n.Send(a.site, c.site, ReleaseMsg{
 			Target: c.target, Requester: p.sym, Round: p.round.id,
 		})
-		a.unhold(c.id)
+		a.prog.UnholdID(c.id)
 	}
 	p.round = nil
 	a.answerDeferred(n)
@@ -1207,11 +1039,11 @@ func (a *Actor) settleClaims(n Net, p *polarity, fired bool) {
 	}
 	// Sorted claim order keeps the release sends — and the simulated
 	// delivery sequence they induce — replay-deterministic.
-	keys := make([]string, 0, len(p.promiseClaims))
+	keys := make([]symtab.ID, 0, len(p.promiseClaims))
 	for k := range p.promiseClaims {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	a.sortByKey(keys)
 	for _, k := range keys {
 		c := p.promiseClaims[k]
 		// Only the claims of the chosen commit wave were relied upon;
@@ -1226,33 +1058,27 @@ func (a *Actor) settleClaims(n Net, p *polarity, fired bool) {
 }
 
 // releaseUnneededHolds drops the round holds on symbols that no ¬
-// literal of the guard mentions: the decision does not rely on their
-// non-occurrence, so freezing them any longer is pointless and can
-// deadlock commit waves.
-func (a *Actor) releaseUnneededHolds(n Net, p *polarity, g temporal.Formula) {
+// literal of the residual guard mentions: the decision does not rely
+// on their non-occurrence, so freezing them any longer is pointless and
+// can deadlock commit waves.
+func (a *Actor) releaseUnneededHolds(n Net, p *polarity) {
 	if p.round == nil || len(p.round.holds) == 0 {
 		return
 	}
-	needed := map[string]bool{}
-	for _, prod := range g.Products() {
-		for _, l := range prod.Lits() {
-			if l.Kind() == temporal.LitNotYet {
-				needed[l.Sym().Key()] = true
-			}
-		}
-	}
+	needed := a.prog.ResidualNotYet(p.pol(), a.ids[:0])
 	kept := p.round.holds[:0]
 	for _, c := range p.round.holds {
-		if needed[c.target.Key()] {
+		if slices.Contains(needed, c.id) {
 			kept = append(kept, c)
 			continue
 		}
 		n.Send(a.site, c.site, ReleaseMsg{
 			Target: c.target, Requester: p.sym, Round: p.round.id,
 		})
-		a.unhold(c.id)
+		a.prog.UnholdID(c.id)
 	}
 	p.round.holds = kept
+	a.ids = needed[:0]
 }
 
 func (a *Actor) onRelease(n Net, m ReleaseMsg) {
@@ -1272,7 +1098,7 @@ func (a *Actor) onRelease(n Net, m ReleaseMsg) {
 			a.decide(n, p)
 		}
 	} else {
-		delete(p.holdsOnMe, claimKey(m.Requester, m.Round))
+		delete(p.holdsOnMe, holdKey{a.idOf(m.Requester), m.Round})
 	}
 	// A hold or promise may have been blocking a ready event.
 	for _, q := range a.sortedPols() {
@@ -1309,7 +1135,7 @@ func (a *Actor) fire(n Net, p *polarity) {
 	p.occurred = true
 	p.fireReady = false
 	p.at = at
-	a.observe(p.id, at)
+	a.prog.ObserveID(p.id, at)
 	if a.Log != nil { // checked here: the varargs box is per-fire
 		a.logf("FIRE %s@%d", p.sym, at)
 	}
@@ -1417,8 +1243,4 @@ func put[K comparable, V any](m *map[K]V, k K, v V) {
 		*m = make(map[K]V)
 	}
 	(*m)[k] = v
-}
-
-func claimKey(requester algebra.Symbol, round int) string {
-	return fmt.Sprintf("%s#%d", requester.Key(), round)
 }

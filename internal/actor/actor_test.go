@@ -6,9 +6,17 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/core"
+	"repro/internal/gprog"
 	"repro/internal/simnet"
 	"repro/internal/temporal"
 )
+
+// newActor builds an actor on the program compiled from the guard pair
+// onto the directory's table; every symbol the guards mention must be
+// in it.
+func newActor(b algebra.Symbol, site simnet.SiteID, dir *Directory, hooks *Hooks, pos, neg gprog.GuardInput) *Actor {
+	return New(b, site, dir, hooks, gprog.CompileOn(dir.Table(), pos, neg))
+}
 
 func sym(k string) algebra.Symbol {
 	s, err := algebra.ParseSymbol(k)
@@ -55,8 +63,8 @@ func newRig(t *testing.T, deps ...string) *rig {
 		site := simnet.SiteID("site-" + b.Key())
 		r.dir.Place(b, site)
 	}
-	spec := func(s algebra.Symbol) GuardSpec {
-		gs := GuardSpec{Guard: c.GuardOf(s)}
+	spec := func(s algebra.Symbol) gprog.GuardInput {
+		gs := gprog.GuardInput{Guard: c.GuardOf(s)}
 		if eg, ok := c.Guards[s.Key()]; ok && len(eg.LocalNeg) > 0 {
 			gs.LocalNeg = map[string]algebra.Symbol{}
 			for key := range eg.LocalNeg {
@@ -71,7 +79,7 @@ func newRig(t *testing.T, deps ...string) *rig {
 	}
 	for _, b := range bases {
 		site, _ := r.dir.SiteOf(b)
-		a := New(b, site, r.dir, hooks, spec(b), spec(b.Complement()))
+		a := newActor(b, site, r.dir, hooks, spec(b), spec(b.Complement()))
 		r.actors[b.Key()] = a
 		r.net.AddSite(site, a)
 		// Subscribe this actor's site to every event its guards watch.

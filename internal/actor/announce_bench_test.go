@@ -22,7 +22,7 @@ func (n *benchNet) Clock() int64                             { return n.occ }
 // so an announcement of a exercises the assimilation path (observe,
 // settle, re-decide scan) without firing anything.  prog selects the
 // compiled-guard-program delivery mode.
-func announceActorMode(tb testing.TB, prog bool) (*Actor, AnnounceMsg) {
+func announceActor(tb testing.TB) (*Actor, AnnounceMsg) {
 	tb.Helper()
 	w, err := core.ParseWorkflow("~b + a . b")
 	if err != nil {
@@ -36,19 +36,9 @@ func announceActorMode(tb testing.TB, prog bool) (*Actor, AnnounceMsg) {
 	dir.Place(sym("a"), "sa")
 	dir.Place(sym("b"), "sb")
 	b := sym("b")
-	pos := GuardSpec{Guard: c.GuardOf(b)}
-	neg := GuardSpec{Guard: c.GuardOf(b.Complement())}
-	a := New(b, "sb", dir, &Hooks{}, pos, neg)
-	if prog {
-		a.AttachProgram(gprog.CompileOn(dir.Table(),
-			gprog.GuardInput{Guard: pos.Guard, LocalNeg: pos.LocalNeg},
-			gprog.GuardInput{Guard: neg.Guard, LocalNeg: neg.LocalNeg}))
-	}
+	a := newActor(b, "sb", dir, &Hooks{}, gprog.GuardInput{Guard: c.GuardOf(b)},
+		gprog.GuardInput{Guard: c.GuardOf(b.Complement())})
 	return a, AnnounceMsg{Sym: sym("a"), ID: dir.Table().MustLookup(sym("a")), At: 1}
-}
-
-func announceActor(tb testing.TB) (*Actor, AnnounceMsg) {
-	return announceActorMode(tb, false)
 }
 
 // TestAnnounceDisabledTracerZeroAllocDelta is the observability cost
@@ -74,26 +64,26 @@ func TestAnnounceDisabledTracerZeroAllocDelta(t *testing.T) {
 }
 
 // TestAnnounceDeliverZeroAlloc is the alloc-regression gate that make
-// benchsmoke runs: program-mode announcement delivery — set a bit,
-// recheck the affected guards by mask intersection — must stay
-// allocation-free in steady state.
+// benchsmoke runs: announcement delivery — set a bit, recheck the
+// affected guards by mask intersection — must stay allocation-free in
+// steady state.
 func TestAnnounceDeliverZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under the race detector")
 	}
-	a, msg := announceActorMode(t, true)
+	a, msg := announceActor(t)
 	net := &benchNet{}
 	a.onAnnounce(net, msg) // settle the first-delivery transitions
 	if avg := testing.AllocsPerRun(2000, func() { a.onAnnounce(net, msg) }); avg != 0 {
-		t.Fatalf("program-mode delivery allocates %v times per announcement, want 0", avg)
+		t.Fatalf("delivery allocates %v times per announcement, want 0", avg)
 	}
 }
 
-// BenchmarkAnnounceDeliver measures the program-mode delivery hot
+// BenchmarkAnnounceDeliver measures the announcement delivery hot
 // path; run with -benchmem to see the allocation guard (0 allocs/op,
 // gated by TestAnnounceDeliverZeroAlloc).
 func BenchmarkAnnounceDeliver(b *testing.B) {
-	a, msg := announceActorMode(b, true)
+	a, msg := announceActor(b)
 	net := &benchNet{}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/symtab"
 	"repro/internal/temporal"
 )
 
@@ -15,15 +16,14 @@ import (
 // model checker's interleaving exploration (internal/mc) keys its
 // visited-state pruning on.
 //
-// Everything that can influence a future decision is included:
-// knowledge facts (from both stores, program state and map), deferred
-// inquiries (in queue order — they replay in order), and per polarity
-// the attempt/occurrence/rejection record, the open round with its
-// pending set and holds, outstanding holds and promises in both
-// directions, the commit wave, the retry mark, and the past-inquirer
-// set.  Deliberately excluded: attemptTime (latency metrics only,
-// never read by the protocol), the residual-guard cache (derived from
-// the facts), and the trace scope.
+// Everything that can influence a future decision is included: the
+// program state's facts, deferred inquiries (in queue order — they
+// replay in order), and per polarity the attempt/occurrence/rejection
+// record, the open round with its pending set and holds, outstanding
+// holds and promises in both directions, the commit wave, the retry
+// mark, and the past-inquirer set.  Deliberately excluded: attemptTime (latency metrics only,
+// never read by the protocol), the residual guard a trace last showed,
+// and the trace scope.
 func (a *Actor) StateDigest() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s@%s r%d", a.base.Key(), a.site, a.roundSeq)
@@ -34,8 +34,8 @@ func (a *Actor) StateDigest() string {
 		at  int64
 	}
 	var facts []fact
-	a.knowledge().Range(func(key string, st temporal.Status, at int64) {
-		facts = append(facts, fact{key, st, at})
+	a.prog.Facts(func(id symtab.ID, st temporal.Status, at int64) {
+		facts = append(facts, fact{a.tab.Key(id), st, at})
 	})
 	sort.Slice(facts, func(i, j int) bool { return facts[i].key < facts[j].key })
 	for _, f := range facts {
@@ -70,16 +70,21 @@ func (a *Actor) StateDigest() string {
 			b.WriteString(" trig")
 		}
 		if p.round != nil {
-			fmt.Fprintf(&b, " round#%d pend%v", p.round.id, sortedKeys(p.round.pending))
+			fmt.Fprintf(&b, " round#%d pend%v", p.round.id, a.keysOf(p.round.pending))
 			for _, c := range p.round.holds {
 				fmt.Fprintf(&b, " hold(%s@%s)", c.target.Key(), c.site)
 			}
 		}
 		if len(p.holdsOnMe) > 0 {
-			fmt.Fprintf(&b, " heldby%v", sortedKeys(p.holdsOnMe))
+			held := make([]string, 0, len(p.holdsOnMe))
+			for h := range p.holdsOnMe {
+				held = append(held, fmt.Sprintf("%s#%d", a.tab.Key(h.req), h.round))
+			}
+			sort.Strings(held)
+			fmt.Fprintf(&b, " heldby%v", held)
 		}
 		if len(p.wave) > 0 {
-			fmt.Fprintf(&b, " wave%v", sortedKeys(p.wave))
+			fmt.Fprintf(&b, " wave%v", a.keysOf(p.wave))
 		}
 		gave := make([]promiseInfo, 0, len(p.promisesBy))
 		for _, pi := range p.promisesBy {
@@ -94,7 +99,12 @@ func (a *Actor) StateDigest() string {
 			}
 			b.WriteString(")")
 		}
-		for _, k := range sortedMapKeys(p.promiseClaims) {
+		claims := make([]symtab.ID, 0, len(p.promiseClaims))
+		for k := range p.promiseClaims {
+			claims = append(claims, k)
+		}
+		a.sortByKey(claims)
+		for _, k := range claims {
 			pc := p.promiseClaims[k]
 			fmt.Fprintf(&b, " holds(%s@%s ar=%v", pc.target.Key(), pc.site, pc.afterReq)
 			for _, c := range pc.conds {
@@ -114,19 +124,11 @@ func (a *Actor) StateDigest() string {
 	return b.String()
 }
 
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedMapKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// keysOf lists a symbol set's keys, sorted.
+func (a *Actor) keysOf(set map[symtab.ID]bool) []string {
+	out := make([]string, 0, len(set))
+	for id := range set {
+		out = append(out, a.tab.Key(id))
 	}
 	sort.Strings(out)
 	return out

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/gprog"
 	"repro/internal/simnet"
 	"repro/internal/symtab"
 	"repro/internal/temporal"
@@ -42,8 +43,12 @@ func promiseRig(base string, guardPos temporal.Formula) *Actor {
 	dir := NewDirectory()
 	b := sym(base)
 	dir.Place(b, "site")
+	// The requesters the tests hypothesize are plan events too.
+	for _, r := range []string{"r", "r1", "r2"} {
+		dir.Place(sym(r), "requesters")
+	}
 	internGuard(dir, guardPos)
-	return New(b, "site", dir, nil, GuardSpec{Guard: guardPos}, GuardSpec{Guard: temporal.TrueF()})
+	return newActor(b, "site", dir, nil, gprog.GuardInput{Guard: guardPos}, gprog.GuardInput{Guard: temporal.TrueF()})
 }
 
 func TestGrantCondsDirect(t *testing.T) {
@@ -114,7 +119,7 @@ func TestPromiseSoundRejectsOrderedHypotheses(t *testing.T) {
 	}
 	// With a really occurred first, the single remaining member may be
 	// hypothesized.
-	a.know.Observe(sym("a"), 1)
+	a.prog.Observe(sym("a"), 1)
 	if !a.promiseSound(p, []algebra.Symbol{sym("b")}) {
 		t.Fatal("the remaining suffix may be hypothesized")
 	}
@@ -160,7 +165,6 @@ func TestDualPolarityPromises(t *testing.T) {
 	// r2 (◇~x, abort path): conditions r1 vs r2 are not complementary,
 	// so the second grant must be refused while the first stands.
 	a := promiseRig("x", temporal.TrueF())
-	a.polSym(sym("~x")).guard = temporal.TrueF()
 	px := a.polSym(sym("x"))
 	pnx := a.polSym(sym("~x"))
 	px.attempted = true
@@ -194,9 +198,9 @@ func TestPromisePersistsAcrossRounds(t *testing.T) {
 	hooks := &Hooks{OnFire: func(ann AnnounceMsg, _ simnet.Time) {
 		fired = append(fired, ann.Sym.Key())
 	}}
-	eActor := New(sym("e"), "s-e", dir, hooks, GuardSpec{Guard: guard}, GuardSpec{Guard: temporal.TrueF()})
-	fActor := New(sym("f"), "s-f", dir, hooks, GuardSpec{Guard: temporal.TrueF()}, GuardSpec{Guard: temporal.TrueF()})
-	gActor := New(sym("g"), "s-g", dir, hooks, GuardSpec{Guard: temporal.Lit(temporal.Occurred(sym("e")))}, GuardSpec{Guard: temporal.TrueF()})
+	eActor := newActor(sym("e"), "s-e", dir, hooks, gprog.GuardInput{Guard: guard}, gprog.GuardInput{Guard: temporal.TrueF()})
+	fActor := newActor(sym("f"), "s-f", dir, hooks, gprog.GuardInput{Guard: temporal.TrueF()}, gprog.GuardInput{Guard: temporal.TrueF()})
+	gActor := newActor(sym("g"), "s-g", dir, hooks, gprog.GuardInput{Guard: temporal.Lit(temporal.Occurred(sym("e")))}, gprog.GuardInput{Guard: temporal.TrueF()})
 	net.AddSite("s-e", eActor)
 	net.AddSite("s-f", fActor)
 	net.AddSite("s-g", gActor)

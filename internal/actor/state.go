@@ -49,10 +49,9 @@ type PolState struct {
 	PastInquirers []string    `json:"pastInquirers,omitempty"`
 }
 
-// ActorState is the serialized settled state of one actor: its
-// knowledge facts plus both polarities.  Guards are not serialized —
-// the compiled plan supplies them and the restored knowledge re-reduces
-// them lazily.
+// ActorState is the serialized settled state of one actor: its facts
+// plus both polarities.  Guards are not serialized — the compiled plan
+// supplies them, and the restored facts reduce them.
 type ActorState struct {
 	Base     string      `json:"base"`
 	RoundSeq int         `json:"roundSeq,omitempty"`
@@ -68,7 +67,8 @@ func (a *Actor) Export() (ActorState, error) {
 		return st, fmt.Errorf("actor %s@%s: %d deferred inquiries", a.base, a.site, len(a.deferred))
 	}
 	var badFacts []string
-	a.knowledge().Range(func(key string, s temporal.Status, at int64) {
+	a.prog.Facts(func(id symtab.ID, s temporal.Status, at int64) {
+		key := a.tab.Key(id)
 		switch s {
 		case temporal.StatusOccurred:
 			st.Facts = append(st.Facts, FactState{Sym: key, At: at})
@@ -118,8 +118,7 @@ func (a *Actor) Export() (ActorState, error) {
 // installed, no protocol activity yet).  Occurrence facts are loaded
 // first so their automatic complement-impossibility never overwrites
 // an explicit fact, then standalone impossibilities.  Facts go through
-// the same writers the protocol uses, so each lands in the one store
-// that holds its symbol.
+// the same program-state writers the protocol uses.
 func (a *Actor) Restore(st ActorState) error {
 	if st.Base != a.base.Key() {
 		return fmt.Errorf("actor %s@%s: restore of %s", a.base, a.site, st.Base)
@@ -133,7 +132,7 @@ func (a *Actor) Restore(st ActorState) error {
 		if err != nil {
 			return err
 		}
-		a.observe(id, f.At)
+		a.prog.ObserveID(id, f.At)
 	}
 	for _, f := range st.Facts {
 		if !f.Impossible {
@@ -143,7 +142,7 @@ func (a *Actor) Restore(st ActorState) error {
 		if err != nil {
 			return err
 		}
-		a.markImpossible(id)
+		a.prog.MarkImpossibleID(id)
 	}
 	for _, ps := range st.Pols {
 		id, err := a.restoreID(ps.Sym)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/gprog"
 	"repro/internal/simnet"
 	"repro/internal/temporal"
 )
@@ -27,9 +28,9 @@ func roundTripActor() *Actor {
 	for _, name := range []string{"x", "r", "q"} {
 		dir.Place(sym(name), simnet.SiteID("s"+name))
 	}
-	a := New(sym("x"), "sx", dir, nil,
-		GuardSpec{Guard: temporal.Lit(temporal.Eventually(sym("r")))},
-		GuardSpec{Guard: temporal.TrueF()})
+	a := newActor(sym("x"), "sx", dir, nil,
+		gprog.GuardInput{Guard: temporal.Lit(temporal.Eventually(sym("r")))},
+		gprog.GuardInput{Guard: temporal.TrueF()})
 	a.SetTriggerable(sym("x"))
 	return a
 }
@@ -90,7 +91,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	// answered from the occurrence, with no hold and no new promise.
 	for _, act := range []*Actor{a, b} {
 		act.Deliver(n, InquireReplyMsg{Target: sym("q"), Requester: nx, Promised: true, Conds: []algebra.Symbol{nx}})
-		if _, ok := act.polSym(nx).promiseClaims["q"]; !ok {
+		if _, ok := act.polSym(nx).promiseClaims[act.idOf(sym("q"))]; !ok {
 			t.Fatalf("claim after reset not recorded: %s", act.StateDigest())
 		}
 		act.Deliver(n, InquireMsg{Target: x, Requester: sym("q"), ReplyTo: "sq", Round: 2})

@@ -1,9 +1,6 @@
 package actor
 
-import (
-	"repro/internal/obs"
-	"repro/internal/temporal"
-)
+import "repro/internal/obs"
 
 // Protocol-level metrics, shared by every actor in the process.  No
 // actor writes them per message: each actor tallies into its own
@@ -57,9 +54,37 @@ func (a *Actor) TakeCounts() Counts {
 	return c
 }
 
-// traceEval emits one guard-evaluation record.  Guard keys are only
-// computed once the single-atomic-load gate passed.
-func (a *Actor) traceEval(n Net, p *polarity, g temporal.Formula, verdict string) {
+// traceResidual records the polarity's residual guard when the facts
+// changed it since the last record: the guard, reduced, that the next
+// decision is about.  It only reads the program, so a traced run
+// decides exactly as an untraced one.
+func (a *Actor) traceResidual(n Net, p *polarity) {
+	if !a.Trace.On() {
+		return
+	}
+	g := a.prog.Residual(p.pol()).Key()
+	if g != a.shown(p) {
+		a.Trace.Emit(obs.Record{
+			Lamport: n.Clock(),
+			Kind:    obs.KindResiduate,
+			Sym:     a.tab.Key(p.id),
+			Guard:   g,
+		})
+	}
+	p.shown = g
+}
+
+// shown is the residual guard the polarity's trace last showed.
+func (a *Actor) shown(p *polarity) string {
+	if p.shown == "" {
+		return a.prog.Prog().Guard(p.pol()).Key()
+	}
+	return p.shown
+}
+
+// traceEval emits one guard-evaluation record, with the residual guard
+// the evaluation began with (traceResidual).
+func (a *Actor) traceEval(n Net, p *polarity, verdict string) {
 	if !a.Trace.On() {
 		return
 	}
@@ -67,7 +92,7 @@ func (a *Actor) traceEval(n Net, p *polarity, g temporal.Formula, verdict string
 		Lamport: n.Clock(),
 		Kind:    obs.KindEval,
 		Sym:     a.tab.Key(p.id),
-		Guard:   g.Key(),
+		Guard:   a.shown(p),
 		Verdict: verdict,
 	})
 }

@@ -33,6 +33,7 @@ import (
 	"repro/internal/actor"
 	"repro/internal/algebra"
 	"repro/internal/core"
+	"repro/internal/gprog"
 	"repro/internal/quiesce"
 	"repro/internal/simnet"
 	"repro/internal/spec"
@@ -143,8 +144,8 @@ type obsState struct {
 	decGen []uint64
 	anns   int
 	decs   int
-	// tried marks, per base, the closeout's attempts: triedComp and
-	// triedPos.
+	// tried marks, per base, the closeout's attempts — triedComp and
+	// triedPos — and compSettled, a settle seen since the complement's.
 	tried  []uint8
 	agents []agState
 }
@@ -152,6 +153,7 @@ type obsState struct {
 const (
 	triedComp uint8 = 1 << iota
 	triedPos
+	compSettled
 )
 
 type occRec struct {
@@ -261,8 +263,8 @@ func alphabetAndExtras(sp *spec.Spec) (bases, extras []algebra.Symbol) {
 
 // guardSpecFor assembles a polarity's guard spec (with the consensus
 // elimination facts, as the distributed scheduler defaults to).
-func guardSpecFor(c *core.Compiled, s algebra.Symbol) actor.GuardSpec {
-	gs := actor.GuardSpec{Guard: c.GuardOf(s)}
+func guardSpecFor(c *core.Compiled, s algebra.Symbol) gprog.GuardInput {
+	gs := gprog.GuardInput{Guard: c.GuardOf(s)}
 	if eg, ok := c.Guards[s.Key()]; ok && len(eg.LocalNeg) > 0 {
 		gs.LocalNeg = map[string]algebra.Symbol{}
 		for key := range eg.LocalNeg {
@@ -537,6 +539,8 @@ func (r *Runner) stopTimer() {
 type agState struct {
 	queue   []step
 	waiting symtab.ID // outstanding attempt's id, None if none
+	// settled: a settle ran with the outstanding attempt undecided.
+	settled bool
 	clock   simnet.Time
 }
 
@@ -613,7 +617,7 @@ func (r *Runner) drive(scripts []script) (*Outcome, error) {
 			}
 			st := &ag.queue[0]
 			ag.clock += st.think
-			ag.waiting = st.id
+			ag.waiting, ag.settled = st.id, false
 			if err := r.attempt(st.id, st.forced); err != nil {
 				return progress, err
 			}
@@ -643,41 +647,79 @@ func (r *Runner) drive(scripts []script) (*Outcome, error) {
 		return true
 	}
 	tried := r.tried
+	// settle establishes one full quiescence and folds in what it
+	// brought; it marks every attempt still undecided after it.
+	settle := func() bool {
+		r.tr.WaitIdle(r.timeout)
+		folded := fold()
+		for i := range tried {
+			if tried[i]&triedComp != 0 {
+				tried[i] |= compSettled
+			}
+		}
+		for i := range agents {
+			agents[i].settled = agents[i].waiting != symtab.None
+		}
+		return folded
+	}
+	// A pipelined attempt completes when its decision arrives, while
+	// the announcements it caused may still be in flight: a parked
+	// attempt is pending work, not a refusal.  So a pipelined closeout
+	// neither complements a base an agent's undecided attempt is parked
+	// on, nor escalates a base from complement to positive, until one
+	// settle has run with that attempt still undecided.  After a serial
+	// attempt the transport is already idle, and neither waits.
+	unsettled := func(i int, b symtab.ID) bool {
+		if !r.pipelined {
+			return false
+		}
+		if tried[i]&triedComp != 0 {
+			return tried[i]&compSettled == 0
+		}
+		for j := range agents {
+			if agents[j].waiting.Base() == b && !agents[j].settled {
+				return true
+			}
+		}
+		return false
+	}
 	for pass := 0; pass < 2*len(bases)+4; pass++ {
 		progress, err := driveAgents()
 		if err != nil {
 			return nil, err
 		}
+		waiting := false
 		for i, b := range bases {
-			if r.resolved(b) {
+			if r.resolved(b) || tried[i]&triedPos != 0 {
 				continue
 			}
-			switch {
-			case tried[i]&triedComp == 0:
-				tried[i] |= triedComp
-				if err := r.attempt(b.Complement(), false); err != nil {
-					return nil, err
-				}
-				progress = true
-			case tried[i]&triedPos == 0:
-				tried[i] |= triedPos
-				if err := r.attempt(b, false); err != nil {
-					return nil, err
-				}
-				progress = true
+			if unsettled(i, b) {
+				waiting = true
+				continue
 			}
+			if tried[i]&triedComp == 0 {
+				tried[i] |= triedComp
+				err = r.attempt(b.Complement(), false)
+			} else {
+				tried[i] |= triedPos
+				err = r.attempt(b, false)
+			}
+			if err != nil {
+				return nil, err
+			}
+			progress = true
 		}
 		if (allResolved() && agentsDone()) || !progress {
 			// A pipelined drive can appear stalled or done while
 			// decisions and announcements are still in flight: settle
 			// with one full quiescence, and resume if anything new folds
-			// in or the resolution picture changed.  After a serial
-			// attempt the transport is already idle, so this is a no-op.
-			r.tr.WaitIdle(r.timeout)
-			if fold() {
+			// in, the resolution picture changed, or a closeout attempt
+			// was waiting for this settle.  After a serial attempt the
+			// transport is already idle, so this is a no-op.
+			if settle() {
 				continue
 			}
-			if !(allResolved() && agentsDone()) && progress {
+			if !(allResolved() && agentsDone()) && (progress || waiting) {
 				continue
 			}
 			break

@@ -4,9 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/actor"
 	"repro/internal/algebra"
 	"repro/internal/arun"
 	"repro/internal/netwire"
+	"repro/internal/simnet"
 	"repro/internal/spec"
 )
 
@@ -161,6 +163,58 @@ func TestExternalPipelinedMesh(t *testing.T) {
 			t.Errorf("%s %v: pipelined mesh diverged:\n oracle %s\n mesh   %s",
 				tc.file, tc.events, oracle.Fingerprint(), out.Fingerprint())
 		}
+	}
+}
+
+// delayTransport holds back one symbol's announcements to one site
+// until the runner next waits for full quiescence: the announcement is
+// still on its way while the drive moves on, as on a mesh where the
+// decision outruns it to the driver site.
+type delayTransport struct {
+	arun.Transport
+	sym  algebra.Symbol
+	site simnet.SiteID
+	held []func()
+}
+
+func (d *delayTransport) Register(site simnet.SiteID, h func(n actor.Net, payload any)) {
+	if site != d.site {
+		d.Transport.Register(site, h)
+		return
+	}
+	d.Transport.Register(site, func(n actor.Net, p any) {
+		if m, ok := p.(actor.AnnounceMsg); ok && m.Sym.Equal(d.sym) {
+			d.held = append(d.held, func() { h(n, p) })
+			return
+		}
+		h(n, p)
+	})
+}
+
+func (d *delayTransport) WaitIdle(timeout time.Duration) bool {
+	for len(d.held) > 0 {
+		deliver := d.held[0]
+		d.held = d.held[1:]
+		deliver()
+	}
+	return d.Transport.WaitIdle(timeout)
+}
+
+// TestPipelinedCloseoutWaitsForSettle: travel, no events, Finish on a
+// pipelined drive.  The closeout complements s_book first; ~s_book
+// parks on ~s_buy.  Then ~s_buy is decided, and its announcement to
+// the book site is delayed past that decision.  Escalating s_book
+// before one settle would overtake the announcement that fires the
+// parked ~s_book; the closeout must settle first and reach the serial
+// oracle's outcome.
+func TestPipelinedCloseoutWaitsForSettle(t *testing.T) {
+	sp := loadSpec(t, "../../testdata/travel.wf")
+	oracle := externalDrive(t, sp, 1, nil)
+	tr := &delayTransport{Transport: arun.NewSimTransport(1, nil), sym: mustSym(t, "~s_buy"), site: "book"}
+	out := externalDriveOn(t, sp, tr, true, nil)
+	if out.Fingerprint() != oracle.Fingerprint() {
+		t.Fatalf("closeout overtook the delayed announcement:\n oracle %s\n got    %s",
+			oracle.Fingerprint(), out.Fingerprint())
 	}
 }
 

@@ -79,12 +79,11 @@ type step struct {
 	onReject []step
 }
 
-// actorPlan is one actor's share of a plan: everything New, Reset and
-// AttachProgram need, computed once.
+// actorPlan is one actor's share of a plan: everything New needs,
+// computed once.
 type actorPlan struct {
-	base     algebra.Symbol
-	site     simnet.SiteID
-	pos, neg actor.GuardSpec
+	base algebra.Symbol
+	site simnet.SiteID
 	// prog is the compiled guard program, shared read-only across every
 	// instance's actors (each actor derives its own mutable
 	// gprog.State).  Extras share one ⊤/⊤ program.
@@ -164,19 +163,16 @@ func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
 	// Lower the programs only now: the table is complete, so every
 	// program's states have a slot for every plan symbol.
 	for _, b := range bases {
-		pos, neg := guardSpecFor(c, b), guardSpecFor(c, b.Complement())
 		p.actors = append(p.actors, actorPlan{
-			base: b, site: p.dir.Site(p.tab.MustLookup(b)), pos: pos, neg: neg,
-			prog: gprog.CompileOn(p.tab,
-				gprog.GuardInput{Guard: pos.Guard, LocalNeg: pos.LocalNeg},
-				gprog.GuardInput{Guard: neg.Guard, LocalNeg: neg.LocalNeg}),
+			base: b, site: p.dir.Site(p.tab.MustLookup(b)),
+			prog: gprog.CompileOn(p.tab, guardSpecFor(c, b), guardSpecFor(c, b.Complement())),
 		})
 	}
-	top := actor.GuardSpec{Guard: temporal.TrueF()}
-	extraProg := gprog.CompileOn(p.tab, gprog.GuardInput{Guard: top.Guard}, gprog.GuardInput{Guard: top.Guard})
+	top := gprog.GuardInput{Guard: temporal.TrueF()}
+	extraProg := gprog.CompileOn(p.tab, top, top)
 	for _, x := range extras {
 		p.actors = append(p.actors, actorPlan{
-			base: x, site: p.dir.Site(p.tab.MustLookup(x)), pos: top, neg: top, prog: extraProg,
+			base: x, site: p.dir.Site(p.tab.MustLookup(x)), prog: extraProg,
 		})
 	}
 	for _, ag := range sp.Agents {
@@ -263,8 +259,8 @@ type RunnerOptions struct {
 	// workflows (see DESIGN.md decision 13).
 	Pipelined bool
 	// Scratch recycles a whole built instance — site hosts, actors,
-	// their program states, knowledge maps and trace scopes — and the
-	// runner's observation state across runs (optional; see Scratch).
+	// their program states and trace scopes — and the runner's
+	// observation state across runs (optional; see Scratch).
 	Scratch *Scratch
 	// SatCache shares trace-satisfaction results across runners of
 	// the same spec (optional; see NewSatCache).
@@ -383,8 +379,7 @@ func (p *Plan) newInstanceSet(hosted func(simnet.SiteID) bool, hooks *actor.Hook
 		if hosted != nil && !hosted(ap.site) {
 			continue
 		}
-		a := actor.New(ap.base, ap.site, p.dir, hooks, ap.pos, ap.neg)
-		a.AttachProgram(ap.prog)
+		a := actor.New(ap.base, ap.site, p.dir, hooks, ap.prog)
 		for _, s := range ap.trig {
 			a.SetTriggerable(s)
 		}
@@ -423,8 +418,8 @@ func (set *instanceSet) attachScopes(tracer *obs.Tracer, inst uint32) {
 
 // Scratch is the recyclable state of one run: the runner's observation
 // state and, once a run has hosted every site, that run's whole
-// instance — site hosts, actors, their program states, knowledge maps
-// and trace scopes.  The next run of the same plan (and tracer) resets
+// instance — site hosts, actors, their program states and trace
+// scopes.  The next run of the same plan (and tracer) resets
 // those actors in place through actor.Reset, the initialiser New
 // itself uses, instead of building them again; a run of another plan
 // builds fresh and takes the scratch over.  internal/engine pools
@@ -472,7 +467,7 @@ func (s *Scratch) instance(p *Plan, hooks *actor.Hooks, tracer *obs.Tracer, inst
 	}
 	for i, a := range s.set.actors {
 		ap := &p.actors[i]
-		a.Reset(ap.pos, ap.neg)
+		a.Reset()
 		for _, sym := range ap.trig {
 			a.SetTriggerable(sym)
 		}

@@ -17,8 +17,8 @@
 //     of each run (DESIGN.md, decision 13);
 //   - a bounded worker pool sharded by instance ID, recycling each
 //     finished instance whole (arun.Scratch: site hosts, actors, their
-//     program states, knowledge maps and trace scopes, reset in place
-//     for the next instance) and sharing a trace satisfaction cache
+//     program states and trace scopes, reset in place for the next
+//     instance) and sharing a trace satisfaction cache
 //     across instances;
 //   - on the wire transport, all instances share one TCP mesh: frames
 //     carry an actor.Instanced envelope, each node demultiplexes on

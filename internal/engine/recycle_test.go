@@ -79,9 +79,9 @@ func recycleSpecs(t *testing.T) map[string]*spec.Spec {
 // seed, the outcome fingerprint, the decision and announcement counts,
 // the runner's complete state digest (every actor's facts, round
 // counter, holds and promises) and the traced record sequence must be
-// equal — with tracing on (the tree evaluator) and off (the compiled
-// fast path).  The scratch is carried across all seeds of a spec, so
-// every run after the first resets the previous run's actors.
+// equal — with tracing on and off.  The scratch is carried across all
+// seeds of a spec, so every run after the first resets the previous
+// run's actors.
 func TestScratchRecyclingEquivalence(t *testing.T) {
 	const seeds = 20
 	specs := recycleSpecs(t)

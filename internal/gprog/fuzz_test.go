@@ -10,8 +10,7 @@ import (
 // FuzzGuardProgram derives a guard pair and an announcement/hold order
 // from the fuzz input and checks that the compiled program and the
 // tree-walking evaluator return identical three-valued verdicts after
-// every step — including against the Reduce-residual chain the actor's
-// tree path actually evaluates.
+// every step, plain and with the consensus-local overlay.
 func FuzzGuardProgram(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x34, 0x45, 0x56, 0x67, 0x78})
 	f.Add([]byte("guards-and-announcements"))
@@ -27,8 +26,7 @@ func FuzzGuardProgram(f *testing.F) {
 		}
 		p := Compile(GuardInput{Guard: pos, LocalNeg: ln}, GuardInput{Guard: neg})
 		st := p.NewState()
-		var k temporal.Knowledge
-		residual := pos
+		var k oracle
 		now := int64(0)
 		for step := 0; step < 48 && fz.more(); step++ {
 			s := fz.sym()
@@ -36,25 +34,25 @@ func FuzzGuardProgram(f *testing.F) {
 			case 0, 1: // announcements dominate real traffic
 				if st2 := k.Status(s); st2 == temporal.StatusUnknown || st2 == temporal.StatusHeld {
 					now++
-					k.Observe(s, now)
+					t := now
+					k.do(func(k *temporal.Knowledge) { k.Observe(s, t) })
 					st.Observe(s, now)
 				}
 			case 2:
-				k.Hold(s)
+				k.do(func(k *temporal.Knowledge) { k.Hold(s) })
 				st.Hold(s)
 			case 3:
-				k.Unhold(s)
+				k.do(func(k *temporal.Knowledge) { k.Unhold(s) })
 				st.Unhold(s)
 			case 4:
 				if k.Status(s) == temporal.StatusUnknown {
-					k.MarkImpossible(s)
+					k.do(func(k *temporal.Knowledge) { k.MarkImpossible(s) })
 					st.MarkImpossible(s)
 				}
 			case 5:
-				k.Promise(s)
+				k.do(func(k *temporal.Knowledge) { k.Promise(s) })
 				st.Promise(s)
 			}
-			residual = k.Reduce(residual)
 			for pol, g := range []temporal.Formula{pos, neg} {
 				if got, want := st.Decide(pol, false), k.Decide(g); got != want {
 					t.Fatalf("step %d pol %d: Decide=%v knowledge=%v (guard %s, know %s)",
@@ -65,19 +63,8 @@ func FuzzGuardProgram(f *testing.F) {
 						step, pol, got, want, g.Key(), k.String())
 				}
 			}
-			// Tree-path agreement on the residual chain (monotone facts
-			// only, as the protocol produces them).
-			if got, want := st.Decide(PolPos, false), k.Decide(residual); got != want {
-				t.Fatalf("step %d: Decide=%v vs residual %s Decide=%v (guard %s, know %s)",
-					step, got, residual.Key(), want, pos.Key(), k.String())
-			}
-			// Consensus-local overlay vs the clone-and-hold view.
-			view := k.Clone()
-			for _, s := range ln {
-				if view.Status(s) == temporal.StatusUnknown {
-					view.Hold(s)
-				}
-			}
+			// Consensus-local overlay vs the held view.
+			view := k.heldView(ln)
 			if got, want := st.Decide(PolPos, true), view.Decide(pos); got != want {
 				t.Fatalf("step %d: overlay Decide=%v, clone view=%v (guard %s, know %s)",
 					step, got, want, pos.Key(), k.String())

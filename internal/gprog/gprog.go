@@ -38,14 +38,17 @@
 // Hold, Unhold, MarkImpossible, Promise, CondPromise, ClearCond) with
 // identical no-weaken rules, so its verdicts are bit-identical to the
 // tree-walking evaluator's; the property tests and FuzzGuardProgram
-// check that equivalence literal-by-literal and guard-by-guard.  An
-// actor keeps every fact about a plan symbol only here and folds them
-// into a Knowledge when it needs the tree evaluator (Fold).
+// check that equivalence literal-by-literal and guard-by-guard.  It is
+// an actor's only fact store and only evaluator: a View exposes the
+// per-literal verdicts, and Residual the reduced guard whose products
+// a decision walks (inquiry targets, promise waves, the holds it
+// relies on) and traces print.
 package gprog
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/algebra"
@@ -91,10 +94,15 @@ type Prog struct {
 	touched [][]int32
 	words   int // uint64 words per literal bitmask
 	pols    [2]polProg
+	// litIdx maps a literal's key to its slot.
+	litIdx map[string]int32
+	// guards are the source guards, the residual before any fact.
+	guards [2]temporal.Formula
 }
 
 // GuardInput is one polarity's guard plus its consensus-elimination
-// set (actor.GuardSpec without the import cycle).
+// set: the symbols whose ¬ literals the deciding actor may decide
+// locally (core.EventGuard.LocalNeg), keyed by symbol key.
 type GuardInput struct {
 	Guard    temporal.Formula
 	LocalNeg map[string]algebra.Symbol
@@ -124,8 +132,8 @@ func Compile(pos, neg GuardInput) *Prog {
 // states, and the guards' literals index them directly.  Every symbol
 // the guards mention must be in the table.
 func CompileOn(tab *symtab.Table, pos, neg GuardInput) *Prog {
-	p := &Prog{tab: tab, n: tab.Len()}
 	litIdx := map[string]int32{}
+	p := &Prog{tab: tab, n: tab.Len(), litIdx: litIdx}
 	for _, in := range []GuardInput{pos, neg} {
 		for _, prod := range in.Guard.Products() {
 			for _, l := range prod.Lits() {
@@ -145,6 +153,7 @@ func CompileOn(tab *symtab.Table, pos, neg GuardInput) *Prog {
 	}
 	p.pols[PolPos] = p.compilePol(pos, litIdx)
 	p.pols[PolNeg] = p.compilePol(neg, litIdx)
+	p.guards = [2]temporal.Formula{pos.Guard, neg.Guard}
 	return p
 }
 
@@ -224,6 +233,53 @@ func (p *Prog) Words() int { return p.words }
 // Table returns the symbol table the program was lowered onto.
 func (p *Prog) Table() *symtab.Table { return p.tab }
 
+// Guard returns the polarity's source guard.
+func (p *Prog) Guard(pol int) temporal.Formula { return p.guards[pol] }
+
+// Slot returns one literal slot's kind and the ids it mentions, in
+// sequence order (shared; do not mutate).
+func (p *Prog) Slot(li int32) (temporal.LitKind, []symtab.ID) {
+	return p.lits[li].kind, p.lits[li].seq
+}
+
+// Slots appends the slots of a product of the program's literals — a
+// product of Residual.
+func (p *Prog) Slots(prod temporal.Product, dst []int32) []int32 {
+	for _, l := range prod.Lits() {
+		dst = append(dst, p.litIdx[l.Key()])
+	}
+	return dst
+}
+
+// literal rebuilds one slot as a temporal literal from its kind and
+// ids.
+func (p *Prog) literal(li int32) temporal.Literal {
+	slot := &p.lits[li]
+	switch slot.kind {
+	case temporal.LitOccurred:
+		return temporal.Occurred(p.tab.Sym(slot.seq[0]))
+	case temporal.LitNotYet:
+		return temporal.NotYet(p.tab.Sym(slot.seq[0]))
+	}
+	syms := make([]algebra.Symbol, len(slot.seq))
+	for i, id := range slot.seq {
+		syms[i] = p.tab.Sym(id)
+	}
+	return temporal.Eventually(syms...)
+}
+
+// product appends the literal slots of one product of a polarity,
+// read back from its compiled mask.
+func (p *Prog) product(pp *polProg, i int, dst []int32) []int32 {
+	base := i * p.words
+	for li := range p.lits {
+		if pp.prods[base+li>>6]&(1<<(li&63)) != 0 {
+			dst = append(dst, int32(li))
+		}
+	}
+	return dst
+}
+
 // ProductLits reconstructs one polarity's products as temporal
 // literals by reading the compiled masks back, word by word.  The
 // model checker evaluates these instead of the source formula, so a
@@ -235,26 +291,12 @@ func (p *Prog) Table() *symtab.Table { return p.tab }
 func (p *Prog) ProductLits(pol int) [][]temporal.Literal {
 	pp := &p.pols[pol]
 	out := make([][]temporal.Literal, pp.nprods)
+	var slots []int32
 	for pi := 0; pi < pp.nprods; pi++ {
-		base := pi * p.words
+		slots = p.product(pp, pi, slots[:0])
 		lits := []temporal.Literal{}
-		for li := 0; li < len(p.lits); li++ {
-			if pp.prods[base+(li>>6)]&(1<<(uint(li)&63)) == 0 {
-				continue
-			}
-			slot := &p.lits[li]
-			switch slot.kind {
-			case temporal.LitOccurred:
-				lits = append(lits, temporal.Occurred(p.tab.Sym(slot.seq[0])))
-			case temporal.LitNotYet:
-				lits = append(lits, temporal.NotYet(p.tab.Sym(slot.seq[0])))
-			default:
-				syms := make([]algebra.Symbol, len(slot.seq))
-				for i, id := range slot.seq {
-					syms[i] = p.tab.Sym(id)
-				}
-				lits = append(lits, temporal.Eventually(syms...))
-			}
+		for _, li := range slots {
+			lits = append(lits, p.literal(li))
 		}
 		out[pi] = lits
 	}
@@ -281,6 +323,12 @@ type State struct {
 	ovFalse []uint64
 	// small backs the six bitmasks on the one-word fast path.
 	small [6]uint64
+	// res caches each polarity's residual guard with the permanent
+	// verdict bits it was built from: it is a function of those alone.
+	res [2]struct {
+		tru, fls []uint64
+		f        temporal.Formula
+	}
 }
 
 type cell struct {
@@ -464,13 +512,35 @@ func (s *State) Status(sym algebra.Symbol) (temporal.Status, bool) {
 	return s.StatusID(s.lookup(sym))
 }
 
-// Fold writes every slot's status into a Knowledge, so a holder whose
-// facts live here can hand a complete map to the tree-walking
-// evaluator.  Symbols without a slot are left as they are; the
-// knowledge's version moves only where a fact changed.
-func (s *State) Fold(k *temporal.Knowledge) {
+// Facts calls fn for every id with a known status, in id order; the
+// time is an occurrence's and zero otherwise.
+func (s *State) Facts(fn func(id symtab.ID, st temporal.Status, at int64)) {
 	for id := 2; id < len(s.cells); id++ {
-		k.Set(s.p.tab.Sym(symtab.ID(id)), s.cells[id].st, s.cells[id].t)
+		c := s.cells[id]
+		if c.st == temporal.StatusUnknown {
+			continue
+		}
+		if c.st != temporal.StatusOccurred {
+			c.t = 0
+		}
+		fn(symtab.ID(id), c.st, c.t)
+	}
+}
+
+// LoadPermanent makes s hold src's permanent facts — occurrences,
+// impossibilities and binding promises — and nothing transient: the
+// view a promise's soundness is judged in, since holds and conditional
+// promises may lapse before the promise is discharged.  Both states
+// must be of one program.
+func (s *State) LoadPermanent(src *State) {
+	for i, c := range src.cells {
+		if c.st == temporal.StatusHeld || c.st == temporal.StatusCondPromised {
+			c = cell{}
+		}
+		s.cells[i] = c
+	}
+	for li := range s.p.lits {
+		s.recomputeLit(int32(li))
 	}
 }
 
@@ -502,7 +572,7 @@ func setTri(tru, fls []uint64, li int32, v temporal.Tri) {
 
 // stat reads a symbol's status, applying the virtual-hold overlay of
 // a consensus-local decision when local is non-nil: still-unknown
-// local symbols count as held, exactly as actor.localView holds them.
+// local symbols count as held.
 func (s *State) stat(id symtab.ID, local []bool) temporal.Status {
 	st := s.cells[id].st
 	if st == temporal.StatusUnknown && local != nil && local[id] {
@@ -575,31 +645,151 @@ func (s *State) litVerdict(slot *litSlot, useHolds bool, local []bool) temporal.
 	return temporal.Unknown
 }
 
-// Decide evaluates one polarity's guard at decision time.  When
-// localClean is true and the polarity has consensus-local symbols,
-// still-unknown local symbols are virtually held — the exact view
-// actor.localView builds, but into preallocated scratch instead of a
-// cloned knowledge map.
-func (s *State) Decide(pol int, localClean bool) temporal.Tri {
+// A View is one polarity's literal verdicts at one moment: at decision
+// time (holds and promises count), or over the permanent facts only.
+// It reads the state's bitmasks in place, so it is valid until the
+// state changes or builds another decision view.
+type View struct {
+	s        *State
+	pp       *polProg
+	tru, fls []uint64
+}
+
+// DecideView is the polarity's decision-time view.  When localClean is
+// true and the polarity has consensus-local symbols, still-unknown
+// local symbols are virtually held — f cannot have occurred without
+// the deciding actor's cooperation — in preallocated scratch, so the
+// view never allocates.
+func (s *State) DecideView(pol int, localClean bool) View {
 	pp := &s.p.pols[pol]
-	tru, fls := s.decTrue, s.decFalse
+	v := View{s: s, pp: pp, tru: s.decTrue, fls: s.decFalse}
 	if pp.hasLocal && localClean {
 		copy(s.ovTrue, s.decTrue)
 		copy(s.ovFalse, s.decFalse)
 		for _, li := range pp.localLits {
 			setTri(s.ovTrue, s.ovFalse, li, s.litVerdict(&s.p.lits[li], true, pp.isLocal))
 		}
-		tru, fls = s.ovTrue, s.ovFalse
+		v.tru, v.fls = s.ovTrue, s.ovFalse
 	}
-	return s.evalProds(pp, tru, fls)
+	return v
+}
+
+// permView is the polarity's view over permanent facts only.
+func (s *State) permView(pol int) View {
+	return View{s: s, pp: &s.p.pols[pol], tru: s.permTrue, fls: s.permFalse}
+}
+
+// Decide evaluates one polarity's guard at decision time (DecideView).
+func (s *State) Decide(pol int, localClean bool) temporal.Tri {
+	return s.DecideView(pol, localClean).Verdict()
 }
 
 // Eval evaluates one polarity's guard over permanent facts only — the
 // verdict that decides rejection (Eval == False ⟺ the residual guard
-// reduces to 0).
-func (s *State) Eval(pol int) temporal.Tri {
-	pp := &s.p.pols[pol]
-	return s.evalProds(pp, s.permTrue, s.permFalse)
+// is 0).
+func (s *State) Eval(pol int) temporal.Tri { return s.permView(pol).Verdict() }
+
+// Verdict is the guard's three-valued verdict in the view.
+func (v View) Verdict() temporal.Tri { return v.s.p.evalProds(v.pp, v.tru, v.fls) }
+
+// Lit is one literal slot's verdict in the view.
+func (v View) Lit(li int32) temporal.Tri {
+	w, b := li>>6, uint64(1)<<(li&63)
+	switch {
+	case v.tru[w]&b != 0:
+		return temporal.True
+	case v.fls[w]&b != 0:
+		return temporal.False
+	}
+	return temporal.Unknown
+}
+
+func (v View) falsified(prod []int32) bool {
+	for _, li := range prod {
+		if v.Lit(li) == temporal.False {
+			return true
+		}
+	}
+	return false
+}
+
+// Residual is the polarity's guard reduced by the permanent facts,
+// exactly as Knowledge.Reduce rewrites it: every product no fact
+// falsified, without the literals the facts made true, normalized
+// (absorption, consensus) by the formula constructors.  Its products
+// are the ones a decision walks — inquiry targets, hold trimming,
+// promise waves — and traces print it.
+func (s *State) Residual(pol int) temporal.Formula {
+	r := &s.res[pol]
+	if !slices.Equal(r.tru, s.permTrue) || !slices.Equal(r.fls, s.permFalse) {
+		r.f = s.reduce(pol)
+		r.tru = append(r.tru[:0], s.permTrue...)
+		r.fls = append(r.fls[:0], s.permFalse...)
+	}
+	return r.f
+}
+
+func (s *State) reduce(pol int) temporal.Formula {
+	v := s.permView(pol)
+	var sum []temporal.Formula
+	var slots [64]int32
+	for i := 0; i < v.pp.nprods; i++ {
+		prod := s.p.product(v.pp, i, slots[:0])
+		if v.falsified(prod) {
+			continue
+		}
+		var parts []temporal.Formula
+		for _, li := range prod {
+			if v.Lit(li) == temporal.Unknown {
+				parts = append(parts, temporal.Lit(s.p.literal(li)))
+			}
+		}
+		if len(parts) == 0 {
+			return temporal.TrueF()
+		}
+		sum = append(sum, temporal.And(parts...))
+	}
+	return temporal.Or(sum...)
+}
+
+// Awaited appends the ids a decision still waits on — the events to
+// inquire about: in every product of the polarity's residual guard
+// that the view does not falsify, the unknown or held members of each
+// literal the view leaves unknown.  The view may be another state's of
+// the same program — a hypothesis judged against this state's
+// residual.  The result may repeat an id and is unsorted.
+func (s *State) Awaited(pol int, v View, dst []symtab.ID) []symtab.ID {
+	var slots [64]int32
+	for _, prod := range s.Residual(pol).Products() {
+		lits := s.p.Slots(prod, slots[:0])
+		if v.falsified(lits) {
+			continue
+		}
+		for _, li := range lits {
+			if v.Lit(li) != temporal.Unknown {
+				continue
+			}
+			for _, id := range s.p.lits[li].seq {
+				if st := v.s.cells[id].st; st == temporal.StatusUnknown || st == temporal.StatusHeld {
+					dst = append(dst, id)
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// ResidualNotYet appends the symbol of every ¬ literal of the residual
+// guard: the events whose holds a decision relies on.
+func (s *State) ResidualNotYet(pol int, dst []symtab.ID) []symtab.ID {
+	for _, prod := range s.Residual(pol).Products() {
+		for _, l := range prod.Lits() {
+			if l.Kind() == temporal.LitNotYet {
+				dst = append(dst, s.p.lits[s.p.litIdx[l.Key()]].seq[0])
+			}
+		}
+	}
+	return dst
 }
 
 // EvalAsOf evaluates one polarity's guard as of cutoff time t over the
@@ -616,7 +806,7 @@ func (s *State) EvalAsOf(pol int, t int64) temporal.Tri {
 	for li := range s.p.lits {
 		setTri(s.ovTrue, s.ovFalse, int32(li), s.litAsOf(&s.p.lits[li], t))
 	}
-	return s.evalProds(&s.p.pols[pol], s.ovTrue, s.ovFalse)
+	return s.p.evalProds(&s.p.pols[pol], s.ovTrue, s.ovFalse)
 }
 
 // litAsOf is litVerdict with the clock stopped at t: occurrence facts
@@ -671,8 +861,8 @@ func (s *State) litAsOf(slot *litSlot, t int64) temporal.Tri {
 // evalProds is the three-valued OR over product masks: a product is
 // False when it intersects the false bits, True when its mask is
 // covered by the true bits, Unknown otherwise.
-func (s *State) evalProds(pp *polProg, tru, fls []uint64) temporal.Tri {
-	if s.p.words == 1 {
+func (p *Prog) evalProds(pp *polProg, tru, fls []uint64) temporal.Tri {
+	if p.words == 1 {
 		// ≤64-literal fast path: whole guard in single-word operations.
 		t0, f0 := tru[0], fls[0]
 		anyUnknown := false
@@ -691,7 +881,7 @@ func (s *State) evalProds(pp *polProg, tru, fls []uint64) temporal.Tri {
 		return temporal.False
 	}
 	anyUnknown := false
-	w := s.p.words
+	w := p.words
 	for pi := 0; pi < pp.nprods; pi++ {
 		base := pi * w
 		isFalse, isTrue := false, true

@@ -2,17 +2,21 @@ package gprog
 
 import (
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/symtab"
 	"repro/internal/temporal"
 )
 
 // The tests here all prove one thing: the compiled bitset program is
 // verdict-identical to the tree-walking evaluator over
 // temporal.Knowledge — literal-for-literal mutator mirroring, the
-// permanent-facts view, the consensus-local virtual-hold overlay, and
-// the residual-guard chain actually used in tree mode.
+// permanent-facts view, the consensus-local virtual-hold overlay, the
+// residual guard Reduce prints, and the inquiry targets the residual
+// names.
 
 var testNames = []string{"a", "b", "c", "d", "e", "f"}
 
@@ -59,38 +63,67 @@ func randLit(r *rand.Rand) temporal.Literal {
 	}
 }
 
+// oracle is the tree evaluator's knowledge kept beside a State, with
+// the mutation history that rebuilds it: the consensus-local oracle is
+// a copy with the local symbols held.
+type oracle struct {
+	temporal.Knowledge
+	ops []func(*temporal.Knowledge)
+}
+
+func (o *oracle) do(f func(*temporal.Knowledge)) {
+	f(&o.Knowledge)
+	o.ops = append(o.ops, f)
+}
+
+// heldView replays the history into a fresh knowledge and holds every
+// still-unknown local symbol: the view a clean consensus-local decision
+// evaluates in.
+func (o *oracle) heldView(ln map[string]algebra.Symbol) *temporal.Knowledge {
+	var v temporal.Knowledge
+	for _, f := range o.ops {
+		f(&v)
+	}
+	for _, s := range ln {
+		if v.Status(s) == temporal.StatusUnknown {
+			v.Hold(s)
+		}
+	}
+	return &v
+}
+
 // mutate applies one random mutation to both views and reports what it
 // did (for failure messages).
-func mutate(r *rand.Rand, k *temporal.Knowledge, st *State) string {
+func mutate(r *rand.Rand, k *oracle, st *State) string {
 	s := randSym(r)
 	switch r.Intn(7) {
 	case 0:
 		t := int64(r.Intn(20))
-		k.Observe(s, t)
+		k.do(func(k *temporal.Knowledge) { k.Observe(s, t) })
 		st.Observe(s, t)
 		return "observe " + s.Key()
 	case 1:
-		k.Hold(s)
+		k.do(func(k *temporal.Knowledge) { k.Hold(s) })
 		st.Hold(s)
 		return "hold " + s.Key()
 	case 2:
-		k.Unhold(s)
+		k.do(func(k *temporal.Knowledge) { k.Unhold(s) })
 		st.Unhold(s)
 		return "unhold " + s.Key()
 	case 3:
-		k.MarkImpossible(s)
+		k.do(func(k *temporal.Knowledge) { k.MarkImpossible(s) })
 		st.MarkImpossible(s)
 		return "impossible " + s.Key()
 	case 4:
-		k.Promise(s)
+		k.do(func(k *temporal.Knowledge) { k.Promise(s) })
 		st.Promise(s)
 		return "promise " + s.Key()
 	case 5:
-		k.CondPromise(s)
+		k.do(func(k *temporal.Knowledge) { k.CondPromise(s) })
 		st.CondPromise(s)
 		return "condpromise " + s.Key()
 	default:
-		k.ClearCond(s)
+		k.do(func(k *temporal.Knowledge) { k.ClearCond(s) })
 		st.ClearCond(s)
 		return "clearcond " + s.Key()
 	}
@@ -142,14 +175,14 @@ func TestCompileShapes(t *testing.T) {
 // TestMirrorsKnowledge drives random mutation sequences through a
 // Knowledge and a State in lockstep and demands identical Decide/Eval
 // verdicts for both polarities after every step — the bit-identical
-// equivalence the delivery fast path rests on.
+// equivalence the actor's decisions rest on.
 func TestMirrorsKnowledge(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		pos, neg := randFormula(r), randFormula(r)
 		p := Compile(GuardInput{Guard: pos}, GuardInput{Guard: neg})
 		st := p.NewState()
-		var k temporal.Knowledge
+		var k oracle
 		var log []string
 		for step := 0; step < 25; step++ {
 			log = append(log, mutate(r, &k, st))
@@ -170,8 +203,8 @@ func TestMirrorsKnowledge(t *testing.T) {
 // TestResidualChainAgreement replays protocol-like monotone fact
 // sequences — each event observed at most once, never after its
 // complement, with transient holds — and checks the program's verdict
-// on the original guard against the tree path's verdict on the
-// Reduce-residual chain, which is what actor.decide actually computes.
+// on the original guard against the tree evaluator's verdict on the
+// Reduce-residual chain the tree evaluator computes.
 func TestResidualChainAgreement(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
@@ -223,7 +256,7 @@ func TestResidualChainAgreement(t *testing.T) {
 }
 
 // TestLocalOverlay checks the consensus-local virtual-hold overlay
-// against the tree path's clone-and-hold view.
+// against the tree evaluator's held view.
 func TestLocalOverlay(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 300; trial++ {
@@ -235,15 +268,10 @@ func TestLocalOverlay(t *testing.T) {
 		}
 		p := Compile(GuardInput{Guard: g, LocalNeg: ln}, GuardInput{Guard: temporal.TrueF()})
 		st := p.NewState()
-		var k temporal.Knowledge
+		var k oracle
 		for step := 0; step < 15; step++ {
 			mutate(r, &k, st)
-			view := k.Clone()
-			for _, f := range ln {
-				if view.Status(f) == temporal.StatusUnknown {
-					view.Hold(f)
-				}
-			}
+			view := k.heldView(ln)
 			if got, want := st.Decide(PolPos, true), view.Decide(g); got != want {
 				t.Fatalf("trial %d step %d: overlay Decide=%v, clone view says %v (guard %s, know %s, ln %v)",
 					trial, step, got, want, g.Key(), k.String(), ln)
@@ -256,42 +284,106 @@ func TestLocalOverlay(t *testing.T) {
 	}
 }
 
-// TestFold folds a state into a knowledge map at random points of a
-// mutation sequence — the way an actor hands its facts to the tree
-// evaluator — and demands that the folded map decide, evaluate and
-// reduce both guards exactly as a map that saw every mutation does.
-// A second fold with no mutation in between must not move the
-// version, which is what keeps residual caching keyed on it.
-func TestFold(t *testing.T) {
+// TestResidualAndTargets checks, at random points of a mutation
+// sequence, what a decision reads off the program besides its verdict,
+// against Knowledge.Reduce of the source guard: the residual guard
+// (Residual), its ¬ literals (ResidualNotYet), and the symbols still
+// awaited (Awaited, plain and with the consensus-local holds).
+func TestResidualAndTargets(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		pos, neg := randFormula(r), randFormula(r)
-		p := Compile(GuardInput{Guard: pos}, GuardInput{Guard: neg})
-		var k, folded temporal.Knowledge
+		ln := map[string]algebra.Symbol{}
+		for i := r.Intn(3); i > 0; i-- {
+			s := randSym(r)
+			ln[s.Key()] = s
+		}
+		p := Compile(GuardInput{Guard: pos, LocalNeg: ln}, GuardInput{Guard: neg})
+		var k oracle
 		st := p.NewState()
 		for step := 0; step < 15; step++ {
 			mutate(r, &k, st)
-			if r.Intn(3) > 0 {
+			for pol, g := range []temporal.Formula{pos, neg} {
+				reduced := k.Reduce(g)
+				if got, want := st.Residual(pol).Key(), reduced.Key(); got != want {
+					t.Fatalf("trial %d step %d: Residual(pol %d)=%s, Reduce says %s (guard %s, know %s)",
+						trial, step, pol, got, want, g.Key(), k.String())
+				}
+				if got, want := idKeys(p, st.ResidualNotYet(pol, nil)), notYetKeys(reduced); got != want {
+					t.Fatalf("trial %d step %d: ResidualNotYet(pol %d)=%s, residual %s has %s",
+						trial, step, pol, got, reduced.Key(), want)
+				}
+				if got, want := idKeys(p, st.Awaited(pol, st.DecideView(pol, false), nil)), treeUnresolved(&k.Knowledge, reduced); got != want {
+					t.Fatalf("trial %d step %d: Awaited(pol %d)=%s, tree says %s (guard %s, know %s)",
+						trial, step, pol, got, want, g.Key(), k.String())
+				}
+			}
+			if got, want := idKeys(p, st.Awaited(PolPos, st.DecideView(PolPos, true), nil)), treeUnresolved(k.heldView(ln), k.Reduce(pos)); got != want {
+				t.Fatalf("trial %d step %d: overlay Awaited=%s, held view says %s (guard %s, know %s, ln %v)",
+					trial, step, got, want, pos.Key(), k.String(), ln)
+			}
+		}
+	}
+}
+
+// idKeys renders ids as their sorted, deduplicated keys.
+func idKeys(p *Prog, ids []symtab.ID) string {
+	set := map[string]bool{}
+	for _, id := range ids {
+		set[p.Table().Key(id)] = true
+	}
+	return sortedSet(set)
+}
+
+func sortedSet(set map[string]bool) string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, ",")
+}
+
+// notYetKeys lists the symbols of a formula's ¬ literals.
+func notYetKeys(f temporal.Formula) string {
+	set := map[string]bool{}
+	for _, prod := range f.Products() {
+		for _, l := range prod.Lits() {
+			if l.Kind() == temporal.LitNotYet {
+				set[l.Sym().Key()] = true
+			}
+		}
+	}
+	return sortedSet(set)
+}
+
+// treeUnresolved is the tree's inquiry-target rule: in every product
+// the knowledge does not falsify at decision time, the unknown or held
+// members of each literal it leaves unknown.
+func treeUnresolved(k *temporal.Knowledge, g temporal.Formula) string {
+	set := map[string]bool{}
+	for _, prod := range g.Products() {
+		dead := false
+		for _, l := range prod.Lits() {
+			if k.DecideLit(l) == temporal.False {
+				dead = true
+			}
+		}
+		if dead {
+			continue
+		}
+		for _, l := range prod.Lits() {
+			if k.DecideLit(l) != temporal.Unknown {
 				continue
 			}
-			st.Fold(&folded)
-			v := folded.Version()
-			if st.Fold(&folded); folded.Version() != v {
-				t.Fatalf("trial %d: an unchanged fold moved the version", trial)
-			}
-			for pol, g := range []temporal.Formula{pos, neg} {
-				if got, want := folded.Decide(g), k.Decide(g); got != want {
-					t.Fatalf("trial %d: folded Decide(pol %d)=%v, knowledge says %v", trial, pol, got, want)
-				}
-				if got, want := folded.Eval(g), k.Eval(g); got != want {
-					t.Fatalf("trial %d: folded Eval(pol %d)=%v, knowledge says %v", trial, pol, got, want)
-				}
-				if got, want := folded.Reduce(g).Key(), k.Reduce(g).Key(); got != want {
-					t.Fatalf("trial %d: folded Reduce(pol %d)=%s, knowledge says %s", trial, pol, got, want)
+			for _, s := range l.Syms() {
+				if st := k.Status(s); st == temporal.StatusUnknown || st == temporal.StatusHeld {
+					set[s.Key()] = true
 				}
 			}
 		}
 	}
+	return sortedSet(set)
 }
 
 // TestWideGuardSpill exercises the multi-word (>64 literals) path.

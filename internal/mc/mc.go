@@ -310,8 +310,8 @@ func (ck *checker) buildGuards() error {
 	return nil
 }
 
-// localNegSyms rebuilds the actor.GuardSpec LocalNeg map the runtime
-// plan hands gprog, so the compile input shape matches production.
+// localNegSyms rebuilds the gprog.GuardInput LocalNeg map the runtime
+// plan compiles, so the compile input shape matches production.
 func localNegSyms(c *core.Compiled, s algebra.Symbol) map[string]algebra.Symbol {
 	eg, ok := c.Guards[s.Key()]
 	if !ok || len(eg.LocalNeg) == 0 {

@@ -113,9 +113,8 @@ func (d *distributedSubmitter) ensureActor(s algebra.Symbol, origin simnet.SiteI
 	}
 	b := s.Base()
 	d.dir.Place(b, origin)
-	top := actor.GuardSpec{Guard: temporal.TrueF()}
-	a := actor.New(b, origin, d.dir, d.hooks, top, top)
-	a.AttachProgram(gprog.CompileOn(d.dir.Table(), gprog.GuardInput{Guard: top.Guard}, gprog.GuardInput{Guard: top.Guard}))
+	top := gprog.GuardInput{Guard: temporal.TrueF()}
+	a := actor.New(b, origin, d.dir, d.hooks, gprog.CompileOn(d.dir.Table(), top, top))
 	h.addActor(b.Key(), a)
 	return origin
 }
@@ -151,10 +150,7 @@ func installDistributed(n *simnet.Network, tab *symtab.Table, c *core.Compiled, 
 	for _, b := range bases {
 		site := pl.SiteFor(b)
 		pos, neg := guardSpec(c, b, noElim), guardSpec(c, b.Complement(), noElim)
-		a := actor.New(b, site, dir, hooks, pos, neg)
-		a.AttachProgram(gprog.CompileOn(tab,
-			gprog.GuardInput{Guard: pos.Guard, LocalNeg: pos.LocalNeg},
-			gprog.GuardInput{Guard: neg.Guard, LocalNeg: neg.LocalNeg}))
+		a := actor.New(b, site, dir, hooks, gprog.CompileOn(tab, pos, neg))
 		host(site).addActor(b.Key(), a)
 		for _, polKey := range []string{b.Key(), b.Complement().Key()} {
 			eg := c.Guards[polKey]
@@ -171,8 +167,8 @@ func installDistributed(n *simnet.Network, tab *symtab.Table, c *core.Compiled, 
 
 // guardSpec assembles a polarity's guard spec from the compiled
 // workflow.
-func guardSpec(c *core.Compiled, s algebra.Symbol, noElim bool) actor.GuardSpec {
-	spec := actor.GuardSpec{Guard: c.GuardOf(s)}
+func guardSpec(c *core.Compiled, s algebra.Symbol, noElim bool) gprog.GuardInput {
+	spec := gprog.GuardInput{Guard: c.GuardOf(s)}
 	if noElim {
 		return spec
 	}

@@ -153,69 +153,6 @@ func (k *Knowledge) MarkImpossible(s algebra.Symbol) {
 	k.set(s, fact{status: StatusImpossible})
 }
 
-// Clone returns an independent copy of the knowledge, used for
-// hypothetical reasoning ("would this guard hold if r occurred?").
-func (k *Knowledge) Clone() *Knowledge {
-	cp := &Knowledge{ver: k.ver}
-	if k.m != nil {
-		cp.m = make(map[string]fact, len(k.m))
-		for key, f := range k.m {
-			cp.m[key] = f
-		}
-	}
-	return cp
-}
-
-// PermanentClone copies only the permanent facts — occurrences,
-// impossibilities, and binding promises — dropping transient holds and
-// conditional promises.  Used where a decision must survive until an
-// arbitrarily later discharge (promise granting).
-func (k *Knowledge) PermanentClone() *Knowledge {
-	cp := &Knowledge{ver: k.ver}
-	if k.m != nil {
-		cp.m = make(map[string]fact, len(k.m))
-		for key, f := range k.m {
-			switch f.status {
-			case StatusOccurred, StatusImpossible, StatusPromised:
-				cp.m[key] = f
-			}
-		}
-	}
-	return cp
-}
-
-// Reset forgets every fact and restarts the version count, keeping
-// the map's storage: a recycled holder starts from the same empty
-// knowledge a fresh one does, without re-growing the map.
-func (k *Knowledge) Reset() {
-	clear(k.m)
-	k.ver = 0
-}
-
-// Set records a symbol's status as given, bypassing the no-weaken
-// rules of the assimilation methods: it is how a holder that keeps
-// facts in another store (a compiled program's state) folds them into
-// this map.  Unknown removes the symbol; the time is kept only for an
-// occurrence.  The version moves only when the fact changes.
-func (k *Knowledge) Set(s algebra.Symbol, st Status, at int64) {
-	if st != StatusOccurred {
-		at = 0
-	}
-	key := s.Key()
-	if f := k.m[key]; f.status == st && f.time == at {
-		return
-	}
-	if st == StatusUnknown {
-		delete(k.m, key)
-	} else {
-		if k.m == nil {
-			k.m = make(map[string]fact)
-		}
-		k.m[key] = fact{status: st, time: at}
-	}
-	k.ver++
-}
-
 func (k *Knowledge) set(s algebra.Symbol, f fact) {
 	if k.m == nil {
 		k.m = make(map[string]fact)
@@ -230,18 +167,6 @@ func (k *Knowledge) set(s algebra.Symbol, f fact) {
 // re-reduction while the version is unchanged: Reduce of a residual
 // under unmodified knowledge is the identity.
 func (k *Knowledge) Version() uint64 { return k.ver }
-
-// Range calls fn for every symbol with a non-unknown status, in
-// unspecified order.  Serialization callers (WAL snapshots) sort the
-// keys themselves.
-func (k *Knowledge) Range(fn func(key string, st Status, at int64)) {
-	for key, f := range k.m {
-		if f.status == StatusUnknown {
-			continue
-		}
-		fn(key, f.status, f.time)
-	}
-}
 
 // Status returns what is known about the symbol.
 func (k *Knowledge) Status(s algebra.Symbol) Status {
@@ -462,33 +387,4 @@ func (k *Knowledge) Reduce(f Formula) Formula {
 		return FalseF()
 	}
 	return Or(sum...)
-}
-
-// Unresolved returns the symbols whose status is still unknown among
-// those a formula needs, i.e. the events the actor should inquire
-// about (order sorted, deduplicated).  Holds do not count as resolved.
-func (k *Knowledge) Unresolved(f Formula) []algebra.Symbol {
-	seen := map[string]algebra.Symbol{}
-	for _, p := range f.Products() {
-		if k.evalProduct(p, true) == False {
-			continue // dead product: its symbols cannot help
-		}
-		for _, l := range p.Lits() {
-			if k.evalLit(l, true) != Unknown {
-				continue
-			}
-			for _, s := range l.Syms() {
-				st := k.Status(s)
-				if st == StatusUnknown || st == StatusHeld {
-					seen[s.Key()] = s
-				}
-			}
-		}
-	}
-	out := make([]algebra.Symbol, 0, len(seen))
-	for _, s := range seen {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }

@@ -272,28 +272,6 @@ func TestReduceSafety(t *testing.T) {
 	}
 }
 
-func TestUnresolved(t *testing.T) {
-	e, f := sym("e"), sym("f")
-	guard := Or(
-		product(Occurred(e), NotYet(f)),
-		Lit(Eventually(f)),
-	)
-	var k Knowledge
-	got := k.Unresolved(guard)
-	if len(got) != 2 {
-		t.Fatalf("unresolved: got %v want e and f", got)
-	}
-	k.Observe(e, 1)
-	got = k.Unresolved(guard)
-	if len(got) != 1 || !got[0].Equal(f) {
-		t.Fatalf("unresolved after □e: got %v want [f]", got)
-	}
-	k.Observe(f, 2)
-	if got = k.Unresolved(guard); len(got) != 0 {
-		t.Fatalf("unresolved after everything known: got %v", got)
-	}
-}
-
 func TestKnowledgeString(t *testing.T) {
 	var k Knowledge
 	if k.String() != "{}" {
