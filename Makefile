@@ -1,6 +1,7 @@
 # Pre-merge gate: everything here must pass before a change lands.
 #
-#   make ci          build, vet, full test suite, race suite, trace checks, bench smoke, fuzz smoke
+#   make ci          build, vet, dependency check, full test suite, race suite, trace checks, bench smoke, fuzz smoke
+#   make depcheck    the wfserve daemon must not link the simulator schedulers (internal/sched)
 #   make test        full test suite only
 #   make race        race-detector suite over the concurrent packages
 #   make tracecheck  golden-replay determinism + trace invariants over the chaos suite
@@ -17,15 +18,24 @@
 
 GO ?= go
 
-.PHONY: ci build vet test race enginestress tracecheck crashcheck walcheck servecheck modelcheck bench benchsmoke benchdiff fuzzsmoke profile
+.PHONY: ci build vet depcheck test race enginestress tracecheck crashcheck walcheck servecheck modelcheck bench benchsmoke benchdiff fuzzsmoke profile
 
-ci: build vet test race enginestress tracecheck crashcheck walcheck servecheck modelcheck benchsmoke fuzzsmoke
+ci: build vet depcheck test race enginestress tracecheck crashcheck walcheck servecheck modelcheck benchsmoke fuzzsmoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The production daemon hosts plans through internal/arun only.
+# internal/sched (the simulator schedulers and their baselines) imports
+# arun, so an import of sched from anything wfserve links would pull the
+# whole paper-reproduction harness into the daemon.
+depcheck:
+	@if $(GO) list -deps ./cmd/wfserve | grep -qx 'repro/internal/sched'; then \
+		echo "depcheck: cmd/wfserve depends on repro/internal/sched" >&2; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...

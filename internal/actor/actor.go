@@ -471,12 +471,6 @@ func (a *Actor) lookupSym(s algebra.Symbol) *polarity {
 // other returns the polarity opposite p.
 func (a *Actor) other(p *polarity) *polarity { return &a.pols[(p.id^1)&1] }
 
-// Handle implements simnet.Handler for messages addressed to this
-// actor.  Sites hosting several actors demultiplex before calling it.
-func (a *Actor) Handle(n *simnet.Network, m simnet.Message) {
-	a.Deliver(n, m.Payload)
-}
-
 // Deliver processes one protocol payload on any transport.
 func (a *Actor) Deliver(n Net, payload any) {
 	switch msg := payload.(type) {

@@ -18,6 +18,11 @@ func newActor(b algebra.Symbol, site simnet.SiteID, dir *Directory, hooks *Hooks
 	return New(b, site, dir, hooks, gprog.CompileOn(dir.Table(), pos, neg))
 }
 
+// siteOf is a simulator handler hosting the one actor.
+func siteOf(a *Actor) simnet.Handler {
+	return simnet.HandlerFunc(func(n *simnet.Network, m simnet.Message) { a.Deliver(n, m.Payload) })
+}
+
 func sym(k string) algebra.Symbol {
 	s, err := algebra.ParseSymbol(k)
 	if err != nil {
@@ -81,7 +86,7 @@ func newRig(t *testing.T, deps ...string) *rig {
 		site, _ := r.dir.SiteOf(b)
 		a := newActor(b, site, r.dir, hooks, spec(b), spec(b.Complement()))
 		r.actors[b.Key()] = a
-		r.net.AddSite(site, a)
+		r.net.AddSite(site, siteOf(a))
 		// Subscribe this actor's site to every event its guards watch.
 		for _, eg := range []*core.EventGuard{c.Guards[b.Key()], c.Guards[b.Complement().Key()]} {
 			if eg == nil {

@@ -27,13 +27,7 @@ type Directory struct {
 }
 
 // NewDirectory creates an empty directory over a fresh symbol table.
-func NewDirectory() *Directory { return NewDirectoryOn(symtab.New()) }
-
-// NewDirectoryOn creates an empty directory over a plan's symbol
-// table; placing an event the table already holds keeps its id.
-func NewDirectoryOn(tab *symtab.Table) *Directory {
-	return &Directory{tab: tab}
-}
+func NewDirectory() *Directory { return &Directory{tab: symtab.New()} }
 
 // Table returns the directory's symbol table.
 func (d *Directory) Table() *symtab.Table { return d.tab }

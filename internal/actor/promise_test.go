@@ -201,9 +201,9 @@ func TestPromisePersistsAcrossRounds(t *testing.T) {
 	eActor := newActor(sym("e"), "s-e", dir, hooks, gprog.GuardInput{Guard: guard}, gprog.GuardInput{Guard: temporal.TrueF()})
 	fActor := newActor(sym("f"), "s-f", dir, hooks, gprog.GuardInput{Guard: temporal.TrueF()}, gprog.GuardInput{Guard: temporal.TrueF()})
 	gActor := newActor(sym("g"), "s-g", dir, hooks, gprog.GuardInput{Guard: temporal.Lit(temporal.Occurred(sym("e")))}, gprog.GuardInput{Guard: temporal.TrueF()})
-	net.AddSite("s-e", eActor)
-	net.AddSite("s-f", fActor)
-	net.AddSite("s-g", gActor)
+	net.AddSite("s-e", siteOf(eActor))
+	net.AddSite("s-f", siteOf(fActor))
+	net.AddSite("s-g", siteOf(gActor))
 	dir.Subscribe(sym("e"), "s-g")
 	dir.Subscribe(sym("g"), "s-e")
 	dir.Subscribe(sym("f"), "s-e")

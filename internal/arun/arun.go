@@ -4,9 +4,10 @@
 // code path, so a simulated run is a differential oracle for the real
 // ones.
 //
-// The runner installs one actor per event at its placed site (exactly
-// as internal/sched does on the simulator), subscribes a driver site
-// to every event, and then drives the spec's agent scripts: one
+// The runner installs one actor per event at its placed site
+// (Plan.Install, which internal/sched's distributed scheduler also
+// hosts on the simulator), subscribes a driver site to every event,
+// and then drives the spec's agent scripts: one
 // attempt at a time, in the deterministic merge order of the agents'
 // think times, quiescing the transport between attempts (serial) or
 // waiting only for each attempt's own decision or for the transport
@@ -116,7 +117,7 @@ type Runner struct {
 	// set is this runner's installed instance: its site hosts, retained
 	// so StateDigest can walk every actor deterministically, and its
 	// actors in plan order.
-	set *instanceSet
+	set *Instance
 
 	mu sync.Mutex
 	// obsState is what the driver observed, guarded by mu.
@@ -628,7 +629,13 @@ func (r *Runner) drive(scripts []script) (*Outcome, error) {
 	// The main loop interleaves agent progress with closeout passes:
 	// complements of unresolved events first ("this will never occur"),
 	// then — where the complement is refused, i.e. the event is
-	// obligated — the events themselves.  Mirrors sched.runCloseout.
+	// obligated — the events themselves.  sched.runCloseout makes the
+	// same passes, but only after its agents have drained, and it sends
+	// a whole pass before running the simulator to idle.  This loop
+	// attempts one event at a time between agent steps, and a pipelined
+	// drive also waits out the settle rule (unsettled, below) before it
+	// complements a base an agent is parked on or escalates one to its
+	// positive attempt.
 	bases := r.plan.baseIDs
 	allResolved := func() bool {
 		for _, b := range bases {

@@ -327,11 +327,11 @@ func (p *Plan) build(tr Transport, opt RunnerOptions, quietTrace bool) (*runnerB
 		tracer = obs.Shared()
 	}
 
-	var set *instanceSet
+	var set *Instance
 	if opt.Hosted == nil && !quietTrace {
 		set = scratch.instance(p, hooks, tracer, opt.Instance)
 	} else {
-		set = p.newInstanceSet(opt.Hosted, hooks)
+		set = p.newInstance(opt.Hosted, hooks)
 		if !quietTrace {
 			set.attachScopes(tracer, opt.Instance)
 		}
@@ -351,9 +351,10 @@ func (p *Plan) build(tr Transport, opt RunnerOptions, quietTrace bool) (*runnerB
 	return b, nil
 }
 
-// instanceSet is one built instance: its site hosts and, aligned with
-// Plan.actors, the actors they hold (nil where a site is not hosted).
-type instanceSet struct {
+// Instance is one built instance of a plan: its site hosts and,
+// aligned with Plan.actors, the actors they hold (nil where a site is
+// not hosted).
+type Instance struct {
 	hosts  map[simnet.SiteID]*siteHost
 	sites  []simnet.SiteID // sorted hosted sites
 	actors []*actor.Actor
@@ -362,10 +363,35 @@ type instanceSet struct {
 	byEvent []*actor.Actor
 }
 
-// newInstanceSet builds fresh actors for the hosted sites (nil hosts
+// Install builds a fresh instance of every site's actors, reporting
+// to hooks and tracing into tracer under the instance tag inst.  It is
+// how a run that hosts every site first builds its actors (a Scratch
+// keeps them for the next run), and how internal/sched hosts a plan on
+// the simulator beside its own agents.
+func (p *Plan) Install(hooks *actor.Hooks, tracer *obs.Tracer, inst uint32) *Instance {
+	set := p.newInstance(nil, hooks)
+	set.attachScopes(tracer, inst)
+	return set
+}
+
+// Handler returns the function that delivers a payload addressed to
+// site to the instance's actors there, or nil when it hosts none.
+func (set *Instance) Handler(site simnet.SiteID) func(actor.Net, any) {
+	if h := set.hosts[site]; h != nil {
+		return h.handler
+	}
+	return nil
+}
+
+// Actors lists the instance's actors in plan order: the alphabet's
+// bases sorted, then the out-of-alphabet extras (nil where a site is
+// not hosted).
+func (set *Instance) Actors() []*actor.Actor { return set.actors }
+
+// newInstance builds fresh actors for the hosted sites (nil hosts
 // every site).
-func (p *Plan) newInstanceSet(hosted func(simnet.SiteID) bool, hooks *actor.Hooks) *instanceSet {
-	set := &instanceSet{
+func (p *Plan) newInstance(hosted func(simnet.SiteID) bool, hooks *actor.Hooks) *Instance {
+	set := &Instance{
 		hosts:   make(map[simnet.SiteID]*siteHost, len(p.sites)),
 		actors:  make([]*actor.Actor, len(p.actors)),
 		byEvent: make([]*actor.Actor, p.tab.Events()+1),
@@ -407,7 +433,7 @@ func (p *Plan) newInstanceSet(hosted func(simnet.SiteID) bool, hooks *actor.Hook
 // attachScopes gives every actor its trace scope for one instance.  A
 // site's actors share one scope: they run on the site's goroutine, and
 // a scope is fixed by its site and instance.
-func (set *instanceSet) attachScopes(tracer *obs.Tracer, inst uint32) {
+func (set *Instance) attachScopes(tracer *obs.Tracer, inst uint32) {
 	for _, site := range set.sites {
 		scope := tracer.Scope(string(site), inst)
 		for _, a := range set.hosts[site].order {
@@ -436,7 +462,7 @@ type Scratch struct {
 	hooks  *actor.Hooks
 
 	// set is the recycled instance, built by plan with tracer's scopes.
-	set    *instanceSet
+	set    *Instance
 	plan   *Plan
 	tracer *obs.Tracer
 }
@@ -459,10 +485,9 @@ func (s *Scratch) reset(p *Plan) {
 // instance returns the scratch's instance of the plan, reset for one
 // more run, or — when the scratch holds none for this plan and tracer
 // — builds every site's actors fresh and keeps them for the next run.
-func (s *Scratch) instance(p *Plan, hooks *actor.Hooks, tracer *obs.Tracer, inst uint32) *instanceSet {
+func (s *Scratch) instance(p *Plan, hooks *actor.Hooks, tracer *obs.Tracer, inst uint32) *Instance {
 	if s.set == nil || s.plan != p || s.tracer != tracer {
-		s.set, s.plan, s.tracer = p.newInstanceSet(nil, hooks), p, tracer
-		s.set.attachScopes(tracer, inst)
+		s.set, s.plan, s.tracer = p.Install(hooks, tracer, inst), p, tracer
 		return s.set
 	}
 	for i, a := range s.set.actors {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/actor"
@@ -12,29 +13,138 @@ import (
 	"repro/internal/temporal"
 )
 
-// CentralSite is where both centralized schedulers live.
+// CentralSite is where the centralized schedulers live.
 const CentralSite simnet.SiteID = "central"
 
-// centralState is the shared machinery of the two centralized
-// baselines; the stepper abstracts residuation vs automata.
-type centralState struct {
+// central is a central site: the global history, the refused symbols
+// and the parked attempts, with the decision rule of one centralized
+// baseline.  Attempts whose fate the history already fixes are decided
+// here; admits decides the rest.
+type central struct {
 	tab      *symtab.Table
-	stepper  stepper
 	hooks    *actor.Hooks
 	occurred map[string]int64
 	rejected map[string]bool
 	parked   []parkedAttempt
-	// bases are the workflow's base events; unresolved ones take part
-	// in the joint-satisfiability search.
-	bases []algebra.Symbol
-	// peakParked tracks queueing at the central site.
-	peakParked int
+	// admits decides an unforced attempt the history leaves open: True
+	// lets it occur, False refuses it for the reason given, and Unknown
+	// parks it until a later occurrence.
+	admits func(s algebra.Symbol) (temporal.Tri, string)
+	// advance brings the decision rule's state up to an occurrence.
+	advance func(s algebra.Symbol, at int64)
 }
 
 type parkedAttempt struct {
 	sym         algebra.Symbol
 	replyTo     simnet.SiteID
 	attemptedAt simnet.Time
+}
+
+func newCentral(tab *symtab.Table, hooks *actor.Hooks) *central {
+	return &central{tab: tab, hooks: hooks, occurred: map[string]int64{}, rejected: map[string]bool{}}
+}
+
+// Handle processes attempts at the central site.
+func (c *central) Handle(n *simnet.Network, m simnet.Message) {
+	msg, ok := m.Payload.(actor.AttemptMsg)
+	if !ok {
+		panic(fmt.Sprintf("sched: central: unexpected payload %T", m.Payload))
+	}
+	p := parkedAttempt{sym: msg.Sym, replyTo: msg.ReplyTo, attemptedAt: n.Now()}
+	k := p.sym.Key()
+	switch {
+	case c.occurred[k] != 0:
+		c.decide(n, p.sym, p.replyTo, p.attemptedAt, true, "already occurred")
+		return
+	case c.rejected[k]:
+		c.decide(n, p.sym, p.replyTo, p.attemptedAt, false, "already rejected")
+		return
+	case c.occurred[p.sym.Complement().Key()] != 0:
+		c.refuse(n, p, "complement occurred")
+		return
+	}
+	v, reason := temporal.True, ""
+	if !msg.Forced {
+		v, reason = c.admits(msg.Sym)
+	}
+	switch v {
+	case temporal.True:
+		c.occur(n, p)
+		c.drainParked(n)
+	case temporal.False:
+		c.refuse(n, p, reason)
+	default:
+		c.parked = append(c.parked, p)
+	}
+}
+
+// occur makes the attempted symbol occur and accepts the attempt.
+func (c *central) occur(n *simnet.Network, p parkedAttempt) {
+	at := n.NextOccurrence()
+	c.occurred[p.sym.Key()] = at
+	c.advance(p.sym, at)
+	if c.hooks != nil && c.hooks.OnFire != nil {
+		c.hooks.OnFire(actor.AnnounceMsg{Sym: p.sym, ID: c.tab.MustLookup(p.sym), At: at}, n.Now())
+	}
+	c.decide(n, p.sym, p.replyTo, p.attemptedAt, true, "")
+}
+
+// refuse rejects the attempt, and every later attempt of its symbol.
+func (c *central) refuse(n *simnet.Network, p parkedAttempt, reason string) {
+	c.rejected[p.sym.Key()] = true
+	c.decide(n, p.sym, p.replyTo, p.attemptedAt, false, reason)
+}
+
+// drainParked re-examines parked attempts after an occurrence: those
+// whose complement occurred are rejected, others may have become
+// decidable.  Acceptance can cascade.
+func (c *central) drainParked(n *simnet.Network) {
+	for progress := true; progress; {
+		progress = false
+		kept := c.parked[:0]
+		for _, p := range c.parked {
+			if c.occurred[p.sym.Complement().Key()] != 0 {
+				c.refuse(n, p, "complement occurred")
+				progress = true
+				continue
+			}
+			switch v, reason := c.admits(p.sym); v {
+			case temporal.True:
+				c.occur(n, p)
+				progress = true
+			case temporal.False:
+				c.refuse(n, p, reason)
+				progress = true
+			default:
+				kept = append(kept, p)
+			}
+		}
+		c.parked = kept
+	}
+}
+
+func (c *central) decide(n *simnet.Network, s algebra.Symbol, replyTo simnet.SiteID,
+	attemptedAt simnet.Time, accepted bool, reason string) {
+	d := actor.DecisionMsg{
+		Sym: s, ID: c.tab.MustLookup(s), Accepted: accepted, At: c.occurred[s.Key()],
+		AttemptedAt: attemptedAt, DecidedAt: n.Now(), Reason: reason,
+	}
+	if c.hooks != nil && c.hooks.OnDecision != nil {
+		c.hooks.OnDecision(d)
+	}
+	if replyTo != "" {
+		n.Send(CentralSite, replyTo, d)
+	}
+}
+
+// centralState is the decision rule of the two dependency-centric
+// baselines; the stepper abstracts residuation vs automata.
+type centralState struct {
+	*central
+	stepper stepper
+	// bases are the workflow's base events; unresolved ones take part
+	// in the joint-satisfiability search.
+	bases []algebra.Symbol
 }
 
 // stepper is the per-dependency state machine interface.
@@ -176,14 +286,15 @@ func (as *automatonStepper) StateCount() int {
 }
 
 func newCentralState(tab *symtab.Table, st stepper, hooks *actor.Hooks, bases []algebra.Symbol) *centralState {
-	return &centralState{
-		tab:      tab,
-		stepper:  st,
-		hooks:    hooks,
-		occurred: map[string]int64{},
-		rejected: map[string]bool{},
-		bases:    bases,
+	cs := &centralState{central: newCentral(tab, hooks), stepper: st, bases: bases}
+	cs.admits = func(s algebra.Symbol) (temporal.Tri, string) {
+		if cs.acceptable(s) {
+			return temporal.True, ""
+		}
+		return temporal.Unknown, ""
 	}
+	cs.advance = func(s algebra.Symbol, _ int64) { st.advance(s) }
+	return cs
 }
 
 // acceptable reports whether the symbol may occur now: the advanced
@@ -293,98 +404,8 @@ func stateKey(residuals []*algebra.Expr, remaining []algebra.Symbol) string {
 	return string(b)
 }
 
-// Handle processes attempts at the central site.
-func (cs *centralState) Handle(n *simnet.Network, m simnet.Message) {
-	msg, ok := m.Payload.(actor.AttemptMsg)
-	if !ok {
-		panic(fmt.Sprintf("sched: central: unexpected payload %T", m.Payload))
-	}
-	cs.onAttempt(n, msg, n.Now())
-}
-
-func (cs *centralState) onAttempt(n *simnet.Network, m actor.AttemptMsg, attemptedAt simnet.Time) {
-	k := m.Sym.Key()
-	switch {
-	case cs.occurred[k] != 0:
-		cs.decide(n, m.Sym, m.ReplyTo, attemptedAt, true, "already occurred")
-		return
-	case cs.rejected[k]:
-		cs.decide(n, m.Sym, m.ReplyTo, attemptedAt, false, "already rejected")
-		return
-	case cs.occurred[m.Sym.Complement().Key()] != 0:
-		cs.rejected[k] = true
-		cs.decide(n, m.Sym, m.ReplyTo, attemptedAt, false, "complement occurred")
-		return
-	}
-	if m.Forced || cs.acceptable(m.Sym) {
-		cs.fire(n, m.Sym, m.ReplyTo, attemptedAt)
-		return
-	}
-	cs.parked = append(cs.parked, parkedAttempt{sym: m.Sym, replyTo: m.ReplyTo, attemptedAt: attemptedAt})
-	if len(cs.parked) > cs.peakParked {
-		cs.peakParked = len(cs.parked)
-	}
-}
-
-func (cs *centralState) fire(n *simnet.Network, s algebra.Symbol, replyTo simnet.SiteID, attemptedAt simnet.Time) {
-	at := n.NextOccurrence()
-	cs.occurred[s.Key()] = at
-	cs.stepper.advance(s)
-	if cs.hooks != nil && cs.hooks.OnFire != nil {
-		cs.hooks.OnFire(actor.AnnounceMsg{Sym: s, ID: cs.tab.Add(s), At: at}, n.Now())
-	}
-	cs.decide(n, s, replyTo, attemptedAt, true, "")
-	cs.drainParked(n, s)
-}
-
-// drainParked re-examines parked attempts after an occurrence: the
-// complement's parked attempt is rejected; others may have become
-// acceptable.  Acceptance can cascade.
-func (cs *centralState) drainParked(n *simnet.Network, justFired algebra.Symbol) {
-	comp := justFired.Complement().Key()
-	for progress := true; progress; {
-		progress = false
-		kept := cs.parked[:0]
-		for _, p := range cs.parked {
-			switch {
-			case p.sym.Key() == comp || cs.occurred[p.sym.Complement().Key()] != 0:
-				cs.rejected[p.sym.Key()] = true
-				cs.decide(n, p.sym, p.replyTo, p.attemptedAt, false, "complement occurred")
-				progress = true
-			case cs.acceptable(p.sym):
-				at := n.NextOccurrence()
-				cs.occurred[p.sym.Key()] = at
-				cs.stepper.advance(p.sym)
-				if cs.hooks != nil && cs.hooks.OnFire != nil {
-					cs.hooks.OnFire(actor.AnnounceMsg{Sym: p.sym, ID: cs.tab.Add(p.sym), At: at}, n.Now())
-				}
-				cs.decide(n, p.sym, p.replyTo, p.attemptedAt, true, "")
-				progress = true
-			default:
-				kept = append(kept, p)
-			}
-		}
-		cs.parked = kept
-	}
-}
-
-func (cs *centralState) decide(n *simnet.Network, s algebra.Symbol, replyTo simnet.SiteID,
-	attemptedAt simnet.Time, accepted bool, reason string) {
-	d := actor.DecisionMsg{
-		Sym: s, ID: cs.tab.Add(s), Accepted: accepted, At: cs.occurred[s.Key()],
-		AttemptedAt: attemptedAt, DecidedAt: n.Now(), Reason: reason,
-	}
-	if cs.hooks != nil && cs.hooks.OnDecision != nil {
-		cs.hooks.OnDecision(d)
-	}
-	if replyTo != "" {
-		n.Send(CentralSite, replyTo, d)
-	}
-}
-
-// centralSubmitter routes every attempt to the central site.  The
-// central site decides by name, and interns an out-of-alphabet symbol
-// an agent attempts the first time it meets it.
+// centralSubmitter routes every attempt to the central site, which
+// decides by name; messages carry the run plan's symbol ids.
 type centralSubmitter struct {
 	tab *symtab.Table
 }
@@ -394,22 +415,22 @@ func (centralSubmitter) DecisionSite(algebra.Symbol) simnet.SiteID { return Cent
 func (c centralSubmitter) Attempt(n *simnet.Network, origin simnet.SiteID,
 	s algebra.Symbol, forced bool, replyTo simnet.SiteID) {
 	mAttempts.Inc()
-	n.Send(origin, CentralSite, actor.AttemptMsg{Sym: s, ID: c.tab.Add(s), Forced: forced, ReplyTo: replyTo})
+	n.Send(origin, CentralSite, actor.AttemptMsg{Sym: s, ID: c.tab.MustLookup(s), Forced: forced, ReplyTo: replyTo})
 }
 
-// installCentral wires a centralized scheduler (residuation or
-// automata per kind) and client agent sites.
-func installCentral(n *simnet.Network, tab *symtab.Table, c *core.Compiled, kind Kind,
-	hooks *actor.Hooks) (Submitter, *centralState) {
-	var st stepper
-	if kind == CentralAutomata {
-		st = newAutomatonStepper(c.Workflow)
-	} else {
-		st = newResiduationStepper(c.Workflow)
+// installCentral wires the centralized scheduler of the kind at the
+// central site.
+func installCentral(n *simnet.Network, tab *symtab.Table, c *core.Compiled, kind Kind, hooks *actor.Hooks) {
+	var site *central
+	switch kind {
+	case CentralGuards:
+		site = newGuardCentral(tab, c, hooks).central
+	case CentralAutomata:
+		site = newCentralState(tab, newAutomatonStepper(c.Workflow), hooks, sortedBases(c.Workflow)).central
+	default:
+		site = newCentralState(tab, newResiduationStepper(c.Workflow), hooks, sortedBases(c.Workflow)).central
 	}
-	cs := newCentralState(tab, st, hooks, sortedBases(c.Workflow))
-	n.AddSite(CentralSite, cs)
-	return centralSubmitter{tab: tab}, cs
+	n.AddSite(CentralSite, site)
 }
 
 // guardCentral is the Günthör-style baseline the paper's conclusions
@@ -420,77 +441,69 @@ func installCentral(n *simnet.Network, tab *symtab.Table, c *core.Compiled, kind
 // scheduler's decision semantics minus the protocol — and the
 // centralized schedulers' single-site bottleneck.
 type guardCentral struct {
-	tab      *symtab.Table
+	*central
 	compiled *core.Compiled
-	hooks    *actor.Hooks
 	know     temporal.Knowledge
-	occurred map[string]int64
-	rejected map[string]bool
-	parked   []parkedAttempt
 	// residual caches the knowledge-reduced guard per event, with the
 	// knowledge version it was reduced at; re-attempts and drainParked
 	// passes re-reduce the residual only when the history grew instead
 	// of reducing the full compiled formula every time.
 	residual   map[string]temporal.Formula
 	reducedVer map[string]uint64
+	// obligations are the admitted events' open obligations.
+	obligations []obligation
 }
 
 func newGuardCentral(tab *symtab.Table, c *core.Compiled, hooks *actor.Hooks) *guardCentral {
-	return &guardCentral{
-		tab:        tab,
+	gc := &guardCentral{
+		central:    newCentral(tab, hooks),
 		compiled:   c,
-		hooks:      hooks,
-		occurred:   map[string]int64{},
-		rejected:   map[string]bool{},
 		residual:   map[string]temporal.Formula{},
 		reducedVer: map[string]uint64{},
 	}
+	gc.admits, gc.advance = gc.admit, gc.observe
+	return gc
 }
 
-func (gc *guardCentral) Handle(n *simnet.Network, m simnet.Message) {
-	msg, ok := m.Payload.(actor.AttemptMsg)
-	if !ok {
-		panic(fmt.Sprintf("sched: guard central: unexpected payload %T", m.Payload))
+// admit decides an unforced attempt of s.  Its guard must hold of the
+// history (evalGuard), and its occurrence now must leave every earlier
+// acceptance's obligation a viable product.  An attempt that would
+// break one waits while a later occurrence of s could keep it, and is
+// refused once none could.  Admitting s promises its guard's ◇
+// requirements and records its obligation.
+func (gc *guardCentral) admit(s algebra.Symbol) (temporal.Tri, string) {
+	v, promises := gc.evalGuard(s)
+	if v != temporal.True {
+		return v, "guard false"
 	}
-	gc.onAttempt(n, msg, n.Now())
-}
-
-func (gc *guardCentral) onAttempt(n *simnet.Network, m actor.AttemptMsg, attemptedAt simnet.Time) {
-	k := m.Sym.Key()
-	switch {
-	case gc.occurred[k] != 0:
-		gc.decide(n, m.Sym, m.ReplyTo, attemptedAt, true, "already occurred")
-		return
-	case gc.rejected[k]:
-		gc.decide(n, m.Sym, m.ReplyTo, attemptedAt, false, "already rejected")
-		return
-	case gc.occurred[m.Sym.Complement().Key()] != 0:
-		gc.rejected[k] = true
-		gc.decide(n, m.Sym, m.ReplyTo, attemptedAt, false, "complement occurred")
-		return
+	for _, ob := range gc.obligations {
+		switch {
+		case gc.viable(ob, s, math.MaxInt64):
+		case gc.viable(ob, s, 0):
+			v = temporal.Unknown
+		default:
+			return temporal.False, "breaks an accepted obligation"
+		}
 	}
-	if m.Forced {
-		gc.fire(n, m.Sym, m.ReplyTo, attemptedAt)
-		return
+	if v == temporal.True {
+		for _, p := range promises {
+			gc.know.Promise(p)
+		}
+		if ob := gc.obligationOf(s); len(ob) > 0 {
+			gc.obligations = append(gc.obligations, ob)
+		}
 	}
-	switch gc.evalGuard(m.Sym) {
-	case temporal.True:
-		gc.fire(n, m.Sym, m.ReplyTo, attemptedAt)
-	case temporal.False:
-		gc.rejected[k] = true
-		gc.decide(n, m.Sym, m.ReplyTo, attemptedAt, false, "guard false")
-	default:
-		gc.parked = append(gc.parked, parkedAttempt{sym: m.Sym, replyTo: m.ReplyTo, attemptedAt: attemptedAt})
-	}
+	return v, ""
 }
 
 // evalGuard evaluates the compiled guard against the global history
 // and decides eagerly, with the central scheduler's authority: a ◇
 // requirement whose unoccurred members are still possible is accepted
-// as an obligation — the members are promised (bindingly), so their
-// complements are rejected from then on.  ¬ literals are immediately
-// decidable because the history is complete.
-func (gc *guardCentral) evalGuard(s algebra.Symbol) temporal.Tri {
+// — the unoccurred members of the first viable product are returned
+// for admit to promise, which makes their complements impossible to
+// later guards.  ¬ literals are immediately decidable because the
+// history is complete.
+func (gc *guardCentral) evalGuard(s algebra.Symbol) (temporal.Tri, []algebra.Symbol) {
 	k := s.Key()
 	g, cached := gc.residual[k]
 	if !cached {
@@ -502,122 +515,142 @@ func (gc *guardCentral) evalGuard(s algebra.Symbol) temporal.Tri {
 		gc.reducedVer[k] = v
 	}
 	if g.IsTrue() {
-		return temporal.True
+		return temporal.True, nil
 	}
 	if g.IsFalse() {
-		return temporal.False
+		return temporal.False, nil
 	}
 	for _, p := range g.Products() {
-		if obligations, ok := gc.productViable(p); ok {
-			for _, ob := range obligations {
-				gc.know.Promise(ob)
+		if open, ok := gc.product(p, true); ok {
+			var promises []algebra.Symbol
+			for _, l := range open {
+				for _, m := range l.Syms() {
+					if gc.occurred[m.Key()] == 0 {
+						promises = append(promises, m)
+					}
+				}
 			}
-			return temporal.True
+			return temporal.True, promises
 		}
 	}
 	// No product is viable now; parked attempts are retried as the
 	// history grows (permanent falsity is caught by Reduce above).
-	return temporal.Unknown
+	return temporal.Unknown, nil
 }
 
-// productViable checks one guard product against the complete history:
-// □ and ¬ literals decide outright, and ◇ literals are viable when no
-// member is impossible and the occurred members form an in-order
-// prefix — the unoccurred suffix becomes the acceptance's obligations.
-func (gc *guardCentral) productViable(p temporal.Product) ([]algebra.Symbol, bool) {
-	var obligations []algebra.Symbol
+// obligation is what an admitted event still needs of the future: the
+// products of its guard that were viable when it occurred, each cut to
+// its unmet ◇ literals (its □ and ¬ literals were decided then).  The
+// guard holds at the event's occurrence exactly when one of them comes
+// true, so by Theorem 6 a maximal trace that meets none of them
+// violates the workflow.  Unlike the promises, which commit to one
+// product, an obligation keeps every alternative open.
+type obligation [][]temporal.Literal
+
+// obligationOf is the obligation s's guard puts on the future if s
+// occurs now; nil when a product already holds.
+func (gc *guardCentral) obligationOf(s algebra.Symbol) obligation {
+	var ob obligation
+	for _, p := range gc.compiled.GuardOf(s).Products() {
+		if open, ok := gc.product(p, false); ok {
+			if len(open) == 0 {
+				return nil
+			}
+			ob = append(ob, open)
+		}
+	}
+	return ob
+}
+
+// product checks one guard product against the complete history: □
+// and ¬ literals decide outright, and every ◇ literal must still be
+// able to occur in order (seqViable; with promised, no member's
+// complement may be promised either).  It returns the ◇ literals not
+// yet met.
+func (gc *guardCentral) product(p temporal.Product, promised bool) ([]temporal.Literal, bool) {
+	var open []temporal.Literal
 	for _, l := range p.Lits() {
+		ok, met := true, true
 		switch l.Kind() {
 		case temporal.LitOccurred:
-			if gc.know.Status(l.Sym()) != temporal.StatusOccurred {
-				return nil, false
-			}
+			ok = gc.occurred[l.Sym().Key()] != 0
 		case temporal.LitNotYet:
-			if gc.know.Status(l.Sym()) == temporal.StatusOccurred {
-				return nil, false
-			}
+			ok = gc.occurred[l.Sym().Key()] == 0
 		case temporal.LitEventually:
-			lastOcc := int64(-1)
-			inPrefix := true
-			for _, m := range l.Syms() {
-				switch gc.know.Status(m) {
-				case temporal.StatusImpossible:
-					return nil, false
-				case temporal.StatusOccurred:
-					if !inPrefix {
-						return nil, false // occurred after an unoccurred member
-					}
-					t, _ := gc.know.Time(m)
-					if t <= lastOcc {
-						return nil, false // out of order
-					}
-					lastOcc = t
-				default:
-					inPrefix = false
-					obligations = append(obligations, m)
-				}
-			}
+			ok, met = gc.seqViable(l.Syms(), algebra.Symbol{}, 0, promised)
+		}
+		if !ok {
+			return nil, false
+		}
+		if !met {
+			open = append(open, l)
 		}
 	}
-	return obligations, true
+	return open, true
 }
 
-func (gc *guardCentral) fire(n *simnet.Network, s algebra.Symbol, replyTo simnet.SiteID, attemptedAt simnet.Time) {
-	at := n.NextOccurrence()
-	gc.occurred[s.Key()] = at
+// viable reports whether some product of the obligation can still come
+// true if s occurs at sAt (see seqViable).
+func (gc *guardCentral) viable(ob obligation, s algebra.Symbol, sAt int64) bool {
+	for _, p := range ob {
+		ok := true
+		for _, l := range p {
+			if ok, _ = gc.seqViable(l.Syms(), s, sAt, false); !ok {
+				break
+			}
+		}
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
+// seqViable reports whether the ◇ sequence can still occur in order —
+// no member impossible, the occurred members an in-order prefix — and
+// whether it already has.  A non-zero s is taken to occur at sAt
+// (math.MaxInt64: next; 0: at some later point), which makes its
+// complement impossible; with promised, so is every member whose
+// complement was promised.
+func (gc *guardCentral) seqViable(seq []algebra.Symbol, s algebra.Symbol, sAt int64, promised bool) (viable, met bool) {
+	var sKey, compKey string
+	if s.Name != "" {
+		sKey, compKey = s.Key(), s.Complement().Key()
+	}
+	last := int64(0)
+	met = true
+	for _, m := range seq {
+		k := m.Key()
+		at := gc.occurred[k]
+		switch {
+		case k == compKey, gc.occurred[m.Complement().Key()] != 0,
+			promised && gc.know.Status(m) == temporal.StatusImpossible:
+			return false, false
+		case k == sKey:
+			at = sAt
+		}
+		if at == 0 {
+			met = false
+			continue
+		}
+		if !met || at <= last {
+			return false, false
+		}
+		last = at
+	}
+	return true, met
+}
+
+// observe records an occurrence in the knowledge and drops the
+// obligations a forced occurrence broke: nothing can keep them any
+// more.
+func (gc *guardCentral) observe(s algebra.Symbol, at int64) {
 	gc.know.Observe(s, at)
-	if gc.hooks != nil && gc.hooks.OnFire != nil {
-		gc.hooks.OnFire(actor.AnnounceMsg{Sym: s, ID: gc.tab.Add(s), At: at}, n.Now())
-	}
-	gc.decide(n, s, replyTo, attemptedAt, true, "")
-	gc.drainParked(n, s)
-}
-
-func (gc *guardCentral) drainParked(n *simnet.Network, justFired algebra.Symbol) {
-	for progress := true; progress; {
-		progress = false
-		kept := gc.parked[:0]
-		for _, p := range gc.parked {
-			switch {
-			case gc.occurred[p.sym.Complement().Key()] != 0:
-				gc.rejected[p.sym.Key()] = true
-				gc.decide(n, p.sym, p.replyTo, p.attemptedAt, false, "complement occurred")
-				progress = true
-			default:
-				switch gc.evalGuard(p.sym) {
-				case temporal.True:
-					at := n.NextOccurrence()
-					gc.occurred[p.sym.Key()] = at
-					gc.know.Observe(p.sym, at)
-					if gc.hooks != nil && gc.hooks.OnFire != nil {
-						gc.hooks.OnFire(actor.AnnounceMsg{Sym: p.sym, ID: gc.tab.Add(p.sym), At: at}, n.Now())
-					}
-					gc.decide(n, p.sym, p.replyTo, p.attemptedAt, true, "")
-					progress = true
-				case temporal.False:
-					gc.rejected[p.sym.Key()] = true
-					gc.decide(n, p.sym, p.replyTo, p.attemptedAt, false, "guard false")
-					progress = true
-				default:
-					kept = append(kept, p)
-				}
-			}
+	kept := gc.obligations[:0]
+	for _, ob := range gc.obligations {
+		if gc.viable(ob, algebra.Symbol{}, 0) {
+			kept = append(kept, ob)
 		}
-		gc.parked = kept
 	}
-	_ = justFired
-}
-
-func (gc *guardCentral) decide(n *simnet.Network, s algebra.Symbol, replyTo simnet.SiteID,
-	attemptedAt simnet.Time, accepted bool, reason string) {
-	d := actor.DecisionMsg{
-		Sym: s, ID: gc.tab.Add(s), Accepted: accepted, At: gc.occurred[s.Key()],
-		AttemptedAt: attemptedAt, DecidedAt: n.Now(), Reason: reason,
-	}
-	if gc.hooks != nil && gc.hooks.OnDecision != nil {
-		gc.hooks.OnDecision(d)
-	}
-	if replyTo != "" {
-		n.Send(CentralSite, replyTo, d)
-	}
+	gc.obligations = kept
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"os"
 	"testing"
 
 	"repro/internal/algebra"
@@ -187,5 +188,34 @@ func TestCentralGuardsOrdering(t *testing.T) {
 	ib, ibuy := r.Trace.Index(sym("c_book")), r.Trace.Index(sym("c_buy"))
 	if ib < 0 || ibuy < 0 || ib > ibuy {
 		t.Fatalf("ordering violated: %v", r.Trace)
+	}
+}
+
+// TestMutexEverySchedulerSatisfied: testdata/mutex.wf (Example 13's
+// two-iteration mutual exclusion) realizes a satisfying maximal trace
+// on every scheduler and seed.  Central-guards used to promise b1's
+// obligation ~e1 and then accept e1 anyway, realizing b1 b2 e1 e2,
+// which violates m12.
+func TestMutexEverySchedulerSatisfied(t *testing.T) {
+	f, err := os.Open("../../testdata/mutex.wf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sp, err := spec.Parse(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range Kinds() {
+		for seed := int64(1); seed <= 10; seed++ {
+			r, err := Run(SpecConfig(sp, kind, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Satisfied || len(r.Unresolved) != 0 {
+				t.Errorf("%s seed %d: satisfied=%v unresolved=%v trace=%v",
+					kind, seed, r.Satisfied, r.Unresolved, r.Trace)
+			}
+		}
 	}
 }

@@ -2,9 +2,9 @@ package sched
 
 import (
 	"fmt"
-	"repro/internal/actor"
 
-	"repro/internal/algebra"
+	"repro/internal/actor"
+	"repro/internal/arun"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/simnet"
@@ -17,10 +17,10 @@ type Config struct {
 	Workflow *core.Workflow
 	// Kind selects the scheduler implementation.
 	Kind Kind
-	// Placement of actors and agents; nil means all events on one
-	// site ("s0").  Ignored by the centralized schedulers for
-	// decisions (everything is decided at CentralSite) but still used
-	// for agent sites.
+	// Placement of the actors: an alphabet event it leaves out sits
+	// at "s0", an out-of-alphabet one at the site of the first agent,
+	// in script order, that mentions it.  Ignored by the centralized
+	// schedulers, which decide everything at CentralSite.
 	Placement spec.Placement
 	// Agents are the task agents driving the run.
 	Agents []*spec.AgentScript
@@ -91,56 +91,30 @@ func RunCompiled(c *core.Compiled, cfg Config) (*Report, error) {
 	if maxSteps == 0 {
 		maxSteps = 1_000_000
 	}
-	pl := cfg.Placement
-	if pl == nil {
-		pl = spec.Placement{}
+
+	for _, ag := range cfg.Agents {
+		if ag.Site == "" {
+			return nil, fmt.Errorf("sched: agent %s needs a site", ag.ID)
+		}
 	}
+	sp, err := planSpec(cfg)
+	if err != nil {
+		return nil, err
+	}
+	pc := c
+	if cfg.NoConsensusElimination {
+		pc = withoutElimination(c)
+	}
+	plan, err := arun.NewPlan(sp, arun.PlanOptions{Compiled: pc})
+	if err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
+	}
+	tab := plan.Symbols()
 
 	net := simnet.New(lat, cfg.Seed)
 	col := NewCollector()
 	hooks := col.Hooks()
-
-	var sub Submitter
 	hosts := map[simnet.SiteID]*siteHost{}
-	tab := planSymbols(c.Workflow, cfg.Agents)
-	switch cfg.Kind {
-	case Distributed, "":
-		sub, hosts = installDistributed(net, tab, c, pl, hooks, cfg.NoConsensusElimination)
-		tracer := cfg.Tracer
-		if tracer == nil {
-			tracer = obs.Shared()
-		}
-		// One run = one instance tag, so repeated runs into a shared
-		// capture keep their per-instance invariants separable.
-		inst := tracer.NextInst()
-		for _, h := range hosts {
-			for _, a := range h.actors {
-				if cfg.ActorLog != nil {
-					a.Log = cfg.ActorLog
-				}
-				a.Trace = tracer.Scope(string(a.Site()), inst)
-			}
-		}
-		for _, key := range cfg.Triggerable {
-			s, err := algebra.ParseSymbol(key)
-			if err != nil {
-				return nil, fmt.Errorf("sched: triggerable %q: %w", key, err)
-			}
-			h, ok := hosts[pl.SiteFor(s)]
-			if !ok {
-				return nil, fmt.Errorf("sched: triggerable %q: no actor site", key)
-			}
-			h.actor(s).SetTriggerable(s)
-		}
-	case CentralResiduation, CentralAutomata:
-		sub, _ = installCentral(net, tab, c, cfg.Kind, hooks)
-	case CentralGuards:
-		net.AddSite(CentralSite, newGuardCentral(tab, c, hooks))
-		sub = centralSubmitter{tab: tab}
-	default:
-		return nil, fmt.Errorf("sched: unknown scheduler kind %q", cfg.Kind)
-	}
-
 	host := func(site simnet.SiteID) *siteHost {
 		h, ok := hosts[site]
 		if !ok {
@@ -150,10 +124,36 @@ func RunCompiled(c *core.Compiled, cfg Config) (*Report, error) {
 		}
 		return h
 	}
-	for _, ag := range cfg.Agents {
-		if ag.Site == "" {
-			return nil, fmt.Errorf("sched: agent %s needs a site", ag.ID)
+
+	var sub Submitter
+	var actors []*actor.Actor
+	switch cfg.Kind {
+	case Distributed, "":
+		tracer := cfg.Tracer
+		if tracer == nil {
+			tracer = obs.Shared()
 		}
+		// One run = one instance tag, so repeated runs into a shared
+		// capture keep their per-instance invariants separable.
+		in := plan.Install(hooks, tracer, tracer.NextInst())
+		for _, site := range plan.Sites() {
+			host(site).actors = in.Handler(site)
+		}
+		actors = in.Actors()
+		if cfg.ActorLog != nil {
+			for _, a := range actors {
+				a.Log = cfg.ActorLog
+			}
+		}
+		sub = distributedSubmitter{tab: tab, pl: sp.Placement()}
+	case CentralResiduation, CentralAutomata, CentralGuards:
+		installCentral(net, tab, c, cfg.Kind, hooks)
+		sub = centralSubmitter{tab: tab}
+	default:
+		return nil, fmt.Errorf("sched: unknown scheduler kind %q", cfg.Kind)
+	}
+
+	for _, ag := range cfg.Agents {
 		run := newAgentRun(ag, sub, host(ag.Site))
 		run.onLatency = col.addAgentLatency
 		run.start(net)
@@ -167,10 +167,8 @@ func RunCompiled(c *core.Compiled, cfg Config) (*Report, error) {
 	// The run is over and the simulator idle: publish the actors'
 	// protocol tallies once.
 	var counts actor.Counts
-	for _, h := range hosts {
-		for _, a := range h.actors {
-			counts.Add(a.TakeCounts())
-		}
+	for _, a := range actors {
+		counts.Add(a.TakeCounts())
 	}
 	counts.Publish()
 

@@ -1,11 +1,13 @@
-// Package sched provides three executable schedulers for compiled
+// Package sched provides four executable schedulers for compiled
 // workflows plus a run harness that drives them over the simulated
 // network and reports comparable metrics:
 //
 //   - Distributed: the paper's event-centric scheduler (§4) — one
 //     actor per event, placed at a configurable site, deciding from
 //     local guards and messages.  No central component exists at run
-//     time.
+//     time.  The actors are the production ones: an arun.Plan built
+//     from the run's configuration installs them (Plan.Install), and
+//     this package hosts them on the simulator beside its agents.
 //   - CentralResiduation: the dependency-centric scheduler of §3.3 —
 //     a single site holds every dependency's residual and steps it
 //     symbolically on each event.  This is the design the paper's §4
@@ -16,9 +18,10 @@
 //   - CentralGuards: the Günthör-style approach the conclusions cite
 //     ("based on temporal logic, but centralized") — the compiled
 //     guards evaluated at one site against the global history, with
-//     ◇ requirements accepted eagerly as binding obligations.
+//     ◇ requirements accepted eagerly as obligations that no later
+//     acceptance may break.
 //
-// All three enforce the same contract: every realized maximal trace
+// All four enforce the same contract: every realized maximal trace
 // satisfies every dependency.  Their strategies differ — the
 // centralized schedulers decide eagerly from global state, while the
 // distributed one runs the inquiry/promise protocol — so their
@@ -36,7 +39,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/simnet"
 	"repro/internal/spec"
-	"repro/internal/symtab"
 )
 
 // Kind selects a scheduler implementation.
@@ -87,7 +89,6 @@ type Collector struct {
 	// trips, including both network legs.
 	AgentLatencies []simnet.Time
 	occurred       map[string]int64
-	rejected       map[string]bool
 }
 
 func (c *Collector) addAgentLatency(l simnet.Time) {
@@ -96,7 +97,7 @@ func (c *Collector) addAgentLatency(l simnet.Time) {
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{occurred: map[string]int64{}, rejected: map[string]bool{}}
+	return &Collector{occurred: map[string]int64{}}
 }
 
 // Hooks returns actor hooks feeding this collector.
@@ -107,12 +108,7 @@ func (c *Collector) Hooks() *actor.Hooks {
 			c.FireTimes = append(c.FireTimes, when)
 			c.occurred[ann.Sym.Key()] = ann.At
 		},
-		OnDecision: func(d actor.DecisionMsg) {
-			c.Decisions = append(c.Decisions, d)
-			if !d.Accepted {
-				c.rejected[d.Sym.Key()] = true
-			}
-		},
+		OnDecision: func(d actor.DecisionMsg) { c.Decisions = append(c.Decisions, d) },
 	}
 }
 
@@ -121,9 +117,6 @@ func (c *Collector) Occurred(s algebra.Symbol) bool {
 	_, ok := c.occurred[s.Key()]
 	return ok
 }
-
-// Rejected reports whether an attempt of the symbol was rejected.
-func (c *Collector) Rejected(s algebra.Symbol) bool { return c.rejected[s.Key()] }
 
 // Resolved reports whether the event's fate is settled: one polarity
 // occurred.
@@ -214,33 +207,56 @@ func sortedBases(w *core.Workflow) []algebra.Symbol {
 	return bases
 }
 
-// planSymbols numbers a run's symbols the way arun.NewPlan does: the
-// workflow's bases in sorted order, then the out-of-alphabet events the
-// agents attempt, sorted.  Every scheduler of the run shares it, so a
-// symbol's id does not depend on who decides it.
-func planSymbols(w *core.Workflow, agents []*spec.AgentScript) *symtab.Table {
-	tab := symtab.New()
-	for _, b := range sortedBases(w) {
-		tab.Add(b)
+// planSpec is the spec a run's plan is built from: the configuration's
+// workflow and agents, its placement and its triggerable symbols.  An
+// out-of-alphabet event the placement leaves undeclared goes at the
+// site of the first agent, in script order, that mentions it, so that
+// agent's attempts of it stay on its own site.
+func planSpec(cfg Config) (*spec.Spec, error) {
+	sp := &spec.Spec{Workflow: cfg.Workflow, Agents: cfg.Agents, Events: map[string]spec.EventMeta{}}
+	for key, site := range cfg.Placement {
+		sp.Events[key] = spec.EventMeta{Site: site}
 	}
-	var extras []algebra.Symbol
-	seen := map[string]bool{}
-	var walk func(steps []spec.Step)
-	walk = func(steps []spec.Step) {
+	alphabet := cfg.Workflow.Alphabet()
+	var walk func(site simnet.SiteID, steps []spec.Step)
+	walk = func(site simnet.SiteID, steps []spec.Step) {
 		for _, st := range steps {
-			if _, ok := tab.Lookup(st.Sym); !ok && !seen[st.Sym.Base().Key()] {
-				seen[st.Sym.Base().Key()] = true
-				extras = append(extras, st.Sym.Base())
+			b := st.Sym.Base()
+			if _, placed := sp.Events[b.Key()]; !placed && !alphabet.HasEvent(b) {
+				sp.Events[b.Key()] = spec.EventMeta{Site: site}
 			}
-			walk(st.OnReject)
+			walk(site, st.OnReject)
 		}
 	}
-	for _, ag := range agents {
-		walk(ag.Steps)
+	for _, ag := range cfg.Agents {
+		walk(ag.Site, ag.Steps)
 	}
-	sort.Slice(extras, func(i, j int) bool { return extras[i].Less(extras[j]) })
-	for _, x := range extras {
-		tab.Add(x)
+	for _, key := range cfg.Triggerable {
+		s, err := algebra.ParseSymbol(key)
+		if err != nil {
+			return nil, fmt.Errorf("sched: triggerable %q: %w", key, err)
+		}
+		m := sp.Events[s.Base().Key()]
+		m.Sym = s.Base()
+		if s.Bar {
+			m.Rejectable = true
+		} else {
+			m.Triggerable = true
+		}
+		sp.Events[s.Base().Key()] = m
 	}
-	return tab
+	return sp, nil
+}
+
+// withoutElimination copies the compiled workflow with every LocalNeg
+// set emptied: the P6 ablation, in which every ¬-literal agreement
+// takes its round trip.
+func withoutElimination(c *core.Compiled) *core.Compiled {
+	out := &core.Compiled{Workflow: c.Workflow, Guards: make(map[string]*core.EventGuard, len(c.Guards)), Stats: c.Stats}
+	for k, eg := range c.Guards {
+		g := *eg
+		g.LocalNeg = nil
+		out.Guards[k] = &g
+	}
+	return out
 }
