@@ -15,10 +15,11 @@
 #   make bench       the P* cost benchmarks (informational)
 #   make benchdiff   compare the two newest BENCH_<pr>.json reports against the bounds
 #   make profile     CPU profile of one recycled dense12 instance, with its top 10
+#   make profilenet  CPU profile of dense12 engine rounds on the loopback TCP mesh, with its top 10
 
 GO ?= go
 
-.PHONY: ci build vet depcheck test race enginestress tracecheck crashcheck walcheck servecheck modelcheck bench benchsmoke benchdiff fuzzsmoke profile
+.PHONY: ci build vet depcheck test race enginestress tracecheck crashcheck walcheck servecheck modelcheck bench benchsmoke benchdiff fuzzsmoke profile profilenet
 
 ci: build vet depcheck test race enginestress tracecheck crashcheck walcheck servecheck modelcheck benchsmoke fuzzsmoke
 
@@ -119,16 +120,17 @@ modelcheck:
 
 # Every benchmark must still compile and survive one iteration (keeps
 # the perf harness from rotting between measurement sessions), and the
-# allocation contracts on the five hot paths — wire encoding,
-# program-mode announcement delivery, steady-state WAL append, a
-# netwire batch transmission plus its inline ack (all zero), and one
-# whole dense12 engine instance (bounded) — must still hold.
+# allocation contracts on the hot paths — wire encoding, program-mode
+# announcement delivery, steady-state WAL append, a netwire batch
+# transmission plus its inline ack (all zero), a received netwire batch
+# (its decoded messages only), and one whole dense12 engine instance on
+# the simulator and on the TCP mesh (bounded) — must still hold.
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test -count=1 -run 'TestAnnounceDeliverZeroAlloc|TestEncodeZeroAlloc' ./internal/actor
 	$(GO) test -count=1 -run 'TestInstanceAllocs' ./internal/engine
 	$(GO) test -count=1 -run 'TestWALAppendZeroAlloc' ./internal/wal
-	$(GO) test -count=1 -run 'TestTransmitZeroAlloc' ./internal/netwire
+	$(GO) test -count=1 -run 'TestTransmitZeroAlloc|TestReceiveZeroAlloc|TestDurableQueueZeroAlloc' ./internal/netwire
 
 # Every fuzz target gets a brief run; corpora live under each package's
 # testdata/fuzz/.  Targets run sequentially because go test allows only
@@ -165,3 +167,10 @@ PROFILE_TIME ?= 5s
 profile:
 	$(GO) test -run=NONE -bench=BenchmarkDense12Instance -benchtime=$(PROFILE_TIME) -cpuprofile=dense12.cpu.prof -o dense12.test ./internal/engine
 	$(GO) tool pprof -top -nodecount=10 dense12.test dense12.cpu.prof
+
+# The same for the engine's net mode: BenchmarkDense12NetRound (engine
+# rounds of dense12 instances on the loopback TCP mesh, WAL off) for
+# PROFILE_TIME, written to dense12net.cpu.prof, then its top 10.
+profilenet:
+	$(GO) test -run=NONE -bench=BenchmarkDense12NetRound -benchtime=$(PROFILE_TIME) -cpuprofile=dense12net.cpu.prof -o dense12.test ./internal/engine
+	$(GO) tool pprof -top -nodecount=10 dense12.test dense12net.cpu.prof

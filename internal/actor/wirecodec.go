@@ -29,7 +29,9 @@ import (
 // wire.  DecodePayloadOn is the edge where names turn back into ids:
 // it resolves the symbol of every attempt, announcement and decision
 // against the receiving plan's table once per payload, and a name the
-// plan does not hold is a decode error, never a wrong id.
+// plan does not hold is a decode error, never a wrong id.  Against a
+// table, a parameterless symbol is the table's own Symbol and a reply
+// site an interned name, so decoding them allocates nothing.
 
 // WireVersion identifies the codec revision; bump on any layout change.
 const WireVersion = 1
@@ -134,16 +136,18 @@ func DecodePayloadOn(tab *symtab.Table, data []byte) (any, error) {
 	var out any
 	switch kind {
 	case kindAttempt:
-		m := AttemptMsg{Sym: r.sym(), Forced: r.bool(), ReplyTo: simnet.SiteID(r.string())}
-		m.ID = r.id(m.Sym)
+		sym, id := r.symID()
+		m := AttemptMsg{Sym: sym, Forced: r.bool(), ReplyTo: r.site()}
+		m.ID = r.id(sym, id)
 		out = m
 	case kindAnnounce:
-		m := AnnounceMsg{Sym: r.sym(), At: r.varint()}
-		m.ID = r.id(m.Sym)
+		sym, id := r.symID()
+		m := AnnounceMsg{Sym: sym, At: r.varint()}
+		m.ID = r.id(sym, id)
 		out = m
 	case kindInquire:
 		out = InquireMsg{Target: r.sym(), Requester: r.sym(),
-			ReplyTo: simnet.SiteID(r.string()), Round: int(r.varint()), Hyp: r.syms()}
+			ReplyTo: r.site(), Round: int(r.varint()), Hyp: r.syms()}
 	case kindInquireReply:
 		out = InquireReplyMsg{Target: r.sym(), Requester: r.sym(), Round: int(r.varint()),
 			Occurred: r.bool(), At: r.varint(), Impossible: r.bool(), Held: r.bool(),
@@ -154,10 +158,11 @@ func DecodePayloadOn(tab *symtab.Table, data []byte) (any, error) {
 		out = ReleaseMsg{Target: r.sym(), Requester: r.sym(), Round: int(r.varint()),
 			Promise: r.bool(), Fired: r.bool()}
 	case kindDecision:
-		m := DecisionMsg{Sym: r.sym(), Accepted: r.bool(), At: r.varint(),
+		sym, id := r.symID()
+		m := DecisionMsg{Sym: sym, Accepted: r.bool(), At: r.varint(),
 			AttemptedAt: simnet.Time(r.varint()), DecidedAt: simnet.Time(r.varint()),
 			Reason: r.string()}
-		m.ID = r.id(m.Sym)
+		m.ID = r.id(sym, id)
 		out = m
 	case kindInstanced:
 		inst := r.uvarint()
@@ -327,25 +332,117 @@ func (r *wireReader) varint() int64 {
 	return v
 }
 
-func (r *wireReader) string() string {
+// bytes reads a length-prefixed string as a view of the buffer.
+func (r *wireReader) bytes() []byte {
 	n := r.uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > maxWireString {
 		r.fail("string length %d exceeds limit", n)
-		return ""
+		return nil
 	}
 	if r.pos+int(n) > len(r.buf) {
 		r.fail("truncated string at byte %d", r.pos)
-		return ""
+		return nil
 	}
-	s := string(r.buf[r.pos : r.pos+int(n)])
+	b := r.buf[r.pos : r.pos+int(n)]
 	r.pos += int(n)
+	return b
+}
+
+func (r *wireReader) string() string { return string(r.bytes()) }
+
+// site reads a site name; against a table it is interned.
+func (r *wireReader) site() simnet.SiteID {
+	if r.tab == nil {
+		return simnet.SiteID(r.string())
+	}
+	return internSite(r.bytes())
+}
+
+// siteNames interns the reply sites of payloads decoded against a
+// table: a plan's sites are few and fixed, so after the first payload
+// from each a site costs no allocation.  Past maxInternedSites names a
+// site is allocated as it would be without a table.
+var siteNames struct {
+	sync.RWMutex
+	m map[string]simnet.SiteID
+}
+
+const maxInternedSites = 1 << 10
+
+func internSite(b []byte) simnet.SiteID {
+	siteNames.RLock()
+	s, ok := siteNames.m[string(b)]
+	siteNames.RUnlock()
+	if ok {
+		return s
+	}
+	s = simnet.SiteID(b)
+	siteNames.Lock()
+	if siteNames.m == nil {
+		siteNames.m = map[string]simnet.SiteID{}
+	}
+	if len(siteNames.m) < maxInternedSites {
+		siteNames.m[string(s)] = s
+	}
+	siteNames.Unlock()
 	return s
 }
 
+// sym reads a symbol (see symID).
 func (r *wireReader) sym() algebra.Symbol {
+	s, _ := r.symID()
+	return s
+}
+
+// symID reads a symbol.  Against a table, a parameterless symbol the
+// plan holds comes back as the table's own Symbol, with its id, and
+// costs no allocation; anything else takes the general path, which
+// leaves the id None.
+func (r *wireReader) symID() (algebra.Symbol, symtab.ID) {
+	if r.tab != nil && r.err == nil {
+		if s, id, ok := r.tableSym(); ok {
+			return s, id
+		}
+	}
+	return r.anySym(), symtab.None
+}
+
+// tableSym is symID's table path.  It consumes nothing when it misses,
+// so the general path reads — and reports errors on — the same bytes.
+func (r *wireReader) tableSym() (algebra.Symbol, symtab.ID, bool) {
+	buf, pos := r.buf, r.pos
+	if pos >= len(buf) || buf[pos] > 1 {
+		return algebra.Symbol{}, symtab.None, false
+	}
+	bar := buf[pos] == 1
+	pos++
+	n, k := binary.Uvarint(buf[pos:])
+	if k <= 0 || n > maxWireString || n > uint64(len(buf)-pos-k) {
+		return algebra.Symbol{}, symtab.None, false
+	}
+	pos += k
+	name := buf[pos : pos+int(n)]
+	pos += int(n)
+	if pos >= len(buf) || buf[pos] != 0 { // a parameter count of 0
+		return algebra.Symbol{}, symtab.None, false
+	}
+	id, ok := r.tab.LookupName(name)
+	if !ok {
+		return algebra.Symbol{}, symtab.None, false
+	}
+	if bar {
+		id = id.Complement()
+	}
+	r.pos = pos + 1
+	return r.tab.Sym(id), id, true
+}
+
+// anySym reads a symbol of any shape, allocating its name and
+// parameters.
+func (r *wireReader) anySym() algebra.Symbol {
 	flags := r.byte()
 	if r.err == nil && flags > 1 {
 		r.fail("invalid symbol flags %d", flags)
@@ -375,10 +472,14 @@ func (r *wireReader) sym() algebra.Symbol {
 	return s
 }
 
-// id resolves a decoded symbol against the reader's table.
-func (r *wireReader) id(s algebra.Symbol) symtab.ID {
+// id resolves a decoded symbol against the reader's table, unless
+// symID already did.
+func (r *wireReader) id(s algebra.Symbol, id symtab.ID) symtab.ID {
 	if r.err != nil || r.tab == nil {
 		return symtab.None
+	}
+	if id != symtab.None {
+		return id
 	}
 	id, ok := r.tab.Lookup(s)
 	if !ok {

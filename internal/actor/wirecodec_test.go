@@ -128,12 +128,86 @@ func FuzzDecodePayload(f *testing.F) {
 			t.Fatalf("codec not canonical:\n first  %#v\n second %#v", msg, again)
 		}
 		// Against a plan's table, a payload decodes to an error or to
-		// ids that name exactly the decoded symbols.
+		// ids that name exactly the decoded symbols, and every other
+		// field decodes as it does without the table.
 		tab := fuzzTable()
 		if resolved, err := DecodePayloadOn(tab, data); err == nil {
 			checkIDs(t, tab, resolved)
+			if got := withoutIDs(resolved); !reflect.DeepEqual(got, msg) {
+				t.Fatalf("table path decodes %#v, table-less path %#v", got, msg)
+			}
 		}
 	})
+}
+
+// withoutIDs returns msg with the symbol ids a table sets cleared.
+func withoutIDs(msg any) any {
+	switch m := msg.(type) {
+	case AttemptMsg:
+		m.ID = symtab.None
+		return m
+	case AnnounceMsg:
+		m.ID = symtab.None
+		return m
+	case DecisionMsg:
+		m.ID = symtab.None
+		return m
+	case Instanced:
+		m.Msg = withoutIDs(m.Msg)
+		return m
+	}
+	return msg
+}
+
+// TestDecodeTablePathEquivalent: decoding against a table — where a
+// parameterless symbol is the table's own Symbol and a reply site is
+// interned — yields every field the table-less decoder yields, only
+// with ids set, for every payload shape, both polarities, parameterized
+// symbols, and names that resemble a complement's key.  A name the plan
+// does not hold is still a decode error.
+func TestDecodeTablePathEquivalent(t *testing.T) {
+	tab := fuzzTable()
+	e, f := algebra.Sym("e"), algebra.Sym("f")
+	tilde := algebra.Symbol{Name: "~e"} // the text of ē's key, as a plain name
+	payloads := append(samplePayloads(),
+		AttemptMsg{Sym: e.Complement(), ReplyTo: "s1"},
+		AttemptMsg{Sym: f, ReplyTo: "s1"},
+		AttemptMsg{Sym: tilde, ReplyTo: ""},
+		AnnounceMsg{Sym: tilde, At: 4},
+		AnnounceMsg{Sym: algebra.SymP("e", algebra.Const("1"))},
+		InquireMsg{Target: e, Requester: f.Complement(), ReplyTo: "s2",
+			Hyp: []algebra.Symbol{tilde, e.Complement()}},
+		DecisionMsg{Sym: f.Complement(), Accepted: true, Reason: "r"},
+		Instanced{Inst: 3, Msg: InquireReplyMsg{Target: f, Requester: e, Conds: []algebra.Symbol{f}}},
+	)
+	for _, payload := range payloads {
+		enc, err := AppendPayload(nil, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := DecodePayload(enc)
+		if err != nil {
+			t.Fatalf("%v: %v", payload, err)
+		}
+		resolved, err := DecodePayloadOn(tab, enc)
+		if err != nil {
+			if !strings.Contains(err.Error(), "not in the plan") {
+				t.Errorf("%v: table path: %v", payload, err)
+			}
+			continue
+		}
+		checkIDs(t, tab, resolved)
+		if got := withoutIDs(resolved); !reflect.DeepEqual(got, plain) {
+			t.Errorf("table path decodes %#v, table-less path %#v", got, plain)
+		}
+	}
+	enc, err := AppendPayload(nil, AnnounceMsg{Sym: algebra.Sym("g"), At: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := DecodePayloadOn(tab, enc); err == nil || !strings.Contains(err.Error(), "not in the plan") {
+		t.Errorf("announcement of g, absent from the plan: %v, %v; want a not-in-the-plan error", msg, err)
+	}
 }
 
 // fuzzTable is a plan table holding two of samplePayloads' three

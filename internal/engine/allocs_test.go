@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +24,16 @@ import (
 const (
 	maxInstanceAllocs      = 37
 	maxFreshInstanceAllocs = 96
+)
+
+// maxNetInstanceAllocs bounds one dense12 instance of an engine round
+// on the loopback TCP mesh (WAL off), averaged over netAllocInstances:
+// the instance as above plus every message's trip through netwire —
+// encode, queue, batch, parse, admit, decode and inbox.  It is the
+// measured count plus 10 %: 257–281 over 16 rounds, so 310.
+const (
+	maxNetInstanceAllocs = 310
+	netAllocInstances    = 500
 )
 
 // denseSpec is the all-pairs precedence workflow over n events spread
@@ -105,4 +116,30 @@ func TestInstanceAllocs(t *testing.T) {
 			}
 		})
 	}
+	t.Run("net", func(t *testing.T) {
+		allocs := netRoundAllocs(t, plan, netAllocInstances)
+		t.Logf("one net dense12 instance: %.0f allocations (mean of %d)", allocs, netAllocInstances)
+		if allocs > maxNetInstanceAllocs {
+			t.Fatalf("one net dense12 instance makes %.0f allocations, want ≤ %d", allocs, maxNetInstanceAllocs)
+		}
+	})
+}
+
+// netRoundAllocs runs one engine round of n dense12 instances on the
+// loopback mesh, WAL off, and returns the process's allocations per
+// instance: every goroutine's, the mesh's set-up and teardown
+// included.
+func netRoundAllocs(t testing.TB, plan *arun.Plan, n int) float64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := engine.RunPlan(plan, engine.Options{Instances: n, Mode: engine.ModeNet, Seed: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Fingerprints) != 1 {
+		t.Fatalf("net round diverged: %v", res.Fingerprints)
+	}
+	return float64(after.Mallocs-before.Mallocs) / float64(n)
 }

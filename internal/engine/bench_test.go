@@ -38,3 +38,22 @@ func BenchmarkDense12Instance(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDense12NetRound runs one engine round of dense12 instances
+// per iteration on the loopback TCP mesh, WAL off: the unit of the
+// engine's net mode, mesh set-up and teardown included.  `make
+// profilenet` writes its CPU profile.
+func BenchmarkDense12NetRound(b *testing.B) {
+	const instances = 500
+	plan, err := arun.NewPlan(denseSpec(b, 12, 3), arun.PlanOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var allocs float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		allocs += netRoundAllocs(b, plan, instances)
+	}
+	b.ReportMetric(float64(b.N*instances)/b.Elapsed().Seconds(), "instances/s")
+	b.ReportMetric(allocs/float64(b.N), "allocs/instance")
+}

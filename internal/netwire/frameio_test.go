@@ -14,6 +14,8 @@ import (
 	"repro/internal/actor"
 	"repro/internal/algebra"
 	"repro/internal/simnet"
+	"repro/internal/symtab"
+	"repro/internal/wal"
 )
 
 // countConn is a net.Conn that records every Write and accepts it in
@@ -100,21 +102,101 @@ func TestTransmitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestReceiveZeroAlloc: once the receiver's slices and routes have
+// grown, an in-order batch through parse, admit, decode and routing to
+// the site's inbox allocates only the decoded messages, one per record.
+func TestReceiveZeroAlloc(t *testing.T) {
+	const k = 8
+	n := NewNode(Config{ID: "B", ListenAddr: "127.0.0.1:0", NodeIndex: 1})
+	defer n.Close()
+	n.Register("sb", func(actor.Net, any) {})
+	tab := symtab.New()
+	for i := 0; i < k; i++ {
+		tab.Add(algebra.Sym(fmt.Sprintf("e%d", i)))
+	}
+	n.UseSymbols(tab)
+	const runs = 102 // AllocsPerRun's warm-up, its 100 runs, and ours
+	bodies := make([][]byte, runs)
+	for r := range bodies {
+		frames := testFrames(t, k)
+		for i, f := range frames {
+			f.seq = uint64(r*k + i + 1)
+		}
+		bodies[r] = appendBatch(nil, 0, frames)[2:] // strip version and type bytes
+	}
+	rc := receiver{node: n, peerID: "A", peer: n.recvPeer("A")}
+	next := 0
+	run := func() {
+		ack, ok := rc.batch(bodies[next])
+		next++
+		if !ok || ack != uint64(next*k) {
+			t.Fatalf("batch %d: ack %d, ok %v", next, ack, ok)
+		}
+	}
+	run() // warm-up: grow the receiver's slices, learn the route to sb
+	allocs := testing.AllocsPerRun(100, run)
+	t.Logf("%.1f allocs per batch of %d", allocs, k)
+	if allocs > k {
+		t.Fatalf("receiving a batch of %d records: %.1f allocs/op, want ≤ %d (the decoded messages)", k, allocs, k)
+	}
+	if !n.WaitIdle(5 * time.Second) {
+		t.Fatal("deliveries never drained")
+	}
+}
+
+// TestDurableQueueZeroAlloc: on a WAL-backed node, queueing frames,
+// pruning them on an ack (with its per-site KAck records), recycling
+// them and waking the links after a durable advance allocate nothing
+// once the queue and the free list have grown.
+func TestDurableQueueZeroAlloc(t *testing.T) {
+	w, err := wal.Open(t.TempDir(), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewNode(Config{ID: "n", ListenAddr: "127.0.0.1:0", WAL: w})
+	defer n.Close()
+	l := newLink(n, "127.0.0.1:1") // no session: the test plays its part
+	n.links[l.addr] = l
+	payload := []byte{1, 2, 3}
+	to := [2]simnet.SiteID{"sb", "sc"}
+	run := func() {
+		for i := 0; i < 8; i++ {
+			n.pend.Add(1)
+			l.enqueue("sa", to[i%2], payload, nil)
+		}
+		l.ack(l.nextSeq)
+		l.mu.Lock()
+		l.recycle()
+		l.mu.Unlock()
+		n.wakeLinks()
+	}
+	run() // warm-up: grow the queue and the free list
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("enqueue + ack + recycle + wake: %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // rawPeer is a hand-driven sending connection into a volatile node
-// hosting site sb.
+// hosting site sb, whose deliveries go to the handler given (nil:
+// dropped).
 type rawPeer struct {
 	sock net.Conn
 	br   *bufio.Reader
+	buf  []byte
 }
 
-func newRawPeer(t *testing.T) *rawPeer {
+func newRawPeer(t *testing.T, h func(payload any)) *rawPeer {
 	t.Helper()
 	n := NewNode(Config{ID: "B", ListenAddr: "127.0.0.1:0", NodeIndex: 1})
 	addr, err := n.Listen()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Register("sb", func(actor.Net, any) {})
+	n.Register("sb", func(_ actor.Net, p any) {
+		if h != nil {
+			h(p)
+		}
+	})
 	n.Start(map[simnet.SiteID]string{"sb": addr})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -144,7 +226,7 @@ func (p *rawPeer) acks(t *testing.T, quiet time.Duration) []uint64 {
 	var got []uint64
 	for {
 		p.sock.SetReadDeadline(time.Now().Add(quiet))
-		typ, body, err := readFrame(p.br)
+		typ, body, err := readFrame(p.br, &p.buf)
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			return got
 		}
@@ -166,7 +248,7 @@ func (p *rawPeer) acks(t *testing.T, quiet time.Duration) []uint64 {
 // are answered by one cumulative ack for the last sequence number.
 func TestAckPerDrainedBurst(t *testing.T) {
 	const k = 16
-	p := newRawPeer(t)
+	p := newRawPeer(t, nil)
 	p.send(t, testFrames(t, k))
 	if got := p.acks(t, 300*time.Millisecond); len(got) != 1 || got[0] != k {
 		t.Fatalf("acks %v for a burst of %d frames, want [%d]", got, k, k)
@@ -176,14 +258,43 @@ func TestAckPerDrainedBurst(t *testing.T) {
 // TestLoneFrameAckedPromptly: a frame with nothing behind it is acked
 // without further input — the ack never waits for more data.
 func TestLoneFrameAckedPromptly(t *testing.T) {
-	p := newRawPeer(t)
+	p := newRawPeer(t, nil)
 	p.send(t, testFrames(t, 1))
 	p.sock.SetReadDeadline(time.Now().Add(2 * time.Second))
-	typ, body, err := readFrame(p.br)
+	typ, body, err := readFrame(p.br, &p.buf)
 	if err != nil {
 		t.Fatalf("no ack for a lone frame: %v", err)
 	}
 	if upTo, err := parseAck(body); typ != frameAck || err != nil || upTo != 1 {
 		t.Fatalf("frame type %d, ack %d (%v); want ack 1", typ, upTo, err)
+	}
+}
+
+// TestReorderedRecordSurvivesBufferReuse: the receiver reads every
+// frame into one reused buffer, so a record buffered out of order must
+// own its payload.  Seq 2 arrives first and is buffered, seq 3's frame
+// is read over the same bytes, then seq 1 fills the gap: the handler
+// must see the three payloads byte-exact, in sequence order.
+func TestReorderedRecordSurvivesBufferReuse(t *testing.T) {
+	got := make(chan any, 3)
+	p := newRawPeer(t, func(payload any) { got <- payload })
+	frames := testFrames(t, 3)
+	if len(frames[1].payload) != len(frames[2].payload) {
+		t.Fatal("seq 2 and seq 3 payloads must be the same size to overlap in the buffer")
+	}
+	p.send(t, []*outFrame{frames[1], frames[2], frames[0]})
+	for i, f := range frames {
+		select {
+		case msg := <-got:
+			enc, err := actor.AppendPayload(nil, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, f.payload) {
+				t.Fatalf("delivery %d (seq %d) carried %v, want the payload sent as seq %d", i, f.seq, msg, f.seq)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("delivery %d (seq %d) never arrived", i, f.seq)
+		}
 	}
 }

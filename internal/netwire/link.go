@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -25,11 +26,12 @@ type link struct {
 	frames  []*outFrame // unacked, ascending seq
 	nextSeq uint64
 	acked   uint64 // cumulative ack received
-	// spent holds the pooled encode buffers of pruned frames.  Only
-	// the session goroutine returns them to the pool — and only after
-	// it has finished transmitting its current slice — because an ack
-	// can prune a frame the session is concurrently reading.
-	spent []*[]byte
+	// spent holds pruned frames.  Only the session goroutine recycles
+	// them — their encode buffers to the pool, the frames to free —
+	// and only after it has finished transmitting its current slice,
+	// because an ack can prune a frame the session is concurrently
+	// reading.  enqueue takes its frames from free.
+	spent, free []*outFrame
 
 	wake   chan struct{} // capacity 1: new frame or ack progress
 	closed chan struct{}
@@ -84,7 +86,13 @@ func (l *link) jitter(d time.Duration) time.Duration {
 func (l *link) enqueue(from, to simnet.SiteID, payload []byte, pbuf *[]byte) {
 	l.mu.Lock()
 	l.nextSeq++
-	f := &outFrame{seq: l.nextSeq, from: from, to: to, payload: payload, pbuf: pbuf}
+	var f *outFrame
+	if k := len(l.free); k > 0 {
+		f, l.free = l.free[k-1], l.free[:k-1]
+	} else {
+		f = new(outFrame)
+	}
+	*f = outFrame{seq: l.nextSeq, from: from, to: to, payload: payload, pbuf: pbuf}
 	if w := l.node.wal; w != nil {
 		// Logged under the link lock so LSN order matches sequence
 		// order — the session's first-undurable-frame cut is then a
@@ -116,43 +124,54 @@ func (l *link) close() {
 	}
 }
 
+// ackMark is the highest pruned sequence number of one destination
+// site.
+type ackMark struct {
+	to  simnet.SiteID
+	seq uint64
+}
+
 // ack prunes frames covered by a cumulative acknowledgement, releasing
-// their pending counts.
+// their pending counts.  The queue is compacted in place, so it keeps
+// its capacity.
 func (l *link) ack(upTo uint64) {
 	l.mu.Lock()
 	pruned := 0
-	var prunedMax map[simnet.SiteID]uint64
-	for len(l.frames) > 0 && l.frames[0].seq <= upTo {
-		f := l.frames[0]
-		l.frames = l.frames[1:]
-		if f.pbuf != nil {
-			// Hand the encode buffer to the session goroutine for
-			// pooling; it may still be reading the payload right now.
-			l.spent = append(l.spent, f.pbuf)
-			f.pbuf = nil
-		}
-		if l.node.wal != nil {
-			if prunedMax == nil {
-				prunedMax = map[simnet.SiteID]uint64{}
-			}
-			if f.seq > prunedMax[f.to] {
-				prunedMax[f.to] = f.seq
-			}
-		}
+	for pruned < len(l.frames) && l.frames[pruned].seq <= upTo {
 		pruned++
 	}
+	if w := l.node.wal; w != nil && pruned > 0 {
+		// Record ack progress per destination site so recovery skips
+		// retransmitting pruned frames.  Frames ascend by seq, so a
+		// site's last pruned frame is its highest.  No durability
+		// wait: losing an ack record only causes a retransmission the
+		// receiver dedups.
+		var buf [8]ackMark // a link's frames address a few sites
+		marks := buf[:0]
+	next:
+		for _, f := range l.frames[:pruned] {
+			for i := range marks {
+				if marks[i].to == f.to {
+					marks[i].seq = f.seq
+					continue next
+				}
+			}
+			marks = append(marks, ackMark{f.to, f.seq})
+		}
+		for _, m := range marks {
+			w.Append(wal.Record{Kind: wal.KAck, Site2: string(m.to), Seq: m.seq})
+		}
+	}
+	// The session goroutine may still be reading a pruned frame; it
+	// recycles them once its transmission is over.
+	l.spent = append(l.spent, l.frames[:pruned]...)
+	n := copy(l.frames, l.frames[pruned:])
+	clear(l.frames[n:])
+	l.frames = l.frames[:n]
 	if upTo > l.acked {
 		l.acked = upTo
 	}
 	l.mu.Unlock()
-	if w := l.node.wal; w != nil {
-		// Record ack progress per destination site so recovery skips
-		// retransmitting pruned frames.  No durability wait: losing an
-		// ack record only causes a retransmission the receiver dedups.
-		for to, seq := range prunedMax {
-			w.Append(wal.Record{Kind: wal.KAck, Site2: string(to), Seq: seq})
-		}
-	}
 	for i := 0; i < pruned; i++ {
 		l.node.pend.Done()
 	}
@@ -160,6 +179,44 @@ func (l *link) ack(upTo uint64) {
 		mQueueDepth.Add(int64(-pruned))
 		l.signal()
 	}
+}
+
+// recycle returns the frames pruned since the last call to the pool
+// and the free list.  Only the session goroutine calls it, between
+// transmissions; the caller holds l.mu.
+func (l *link) recycle() {
+	for _, f := range l.spent {
+		if f.pbuf != nil {
+			actor.PutEncodeBuf(f.pbuf)
+		}
+		*f = outFrame{}
+		l.free = append(l.free, f)
+	}
+	clear(l.spent)
+	l.spent = l.spent[:0]
+}
+
+// sendable appends to dst the queued frames from sequence number from
+// on, in order, up to the first one whose WAL record is not yet
+// durable.  The caller holds l.mu.
+func (l *link) sendable(dst []*outFrame, from uint64) []*outFrame {
+	var durable uint64
+	if w := l.node.wal; w != nil {
+		durable = w.Durable()
+	}
+	for _, f := range l.frames {
+		if f.seq < from {
+			continue
+		}
+		if f.lsn > durable {
+			// Not yet durable: stop at the first gap — go-back-N needs
+			// in-order transmission, and the durable-advance callback
+			// will wake us to send the rest.
+			break
+		}
+		dst = append(dst, f)
+	}
+	return dst
 }
 
 // run is the link's lifetime: dial, run a session until it fails, back
@@ -211,8 +268,9 @@ func (l *link) session(conn net.Conn) {
 	go func() {
 		defer close(readerDone)
 		br := bufio.NewReader(conn)
+		var buf []byte
 		for {
-			typ, body, err := readFrame(br)
+			typ, body, err := readFrame(br, &buf)
 			if err != nil {
 				return
 			}
@@ -253,62 +311,52 @@ func (l *link) session(conn net.Conn) {
 	timer := time.NewTimer(rto)
 	defer timer.Stop()
 
+	// The send list is reused from pass to pass.
+	var toSend []*outFrame
 	for {
-		var toSend []*outFrame
 		l.mu.Lock()
 		if l.acked > prevAcked {
 			// Ack progress: the pipe is moving, reset the timeout.
 			prevAcked = l.acked
 			rto = l.node.cfg.retryMin()
 		}
-		var durable uint64
-		if w := l.node.wal; w != nil {
-			durable = w.Durable()
-		}
-		for _, f := range l.frames {
-			if f.seq < nextSend {
-				continue
-			}
-			if f.lsn > durable {
-				// Not yet durable: stop at the first gap — go-back-N
-				// needs in-order transmission, and the durable-advance
-				// callback will wake us to send the rest.
-				break
-			}
-			toSend = append(toSend, f)
+		toSend = l.sendable(toSend[:0], nextSend)
+		l.mu.Unlock()
+		if k := len(toSend); k > 0 && k < maxBatchFrames {
+			// Yield once before a small flush: the producers this wake
+			// found runnable enqueue first and share the write.  A burst
+			// that is already a full batch goes out at once.
+			runtime.Gosched()
+			l.mu.Lock()
+			toSend = l.sendable(toSend, toSend[k-1].seq+1)
+			l.mu.Unlock()
 		}
 		if len(toSend) > 0 {
 			nextSend = toSend[len(toSend)-1].seq + 1
 		}
-		unacked := len(l.frames)
-		l.mu.Unlock()
 
-		// Coalesce whatever accumulated on the link into batch frames
-		// (flush-on-idle: a lone frame goes out at once as a batch of
-		// one, a burst is grouped up to the size thresholds).
-		for len(toSend) > 0 {
-			take, size := 1, len(toSend[0].payload)
-			for take < len(toSend) && take < maxBatchFrames && size < maxBatchBytes {
-				size += len(toSend[take].payload)
+		// Coalesce what is ready into batch frames of up to the size
+		// thresholds, one write each.
+		for rest := toSend; len(rest) > 0; {
+			take, size := 1, len(rest[0].payload)
+			for take < len(rest) && take < maxBatchFrames && size < maxBatchBytes {
+				size += len(rest[take].payload)
 				take++
 			}
 			mBatchFill.Observe(int64(take))
-			if err := l.transmit(cw, toSend[:take]); err != nil {
+			if err := l.transmit(cw, rest[:take]); err != nil {
 				return
 			}
-			toSend = toSend[take:]
+			rest = rest[take:]
 		}
 
-		// Recycle encode buffers of frames acked since the last pass.
-		// This runs strictly after the transmit loop above released its
-		// last payload reference, which is what makes pooling safe.
+		// Recycle the frames acked since the last pass.  This runs
+		// strictly after the transmit loop above released its last
+		// payload reference, which is what makes pooling safe.
 		l.mu.Lock()
-		spent := l.spent
-		l.spent = nil
+		l.recycle()
+		unacked := len(l.frames)
 		l.mu.Unlock()
-		for _, bp := range spent {
-			actor.PutEncodeBuf(bp)
-		}
 
 		if unacked == 0 {
 			select {

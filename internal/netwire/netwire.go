@@ -10,8 +10,8 @@
 //     codec (internal/actor/wirecodec.go), version-checked on both the
 //     frame and payload layer; every frame leaves in one write from a
 //     per-connection buffer, and frames are read through a
-//     per-connection bufio.Reader, so a burst of queued frames costs
-//     one read;
+//     per-connection bufio.Reader into a reused body buffer, so a burst
+//     of queued frames costs one read and no allocation;
 //   - per-link outbound queues with connection reuse, reconnect with
 //     exponential backoff plus jitter, and bounded write deadlines;
 //   - at-least-once delivery: every DATA record carries a per-link
@@ -40,6 +40,7 @@ package netwire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -79,9 +80,10 @@ const (
 	maxFrame = 1 << 20
 
 	// maxBatchFrames / maxBatchBytes bound one batch: the flush
-	// threshold of the coalescing loop.  Whatever has accumulated on
-	// the link when the session goroutine wakes is flushed immediately
-	// (batching never waits), so these only cap the burst case.
+	// threshold of the coalescing loop.  A session that wakes to fewer
+	// than maxBatchFrames ready records yields once, then flushes all
+	// that has accumulated (batching never sleeps), so these only cap
+	// the burst case.
 	maxBatchFrames = 64
 	maxBatchBytes  = 256 << 10
 
@@ -225,13 +227,9 @@ func NewNode(cfg Config) *Node {
 // queue (durable LSN advanced, so withheld frames may now transmit).
 func (n *Node) wakeLinks() {
 	n.mu.Lock()
-	links := make([]*link, 0, len(n.links))
+	defer n.mu.Unlock()
 	for _, l := range n.links {
-		links = append(links, l)
-	}
-	n.mu.Unlock()
-	for _, l := range links {
-		l.signal()
+		l.signal() // never blocks
 	}
 }
 
@@ -263,7 +261,7 @@ func (n *Node) Register(site simnet.SiteID, h func(net actor.Net, payload any)) 
 	if _, dup := n.sites[site]; dup {
 		panic(fmt.Sprintf("netwire: duplicate site %q", site))
 	}
-	ib := &inbox{node: n, handler: func(p any) { h(n, p) }}
+	ib := &inbox{node: n, site: site, handler: func(p any) { h(n, p) }}
 	ib.cond = sync.NewCond(&ib.mu)
 	n.sites[site] = ib
 	go ib.loop()
@@ -564,12 +562,15 @@ func (n *Node) recvPeer(id string) *recvPeer {
 // per-site serialization actor.Net promises.
 type inbox struct {
 	node    *Node
+	site    simnet.SiteID
 	handler func(payload any)
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []inItem
-	closed bool
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []inItem
+	// closed is set under mu (the loop waits on cond for it) and read
+	// without it between deliveries.
+	closed atomic.Bool
 }
 
 // inItem is one queued delivery.  In WAL mode it carries the LSN of
@@ -593,18 +594,22 @@ func (ib *inbox) enqueue(it inItem) {
 
 func (ib *inbox) close() {
 	ib.mu.Lock()
-	ib.closed = true
+	ib.closed.Store(true)
 	ib.mu.Unlock()
 	ib.cond.Broadcast()
 }
 
+// loop takes the whole queue at a time and hands the queue the slice
+// it emptied last, so the two swap and neither is reallocated in the
+// steady state.
 func (ib *inbox) loop() {
+	var batch []inItem
 	for {
 		ib.mu.Lock()
-		for len(ib.queue) == 0 && !ib.closed {
+		for len(ib.queue) == 0 && !ib.closed.Load() {
 			ib.cond.Wait()
 		}
-		if ib.closed {
+		if ib.closed.Load() {
 			// Drop the remainder; pending accounting still settles.
 			rest := len(ib.queue)
 			ib.queue = nil
@@ -614,22 +619,32 @@ func (ib *inbox) loop() {
 			}
 			return
 		}
-		it := ib.queue[0]
-		ib.queue = ib.queue[1:]
+		batch, ib.queue = ib.queue, batch[:0]
 		ib.mu.Unlock()
 
-		if it.lsn > 0 && ib.node.wal.WaitDurable(it.lsn) != nil {
-			// The log closed or failed before this record became
-			// durable: processing a delivery outside the durable prefix
-			// would fork the recovered state.
+		for i, it := range batch {
+			if ib.closed.Load() {
+				// Drop the rest of the batch; the next pass drops the
+				// queue.
+				for range batch[i:] {
+					ib.node.pend.Done()
+				}
+				break
+			}
+			if it.lsn > 0 && ib.node.wal.WaitDurable(it.lsn) != nil {
+				// The log closed or failed before this record became
+				// durable: processing a delivery outside the durable
+				// prefix would fork the recovered state.
+				ib.node.pend.Done()
+				continue
+			}
+			if it.clock > 0 {
+				ib.node.observeClock(it.clock)
+			}
+			ib.handler(it.payload)
 			ib.node.pend.Done()
-			continue
 		}
-		if it.clock > 0 {
-			ib.node.observeClock(it.clock)
-		}
-		ib.handler(it.payload)
-		ib.node.pend.Done()
+		clear(batch) // drop the delivered payloads
 	}
 }
 
@@ -650,24 +665,40 @@ type recvPeer struct {
 	lastLsn atomic.Uint64
 }
 
+// pendingFrame is one parsed DATA record.  Its payload aliases the
+// connection's read buffer until admit buffers the record out of order.
 type pendingFrame struct {
 	seq     uint64
 	clock   int64
-	to      simnet.SiteID
+	ib      *inbox // destination site; nil if this node does not host it
 	payload []byte
 }
 
-// admit folds one arrived frame in: it returns the frames now ready
-// for delivery (in sequence order; empty for duplicates and gaps), a
-// duplicate flag, and the cumulative acknowledgement.
-func (rp *recvPeer) admit(seq uint64, f pendingFrame) (ready []pendingFrame, dup bool, ack uint64) {
+// admit folds one arrived frame in: it appends the frames now ready for
+// delivery to ready (in sequence order; none for duplicates and gaps)
+// and returns it, a duplicate flag, and the cumulative acknowledgement.
+// ready belongs to the caller: a reconnect can briefly leave two
+// serving goroutines on one peer.
+func (rp *recvPeer) admit(ready []pendingFrame, f pendingFrame) ([]pendingFrame, bool, uint64) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	if _, buffered := rp.buffered[seq]; seq == 0 || seq <= rp.watermark || buffered {
-		return nil, true, rp.watermark
+	if f.seq == 0 || f.seq <= rp.watermark {
+		return ready, true, rp.watermark
 	}
-	rp.buffered[seq] = f
-	for {
+	if f.seq != rp.watermark+1 {
+		if _, dup := rp.buffered[f.seq]; dup {
+			return ready, true, rp.watermark
+		}
+		// Held past this read: the payload gets storage of its own.
+		f.payload = bytes.Clone(f.payload)
+		rp.buffered[f.seq] = f
+		return ready, false, rp.watermark
+	}
+	// In order: the buffer never holds watermark+1, so only a gap this
+	// frame closes needs the map.
+	rp.watermark++
+	ready = append(ready, f)
+	for len(rp.buffered) > 0 {
 		next, ok := rp.buffered[rp.watermark+1]
 		if !ok {
 			break
@@ -718,14 +749,13 @@ func (n *Node) serveConn(conn net.Conn) {
 		go pump.run(n.wal, conn, cw)
 	}
 	br := bufio.NewReader(conn)
-	var peer *recvPeer
-	var peerID string
-	var recs []pendingFrame // reused per batch; admit copies each record
+	var buf []byte // frame bodies, reused: a body is valid until the next read
+	rc := receiver{node: n}
 	for {
-		typ, body, err := readFrame(br)
+		typ, body, err := readFrame(br, &buf)
 		if err != nil {
 			if err != io.EOF && !n.isClosed() {
-				n.logf("inbound %s: %v", peerID, err)
+				n.logf("inbound %s: %v", rc.peerID, err)
 			}
 			return
 		}
@@ -736,38 +766,21 @@ func (n *Node) serveConn(conn net.Conn) {
 				n.logf("bad hello: %v", err)
 				return
 			}
-			peerID = id
-			peer = n.recvPeer(id)
+			rc.peerID = id
+			rc.peer = n.recvPeer(id)
 			if n.wal == nil {
 				// In WAL mode clocks are folded at dequeue only, so the
 				// counter evolution is replayable from the log.
 				n.observeClock(clock)
 			}
 		case frameBatch:
-			if peer == nil {
+			if rc.peer == nil {
 				n.logf("data before hello")
 				return
 			}
-			// The payloads alias the frame body, which readFrame
-			// allocates afresh, so buffering them in the peer is safe.
-			recs, err = parseBatch(recs[:0], body)
-			if err != nil {
-				n.logf("bad batch from %s: %v", peerID, err)
+			ack, ok := rc.batch(body)
+			if !ok {
 				return
-			}
-			var ack uint64
-			for _, f := range recs {
-				if n.wal == nil {
-					n.observeClock(f.clock)
-				}
-				ready, dup, a := peer.admit(f.seq, f)
-				if dup {
-					n.deduped.Add(1)
-				}
-				ack = a
-				if !n.deliverReady(peerID, peer, ready) {
-					return
-				}
 			}
 			// One cumulative acknowledgement covers the whole batch, sent
 			// after the deliveries are accounted for so the sender's
@@ -778,14 +791,14 @@ func (n *Node) serveConn(conn net.Conn) {
 			// frame is already buffered: reading that frame cannot block,
 			// and its own ack covers this batch too.
 			if pump != nil {
-				pump.offer(ack, peer.lastLsn.Load())
+				pump.offer(ack, rc.peer.lastLsn.Load())
 			} else if !frameBuffered(br) {
 				if err := cw.writeAck(ack); err != nil {
 					return
 				}
 			}
 		default:
-			n.logf("unexpected inbound frame type %d from %s", typ, peerID)
+			n.logf("unexpected inbound frame type %d from %s", typ, rc.peerID)
 			return
 		}
 	}
@@ -845,35 +858,89 @@ func (p *ackPump) run(w *wal.Log, conn net.Conn, cw *connWriter) {
 	}
 }
 
-// deliverReady decodes and enqueues frames released in order by the
-// receive peer.  It reports false on a protocol violation (the caller
-// kills the connection).
-func (n *Node) deliverReady(peerID string, rp *recvPeer, ready []pendingFrame) bool {
+// receiver is the data path of one inbound connection, from a batch
+// frame's body to the inboxes of the sites it addresses.  Its slices
+// and its site routes are reused from frame to frame.
+type receiver struct {
+	node   *Node
+	peerID string
+	peer   *recvPeer
+	routes []*inbox // hosted sites this connection has addressed
+	recs   []pendingFrame
+	ready  []pendingFrame
+}
+
+// route resolves a record's destination site name to its inbox without
+// building a string, nil if the node does not host it.
+func (rc *receiver) route(name []byte) *inbox {
+	for _, ib := range rc.routes {
+		if string(ib.site) == string(name) {
+			return ib
+		}
+	}
+	rc.node.mu.Lock()
+	ib := rc.node.sites[simnet.SiteID(name)]
+	rc.node.mu.Unlock()
+	if ib != nil {
+		rc.routes = append(rc.routes, ib)
+	}
+	return ib
+}
+
+// batch parses, admits and delivers one batch frame's records and
+// returns the cumulative acknowledgement.  It reports false on a
+// protocol violation (the caller kills the connection).
+func (rc *receiver) batch(body []byte) (ack uint64, ok bool) {
+	n := rc.node
+	var err error
+	rc.recs, err = parseBatch(rc.recs[:0], body, rc.route)
+	if err != nil {
+		n.logf("bad batch from %s: %v", rc.peerID, err)
+		return 0, false
+	}
+	for _, f := range rc.recs {
+		if n.wal == nil {
+			n.observeClock(f.clock)
+		}
+		var dup bool
+		rc.ready, dup, ack = rc.peer.admit(rc.ready[:0], f)
+		if dup {
+			n.deduped.Add(1)
+		}
+		if !rc.deliver(rc.ready) {
+			return 0, false
+		}
+	}
+	return ack, true
+}
+
+// deliver decodes and enqueues frames released in order by the receive
+// peer.  It reports false on a protocol violation.
+func (rc *receiver) deliver(ready []pendingFrame) bool {
+	n := rc.node
 	for _, f := range ready {
 		msg, err := actor.DecodePayloadOn(n.syms.Load(), f.payload)
 		if err != nil {
-			n.logf("bad payload from %s: %v", peerID, err)
+			n.logf("bad payload from %s: %v", rc.peerID, err)
 			return false
 		}
-		n.mu.Lock()
-		ib := n.sites[f.to]
-		n.mu.Unlock()
+		ib := f.ib
 		if ib == nil {
-			n.logf("frame for unhosted site %q", f.to)
+			n.logf("frame %d from %s for a site this node does not host", f.seq, rc.peerID)
 			continue
 		}
 		var lsn uint64
 		var clock int64
 		if n.wal != nil {
 			lsn = n.wal.Append(wal.Record{
-				Kind: wal.KIn, Site: string(f.to), Peer: peerID,
+				Kind: wal.KIn, Site: string(ib.site), Peer: rc.peerID,
 				Seq: f.seq, Clock: f.clock, Payload: f.payload,
 			})
 			// Monotone max: a reconnect can briefly leave two serving
 			// goroutines on one recvPeer.
 			for {
-				cur := rp.lastLsn.Load()
-				if lsn <= cur || rp.lastLsn.CompareAndSwap(cur, lsn) {
+				cur := rc.peer.lastLsn.Load()
+				if lsn <= cur || rc.peer.lastLsn.CompareAndSwap(cur, lsn) {
 					break
 				}
 			}
@@ -952,11 +1019,12 @@ func (w *connWriter) shutdown() {
 	w.mu.Unlock()
 }
 
-// readFrame reads one length-prefixed frame and returns its type and
-// body (excluding version and type bytes).  The body is allocated per
-// frame, never a view of r's buffer: batch payloads alias it and may
-// sit in the receiver's reorder buffer long after the next read.
-func readFrame(r *bufio.Reader) (byte, []byte, error) {
+// readFrame reads one length-prefixed frame into *buf, growing it as
+// needed, and returns its type and body (excluding version and type
+// bytes).  The body aliases *buf and is valid until the next read into
+// it: whatever outlives that — a record the receiver buffers out of
+// order — is copied.
+func readFrame(r *bufio.Reader, buf *[]byte) (byte, []byte, error) {
 	hdr, err := r.Peek(4)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
@@ -969,7 +1037,10 @@ func readFrame(r *bufio.Reader) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("netwire: frame size %d out of range", size)
 	}
 	r.Discard(4) // cannot fail: Peek just buffered these bytes
-	body := make([]byte, size)
+	if cap(*buf) < int(size) {
+		*buf = make([]byte, size)
+	}
+	body := (*buf)[:size]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, err
 	}
@@ -1033,20 +1104,21 @@ func appendBatch(dst []byte, clock int64, frames []*outFrame) []byte {
 
 // parseBatch parses a batch frame body — a count of 1..maxBatchFrames
 // followed by exactly that many DATA records — appending the records to
-// dst.  The whole frame is checked before any record is used, so a
-// malformed frame delivers nothing.  Payloads alias body.
-func parseBatch(dst []pendingFrame, body []byte) ([]pendingFrame, error) {
+// dst, each with the inbox route gives its destination site.  The whole
+// frame is checked before any record is used, so a malformed frame
+// delivers nothing.  Payloads alias body.
+func parseBatch(dst []pendingFrame, body []byte, route func(site []byte) *inbox) ([]pendingFrame, error) {
 	count, used := binary.Uvarint(body)
 	if used <= 0 || count == 0 || count > maxBatchFrames {
 		return dst, fmt.Errorf("bad batch count")
 	}
 	rest := body[used:]
 	for i := uint64(0); i < count; i++ {
-		seq, clock, to, payload, r, err := parseDataRecord(rest)
+		f, r, err := parseDataRecord(rest, route)
 		if err != nil {
 			return dst, err
 		}
-		dst = append(dst, pendingFrame{seq: seq, clock: clock, to: to, payload: payload})
+		dst = append(dst, f)
 		rest = r
 	}
 	if len(rest) != 0 {
@@ -1057,47 +1129,43 @@ func parseBatch(dst []pendingFrame, body []byte) ([]pendingFrame, error) {
 
 // parseDataRecord parses one DATA record and returns the unconsumed
 // remainder, letting parseBatch walk a frame of concatenated records.
-func parseDataRecord(body []byte) (seq uint64, clock int64, to simnet.SiteID, payload []byte, rest []byte, err error) {
+// The from-site is diagnostic only and skipped.
+func parseDataRecord(body []byte, route func(site []byte) *inbox) (f pendingFrame, rest []byte, err error) {
 	pos := 0
-	seq, n := binary.Uvarint(body)
-	if n <= 0 {
-		return 0, 0, "", nil, nil, fmt.Errorf("bad seq")
-	}
-	pos += n
-	clock, n = binary.Varint(body[pos:])
-	if n <= 0 {
-		return 0, 0, "", nil, nil, fmt.Errorf("bad clock")
-	}
-	pos += n
-	str := func() (string, error) {
+	field := func(what string) ([]byte, error) {
 		ln, n := binary.Uvarint(body[pos:])
 		if n <= 0 || ln > maxFrame {
-			return "", fmt.Errorf("bad string length")
+			return nil, fmt.Errorf("bad %s length", what)
 		}
 		pos += n
 		if pos+int(ln) > len(body) {
-			return "", fmt.Errorf("truncated string")
+			return nil, fmt.Errorf("truncated %s", what)
 		}
-		s := string(body[pos : pos+int(ln)])
 		pos += int(ln)
-		return s, nil
+		return body[pos-int(ln) : pos], nil
 	}
-	if _, err = str(); err != nil { // from-site (diagnostic only)
-		return 0, 0, "", nil, nil, err
-	}
-	var toStr string
-	if toStr, err = str(); err != nil {
-		return 0, 0, "", nil, nil, err
-	}
-	pl, n := binary.Uvarint(body[pos:])
-	if n <= 0 || pl > maxFrame {
-		return 0, 0, "", nil, nil, fmt.Errorf("bad payload length")
+	seq, n := binary.Uvarint(body)
+	if n <= 0 {
+		return f, nil, fmt.Errorf("bad seq")
 	}
 	pos += n
-	if pos+int(pl) > len(body) {
-		return 0, 0, "", nil, nil, fmt.Errorf("payload length mismatch")
+	clock, n := binary.Varint(body[pos:])
+	if n <= 0 {
+		return f, nil, fmt.Errorf("bad clock")
 	}
-	return seq, clock, simnet.SiteID(toStr), body[pos : pos+int(pl)], body[pos+int(pl):], nil
+	pos += n
+	if _, err = field("from-site"); err != nil {
+		return f, nil, err
+	}
+	to, err := field("to-site")
+	if err != nil {
+		return f, nil, err
+	}
+	payload, err := field("payload")
+	if err != nil {
+		return f, nil, err
+	}
+	return pendingFrame{seq: seq, clock: clock, ib: route(to), payload: payload}, body[pos:], nil
 }
 
 func appendAck(dst []byte, upTo uint64) []byte {

@@ -61,18 +61,20 @@ func FuzzBatchFrame(f *testing.F) {
 		{"truncated record", one[:len(one)-1], false},
 		{"oversized payload length", oversized, false},
 	}
+	sb := &inbox{site: "sb"}
+	rc := &receiver{node: &Node{sites: map[simnet.SiteID]*inbox{"sb": sb}}}
 	for _, s := range seeds {
-		recs, err := parseBatch(nil, s.body)
+		recs, err := parseBatch(nil, s.body, rc.route)
 		if (err == nil) != s.ok {
 			f.Fatalf("%s: parseBatch err = %v, want ok=%v", s.name, err, s.ok)
 		}
-		if s.ok && (recs[0].seq != 1 || recs[0].to != "sb" || !bytes.Equal(recs[0].payload, []byte{0, 0xa5})) {
+		if s.ok && (recs[0].seq != 1 || recs[0].ib != sb || !bytes.Equal(recs[0].payload, []byte{0, 0xa5})) {
 			f.Fatalf("%s: first record %+v", s.name, recs[0])
 		}
 		f.Add(s.body)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		recs, err := parseBatch(nil, body)
+		recs, err := parseBatch(nil, body, rc.route)
 		if err != nil {
 			return
 		}
@@ -127,11 +129,12 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte, chunk uint8) {
 		src := &chunkReader{data: stream, n: int(chunk)%48 + 1}
 		br := bufio.NewReaderSize(src, 32)
+		var buf []byte
 		rest := stream
 		for {
 			complete := frameBuffered(br)
 			reads := src.reads
-			typ, body, err := readFrame(br)
+			typ, body, err := readFrame(br, &buf)
 			if complete && src.reads != reads {
 				t.Fatalf("frameBuffered reported a complete frame, but readFrame read the stream")
 			}

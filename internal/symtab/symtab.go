@@ -95,6 +95,17 @@ func (t *Table) LookupKey(key string) (ID, bool) {
 	return id, ok
 }
 
+// LookupName resolves a parameterless positive symbol from its name's
+// bytes without allocating: where a decoder meets a name on the wire.
+// It misses on anything else, so a caller falls back to Lookup.
+func (t *Table) LookupName(name []byte) (ID, bool) {
+	id, ok := t.byKey[string(name)]
+	if !ok || id.Bar() || len(t.syms[id].Params) > 0 {
+		return None, false
+	}
+	return id, true
+}
+
 // MustLookup is Lookup for symbols the plan is known to hold; a miss
 // is a construction bug and panics.
 func (t *Table) MustLookup(s algebra.Symbol) ID {
