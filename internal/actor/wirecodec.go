@@ -30,8 +30,8 @@ import (
 // it resolves the symbol of every attempt, announcement and decision
 // against the receiving plan's table once per payload, and a name the
 // plan does not hold is a decode error, never a wrong id.  Against a
-// table, a parameterless symbol is the table's own Symbol and a reply
-// site an interned name, so decoding them allocates nothing.
+// table, a parameterless symbol is the table's own Symbol, so decoding
+// it allocates nothing.
 
 // WireVersion identifies the codec revision; bump on any layout change.
 const WireVersion = 1
@@ -137,7 +137,7 @@ func DecodePayloadOn(tab *symtab.Table, data []byte) (any, error) {
 	switch kind {
 	case kindAttempt:
 		sym, id := r.symID()
-		m := AttemptMsg{Sym: sym, Forced: r.bool(), ReplyTo: r.site()}
+		m := AttemptMsg{Sym: sym, Forced: r.bool(), ReplyTo: simnet.SiteID(r.string())}
 		m.ID = r.id(sym, id)
 		out = m
 	case kindAnnounce:
@@ -147,7 +147,7 @@ func DecodePayloadOn(tab *symtab.Table, data []byte) (any, error) {
 		out = m
 	case kindInquire:
 		out = InquireMsg{Target: r.sym(), Requester: r.sym(),
-			ReplyTo: r.site(), Round: int(r.varint()), Hyp: r.syms()}
+			ReplyTo: simnet.SiteID(r.string()), Round: int(r.varint()), Hyp: r.syms()}
 	case kindInquireReply:
 		out = InquireReplyMsg{Target: r.sym(), Requester: r.sym(), Round: int(r.varint()),
 			Occurred: r.bool(), At: r.varint(), Impossible: r.bool(), Held: r.bool(),
@@ -353,44 +353,6 @@ func (r *wireReader) bytes() []byte {
 
 func (r *wireReader) string() string { return string(r.bytes()) }
 
-// site reads a site name; against a table it is interned.
-func (r *wireReader) site() simnet.SiteID {
-	if r.tab == nil {
-		return simnet.SiteID(r.string())
-	}
-	return internSite(r.bytes())
-}
-
-// siteNames interns the reply sites of payloads decoded against a
-// table: a plan's sites are few and fixed, so after the first payload
-// from each a site costs no allocation.  Past maxInternedSites names a
-// site is allocated as it would be without a table.
-var siteNames struct {
-	sync.RWMutex
-	m map[string]simnet.SiteID
-}
-
-const maxInternedSites = 1 << 10
-
-func internSite(b []byte) simnet.SiteID {
-	siteNames.RLock()
-	s, ok := siteNames.m[string(b)]
-	siteNames.RUnlock()
-	if ok {
-		return s
-	}
-	s = simnet.SiteID(b)
-	siteNames.Lock()
-	if siteNames.m == nil {
-		siteNames.m = map[string]simnet.SiteID{}
-	}
-	if len(siteNames.m) < maxInternedSites {
-		siteNames.m[string(s)] = s
-	}
-	siteNames.Unlock()
-	return s
-}
-
 // sym reads a symbol (see symID).
 func (r *wireReader) sym() algebra.Symbol {
 	s, _ := r.symID()
@@ -399,63 +361,31 @@ func (r *wireReader) sym() algebra.Symbol {
 
 // symID reads a symbol.  Against a table, a parameterless symbol the
 // plan holds comes back as the table's own Symbol, with its id, and
-// costs no allocation; anything else takes the general path, which
-// leaves the id None.
+// costs no allocation; any other symbol is built from the wire, with
+// id None.
 func (r *wireReader) symID() (algebra.Symbol, symtab.ID) {
-	if r.tab != nil && r.err == nil {
-		if s, id, ok := r.tableSym(); ok {
-			return s, id
-		}
-	}
-	return r.anySym(), symtab.None
-}
-
-// tableSym is symID's table path.  It consumes nothing when it misses,
-// so the general path reads — and reports errors on — the same bytes.
-func (r *wireReader) tableSym() (algebra.Symbol, symtab.ID, bool) {
-	buf, pos := r.buf, r.pos
-	if pos >= len(buf) || buf[pos] > 1 {
-		return algebra.Symbol{}, symtab.None, false
-	}
-	bar := buf[pos] == 1
-	pos++
-	n, k := binary.Uvarint(buf[pos:])
-	if k <= 0 || n > maxWireString || n > uint64(len(buf)-pos-k) {
-		return algebra.Symbol{}, symtab.None, false
-	}
-	pos += k
-	name := buf[pos : pos+int(n)]
-	pos += int(n)
-	if pos >= len(buf) || buf[pos] != 0 { // a parameter count of 0
-		return algebra.Symbol{}, symtab.None, false
-	}
-	id, ok := r.tab.LookupName(name)
-	if !ok {
-		return algebra.Symbol{}, symtab.None, false
-	}
-	if bar {
-		id = id.Complement()
-	}
-	r.pos = pos + 1
-	return r.tab.Sym(id), id, true
-}
-
-// anySym reads a symbol of any shape, allocating its name and
-// parameters.
-func (r *wireReader) anySym() algebra.Symbol {
 	flags := r.byte()
 	if r.err == nil && flags > 1 {
 		r.fail("invalid symbol flags %d", flags)
 	}
-	s := algebra.Symbol{Name: r.string(), Bar: flags&1 != 0}
+	name := r.bytes()
 	n := r.uvarint()
 	if r.err != nil {
-		return algebra.Symbol{}
+		return algebra.Symbol{}, symtab.None
+	}
+	if n == 0 && r.tab != nil {
+		if id, ok := r.tab.LookupName(name); ok {
+			if flags&1 != 0 {
+				id = id.Complement()
+			}
+			return r.tab.Sym(id), id
+		}
 	}
 	if n > maxWireList {
 		r.fail("parameter count %d exceeds limit", n)
-		return algebra.Symbol{}
+		return algebra.Symbol{}, symtab.None
 	}
+	s := algebra.Symbol{Name: string(name), Bar: flags&1 != 0}
 	if n > 0 {
 		s.Params = make([]algebra.Term, 0, min(int(n), 64))
 		for i := 0; i < int(n); i++ {
@@ -465,11 +395,11 @@ func (r *wireReader) anySym() algebra.Symbol {
 			}
 			s.Params = append(s.Params, algebra.Term{Value: r.string(), IsVar: tf&1 != 0})
 			if r.err != nil {
-				return algebra.Symbol{}
+				return algebra.Symbol{}, symtab.None
 			}
 		}
 	}
-	return s
+	return s, symtab.None
 }
 
 // id resolves a decoded symbol against the reader's table, unless

@@ -160,8 +160,7 @@ func withoutIDs(msg any) any {
 }
 
 // TestDecodeTablePathEquivalent: decoding against a table — where a
-// parameterless symbol is the table's own Symbol and a reply site is
-// interned — yields every field the table-less decoder yields, only
+// parameterless symbol is the table's own Symbol — yields every field the table-less decoder yields, only
 // with ids set, for every payload shape, both polarities, parameterized
 // symbols, and names that resemble a complement's key.  A name the plan
 // does not hold is still a decode error.

@@ -27,13 +27,19 @@ const (
 )
 
 // maxNetInstanceAllocs bounds one dense12 instance of an engine round
-// on the loopback TCP mesh (WAL off), averaged over netAllocInstances:
-// the instance as above plus every message's trip through netwire —
-// encode, queue, batch, parse, admit, decode and inbox.  It is the
-// measured count plus 10 %: 257–281 over 16 rounds, so 310.
+// on the loopback TCP mesh (WAL off): the fewest allocations per
+// instance over netAllocRounds rounds of netAllocInstances each.  It
+// counts the instance as above plus every message's trip through
+// netwire — encode, queue, batch, parse, admit, decode and inbox — and
+// every goroutine's allocations, so scheduling moves it: timers,
+// wake-ups and smaller batches only ever add, and the fewest of a few
+// rounds is the steady figure.  Calibrated on 2 vCPUs (GOMAXPROCS=2):
+// single rounds read 257–281 over 16 runs, the fewest of three 253–269
+// over 6; the bound is 281 plus 10 %.
 const (
 	maxNetInstanceAllocs = 310
 	netAllocInstances    = 500
+	netAllocRounds       = 3
 )
 
 // denseSpec is the all-pairs precedence workflow over n events spread
@@ -118,7 +124,11 @@ func TestInstanceAllocs(t *testing.T) {
 	}
 	t.Run("net", func(t *testing.T) {
 		allocs := netRoundAllocs(t, plan, netAllocInstances)
-		t.Logf("one net dense12 instance: %.0f allocations (mean of %d)", allocs, netAllocInstances)
+		for i := 1; i < netAllocRounds; i++ {
+			allocs = min(allocs, netRoundAllocs(t, plan, netAllocInstances))
+		}
+		t.Logf("one net dense12 instance: %.0f allocations (fewest of %d rounds of %d)",
+			allocs, netAllocRounds, netAllocInstances)
 		if allocs > maxNetInstanceAllocs {
 			t.Fatalf("one net dense12 instance makes %.0f allocations, want ≤ %d", allocs, maxNetInstanceAllocs)
 		}

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -297,4 +299,43 @@ func TestReorderedRecordSurvivesBufferReuse(t *testing.T) {
 			t.Fatalf("delivery %d (seq %d) never arrived", i, f.seq)
 		}
 	}
+}
+
+// TestUnhostedSiteLogged: a record for a site the node does not host is
+// dropped and logged by name, also when it was buffered out of order
+// and the bytes it was read from have been reused since.
+func TestUnhostedSiteLogged(t *testing.T) {
+	var mu sync.Mutex
+	var logs []string
+	n := NewNode(Config{ID: "B", ListenAddr: "127.0.0.1:0", NodeIndex: 1,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		}})
+	defer n.Close()
+	n.Register("sb", func(actor.Net, any) {})
+	frames := testFrames(t, 2)
+	frames[1].to = "sz"
+	rc := receiver{node: n, peerID: "A", peer: n.recvPeer("A")}
+	body := appendBatch(nil, 0, frames[1:])[2:] // strip version and type bytes
+	if _, ok := rc.batch(body); !ok {
+		t.Fatal("seq 2 refused")
+	}
+	clear(body) // as the next read would
+	if ack, ok := rc.batch(appendBatch(nil, 0, frames[:1])[2:]); !ok || ack != 2 {
+		t.Fatalf("seq 1: ack %d, ok %v; want ack 2", ack, ok)
+	}
+	if !n.WaitIdle(5 * time.Second) {
+		t.Fatal("deliveries never drained")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := `frame 2 from A for unhosted site "sz"`
+	for _, l := range logs {
+		if strings.Contains(l, want) {
+			return
+		}
+	}
+	t.Fatalf("logs %q, want one containing %s", logs, want)
 }

@@ -665,12 +665,14 @@ type recvPeer struct {
 	lastLsn atomic.Uint64
 }
 
-// pendingFrame is one parsed DATA record.  Its payload aliases the
-// connection's read buffer until admit buffers the record out of order.
+// pendingFrame is one parsed DATA record.  Its site name and payload
+// alias the connection's read buffer until admit buffers the record out
+// of order.
 type pendingFrame struct {
 	seq     uint64
 	clock   int64
-	ib      *inbox // destination site; nil if this node does not host it
+	to      []byte // destination site name
+	ib      *inbox // to's inbox (receiver.batch); nil if this node does not host it
 	payload []byte
 }
 
@@ -689,8 +691,8 @@ func (rp *recvPeer) admit(ready []pendingFrame, f pendingFrame) ([]pendingFrame,
 		if _, dup := rp.buffered[f.seq]; dup {
 			return ready, true, rp.watermark
 		}
-		// Held past this read: the payload gets storage of its own.
-		f.payload = bytes.Clone(f.payload)
+		// Held past this read: the record gets storage of its own.
+		f.to, f.payload = bytes.Clone(f.to), bytes.Clone(f.payload)
 		rp.buffered[f.seq] = f
 		return ready, false, rp.watermark
 	}
@@ -893,12 +895,13 @@ func (rc *receiver) route(name []byte) *inbox {
 func (rc *receiver) batch(body []byte) (ack uint64, ok bool) {
 	n := rc.node
 	var err error
-	rc.recs, err = parseBatch(rc.recs[:0], body, rc.route)
+	rc.recs, err = parseBatch(rc.recs[:0], body)
 	if err != nil {
 		n.logf("bad batch from %s: %v", rc.peerID, err)
 		return 0, false
 	}
 	for _, f := range rc.recs {
+		f.ib = rc.route(f.to)
 		if n.wal == nil {
 			n.observeClock(f.clock)
 		}
@@ -926,7 +929,7 @@ func (rc *receiver) deliver(ready []pendingFrame) bool {
 		}
 		ib := f.ib
 		if ib == nil {
-			n.logf("frame %d from %s for a site this node does not host", f.seq, rc.peerID)
+			n.logf("frame %d from %s for unhosted site %q", f.seq, rc.peerID, f.to)
 			continue
 		}
 		var lsn uint64
@@ -1104,17 +1107,16 @@ func appendBatch(dst []byte, clock int64, frames []*outFrame) []byte {
 
 // parseBatch parses a batch frame body — a count of 1..maxBatchFrames
 // followed by exactly that many DATA records — appending the records to
-// dst, each with the inbox route gives its destination site.  The whole
-// frame is checked before any record is used, so a malformed frame
-// delivers nothing.  Payloads alias body.
-func parseBatch(dst []pendingFrame, body []byte, route func(site []byte) *inbox) ([]pendingFrame, error) {
+// dst.  The whole frame is checked before any record is used, so a
+// malformed frame delivers nothing.  Site names and payloads alias body.
+func parseBatch(dst []pendingFrame, body []byte) ([]pendingFrame, error) {
 	count, used := binary.Uvarint(body)
 	if used <= 0 || count == 0 || count > maxBatchFrames {
 		return dst, fmt.Errorf("bad batch count")
 	}
 	rest := body[used:]
 	for i := uint64(0); i < count; i++ {
-		f, r, err := parseDataRecord(rest, route)
+		f, r, err := parseDataRecord(rest)
 		if err != nil {
 			return dst, err
 		}
@@ -1130,7 +1132,7 @@ func parseBatch(dst []pendingFrame, body []byte, route func(site []byte) *inbox)
 // parseDataRecord parses one DATA record and returns the unconsumed
 // remainder, letting parseBatch walk a frame of concatenated records.
 // The from-site is diagnostic only and skipped.
-func parseDataRecord(body []byte, route func(site []byte) *inbox) (f pendingFrame, rest []byte, err error) {
+func parseDataRecord(body []byte) (f pendingFrame, rest []byte, err error) {
 	pos := 0
 	field := func(what string) ([]byte, error) {
 		ln, n := binary.Uvarint(body[pos:])
@@ -1165,7 +1167,7 @@ func parseDataRecord(body []byte, route func(site []byte) *inbox) (f pendingFram
 	if err != nil {
 		return f, nil, err
 	}
-	return pendingFrame{seq: seq, clock: clock, ib: route(to), payload: payload}, body[pos:], nil
+	return pendingFrame{seq: seq, clock: clock, to: to, payload: payload}, body[pos:], nil
 }
 
 func appendAck(dst []byte, upTo uint64) []byte {

@@ -61,20 +61,18 @@ func FuzzBatchFrame(f *testing.F) {
 		{"truncated record", one[:len(one)-1], false},
 		{"oversized payload length", oversized, false},
 	}
-	sb := &inbox{site: "sb"}
-	rc := &receiver{node: &Node{sites: map[simnet.SiteID]*inbox{"sb": sb}}}
 	for _, s := range seeds {
-		recs, err := parseBatch(nil, s.body, rc.route)
+		recs, err := parseBatch(nil, s.body)
 		if (err == nil) != s.ok {
 			f.Fatalf("%s: parseBatch err = %v, want ok=%v", s.name, err, s.ok)
 		}
-		if s.ok && (recs[0].seq != 1 || recs[0].ib != sb || !bytes.Equal(recs[0].payload, []byte{0, 0xa5})) {
+		if s.ok && (recs[0].seq != 1 || string(recs[0].to) != "sb" || !bytes.Equal(recs[0].payload, []byte{0, 0xa5})) {
 			f.Fatalf("%s: first record %+v", s.name, recs[0])
 		}
 		f.Add(s.body)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		recs, err := parseBatch(nil, body, rc.route)
+		recs, err := parseBatch(nil, body)
 		if err != nil {
 			return
 		}
