@@ -1,7 +1,8 @@
 # Pre-merge gate: everything here must pass before a change lands.
 #
-#   make ci          build, vet, dependency check, full test suite, race suite, trace checks, bench smoke, fuzz smoke
+#   make ci          build, vet, dependency check, dead-code check, full test suite, race suite, trace checks, bench smoke, fuzz smoke
 #   make depcheck    the wfserve daemon must not link the simulator schedulers (internal/sched)
+#   make deadcheck   no declaration under internal/ or cmd/ without a non-test reference, unless allowlisted
 #   make test        full test suite only
 #   make race        race-detector suite over the concurrent packages
 #   make tracecheck  golden-replay determinism + trace invariants over the chaos suite
@@ -19,9 +20,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet depcheck test race enginestress tracecheck crashcheck walcheck servecheck modelcheck bench benchsmoke benchdiff fuzzsmoke profile profilenet
+.PHONY: ci build vet depcheck deadcheck test race enginestress tracecheck crashcheck walcheck servecheck modelcheck bench benchsmoke benchdiff fuzzsmoke profile profilenet
 
-ci: build vet depcheck test race enginestress tracecheck crashcheck walcheck servecheck modelcheck benchsmoke fuzzsmoke
+ci: build vet depcheck deadcheck test race enginestress tracecheck crashcheck walcheck servecheck modelcheck benchsmoke fuzzsmoke
 
 build:
 	$(GO) build ./...
@@ -37,6 +38,15 @@ depcheck:
 	@if $(GO) list -deps ./cmd/wfserve | grep -qx 'repro/internal/sched'; then \
 		echo "depcheck: cmd/wfserve depends on repro/internal/sched" >&2; exit 1; \
 	fi
+
+# Every package-level func, method, type, var and const under internal/
+# and cmd/ must have a reference from a non-test file, unless
+# internal/deadcheck/allow.txt lists it with a reason; an allowlist
+# entry whose declaration is gone or now referenced fails too.  The
+# check type-checks the standard library from source, so it is uncached
+# and takes a few seconds.
+deadcheck:
+	$(GO) test -count=1 ./internal/deadcheck
 
 test:
 	$(GO) test ./...

@@ -14,10 +14,10 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/param"
 	"repro/internal/sched"
+	"repro/internal/simnet"
 	"repro/internal/temporal"
 	"repro/internal/workload"
 )
@@ -185,7 +185,7 @@ func BenchmarkP2Schedulers(b *testing.B) {
 			b.Run(fmt.Sprintf("travel-%d/%s", n, kind), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					r := bench.RunDistributedOnce(n, kind, int64(i+1))
+					r := runDistributedOnce(n, kind, int64(i+1))
 					if !r.Satisfied {
 						b.Fatal("bad run")
 					}
@@ -317,4 +317,16 @@ func BenchmarkKnowledgeReduce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k.Reduce(guard)
 	}
+}
+
+// runDistributedOnce executes one travel workload run.
+func runDistributedOnce(n int, kind sched.Kind, seed int64) *sched.Report {
+	wl := workload.Travel(n)
+	cfg := wl.Config(kind, seed)
+	cfg.Latency = simnet.LatencyModel{Local: 5, Remote: 500, Jitter: 200}
+	r, err := sched.Run(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }

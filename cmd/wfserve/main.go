@@ -1,7 +1,7 @@
 // Command wfserve is the long-lived workflow service daemon: it hosts
 // a registry of compiled plans (many named .wf specs per tenant),
 // launches scripted or externally-driven instances across sharded
-// workers with consistent-hash placement, and answers on one port for
+// workers (instance id modulo shard count), and answers on one port for
 // both the HTTP control API and the length-prefixed binary announce
 // fast path (the byte-sniffed mux from internal/obs — a frame's
 // length prefix always leads with a zero byte, an HTTP method never
@@ -56,10 +56,6 @@ import (
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
-
-// serveEnv marks a re-exec'd test child so the test binary diverts
-// into run() instead of the suite.
-const serveEnv = "WFSERVE_MAIN"
 
 // run is the testable entry point; it returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {

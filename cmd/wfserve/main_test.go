@@ -340,3 +340,7 @@ func TestUsage(t *testing.T) {
 		t.Errorf("non-spec file: exit %d, want 1", code)
 	}
 }
+
+// serveEnv marks a re-exec'd test child so the test binary diverts
+// into run() instead of the suite.
+const serveEnv = "WFSERVE_MAIN"

@@ -395,38 +395,11 @@ func (a *Actor) waveConsistent(p *polarity, wave map[symtab.ID]bool, negs []symt
 	return true
 }
 
-// Base returns the actor's base event symbol.
-func (a *Actor) Base() algebra.Symbol { return a.base }
-
 // ID returns the base event's symbol id.
 func (a *Actor) ID() symtab.ID { return a.id }
 
 // Site returns the actor's site.
 func (a *Actor) Site() simnet.SiteID { return a.site }
-
-// GuardOf returns a polarity's residual guard: its guard reduced by
-// the actor's permanent facts.
-func (a *Actor) GuardOf(s algebra.Symbol) temporal.Formula {
-	if p := a.lookupSym(s); p != nil {
-		return a.prog.Residual(p.pol())
-	}
-	return temporal.Formula{}
-}
-
-// Occurred reports whether the polarity has occurred, with its index.
-func (a *Actor) Occurred(s algebra.Symbol) (int64, bool) {
-	p := a.lookupSym(s)
-	if p == nil || !p.occurred {
-		return 0, false
-	}
-	return p.at, true
-}
-
-// Parked reports whether an attempt for the polarity is parked.
-func (a *Actor) Parked(s algebra.Symbol) bool {
-	p := a.lookupSym(s)
-	return p != nil && p.attempted && !p.occurred && !p.rejected
-}
 
 // SetTriggerable marks a polarity as proactively triggerable by the
 // scheduler (task attribute, §2).
@@ -456,16 +429,6 @@ func (a *Actor) lookup(id symtab.ID) *polarity {
 		return nil
 	}
 	return &a.pols[id&1]
-}
-
-// lookupSym is lookup for a symbol given by name; nil when the table
-// does not hold it.
-func (a *Actor) lookupSym(s algebra.Symbol) *polarity {
-	id, ok := a.tab.Lookup(s)
-	if !ok {
-		return nil
-	}
-	return a.lookup(id)
 }
 
 // other returns the polarity opposite p.

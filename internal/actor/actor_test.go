@@ -441,3 +441,37 @@ func TestKnowledgeIsolation(t *testing.T) {
 		t.Fatal("e's actor must not hear about g")
 	}
 }
+
+// GuardOf returns a polarity's residual guard: its guard reduced by
+// the actor's permanent facts.
+func (a *Actor) GuardOf(s algebra.Symbol) temporal.Formula {
+	if p := a.lookupSym(s); p != nil {
+		return a.prog.Residual(p.pol())
+	}
+	return temporal.Formula{}
+}
+
+// Occurred reports whether the polarity has occurred, with its index.
+func (a *Actor) Occurred(s algebra.Symbol) (int64, bool) {
+	p := a.lookupSym(s)
+	if p == nil || !p.occurred {
+		return 0, false
+	}
+	return p.at, true
+}
+
+// Parked reports whether an attempt for the polarity is parked.
+func (a *Actor) Parked(s algebra.Symbol) bool {
+	p := a.lookupSym(s)
+	return p != nil && p.attempted && !p.occurred && !p.rejected
+}
+
+// lookupSym is lookup for a symbol given by name; nil when the table
+// does not hold it.
+func (a *Actor) lookupSym(s algebra.Symbol) *polarity {
+	id, ok := a.tab.Lookup(s)
+	if !ok {
+		return nil
+	}
+	return a.lookup(id)
+}

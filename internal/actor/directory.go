@@ -86,18 +86,6 @@ func (d *Directory) SubscribersOf(id symtab.ID) []simnet.SiteID {
 	return nil
 }
 
-// Events returns the placed base-event keys, sorted.
-func (d *Directory) Events() []string {
-	var out []string
-	for ev, site := range d.sites {
-		if site != "" {
-			out = append(out, d.tab.Key(symtab.ID(2*ev)))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Hooks are out-of-band instrumentation callbacks, invoked directly
 // (no simulated messages, so metrics never distort message counts).
 type Hooks struct {

@@ -1,6 +1,7 @@
 package actor
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -118,4 +119,16 @@ func TestHooksNilSafety(t *testing.T) {
 	if fired != 1 || decided != 1 {
 		t.Fatalf("hooks not invoked: fired=%d decided=%d", fired, decided)
 	}
+}
+
+// Events returns the placed base-event keys, sorted.
+func (d *Directory) Events() []string {
+	var out []string
+	for ev, site := range d.sites {
+		if site != "" {
+			out = append(out, d.tab.Key(symtab.ID(2*ev)))
+		}
+	}
+	sort.Strings(out)
+	return out
 }

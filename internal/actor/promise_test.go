@@ -226,7 +226,7 @@ func TestPromisePersistsAcrossRounds(t *testing.T) {
 
 func TestAccessorsAndStrings(t *testing.T) {
 	a := promiseRig("ev", temporal.TrueF())
-	if a.Base().Key() != "ev" || a.Site() != "site" {
+	if a.base.Key() != "ev" || a.Site() != "site" {
 		t.Error("accessors")
 	}
 	if a.GuardOf(sym("ev")).Key() != "T" {

@@ -120,9 +120,6 @@ func AppendPayload(dst []byte, payload any) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodePayload parses one encoded payload, leaving symbol ids unset.
-func DecodePayload(data []byte) (any, error) { return DecodePayloadOn(nil, data) }
-
 // DecodePayloadOn parses one encoded payload and sets the symbol id of
 // an attempt, announcement or decision from the plan's table; a nil
 // table leaves ids unset.

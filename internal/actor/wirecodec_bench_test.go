@@ -82,7 +82,7 @@ func BenchmarkDecodePayload(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodePayload(encoded[i%len(encoded)]); err != nil {
+		if _, err := DecodePayloadOn(nil, encoded[i%len(encoded)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -48,7 +48,7 @@ func TestWireCodecRejectsNestedInstanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	nested := append([]byte{WireVersion, kindInstanced, 2}, enc...)
-	if _, err := DecodePayload(nested); err == nil {
+	if _, err := DecodePayloadOn(nil, nested); err == nil {
 		t.Fatal("decoding a nested instanced envelope must error")
 	}
 }
@@ -59,7 +59,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %#v: %v", payload, err)
 		}
-		dec, err := DecodePayload(enc)
+		dec, err := DecodePayloadOn(nil, enc)
 		if err != nil {
 			t.Fatalf("decode %#v: %v", payload, err)
 		}
@@ -85,7 +85,7 @@ func TestWireCodecRejectsMalformed(t *testing.T) {
 		"huge string":      {WireVersion, 6, 0, 0xff, 0xff, 0xff, 0x7f},
 	}
 	for name, data := range cases {
-		if _, err := DecodePayload(data); err == nil {
+		if _, err := DecodePayloadOn(nil, data); err == nil {
 			t.Errorf("%s: decode %v must error", name, data)
 		}
 	}
@@ -93,7 +93,7 @@ func TestWireCodecRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodePayload(append(enc, 0)); err == nil {
+	if _, err := DecodePayloadOn(nil, append(enc, 0)); err == nil {
 		t.Error("trailing bytes must error")
 	}
 }
@@ -112,7 +112,7 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte{WireVersion, kindInquire})
 	f.Add([]byte{WireVersion, kindDecision, 0, 1, 'e', 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := DecodePayload(data)
+		msg, err := DecodePayloadOn(nil, data)
 		if err != nil {
 			return
 		}
@@ -120,7 +120,7 @@ func FuzzDecodePayload(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded %#v does not re-encode: %v", msg, err)
 		}
-		again, err := DecodePayload(enc)
+		again, err := DecodePayloadOn(nil, enc)
 		if err != nil {
 			t.Fatalf("re-encoded %#v does not decode: %v", msg, err)
 		}
@@ -184,7 +184,7 @@ func TestDecodeTablePathEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := DecodePayload(enc)
+		plain, err := DecodePayloadOn(nil, enc)
 		if err != nil {
 			t.Fatalf("%v: %v", payload, err)
 		}

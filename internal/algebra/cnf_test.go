@@ -72,3 +72,26 @@ func TestCNFIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// IsCNF reports whether no + or | occurs under a · in the expression.
+func IsCNF(e *Expr) bool {
+	switch e.Kind() {
+	case KZero, KTop, KAtom:
+		return true
+	case KChoice, KConj:
+		for _, s := range e.Subs() {
+			if !IsCNF(s) {
+				return false
+			}
+		}
+		return true
+	case KSeq:
+		for _, s := range e.Subs() {
+			if s.Kind() != KAtom {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}

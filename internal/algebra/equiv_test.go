@@ -149,3 +149,14 @@ func TestEquivalentQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// EquivalentOver reports whether two expressions are satisfied by
+// exactly the same traces of the universe.
+func EquivalentOver(a, b *Expr, universe []Trace) bool {
+	for _, u := range universe {
+		if u.Satisfies(a) != u.Satisfies(b) {
+			return false
+		}
+	}
+	return true
+}

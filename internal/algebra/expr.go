@@ -316,28 +316,6 @@ func (e *Expr) collectGamma(a Alphabet) {
 	}
 }
 
-// Mentions reports whether the expression mentions the symbol in
-// exactly the given polarity (not its complement).
-func (e *Expr) Mentions(s Symbol) bool {
-	switch e.kind {
-	case KAtom:
-		return e.sym.Equal(s)
-	case KSeq, KChoice, KConj:
-		for _, sub := range e.subs {
-			if sub.Mentions(s) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// MentionsEvent reports whether the expression mentions the event in
-// either polarity.
-func (e *Expr) MentionsEvent(s Symbol) bool {
-	return e.Mentions(s) || e.Mentions(s.Complement())
-}
-
 // Atoms returns the distinct atom symbols that literally appear in the
 // expression (no complement closure), sorted by key.
 func (e *Expr) Atoms() []Symbol {
@@ -360,14 +338,4 @@ func (e *Expr) Atoms() []Symbol {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
-}
-
-// Size returns the number of nodes in the expression tree; used by the
-// benchmarks to report guard sizes.
-func (e *Expr) Size() int {
-	n := 1
-	for _, s := range e.subs {
-		n += s.Size()
-	}
-	return n
 }

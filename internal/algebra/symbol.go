@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -142,19 +141,6 @@ func (s Symbol) String() string { return s.Key() }
 
 // Less orders symbols by their canonical key.
 func (s Symbol) Less(o Symbol) bool { return s.Key() < o.Key() }
-
-// Validate reports a descriptive error for malformed symbols.
-func (s Symbol) Validate() error {
-	if s.Name == "" {
-		return fmt.Errorf("algebra: symbol with empty name")
-	}
-	for _, t := range s.Params {
-		if t.Value == "" {
-			return fmt.Errorf("algebra: symbol %s has an empty parameter", s.Name)
-		}
-	}
-	return nil
-}
 
 // Alphabet is a set of symbols closed or not closed under
 // complementation, keyed by canonical form.

@@ -1,6 +1,9 @@
 package algebra
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestSymbolComplement(t *testing.T) {
 	e := Sym("e")
@@ -108,4 +111,17 @@ func TestAlphabetBasesSorted(t *testing.T) {
 	if len(bases) != 2 || bases[0].Key() != "e" || bases[1].Key() != "f" {
 		t.Fatalf("bases: got %v", bases)
 	}
+}
+
+// Validate reports a descriptive error for malformed symbols.
+func (s Symbol) Validate() error {
+	if s.Name == "" {
+		return fmt.Errorf("algebra: symbol with empty name")
+	}
+	for _, t := range s.Params {
+		if t.Value == "" {
+			return fmt.Errorf("algebra: symbol %s has an empty parameter", s.Name)
+		}
+	}
+	return nil
 }

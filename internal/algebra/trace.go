@@ -205,14 +205,3 @@ func Denotation(e *Expr, universe []Trace) []Trace {
 	}
 	return out
 }
-
-// EquivalentOver reports whether two expressions are satisfied by
-// exactly the same traces of the universe.
-func EquivalentOver(a, b *Expr, universe []Trace) bool {
-	for _, u := range universe {
-		if u.Satisfies(a) != u.Satisfies(b) {
-			return false
-		}
-	}
-	return true
-}

@@ -86,15 +86,6 @@ type Outcome struct {
 	Decisions, Announcements int
 }
 
-// Occurred maps the occurred keys to their occurrence indices.
-func (o *Outcome) Occurred() map[string]int64 {
-	m := make(map[string]int64, len(o.Trace))
-	for i, k := range o.Trace {
-		m[k] = o.At[i]
-	}
-	return m
-}
-
 // Fingerprint is a transport-independent summary: the occurred key
 // set, the unresolved set, and satisfaction.  Two runs of the same
 // spec agree on it iff they reached the same final state.
@@ -109,7 +100,6 @@ func (o *Outcome) Fingerprint() string {
 type Runner struct {
 	tr        Transport
 	plan      *Plan
-	driver    simnet.SiteID
 	timeout   time.Duration
 	pipelined bool
 	satCache  *SatCache
@@ -447,7 +437,7 @@ func (r *Runner) submit(id symtab.ID, forced bool) error {
 	if forced {
 		f = 1
 	}
-	r.tr.Send(r.driver, site, r.plan.attempts[f][id])
+	r.tr.Send(DefaultDriver, site, r.plan.attempts[f][id])
 	return nil
 }
 

@@ -39,14 +39,6 @@ func (r *Runner) Attempt(sym algebra.Symbol, forced bool) (decided, accepted boo
 	return true, accepted, nil
 }
 
-// Resolved reports whether either polarity of base has occurred — the
-// serving layer's per-event status probe.  A symbol outside the plan
-// is never resolved.
-func (r *Runner) Resolved(base algebra.Symbol) bool {
-	id, err := r.plan.lookup(base)
-	return err == nil && r.resolved(id.Base())
-}
-
 // Finish closes an externally-driven run out to a maximal trace and
 // returns the outcome: Run's drive loop with no agent scripts.  For
 // every unresolved base event it first attempts the complement ("this

@@ -48,7 +48,6 @@ type Plan struct {
 	// runner observes through actor hooks instead: no observer
 	// traffic at all, which single-process engines exploit.
 	observe bool
-	driver  simnet.SiteID
 	// dir places every event and holds the plan's symbol table: the
 	// alphabet's bases in sorted order, then the extras, so two builds
 	// of one spec assign the same ids.
@@ -94,9 +93,6 @@ type actorPlan struct {
 
 // PlanOptions configure NewPlan.
 type PlanOptions struct {
-	// Driver is the site attempts originate from (default "ctl").  It
-	// must not collide with any actor site.
-	Driver simnet.SiteID
 	// Observe subscribes and registers the driver site as the
 	// observer of every announcement and decision.  Required for
 	// multi-process runs; single-process runners can leave it off and
@@ -109,10 +105,6 @@ type PlanOptions struct {
 // NewPlan compiles (unless pre-compiled) and computes the shared
 // install plan.
 func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
-	driver := opt.Driver
-	if driver == "" {
-		driver = DefaultDriver
-	}
 	c := opt.Compiled
 	if c == nil {
 		var err error
@@ -121,7 +113,7 @@ func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
 		}
 	}
 	p := &Plan{
-		sp: sp, c: c, observe: opt.Observe, driver: driver,
+		sp: sp, c: c, observe: opt.Observe,
 		dir: actor.NewDirectory(),
 	}
 	p.tab = p.dir.Table()
@@ -131,8 +123,8 @@ func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
 	seenSite := map[simnet.SiteID]bool{}
 	for _, b := range all {
 		site := pl.SiteFor(b)
-		if site == driver {
-			return nil, fmt.Errorf("arun: event %s placed on the driver site %q", b, driver)
+		if site == DefaultDriver {
+			return nil, fmt.Errorf("arun: event %s placed on the driver site %q", b, DefaultDriver)
 		}
 		if !seenSite[site] {
 			seenSite[site] = true
@@ -144,7 +136,7 @@ func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
 			// and outcome traces are driven off these announcements,
 			// which is what makes the runner work across process
 			// boundaries.
-			p.dir.Subscribe(b, driver)
+			p.dir.Subscribe(b, DefaultDriver)
 		}
 	}
 	sort.Slice(p.sites, func(i, j int) bool { return p.sites[i] < p.sites[j] })
@@ -180,7 +172,7 @@ func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
 	}
 	var replyTo simnet.SiteID
 	if p.observe {
-		replyTo = driver
+		replyTo = DefaultDriver
 	}
 	for f := range p.attempts {
 		p.attempts[f] = make([]any, p.tab.Len())
@@ -218,9 +210,6 @@ func (p *Plan) lowerSteps(steps []spec.Step) []step {
 	}
 	return out
 }
-
-// Compiled returns the plan's compiled workflow.
-func (p *Plan) Compiled() *core.Compiled { return p.c }
 
 // Symbols returns the plan's symbol table.
 func (p *Plan) Symbols() *symtab.Table { return p.tab }
@@ -313,7 +302,7 @@ func (p *Plan) build(tr Transport, opt RunnerOptions, quietTrace bool) (*runnerB
 	}
 	scratch.reset(p)
 	r := &Runner{
-		tr: tr, plan: p, driver: p.driver, timeout: timeout,
+		tr: tr, plan: p, timeout: timeout,
 		pipelined: opt.Pipelined, satCache: opt.SatCache,
 		obsState: &scratch.obs,
 	}
@@ -340,8 +329,8 @@ func (p *Plan) build(tr Transport, opt RunnerOptions, quietTrace bool) (*runnerB
 	for _, site := range set.sites {
 		tr.Register(site, set.hosts[site].handler)
 	}
-	if p.observe && (opt.Hosted == nil || opt.Hosted(p.driver)) {
-		tr.Register(p.driver, r.onDriverMsg)
+	if p.observe && (opt.Hosted == nil || opt.Hosted(DefaultDriver)) {
+		tr.Register(DefaultDriver, r.onDriverMsg)
 	}
 	r.set = set
 	b := &runnerBuild{r: r, tracer: tracer, inst: opt.Instance}

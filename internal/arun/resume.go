@@ -71,7 +71,7 @@ type occState struct {
 // serializes one site's settled state (the driver's observations, or a
 // hosted site's actors).
 func (b *runnerBuild) exportSite(site simnet.SiteID) ([]byte, error) {
-	if site == b.r.driver {
+	if site == DefaultDriver {
 		return b.r.exportDriver()
 	}
 	h, ok := b.r.set.hosts[site]
@@ -92,7 +92,7 @@ func (b *runnerBuild) exportSite(site simnet.SiteID) ([]byte, error) {
 // RestoreSite implements netwire.RecoveryHost: it dispatches snapshot
 // state to the driver or the owning site host.
 func (b *runnerBuild) RestoreSite(site simnet.SiteID, state []byte) error {
-	if site == b.r.driver {
+	if site == DefaultDriver {
 		return b.r.restoreDriver(state)
 	}
 	h, ok := b.r.set.hosts[site]

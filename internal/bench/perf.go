@@ -392,16 +392,3 @@ func CompiledEqual(a, b *core.Compiled) bool {
 	}
 	return true
 }
-
-// RunDistributedOnce executes one travel workload run, used by the
-// root benchmarks.
-func RunDistributedOnce(n int, kind sched.Kind, seed int64) *sched.Report {
-	wl := workload.Travel(n)
-	cfg := wl.Config(kind, seed)
-	cfg.Latency = simnet.LatencyModel{Local: 5, Remote: 500, Jitter: 200}
-	r, err := sched.Run(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}

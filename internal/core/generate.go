@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/algebra"
-	"repro/internal/temporal"
-)
+import "repro/internal/algebra"
 
 // Generates reports whether the workflow generates the trace u under
 // Definition 4: every event of u is permitted, at the moment it
@@ -60,30 +57,6 @@ func GeneratedTraces(c *Compiled) []algebra.Trace {
 		if GeneratesCompiled(c, u) {
 			out = append(out, u)
 		}
-	}
-	return out
-}
-
-// SatisfyingTraces enumerates the maximal traces over the workflow's
-// alphabet that satisfy every dependency.
-func SatisfyingTraces(w *Workflow) []algebra.Trace {
-	var out []algebra.Trace
-	for _, u := range algebra.MaximalUniverse(w.Alphabet()) {
-		if SatisfiesAll(w, u) {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// GuardTableFor builds the per-event decision formulas for one
-// dependency across its whole alphabet — the content of Figure 4,
-// regenerated by the wfbench E9 experiment.
-func GuardTableFor(d *algebra.Expr) map[string]temporal.Formula {
-	sy := NewSynthesizer()
-	out := make(map[string]temporal.Formula)
-	for _, s := range d.Gamma().Symbols() {
-		out[s.Key()] = sy.Guard(d, s)
 	}
 	return out
 }

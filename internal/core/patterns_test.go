@@ -88,8 +88,8 @@ func TestPatternGuardTables(t *testing.T) {
 			// Definition 4 requires — at every index of every maximal
 			// trace where ev occurs next, the guard's truth must match
 			// the trace's satisfaction of the dependency.
-			wantF := temporal.MustParseFormula(want)
-			if !wantF.Equal(got) {
+			wantF, err := temporal.ParseFormula(want)
+			if err != nil || !wantF.Equal(got) {
 				t.Errorf("%s: expectation %q does not re-parse to the guard", c.name, want)
 			}
 			for _, u := range uni {

@@ -79,16 +79,6 @@ func Chain(events ...algebra.Symbol) []*algebra.Expr {
 	return out
 }
 
-// ForkJoin orders a start event before each middle event and each
-// middle event before the join.
-func ForkJoin(start algebra.Symbol, middles []algebra.Symbol, join algebra.Symbol) []*algebra.Expr {
-	var out []*algebra.Expr
-	for _, m := range middles {
-		out = append(out, Before(start, m), Before(m, join))
-	}
-	return out
-}
-
 // MutexPair is Example 13's parametrized mutual exclusion in one
 // direction: if task i enters its critical section before task j
 // enters, then i exits before j enters.  Events: bi/ei are i's

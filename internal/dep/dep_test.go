@@ -90,10 +90,6 @@ func TestChainAndForkJoin(t *testing.T) {
 	if !chain[0].Equal(Before(a, b)) || !chain[1].Equal(Before(b, c)) {
 		t.Fatal("chain must order successive pairs")
 	}
-	fj := ForkJoin(a, []algebra.Symbol{b}, c)
-	if len(fj) != 2 {
-		t.Fatalf("forkjoin deps: %d", len(fj))
-	}
 }
 
 func TestMutexPairMatchesPaper(t *testing.T) {

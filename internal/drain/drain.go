@@ -63,10 +63,6 @@ func (h *Handler) run(sig os.Signal) {
 	h.once.Do(func() { h.fn(sig) })
 }
 
-// Trigger runs the drain function now (if it has not already run) and
-// returns once it completes.
-func (h *Handler) Trigger() { h.run(nil) }
-
 // Stop unregisters the signal watcher.  A drain already in flight is
 // not interrupted; a never-triggered handler simply stops listening.
 func (h *Handler) Stop() {

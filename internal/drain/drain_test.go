@@ -28,7 +28,7 @@ func TestSignalDrain(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("drain never ran after SIGTERM")
 	}
-	h.Trigger() // must be a no-op now
+	h.run(nil) // must be a no-op now
 	if n := runs.Load(); n != 1 {
 		t.Errorf("drain ran %d times, want 1", n)
 	}
@@ -42,7 +42,7 @@ func TestTriggerOnce(t *testing.T) {
 	defer h.Stop()
 	done := make(chan struct{})
 	for i := 0; i < 4; i++ {
-		go func() { h.Trigger(); done <- struct{}{} }()
+		go func() { h.run(nil); done <- struct{}{} }()
 	}
 	for i := 0; i < 4; i++ {
 		<-done

@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/arun"
-	"repro/internal/core"
 	"repro/internal/netwire"
 	"repro/internal/obs"
 	"repro/internal/quiesce"
@@ -60,7 +59,8 @@ const (
 	ModeNet
 )
 
-// Options configure an engine run.
+// Options configure an engine run.  The plan is not among them: Run
+// compiles one from the spec, and RunPlan takes one already built.
 type Options struct {
 	// Instances is the number of workflow instances to execute
 	// (default 1).
@@ -76,8 +76,6 @@ type Options struct {
 	// Fault, when set, applies the chaos schedule — per instance on
 	// sim, on the shared mesh links for net.
 	Fault *simnet.FaultPlan
-	// Compiled reuses a pre-compiled workflow (optional).
-	Compiled *core.Compiled
 	// IdleTimeout bounds each instance's waits (default 15s).
 	IdleTimeout time.Duration
 	// Jitter widens the per-instance sim latency jitter (µs) so
@@ -101,13 +99,6 @@ type Options struct {
 	// CheckpointEvery enables periodic watermark checkpoints per node
 	// in WAL mode.
 	CheckpointEvery time.Duration
-	// Plan reuses a pre-built arun.Plan (compiled workflow, directory,
-	// guard specs) instead of building one from the spec — the
-	// multi-plan hosting path: a registry (internal/serve) compiles
-	// each named spec once and every engine run against it skips
-	// compilation entirely.  When set, Compiled is ignored (the plan
-	// already embodies it).
-	Plan *arun.Plan
 }
 
 // Result aggregates an engine run.
@@ -149,17 +140,13 @@ func (r *Result) FiresPerSec() float64 {
 	return float64(r.Fires) / r.Elapsed.Seconds()
 }
 
-// Run executes opt.Instances instances of the spec and aggregates the
-// outcomes.  With opt.Plan set the spec argument is ignored and the
-// pre-built plan is executed directly.
+// Run compiles the spec into a plan, executes opt.Instances instances
+// of it and aggregates the outcomes.  A host that keeps a plan live
+// across runs calls RunPlan instead.
 func Run(sp *spec.Spec, opt Options) (*Result, error) {
-	plan := opt.Plan
-	if plan == nil {
-		var err error
-		plan, err = arun.NewPlan(sp, arun.PlanOptions{Compiled: opt.Compiled})
-		if err != nil {
-			return nil, err
-		}
+	plan, err := arun.NewPlan(sp, arun.PlanOptions{})
+	if err != nil {
+		return nil, err
 	}
 	return RunPlan(plan, opt)
 }

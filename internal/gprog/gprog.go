@@ -223,13 +223,6 @@ func (p *Prog) compilePol(in GuardInput, litIdx map[string]int32) polProg {
 // — i.e. whether Decide's localClean argument matters for it.
 func (p *Prog) NeedsLocal(pol int) bool { return p.pols[pol].hasLocal }
 
-// Lits returns the number of literal slots (for tests and stats).
-func (p *Prog) Lits() int { return len(p.lits) }
-
-// Words returns the number of uint64 words per literal bitmask: 1 on
-// the fast path, more once the literal universe spills past 64 slots.
-func (p *Prog) Words() int { return p.words }
-
 // Table returns the symbol table the program was lowered onto.
 func (p *Prog) Table() *symtab.Table { return p.tab }
 
@@ -433,21 +426,6 @@ func (s *State) UnholdID(id symtab.ID) bool {
 	return true
 }
 
-// PromiseID mirrors Knowledge.Promise: a binding ◇ promise, never
-// weakening occurrence facts; the complement becomes impossible.
-func (s *State) PromiseID(id symtab.ID) {
-	if !s.Has(id) {
-		return
-	}
-	if st := s.cells[id].st; st == temporal.StatusOccurred || st == temporal.StatusImpossible {
-		return
-	}
-	s.cells[id].st = temporal.StatusPromised
-	s.recompute(id)
-	s.cells[id^1].st = temporal.StatusImpossible
-	s.recompute(id ^ 1)
-}
-
 // CondPromiseID mirrors Knowledge.CondPromise: upgrades unknown or
 // held symbols only.
 func (s *State) CondPromiseID(id symtab.ID) {
@@ -458,15 +436,6 @@ func (s *State) CondPromiseID(id symtab.ID) {
 		return
 	}
 	s.cells[id].st = temporal.StatusCondPromised
-	s.recompute(id)
-}
-
-// ClearCondID mirrors Knowledge.ClearCond.
-func (s *State) ClearCondID(id symtab.ID) {
-	if !s.Has(id) || s.cells[id].st != temporal.StatusCondPromised {
-		return
-	}
-	s.cells[id].st = temporal.StatusUnknown
 	s.recompute(id)
 }
 
@@ -488,29 +457,6 @@ func (s *State) lookup(sym algebra.Symbol) symtab.ID {
 
 // Observe is ObserveID for a symbol given by name.
 func (s *State) Observe(sym algebra.Symbol, t int64) bool { return s.ObserveID(s.lookup(sym), t) }
-
-// MarkImpossible is MarkImpossibleID for a symbol given by name.
-func (s *State) MarkImpossible(sym algebra.Symbol) bool { return s.MarkImpossibleID(s.lookup(sym)) }
-
-// Hold is HoldID for a symbol given by name.
-func (s *State) Hold(sym algebra.Symbol) bool { return s.HoldID(s.lookup(sym)) }
-
-// Unhold is UnholdID for a symbol given by name.
-func (s *State) Unhold(sym algebra.Symbol) bool { return s.UnholdID(s.lookup(sym)) }
-
-// Promise is PromiseID for a symbol given by name.
-func (s *State) Promise(sym algebra.Symbol) { s.PromiseID(s.lookup(sym)) }
-
-// CondPromise is CondPromiseID for a symbol given by name.
-func (s *State) CondPromise(sym algebra.Symbol) { s.CondPromiseID(s.lookup(sym)) }
-
-// ClearCond is ClearCondID for a symbol given by name.
-func (s *State) ClearCond(sym algebra.Symbol) { s.ClearCondID(s.lookup(sym)) }
-
-// Status is StatusID for a symbol given by name.
-func (s *State) Status(sym algebra.Symbol) (temporal.Status, bool) {
-	return s.StatusID(s.lookup(sym))
-}
 
 // Facts calls fn for every id with a known status, in id order; the
 // time is an occurrence's and zero otherwise.

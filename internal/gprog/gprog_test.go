@@ -404,8 +404,8 @@ func TestWideGuardSpill(t *testing.T) {
 	}
 	g := temporal.And(wide...)
 	p := Compile(GuardInput{Guard: g}, GuardInput{Guard: temporal.TrueF()})
-	if p.Lits() <= 64 {
-		t.Fatalf("expected >64 literal slots, got %d", p.Lits())
+	if len(p.lits) <= 64 {
+		t.Fatalf("expected >64 literal slots, got %d", len(p.lits))
 	}
 	st := p.NewState()
 	var k temporal.Knowledge
@@ -420,4 +420,46 @@ func TestWideGuardSpill(t *testing.T) {
 	if v := st.Decide(PolPos, false); v != temporal.True {
 		t.Fatalf("all observed: Decide=%v", v)
 	}
+}
+
+// MarkImpossible is MarkImpossibleID for a symbol given by name.
+func (s *State) MarkImpossible(sym algebra.Symbol) bool { return s.MarkImpossibleID(s.lookup(sym)) }
+
+// Hold is HoldID for a symbol given by name.
+func (s *State) Hold(sym algebra.Symbol) bool { return s.HoldID(s.lookup(sym)) }
+
+// Unhold is UnholdID for a symbol given by name.
+func (s *State) Unhold(sym algebra.Symbol) bool { return s.UnholdID(s.lookup(sym)) }
+
+// Promise is PromiseID for a symbol given by name.
+func (s *State) Promise(sym algebra.Symbol) { s.PromiseID(s.lookup(sym)) }
+
+// CondPromise is CondPromiseID for a symbol given by name.
+func (s *State) CondPromise(sym algebra.Symbol) { s.CondPromiseID(s.lookup(sym)) }
+
+// ClearCond is ClearCondID for a symbol given by name.
+func (s *State) ClearCond(sym algebra.Symbol) { s.ClearCondID(s.lookup(sym)) }
+
+// PromiseID mirrors Knowledge.Promise: a binding ◇ promise, never
+// weakening occurrence facts; the complement becomes impossible.
+func (s *State) PromiseID(id symtab.ID) {
+	if !s.Has(id) {
+		return
+	}
+	if st := s.cells[id].st; st == temporal.StatusOccurred || st == temporal.StatusImpossible {
+		return
+	}
+	s.cells[id].st = temporal.StatusPromised
+	s.recompute(id)
+	s.cells[id^1].st = temporal.StatusImpossible
+	s.recompute(id ^ 1)
+}
+
+// ClearCondID mirrors Knowledge.ClearCond.
+func (s *State) ClearCondID(id symtab.ID) {
+	if !s.Has(id) || s.cells[id].st != temporal.StatusCondPromised {
+		return
+	}
+	s.cells[id].st = temporal.StatusUnknown
+	s.recompute(id)
 }

@@ -97,11 +97,11 @@ func wideFormula(r *rand.Rand) temporal.Formula {
 
 func requireSpilled(t *testing.T, p *Prog) {
 	t.Helper()
-	if p.Lits() <= 64 {
-		t.Fatalf("universe did not spill: %d literals", p.Lits())
+	if len(p.lits) <= 64 {
+		t.Fatalf("universe did not spill: %d literals", len(p.lits))
 	}
-	if p.Words() < 2 {
-		t.Fatalf("%d literals but Words()=%d", p.Lits(), p.Words())
+	if p.words < 2 {
+		t.Fatalf("%d literals but Words()=%d", len(p.lits), p.words)
 	}
 }
 

@@ -33,6 +33,10 @@ import (
 	"repro/internal/symtab"
 )
 
+// maxSteps bounds the deliveries of one explored run, catching
+// livelock.
+const maxSteps = 200_000
+
 // ExploreOptions bound one exploration.
 type ExploreOptions struct {
 	// MaxEvents skips (explicitly) workflows over this many events
@@ -41,9 +45,6 @@ type ExploreOptions struct {
 	// MaxRuns bounds the number of complete scheduler runs (default
 	// 4000).  Hitting it sets Report.Truncated rather than failing.
 	MaxRuns int
-	// MaxSteps bounds deliveries per run, catching livelock (default
-	// 200000).
-	MaxSteps int
 	// Budget bounds wall-clock time (default 30s); hitting it sets
 	// Truncated.
 	Budget time.Duration
@@ -55,9 +56,6 @@ func (o ExploreOptions) withDefaults() ExploreOptions {
 	}
 	if o.MaxRuns <= 0 {
 		o.MaxRuns = 4000
-	}
-	if o.MaxSteps <= 0 {
-		o.MaxSteps = 200_000
 	}
 	if o.Budget <= 0 {
 		o.Budget = 30 * time.Second
@@ -86,9 +84,6 @@ type ExploreReport struct {
 	SkipReason string
 	Elapsed    time.Duration
 }
-
-// Ok reports a completed, conformant exploration.
-func (r *ExploreReport) Ok() bool { return r.Violation == "" && r.SkipReason == "" }
 
 // Explore runs the scheduler-interleaving DFS for one spec.
 func Explore(name string, sp *spec.Spec, opt ExploreOptions) (*ExploreReport, error) {
@@ -123,7 +118,7 @@ func Explore(name string, sp *spec.Spec, opt ExploreOptions) (*ExploreReport, er
 		script := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 
-		net := newCtrlNet(arun.DefaultDriver, script, visited, o.MaxSteps)
+		net := newCtrlNet(arun.DefaultDriver, script, visited)
 		r, err := plan.NewRunner(net, arun.RunnerOptions{})
 		if err != nil {
 			return nil, err
@@ -257,7 +252,6 @@ type ctrlNet struct {
 	handlers map[simnet.SiteID]func(actor.Net, any)
 	queues   map[linkKey][]any
 	steps    int
-	maxSteps int
 	occ      int64
 
 	// driver is the observer site: deliveries to it only append to the
@@ -276,14 +270,13 @@ type ctrlNet struct {
 	err     error
 }
 
-func newCtrlNet(driver simnet.SiteID, script []int, visited map[[16]byte]bool, maxSteps int) *ctrlNet {
+func newCtrlNet(driver simnet.SiteID, script []int, visited map[[16]byte]bool) *ctrlNet {
 	return &ctrlNet{
 		handlers: map[simnet.SiteID]func(actor.Net, any){},
 		queues:   map[linkKey][]any{},
 		driver:   driver,
 		script:   script,
 		visited:  visited,
-		maxSteps: maxSteps,
 	}
 }
 
@@ -335,8 +328,8 @@ func (c *ctrlNet) WaitIdle(time.Duration) bool {
 		if len(links) == 0 {
 			return true
 		}
-		if c.steps++; c.steps > c.maxSteps {
-			c.err = fmt.Errorf("mc: exploration exceeded %d deliveries in one run (livelock?)", c.maxSteps)
+		if c.steps++; c.steps > maxSteps {
+			c.err = fmt.Errorf("mc: exploration exceeded %d deliveries in one run (livelock?)", maxSteps)
 			return false
 		}
 		pick := 0

@@ -121,9 +121,6 @@ type Report struct {
 	SkipReason string
 }
 
-// Ok reports a completed check with no divergence.
-func (r *Report) Ok() bool { return r.SkipReason == "" && r.Divergence == nil }
-
 // diaDead marks a ◇ automaton that can no longer complete.
 const diaDead = 0xFF
 

@@ -174,7 +174,10 @@ func checkInvariants(t *testing.T, label string, out *arun.Outcome) {
 	if len(out.Unresolved) > 0 {
 		t.Errorf("%s: events unresolved: %s", label, out.Fingerprint())
 	}
-	occurred := out.Occurred()
+	occurred := map[string]bool{}
+	for _, k := range out.Trace {
+		occurred[k] = true
+	}
 	for sym := range occurred {
 		if len(sym) > 0 && sym[0] != '~' {
 			if _, both := occurred["~"+sym]; both {

@@ -54,7 +54,7 @@ func crashRestartRun(t *testing.T, sp *spec.Spec, sites []simnet.SiteID,
 	// post-crash work adds records.
 	tracer := obs.NewTracer(1)
 	tracer.Enable(true)
-	plan, err := arun.NewPlan(sp, arun.PlanOptions{Driver: arun.DefaultDriver, Observe: true})
+	plan, err := arun.NewPlan(sp, arun.PlanOptions{Observe: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSnapshotRecovery(t *testing.T) {
 	dir := t.TempDir()
 	tracer := obs.NewTracer(1)
 	tracer.Enable(true)
-	plan, err := arun.NewPlan(sp, arun.PlanOptions{Driver: arun.DefaultDriver, Observe: true})
+	plan, err := arun.NewPlan(sp, arun.PlanOptions{Observe: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -254,7 +254,7 @@ func (l *link) run() {
 // frames as they arrive, retransmitting from the oldest unacked frame
 // whenever the retransmission timer fires without ack progress.
 func (l *link) session(conn net.Conn) {
-	cw := newConnWriter(conn, l.node.cfg.writeTimeout())
+	cw := newConnWriter(conn, writeTimeout)
 	defer func() {
 		cw.shutdown()
 		conn.Close()

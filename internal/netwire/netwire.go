@@ -109,8 +109,6 @@ type Config struct {
 	// RetryMin/RetryMax bound the reconnect backoff and the
 	// retransmission timeout (defaults 15ms / 500ms).
 	RetryMin, RetryMax time.Duration
-	// WriteTimeout bounds each frame write (default 5s).
-	WriteTimeout time.Duration
 	// WAL, when set, makes the node durable: inbound deliveries,
 	// outbound frames, acknowledgement watermarks, and verdict
 	// transitions are logged, deliveries are processed only once their
@@ -150,12 +148,8 @@ func (c *Config) retryMax() time.Duration {
 	return 500 * time.Millisecond
 }
 
-func (c *Config) writeTimeout() time.Duration {
-	if c.WriteTimeout > 0 {
-		return c.WriteTimeout
-	}
-	return 5 * time.Second
-}
+// writeTimeout bounds each frame write.
+const writeTimeout = 5 * time.Second
 
 // Node is one transport endpoint; it implements actor.Net for the
 // actors of its hosted sites.
@@ -242,14 +236,6 @@ func (n *Node) Listen() (string, error) {
 	}
 	n.lis = lis
 	return lis.Addr().String(), nil
-}
-
-// Addr returns the bound listen address ("" before Listen).
-func (n *Node) Addr() string {
-	if n.lis == nil {
-		return ""
-	}
-	return n.lis.Addr().String()
 }
 
 // Register hosts a site on this node.  The handler runs on a single
@@ -742,7 +728,7 @@ func (n *Node) serveConn(conn net.Conn) {
 		conn = wrapped
 	}
 	defer conn.Close()
-	cw := newConnWriter(conn, n.cfg.writeTimeout())
+	cw := newConnWriter(conn, writeTimeout)
 	defer cw.shutdown()
 	var pump *ackPump
 	if n.wal != nil {

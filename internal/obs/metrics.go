@@ -44,9 +44,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Gauge is an instantaneous level (queue depth, active instances).
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores an absolute level.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add moves the level by delta (negative to decrease).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
@@ -72,12 +69,6 @@ func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
 // Registry holds named metrics.  Registration (get-or-create) takes a
 // mutex; the returned metric handles are lock-free, so hot paths

@@ -22,7 +22,7 @@ func TestCounter(t *testing.T) {
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("depth")
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	if got := g.Value(); got != 7 {
 		t.Fatalf("gauge = %d, want 7", got)
@@ -35,10 +35,10 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []int64{5, 10, 11, 100, 500, 99999} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 6 {
+	if got := h.count.Load(); got != 6 {
 		t.Fatalf("count = %d, want 6", got)
 	}
-	if got := h.Sum(); got != 5+10+11+100+500+99999 {
+	if got := h.sum.Load(); got != 5+10+11+100+500+99999 {
 		t.Fatalf("sum = %d", got)
 	}
 	m, _ := r.Snapshot().Get("lat")
@@ -88,12 +88,12 @@ func TestDiff(t *testing.T) {
 	h := r.Histogram("h", 10, 100)
 
 	c.Add(5)
-	g.Set(3)
+	g.Add(3)
 	h.Observe(7)
 	before := r.Snapshot()
 
 	c.Add(2)
-	g.Set(9)
+	g.Add(6)
 	h.Observe(50)
 	h.Observe(500)
 	d := r.Snapshot().Diff(before)
@@ -127,7 +127,7 @@ func TestDiffAbsentMetricUsesZero(t *testing.T) {
 func TestWriteJSONDeterministic(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b.count").Add(2)
-	r.Gauge("a.level").Set(-1)
+	r.Gauge("a.level").Add(-1)
 	r.Histogram("c.hist", 1, 2).Observe(2)
 
 	var one, two strings.Builder

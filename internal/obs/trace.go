@@ -96,9 +96,6 @@ func (t *Tracer) Enable(full bool) {
 // Disable turns capture off; collected records stay readable.
 func (t *Tracer) Disable() { t.enabled.Store(false) }
 
-// Enabled reports whether capture is on.
-func (t *Tracer) Enabled() bool { return t.enabled.Load() }
-
 // Reset discards collected records and the sequence and instance-tag
 // counters, so a fresh capture is deterministic from record zero.
 func (t *Tracer) Reset() {
@@ -120,13 +117,6 @@ func (t *Tracer) Reset() {
 // this once per run.  Reset restarts the allocation.
 func (t *Tracer) NextInst() uint32 {
 	return t.insts.Add(1) - 1
-}
-
-// Dropped returns the number of records the ring overwrote.
-func (t *Tracer) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 func (t *Tracer) emit(r Record) {
@@ -218,20 +208,6 @@ func SortCausal(recs []Record) {
 		}
 		return a.Seq < b.Seq
 	})
-}
-
-// Merge combines several captures into one causally-ordered stream.
-func Merge(captures ...[]Record) []Record {
-	var n int
-	for _, c := range captures {
-		n += len(c)
-	}
-	out := make([]Record, 0, n)
-	for _, c := range captures {
-		out = append(out, c...)
-	}
-	SortCausal(out)
-	return out
 }
 
 // AppendJSON appends one record as a single JSON line (no trailing

@@ -241,3 +241,24 @@ func BenchmarkScopeEnabledRing(b *testing.B) {
 		sc.Emit(Record{Lamport: int64(i), Kind: KindEval, Sym: "e", Verdict: "true"})
 	}
 }
+
+// Merge combines several captures into one causally-ordered stream.
+func Merge(captures ...[]Record) []Record {
+	var n int
+	for _, c := range captures {
+		n += len(c)
+	}
+	out := make([]Record, 0, n)
+	for _, c := range captures {
+		out = append(out, c...)
+	}
+	SortCausal(out)
+	return out
+}
+
+// Dropped returns the number of records the ring overwrote.
+func (t *Tracer) Dropped() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dropped
+}

@@ -21,9 +21,6 @@ func (h *History) Observe(s algebra.Symbol, t int64) {
 	h.grounds = append(h.grounds, s)
 }
 
-// Know exposes the underlying knowledge.
-func (h *History) Know() *temporal.Knowledge { return &h.know }
-
 // Occurred reports whether the ground symbol occurred.
 func (h *History) Occurred(s algebra.Symbol) bool {
 	return h.know.Status(s) == temporal.StatusOccurred
@@ -93,9 +90,6 @@ func NewParamGuard(template temporal.Formula) *ParamGuard {
 	sort.Strings(vars)
 	return &ParamGuard{Template: template, vars: vars}
 }
-
-// Vars returns the guard's variable names, sorted.
-func (pg *ParamGuard) Vars() []string { return pg.vars }
 
 // SubstFormula applies a binding to every symbol of a formula.
 func SubstFormula(f temporal.Formula, b Binding) temporal.Formula {

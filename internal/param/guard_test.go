@@ -82,7 +82,7 @@ func TestParamGuardMixedVars(t *testing.T) {
 		temporal.Lit(temporal.NotYet(sym("a[?x]"))),
 		temporal.Lit(temporal.Occurred(sym("b[?y]"))),
 	))
-	if got := guard.Vars(); len(got) != 2 || got[0] != "x" || got[1] != "y" {
+	if got := guard.vars; len(got) != 2 || got[0] != "x" || got[1] != "y" {
 		t.Fatalf("vars: %v", got)
 	}
 	var h History

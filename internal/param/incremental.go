@@ -253,13 +253,6 @@ type Evaluator struct {
 	failed   bool
 }
 
-// NewEvaluator builds a standalone incremental evaluator for a guard
-// over a history (no shared template index).  The history may already
-// hold observations; they are assimilated on the first Eval.
-func NewEvaluator(pg *ParamGuard, h *History) *Evaluator {
-	return newEvaluatorWith(pg, h, nil)
-}
-
 func newEvaluatorWith(pg *ParamGuard, h *History, ts *templateState) *Evaluator {
 	return &Evaluator{
 		pg:       pg,

@@ -45,7 +45,7 @@ func TestEvaluatorMatchesScratch(t *testing.T) {
 		tmpl := temporal.Or(prods...)
 		pg := NewParamGuard(tmpl)
 		h := &History{}
-		ev := NewEvaluator(pg, h)
+		ev := newEvaluatorWith(pg, h, nil)
 		if got, want := ev.Eval(), pg.Eval(h); got != want {
 			t.Fatalf("iter %d: empty history: incremental %v scratch %v (template %s)", iter, got, want, tmpl.Key())
 		}

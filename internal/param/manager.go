@@ -164,22 +164,6 @@ func (m *Manager) Attempt(ground algebra.Symbol) (Outcome, error) {
 	}
 }
 
-// Force makes a non-rejectable ground event occur regardless of its
-// guard (abort-like events).
-func (m *Manager) Force(ground algebra.Symbol) error {
-	if !ground.Ground() {
-		return fmt.Errorf("param: force of non-ground symbol %s", ground)
-	}
-	if m.hist.Occurred(ground) {
-		return nil
-	}
-	if m.hist.Occurred(ground.Complement()) {
-		return fmt.Errorf("param: cannot force %s: complement occurred", ground)
-	}
-	m.fire(ground)
-	return nil
-}
-
 func (m *Manager) eval(ground algebra.Symbol) temporal.Tri {
 	if m.scratch {
 		result := temporal.True
@@ -286,14 +270,6 @@ func (m *Manager) retryParked() {
 
 // Trace returns the occurrence sequence so far.
 func (m *Manager) Trace() algebra.Trace { return append(algebra.Trace(nil), m.trace...) }
-
-// ParkedTokens returns the currently parked tokens.
-func (m *Manager) ParkedTokens() []algebra.Symbol {
-	return append([]algebra.Symbol(nil), m.parked...)
-}
-
-// History exposes the manager's history, for guard inspection.
-func (m *Manager) History() *History { return &m.hist }
 
 // SatisfiesInstances checks the realized trace against every ground
 // instantiation of the dependencies over the bindings the trace makes

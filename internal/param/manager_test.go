@@ -38,7 +38,7 @@ func TestExample13MutualExclusion(t *testing.T) {
 	if out, _ := m.Attempt(e1); out != Accepted {
 		t.Fatalf("e1[1]: got %v", out)
 	}
-	if !m.History().Occurred(b2) {
+	if !m.hist.Occurred(b2) {
 		t.Fatalf("b2[1] must be admitted after T1 exits, trace %v", m.Trace())
 	}
 
@@ -52,7 +52,7 @@ func TestExample13MutualExclusion(t *testing.T) {
 	if out, _ := m.Attempt(e2); out != Accepted {
 		t.Fatalf("e2[1]: got %v", out)
 	}
-	if !m.History().Occurred(b1b) {
+	if !m.hist.Occurred(b1b) {
 		t.Fatalf("b1[2] must be admitted after T2 exits, trace %v", m.Trace())
 	}
 
@@ -223,7 +223,7 @@ func TestExample13PaperDirectionOnly(t *testing.T) {
 	if out, _ := m.Attempt(e1); out != Accepted {
 		t.Fatalf("e1[1]: %v", out)
 	}
-	if !m.History().Occurred(b2) {
+	if !m.hist.Occurred(b2) {
 		t.Fatalf("b2[1] must be admitted after T1 exits: %v", m.Trace())
 	}
 	// The one-directional dependency does not constrain T1 entering
@@ -235,4 +235,25 @@ func TestExample13PaperDirectionOnly(t *testing.T) {
 	if inst, ok := m.SatisfiesInstances(); !ok {
 		t.Fatalf("trace %v violates %v", m.Trace(), inst)
 	}
+}
+
+// Force makes a non-rejectable ground event occur regardless of its
+// guard (abort-like events).
+func (m *Manager) Force(ground algebra.Symbol) error {
+	if !ground.Ground() {
+		return fmt.Errorf("param: force of non-ground symbol %s", ground)
+	}
+	if m.hist.Occurred(ground) {
+		return nil
+	}
+	if m.hist.Occurred(ground.Complement()) {
+		return fmt.Errorf("param: cannot force %s: complement occurred", ground)
+	}
+	m.fire(ground)
+	return nil
+}
+
+// ParkedTokens returns the currently parked tokens.
+func (m *Manager) ParkedTokens() []algebra.Symbol {
+	return append([]algebra.Symbol(nil), m.parked...)
 }

@@ -61,19 +61,6 @@ func (b Binding) Clone() Binding {
 	return cp
 }
 
-// Merge returns the union of two bindings, failing on conflicting
-// assignments.
-func (b Binding) Merge(o Binding) (Binding, bool) {
-	out := b.Clone()
-	for k, v := range o {
-		if prev, ok := out[k]; ok && prev != v {
-			return nil, false
-		}
-		out[k] = v
-	}
-	return out, true
-}
-
 // Unify matches a (possibly parametrized) pattern symbol against a
 // ground symbol: same name, same polarity, same arity; variables bind
 // to the ground constants, constants must match literally.
@@ -189,12 +176,4 @@ func (c *Counter) Next(eventType algebra.Symbol) algebra.Symbol {
 	out.Params = append(append([]algebra.Term(nil), eventType.Params...),
 		algebra.Const(fmt.Sprintf("%d", c.counts[base])))
 	return out
-}
-
-// Count returns the number of tokens issued for the event type.
-func (c *Counter) Count(eventType algebra.Symbol) int {
-	if c.counts == nil {
-		return 0
-	}
-	return c.counts[eventType.Base().Key()]
 }

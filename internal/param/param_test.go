@@ -85,8 +85,8 @@ func TestCounter(t *testing.T) {
 	if first.Key() != "enter[1]" || second.Key() != "enter[2]" {
 		t.Fatalf("tokens: %s %s", first, second)
 	}
-	if c.Count(b1) != 2 {
-		t.Fatalf("count: %d", c.Count(b1))
+	if c.counts[b1.Key()] != 2 {
+		t.Fatalf("count: %d", c.counts[b1.Key()])
 	}
 	// Complement polarity shares the counter of the base event.
 	third := c.Next(sym("~enter"))
@@ -145,4 +145,17 @@ func TestTemplateValidate(t *testing.T) {
 	if _, _, err := tpl2.Instantiate(sym("other[1]")); err == nil {
 		t.Fatal("non-matching ground event must fail")
 	}
+}
+
+// Merge returns the union of two bindings, failing on conflicting
+// assignments.
+func (b Binding) Merge(o Binding) (Binding, bool) {
+	out := b.Clone()
+	for k, v := range o {
+		if prev, ok := out[k]; ok && prev != v {
+			return nil, false
+		}
+		out[k] = v
+	}
+	return out, true
 }

@@ -275,16 +275,6 @@ func (as *automatonStepper) advance(s algebra.Symbol) {
 	}
 }
 
-// StateCount returns the total number of DFA states (a compile-size
-// metric for the benchmarks).
-func (as *automatonStepper) StateCount() int {
-	n := 0
-	for _, a := range as.dfas {
-		n += len(a.next)
-	}
-	return n
-}
-
 func newCentralState(tab *symtab.Table, st stepper, hooks *actor.Hooks, bases []algebra.Symbol) *centralState {
 	cs := &centralState{central: newCentral(tab, hooks), stepper: st, bases: bases}
 	cs.admits = func(s algebra.Symbol) (temporal.Tri, string) {

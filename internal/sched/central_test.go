@@ -85,7 +85,7 @@ func TestCentralRejectsJointlyDoomedEvent(t *testing.T) {
 			Kind:     kind,
 			Agents: []*spec.AgentScript{
 				{ID: "x", Site: "s0", Steps: []spec.Step{
-					spec.At(sym("a"), 10), spec.At(sym("b"), 10),
+					spec.Step{Sym: sym("a"), Think: 10}, spec.Step{Sym: sym("b"), Think: 10},
 				}},
 			},
 			Seed:     3,
@@ -149,8 +149,8 @@ func TestCentralGuardsObligations(t *testing.T) {
 		Kind:     CentralGuards,
 		Agents: []*spec.AgentScript{
 			{ID: "a", Site: "s0", Steps: []spec.Step{
-				spec.At(sym("e"), 5),
-				{Sym: sym("~f"), Think: 5, OnReject: []spec.Step{spec.At(sym("f"), 5)}},
+				spec.Step{Sym: sym("e"), Think: 5},
+				{Sym: sym("~f"), Think: 5, OnReject: []spec.Step{spec.Step{Sym: sym("f"), Think: 5}}},
 			}},
 		},
 		Seed:     1,
@@ -218,4 +218,14 @@ func TestMutexEverySchedulerSatisfied(t *testing.T) {
 			}
 		}
 	}
+}
+
+// StateCount returns the total number of DFA states (a compile-size
+// metric for the benchmarks).
+func (as *automatonStepper) StateCount() int {
+	n := 0
+	for _, a := range as.dfas {
+		n += len(a.next)
+	}
+	return n
 }

@@ -44,8 +44,6 @@ type Config struct {
 	// a maximal trace — the scheduler triggering events "on its own
 	// accord", §3.3.
 	Closeout bool
-	// MaxSteps bounds the simulation (0 = 1e6 deliveries).
-	MaxSteps int
 	// ActorLog, when set, receives a line per distributed-actor action
 	// (debugging aid).
 	ActorLog func(format string, args ...any)
@@ -68,6 +66,9 @@ func SpecConfig(sp *spec.Spec, kind Kind, seed int64) Config {
 	}
 }
 
+// maxSteps bounds the deliveries of one simulation.
+const maxSteps = 1_000_000
+
 // Run executes the configuration and reports the outcome.
 func Run(cfg Config) (*Report, error) {
 	if cfg.Workflow == nil || len(cfg.Workflow.Deps) == 0 {
@@ -86,10 +87,6 @@ func RunCompiled(c *core.Compiled, cfg Config) (*Report, error) {
 	lat := cfg.Latency
 	if lat == (simnet.LatencyModel{}) {
 		lat = simnet.DefaultLatency()
-	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 1_000_000
 	}
 
 	for _, ag := range cfg.Agents {
@@ -162,7 +159,7 @@ func RunCompiled(c *core.Compiled, cfg Config) (*Report, error) {
 	net.Run(maxSteps)
 
 	if cfg.Closeout {
-		runCloseout(net, sub, col, c.Workflow, maxSteps)
+		runCloseout(net, sub, col, c.Workflow)
 	}
 	// The run is over and the simulator idle: publish the actors'
 	// protocol tallies once.
@@ -197,8 +194,7 @@ func RunCompiled(c *core.Compiled, cfg Config) (*Report, error) {
 // occur"); when a complement is rejected — the event is obligated — it
 // attempts the event itself, triggering it.  Passes repeat until
 // quiescence.
-func runCloseout(net *simnet.Network, sub Submitter, col *Collector,
-	w *core.Workflow, maxSteps int) {
+func runCloseout(net *simnet.Network, sub Submitter, col *Collector, w *core.Workflow) {
 	bases := sortedBases(w)
 	triedComp := map[string]bool{}
 	triedPos := map[string]bool{}

@@ -59,19 +59,6 @@ func Kinds() []Kind {
 	return []Kind{Distributed, CentralResiduation, CentralAutomata, CentralGuards}
 }
 
-// RoundRobinPlacement spreads the workflow's events over n sites in
-// alphabetical order.
-func RoundRobinPlacement(w *core.Workflow, n int) spec.Placement {
-	if n < 1 {
-		n = 1
-	}
-	pl := spec.Placement{}
-	for i, b := range w.Alphabet().Bases() {
-		pl[b.Key()] = simnet.SiteID(fmt.Sprintf("s%d", i%n))
-	}
-	return pl
-}
-
 // Submitter injects attempts into a scheduler.
 type Submitter interface {
 	// DecisionSite returns the site where the event is decided.

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/algebra"
@@ -43,12 +44,12 @@ func travelPlacement() spec.Placement {
 func happyAgents() []*spec.AgentScript {
 	return []*spec.AgentScript{
 		{ID: "buy", Site: "site-buy", Steps: []spec.Step{
-			spec.At(sym("s_buy"), 10),
-			spec.At(sym("c_buy"), 40),
+			spec.Step{Sym: sym("s_buy"), Think: 10},
+			spec.Step{Sym: sym("c_buy"), Think: 40},
 		}},
 		{ID: "book", Site: "site-book", Steps: []spec.Step{
-			spec.At(sym("s_book"), 30),
-			spec.At(sym("c_book"), 20),
+			spec.Step{Sym: sym("s_book"), Think: 30},
+			spec.Step{Sym: sym("c_book"), Think: 20},
 		}},
 	}
 }
@@ -56,12 +57,12 @@ func happyAgents() []*spec.AgentScript {
 func failureAgents() []*spec.AgentScript {
 	return []*spec.AgentScript{
 		{ID: "buy", Site: "site-buy", Steps: []spec.Step{
-			spec.At(sym("s_buy"), 10),
-			spec.At(sym("~c_buy"), 40), // buy fails to commit
+			spec.Step{Sym: sym("s_buy"), Think: 10},
+			spec.Step{Sym: sym("~c_buy"), Think: 40}, // buy fails to commit
 		}},
 		{ID: "book", Site: "site-book", Steps: []spec.Step{
-			spec.At(sym("s_book"), 30),
-			spec.At(sym("c_book"), 20),
+			spec.Step{Sym: sym("s_book"), Think: 30},
+			spec.Step{Sym: sym("c_book"), Think: 20},
 		}},
 	}
 }
@@ -182,10 +183,10 @@ func TestKleinPrimitivesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	schedules := [][]spec.Step{
-		{spec.At(sym("e"), 10), spec.At(sym("f"), 10)},
-		{spec.At(sym("f"), 10), spec.At(sym("e"), 10)},
-		{spec.At(sym("~e"), 10), spec.At(sym("f"), 10)},
-		{spec.At(sym("e"), 10), spec.At(sym("~f"), 10)},
+		{spec.Step{Sym: sym("e"), Think: 10}, spec.Step{Sym: sym("f"), Think: 10}},
+		{spec.Step{Sym: sym("f"), Think: 10}, spec.Step{Sym: sym("e"), Think: 10}},
+		{spec.Step{Sym: sym("~e"), Think: 10}, spec.Step{Sym: sym("f"), Think: 10}},
+		{spec.Step{Sym: sym("e"), Think: 10}, spec.Step{Sym: sym("~f"), Think: 10}},
 	}
 	for i, steps := range schedules {
 		r, err := Run(Config{
@@ -219,8 +220,8 @@ func TestAgentRejectBranch(t *testing.T) {
 	}
 	// Occur ē; then attempt e (rejected), falling back to attempting f.
 	agents := []*spec.AgentScript{{ID: "a", Site: "s0", Steps: []spec.Step{
-		spec.At(sym("~e"), 5),
-		{Sym: sym("e"), Think: 5, OnReject: []spec.Step{spec.At(sym("f"), 5)}},
+		spec.Step{Sym: sym("~e"), Think: 5},
+		{Sym: sym("e"), Think: 5, OnReject: []spec.Step{spec.Step{Sym: sym("f"), Think: 5}}},
 	}}}
 	r, err := Run(Config{Workflow: w, Kind: Distributed, Agents: agents, Seed: 3, Closeout: true})
 	if err != nil {
@@ -242,8 +243,8 @@ func TestExample11EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	agents := []*spec.AgentScript{
-		{ID: "ae", Site: "se", Steps: []spec.Step{spec.At(sym("e"), 10)}},
-		{ID: "af", Site: "sf", Steps: []spec.Step{spec.At(sym("f"), 12)}},
+		{ID: "ae", Site: "se", Steps: []spec.Step{spec.Step{Sym: sym("e"), Think: 10}}},
+		{ID: "af", Site: "sf", Steps: []spec.Step{spec.Step{Sym: sym("f"), Think: 12}}},
 	}
 	r, err := Run(Config{
 		Workflow:  w,
@@ -340,9 +341,9 @@ func TestConsensusEliminationSound(t *testing.T) {
 			Placement:              spec.Placement{"e": "s1", "f": "s2", "g": "s3"},
 			NoConsensusElimination: noElim,
 			Agents: []*spec.AgentScript{
-				{ID: "a", Site: "s1", Steps: []spec.Step{spec.At(sym("e"), 10)}},
-				{ID: "b", Site: "s2", Steps: []spec.Step{spec.At(sym("f"), 20)}},
-				{ID: "c", Site: "s3", Steps: []spec.Step{spec.At(sym("g"), 30)}},
+				{ID: "a", Site: "s1", Steps: []spec.Step{spec.Step{Sym: sym("e"), Think: 10}}},
+				{ID: "b", Site: "s2", Steps: []spec.Step{spec.Step{Sym: sym("f"), Think: 20}}},
+				{ID: "c", Site: "s3", Steps: []spec.Step{spec.Step{Sym: sym("g"), Think: 30}}},
 			},
 			Seed:     5,
 			Closeout: true,
@@ -395,8 +396,8 @@ func TestStrengthenedTravel(t *testing.T) {
 			Kind:      Distributed,
 			Placement: travelPlacement(),
 			Agents: []*spec.AgentScript{
-				{ID: "buy", Site: "site-buy", Steps: []spec.Step{spec.At(sym("s_buy"), 10), second}},
-				{ID: "book", Site: "site-book", Steps: []spec.Step{spec.At(sym("s_book"), 30), spec.At(sym("c_book"), 20)}},
+				{ID: "buy", Site: "site-buy", Steps: []spec.Step{spec.Step{Sym: sym("s_buy"), Think: 10}, second}},
+				{ID: "book", Site: "site-book", Steps: []spec.Step{spec.Step{Sym: sym("s_book"), Think: 30}, spec.Step{Sym: sym("c_book"), Think: 20}}},
 			},
 			Seed:        1996,
 			Triggerable: []string{"s_book", "s_cancel", "~s_cancel"},
@@ -409,7 +410,7 @@ func TestStrengthenedTravel(t *testing.T) {
 	}
 
 	// Committed: the cycle unwinds, everything commits, no cancel.
-	r := run(spec.At(sym("c_buy"), 40))
+	r := run(spec.Step{Sym: sym("c_buy"), Think: 40})
 	if !r.Satisfied || len(r.Unresolved) != 0 {
 		t.Fatalf("committed: satisfied=%v unresolved=%v trace=%v", r.Satisfied, r.Unresolved, r.Trace)
 	}
@@ -425,7 +426,7 @@ func TestStrengthenedTravel(t *testing.T) {
 
 	// Compensated: buy never commits, cancel is triggered, book still
 	// commits (covered by the cancel).
-	r = run(spec.At(sym("~c_buy"), 40))
+	r = run(spec.Step{Sym: sym("~c_buy"), Think: 40})
 	if !r.Satisfied || len(r.Unresolved) != 0 {
 		t.Fatalf("compensated: satisfied=%v unresolved=%v trace=%v", r.Satisfied, r.Unresolved, r.Trace)
 	}
@@ -447,9 +448,9 @@ func TestPromiseChainTriple(t *testing.T) {
 		Kind:      Distributed,
 		Placement: spec.Placement{"a": "sa", "b": "sb", "c": "sc"},
 		Agents: []*spec.AgentScript{
-			{ID: "aa", Site: "sa", Steps: []spec.Step{spec.At(sym("a"), 10)}},
-			{ID: "ab", Site: "sb", Steps: []spec.Step{spec.At(sym("b"), 20)}},
-			{ID: "ac", Site: "sc", Steps: []spec.Step{spec.At(sym("c"), 30)}},
+			{ID: "aa", Site: "sa", Steps: []spec.Step{spec.Step{Sym: sym("a"), Think: 10}}},
+			{ID: "ab", Site: "sb", Steps: []spec.Step{spec.Step{Sym: sym("b"), Think: 20}}},
+			{ID: "ac", Site: "sc", Steps: []spec.Step{spec.Step{Sym: sym("c"), Think: 30}}},
 		},
 		Seed:     13,
 		Closeout: true,
@@ -465,4 +466,17 @@ func TestPromiseChainTriple(t *testing.T) {
 	if !r.Satisfied {
 		t.Fatalf("trace %v violates the workflow", r.Trace)
 	}
+}
+
+// RoundRobinPlacement spreads the workflow's events over n sites in
+// alphabetical order.
+func RoundRobinPlacement(w *core.Workflow, n int) spec.Placement {
+	if n < 1 {
+		n = 1
+	}
+	pl := spec.Placement{}
+	for i, b := range w.Alphabet().Bases() {
+		pl[b.Key()] = simnet.SiteID(fmt.Sprintf("s%d", i%n))
+	}
+	return pl
 }

@@ -1,7 +1,7 @@
 // Package serve is the long-lived workflow service: a registry of
 // compiled plans (many named specs per tenant, compiled once, cached
-// with LRU eviction), sharded instance execution with consistent-hash
-// placement, admission control with load-shedding, per-tenant durable
+// with LRU eviction), sharded instance execution placed by instance
+// id modulo shard count, admission control with load-shedding, per-tenant durable
 // journaling, and graceful drain.  cmd/wfserve wraps it in a daemon;
 // the HTTP API and the wire-frame fast path share one port through
 // the byte-sniffed mux (internal/obs).

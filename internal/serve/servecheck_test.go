@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/algebra"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/spec"
@@ -200,10 +199,10 @@ func TestServeCheck(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	defer srv2.Drain()
-	if _, rerr := srv2.Registry().Lookup("acme", "travel"); rerr != nil {
+	if _, rerr := srv2.reg.Lookup("acme", "travel"); rerr != nil {
 		t.Errorf("travel not recovered: %v", rerr)
 	}
-	if _, rerr := srv2.Registry().Lookup("acme", "mutex"); rerr != nil {
+	if _, rerr := srv2.reg.Lookup("acme", "mutex"); rerr != nil {
 		t.Errorf("mutex not recovered: %v", rerr)
 	}
 	if st := srv2.Stats(); st.Instances != 0 {
@@ -377,8 +376,15 @@ event c site=s1
 		t.Errorf("frame announce b: %+v, want accepted", fr)
 	}
 
+	inst, rerr := srv.Get(id)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	shardName := inst.shard.name
+
 	// Crash (close logs without drain) and restart: the incomplete
-	// external instance comes back with both announcements replayed.
+	// external instance comes back with both announcements replayed,
+	// on the shard whose log holds it.
 	srv.mu.Lock()
 	for _, tl := range srv.logs {
 		tl.log.Close()
@@ -396,6 +402,9 @@ event c site=s1
 	}
 	if inst2.Mode != ModeExternal {
 		t.Errorf("recovered mode %q", inst2.Mode)
+	}
+	if inst2.shard.name != shardName {
+		t.Errorf("recovered on %s, journaled on %s", inst2.shard.name, shardName)
 	}
 	// Continue where the crash left off: c is admissible only if a and
 	// b were replayed.
@@ -451,20 +460,25 @@ func TestAnnounceUnjournaledRefused(t *testing.T) {
 	srv.mu.Unlock()
 	defer stale.log.Close()
 
+	// digest reads the runner's whole state on its shard worker.
+	digest := func() string {
+		ch := make(chan string, 1)
+		if !srv.enqueue(inst.shard, func() {
+			inst.mu.Lock()
+			r := inst.runner
+			inst.mu.Unlock()
+			ch <- r.StateDigest()
+		}) {
+			t.Fatal("shard mailbox refused the probe")
+		}
+		return <-ch
+	}
+	before := digest()
 	if _, rerr := srv.Announce(inst.ID, "a", false); rerr == nil || rerr.Status != 503 {
 		t.Fatalf("announce with no shard log: %v, want 503", rerr)
 	}
-	resolved := make(chan bool, 1)
-	if !srv.enqueue(inst.shard, func() {
-		inst.mu.Lock()
-		r := inst.runner
-		inst.mu.Unlock()
-		resolved <- r.Resolved(algebra.Sym("a"))
-	}) {
-		t.Fatal("shard mailbox refused the probe")
-	}
-	if <-resolved {
-		t.Error("the refused announce still ran its attempt: a is resolved")
+	if after := digest(); after != before {
+		t.Errorf("the refused announce still ran its attempt: state\n%s\nbecame\n%s", before, after)
 	}
 	if seq := srv.verdicts.Seq(); seq != 0 {
 		t.Errorf("%d verdicts published after a refused announce", seq)
@@ -490,4 +504,11 @@ func stopCrashed(s *Server) {
 			c.Close()
 		}
 	})
+}
+
+// Seq returns the last assigned sequence number.
+func (vs *verdictStream) Seq() uint64 {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	return vs.seq
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/arun"
 	"repro/internal/engine"
-	"repro/internal/netwire"
 	"repro/internal/wal"
 )
 
@@ -21,9 +20,10 @@ import (
 type Config struct {
 	// Shards is the number of execution shards (default GOMAXPROCS).
 	// Each shard is one worker goroutine with a bounded mailbox;
-	// instances are pinned to shards by consistent hashing, so a
-	// restart with the same shard count recovers each instance from
-	// the same per-tenant shard log it was journaled to.
+	// instances are placed on shard id mod Shards, and a restart
+	// recovers each instance on the shard whose per-tenant log it was
+	// journaled to, so the shard count must not change across restarts
+	// of one WALRoot.
 	Shards int
 	// MailboxDepth bounds each shard's queued tasks (default 256).
 	MailboxDepth int
@@ -113,9 +113,8 @@ type tenantLog struct {
 
 // Server hosts the registry, the shard pool, and the verdict stream.
 type Server struct {
-	cfg  Config
-	reg  *Registry
-	ring *netwire.Ring
+	cfg Config
+	reg *Registry
 
 	shards []*shard
 	// committers: log name ("registry", "shard-N") → the shared fsync
@@ -163,7 +162,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		reg:        NewRegistry(cfg.RegistryCap),
-		ring:       netwire.NewRing(0),
 		committers: map[string]*wal.Committer{},
 		instances:  map[uint64]*Instance{},
 		logs:       map[string]*tenantLog{},
@@ -181,7 +179,6 @@ func NewServer(cfg Config) (*Server, error) {
 			mbox: make(chan func(), cfg.MailboxDepth),
 		}
 		s.shards = append(s.shards, sh)
-		s.ring.Add(sh.name)
 		sh.wg.Add(1)
 		go func() {
 			defer sh.wg.Done()
@@ -198,9 +195,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Registry exposes the plan registry (for direct registration paths).
-func (s *Server) Registry() *Registry { return s.reg }
 
 // log returns (opening lazily) the tenant's named log.  nil, nil when
 // the server runs without durability.
@@ -308,15 +302,12 @@ func (s *Server) RegisterSpec(tenant, name, source string) (*PlanEntry, *Error) 
 	return e, nil
 }
 
-// shardFor places an instance on its shard.
+// shardFor places a new instance on its shard.  The shard set is fixed
+// for the server's life and recovery reopens each instance on the
+// shard whose log holds it, so placement never moves an instance and
+// id modulo the shard count is enough.
 func (s *Server) shardFor(id uint64) *shard {
-	name := s.ring.Place("inst-" + strconv.FormatUint(id, 10))
-	for _, sh := range s.shards {
-		if sh.name == name {
-			return sh
-		}
-	}
-	return s.shards[0]
+	return s.shards[id%uint64(len(s.shards))]
 }
 
 // Launch admits one instance of a registered spec.  mode is
@@ -480,16 +471,18 @@ func (inst *Instance) finalize(entry *PlanEntry, out *arun.Outcome) {
 		inst.mu.Unlock()
 		return
 	}
-	inst.done = true
 	release := inst.release
 	tr := inst.transport
 	started := inst.started
 	recovered := inst.recovered
 	inst.release = nil
 	inst.transport = nil
-	// Drop the runner: every reader checks done first, and keeping it
-	// would pin the whole actor graph of every completed instance in
-	// the instance table for the GC to scan.
+	// Drop the runner: done is not set until the verdict is, but
+	// finalize runs on the shard worker (or in drain, after the
+	// workers stop), so every reader that needs the runner runs before
+	// or after this whole call.  Keeping it would pin the whole actor
+	// graph of every completed instance in the instance table for the
+	// GC to scan.
 	inst.runner = nil
 	inst.mu.Unlock()
 
@@ -507,8 +500,11 @@ func (inst *Instance) finalize(entry *PlanEntry, out *arun.Outcome) {
 		ID: inst.ID, Tenant: inst.Tenant, Spec: inst.Spec, Mode: inst.Mode,
 		Fingerprint: fp, Satisfied: satisfied, Recovered: recovered,
 	}
+	// done, the verdict and the KDone's LSN are published together: no
+	// reader sees a finished instance without the verdict or without
+	// the record an acknowledgement of it must wait for.
 	inst.mu.Lock()
-	inst.verdict = v
+	inst.done, inst.verdict = true, v
 	inst.doneLog, inst.doneLSN = doneLog, doneLSN
 	inst.mu.Unlock()
 	mActive.Add(-1)
@@ -648,22 +644,40 @@ func (s *Server) Announce(id uint64, event string, forced bool) (AnnounceResult,
 // CloseInstance finishes an external instance: closeout passes to a
 // maximal trace, durable KDone, verdict.  Scripted instances complete
 // on their own; closing one that already finished returns its verdict
-// idempotently.
+// idempotently.  Either way the verdict is returned only once its KDone
+// is durable.
 func (s *Server) CloseInstance(id uint64) (*Verdict, *Error) {
 	inst, rerr := s.Get(id)
 	if rerr != nil {
 		return nil, rerr
 	}
 	inst.mu.Lock()
-	if inst.done {
-		v := inst.verdict
-		inst.mu.Unlock()
-		if v != nil {
-			return v, nil
-		}
-		return nil, errf(409, "instance %d completed without verdict", id)
-	}
+	v := inst.verdict
 	inst.mu.Unlock()
+	if v == nil {
+		if v, rerr = s.closeOpen(inst); rerr != nil {
+			return nil, rerr
+		}
+	}
+	// The verdict is an acknowledgement, on this path as on a repeated
+	// close: park until its KDone is durable so a crash after this
+	// reply cannot resurrect the instance as incomplete.
+	inst.mu.Lock()
+	doneLog, doneLSN := inst.doneLog, inst.doneLSN
+	inst.mu.Unlock()
+	if doneLog != nil {
+		if err := doneLog.log.WaitDurable(doneLSN); err != nil {
+			s.failShard(inst.shard, err)
+			return nil, shardFailed(inst.shard)
+		}
+	}
+	return v, nil
+}
+
+// closeOpen finishes an external instance that has no verdict yet on
+// its shard worker and returns the verdict.
+func (s *Server) closeOpen(inst *Instance) (*Verdict, *Error) {
+	id := inst.ID
 	if inst.Mode != ModeExternal {
 		return nil, errf(409, "instance %d is %s; it completes on its own", id, inst.Mode)
 	}
@@ -704,20 +718,6 @@ func (s *Server) CloseInstance(id uint64) (*Verdict, *Error) {
 		return nil, &Error{Status: 429, Msg: "shard mailbox full", RetryAfter: 1}
 	}
 	rep := <-ch
-	// The verdict is an acknowledgement: park until its KDone is
-	// durable so a crash after this reply cannot resurrect the
-	// instance as incomplete.
-	if rep.v != nil {
-		inst.mu.Lock()
-		doneLog, doneLSN := inst.doneLog, inst.doneLSN
-		inst.mu.Unlock()
-		if doneLog != nil {
-			if err := doneLog.log.WaitDurable(doneLSN); err != nil {
-				s.failShard(inst.shard, err)
-				return nil, shardFailed(inst.shard)
-			}
-		}
-	}
 	return rep.v, rep.rerr
 }
 

@@ -74,10 +74,3 @@ func (vs *verdictStream) Wait(cursor uint64, max int, timeout time.Duration) []*
 		t.Stop()
 	}
 }
-
-// Seq returns the last assigned sequence number.
-func (vs *verdictStream) Seq() uint64 {
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
-	return vs.seq
-}

@@ -56,7 +56,7 @@ func TestPoisonedShardAnswers503(t *testing.T) {
 	if got := post("/v1/instances?tenant=acme", launch); got != 503 {
 		t.Fatalf("launch whose admission fsync failed: %d, want 503", got)
 	}
-	if tl.log.Err() == nil {
+	if tl.log.Sync() == nil {
 		t.Fatal("the failed fsync did not poison the shard log")
 	}
 	if got := post("/v1/instances?tenant=acme", launch); got != 503 {

@@ -1,9 +1,6 @@
 package simnet
 
-import (
-	"hash/fnv"
-	"sort"
-)
+import "hash/fnv"
 
 // FaultPlan is a seeded, deterministic chaos schedule for the message
 // layer: per-frame drop / duplicate / delay / reorder verdicts plus
@@ -157,23 +154,4 @@ func (fp *FaultPlan) Blocked(a, b SiteID, t Time) (heal Time, blocked bool) {
 		}
 	}
 	return heal, blocked
-}
-
-// Links returns the sorted distinct site pairs named by partitions
-// (diagnostic aid).
-func (fp *FaultPlan) Links() []string {
-	seen := map[string]bool{}
-	for _, p := range fp.Partitions {
-		a, b := string(p.A), string(p.B)
-		if b < a {
-			a, b = b, a
-		}
-		seen[a+"↮"+b] = true
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -24,7 +24,6 @@ package simnet
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 )
 
 // Time is simulated time in microseconds.
@@ -324,16 +323,6 @@ func (n *Network) Stats() Stats {
 		cp.PerSite[k] = v
 	}
 	return cp
-}
-
-// Sites returns the registered site ids, sorted.
-func (n *Network) Sites() []SiteID {
-	out := make([]SiteID, 0, len(n.sites))
-	for id := range n.sites {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Idle reports whether no messages are in flight.

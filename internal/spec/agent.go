@@ -26,11 +26,6 @@ type AgentScript struct {
 	Steps []Step
 }
 
-// At is a convenience constructor for a step.
-func At(sym algebra.Symbol, think simnet.Time) Step {
-	return Step{Sym: sym, Think: think}
-}
-
 // Placement maps base-event keys to the sites of their actors (and of
 // the agents that attempt them).  Events without an entry default to
 // site "s0".

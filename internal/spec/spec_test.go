@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -132,4 +134,59 @@ func TestFormatIncludesEverything(t *testing.T) {
 			t.Errorf("format missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// Format renders the spec back to text (canonical expressions).
+func (s *Spec) Format() string {
+	var b strings.Builder
+	if s.Name != "" {
+		fmt.Fprintf(&b, "workflow %s\n", s.Name)
+	}
+	for i, d := range s.Workflow.Deps {
+		label := ""
+		if s.Workflow.Names != nil && s.Workflow.Names[i] != "" {
+			label = s.Workflow.Names[i] + ": "
+		}
+		fmt.Fprintf(&b, "dep %s%s\n", label, d.Key())
+	}
+	keys := make([]string, 0, len(s.Events))
+	for k := range s.Events {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		meta := s.Events[k]
+		fmt.Fprintf(&b, "event %s", meta.Sym.Key())
+		if meta.Site != "" {
+			fmt.Fprintf(&b, " site=%s", meta.Site)
+		}
+		if meta.Triggerable {
+			b.WriteString(" triggerable")
+		}
+		if meta.Rejectable {
+			b.WriteString(" rejectable")
+		}
+		b.WriteByte('\n')
+	}
+	for _, ag := range s.Agents {
+		fmt.Fprintf(&b, "agent %s site=%s\n", ag.ID, ag.Site)
+		for _, st := range ag.Steps {
+			fmt.Fprintf(&b, "  step %s", st.Sym.Key())
+			if st.Think != 0 {
+				fmt.Fprintf(&b, " think=%d", st.Think)
+			}
+			if st.Forced {
+				b.WriteString(" forced")
+			}
+			if len(st.OnReject) > 0 {
+				parts := make([]string, len(st.OnReject))
+				for i, alt := range st.OnReject {
+					parts[i] = alt.Sym.Key()
+				}
+				fmt.Fprintf(&b, " onreject=%s", strings.Join(parts, ";"))
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
 }

@@ -216,15 +216,6 @@ func (in *Instance) Apply(event string) error {
 	return nil
 }
 
-// Can reports whether the event is possible in the current state.
-func (in *Instance) Can(event string) bool {
-	_, ok := in.Skel.Next(in.State, event)
-	return ok
-}
-
-// Done reports whether the instance reached a final state.
-func (in *Instance) Done() bool { return in.Skel.Finals[in.State] }
-
 // ReachableEvents returns the event labels that can still occur from
 // the given state, transitively.  An agent uses its complement — the
 // impossible events — to inform the scheduler which transitions will
@@ -248,17 +239,5 @@ func (sk *Skeleton) ReachableEvents(state string) map[string]bool {
 			}
 		}
 	}
-	return out
-}
-
-// Possible returns the events possible in the current state, sorted.
-func (in *Instance) Possible() []string {
-	var out []string
-	for _, tr := range in.Skel.Transitions {
-		if tr.From == in.State {
-			out = append(out, tr.Event)
-		}
-	}
-	sort.Strings(out)
 	return out
 }

@@ -1,6 +1,9 @@
 package task
 
-import "testing"
+import (
+	"sort"
+	"testing"
+)
 
 func TestSkeletonsValidate(t *testing.T) {
 	for _, sk := range []*Skeleton{Application(), Transaction(), RDATransaction()} {
@@ -156,4 +159,25 @@ func TestPossibleAfterFinal(t *testing.T) {
 	if err := in.Apply("commit"); err == nil {
 		t.Error("commit after abort must fail")
 	}
+}
+
+// Can reports whether the event is possible in the current state.
+func (in *Instance) Can(event string) bool {
+	_, ok := in.Skel.Next(in.State, event)
+	return ok
+}
+
+// Done reports whether the instance reached a final state.
+func (in *Instance) Done() bool { return in.Skel.Finals[in.State] }
+
+// Possible returns the events possible in the current state, sorted.
+func (in *Instance) Possible() []string {
+	var out []string
+	for _, tr := range in.Skel.Transitions {
+		if tr.From == in.State {
+			out = append(out, tr.Event)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -160,10 +160,8 @@ func productContradictory(lits []Literal) bool {
 // Lits returns the product's literals (shared; do not mutate).
 func (p Product) Lits() []Literal { return p.lits }
 
-// Key returns the canonical text form; the empty product prints "T".
-func (p Product) Key() string { return p.key }
-
-// String implements fmt.Stringer.
+// String implements fmt.Stringer: the canonical text form; the empty
+// product prints "T".
 func (p Product) String() string { return p.key }
 
 // entailsProduct reports p ⇒ q: every literal of q is entailed by some

@@ -33,15 +33,6 @@ func ParseFormula(src string) (Formula, error) {
 	return f, nil
 }
 
-// MustParseFormula is ParseFormula, panicking on error.
-func MustParseFormula(src string) Formula {
-	f, err := ParseFormula(src)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 type fparser struct {
 	src string
 	pos int

@@ -48,10 +48,6 @@ func NewCommitter(CommitterOptions) *Committer {
 	return c
 }
 
-// Rounds counts completed commit rounds (a round may fsync several
-// logs; per-log fsync counts stay on Log.Syncs).
-func (c *Committer) Rounds() int64 { return c.rounds.Load() }
-
 // register adds a log; false means the committer is closed.
 func (c *Committer) register(l *Log) bool {
 	c.mu.Lock()

@@ -39,7 +39,7 @@ func TestCommitterCoalesces(t *testing.T) {
 		}(l)
 	}
 	wg.Wait()
-	rounds := c.Rounds()
+	rounds := c.rounds.Load()
 	if rounds == 0 || rounds >= L*N {
 		t.Fatalf("rounds = %d, want coalescing (0 < rounds < %d)", rounds, L*N)
 	}

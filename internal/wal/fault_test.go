@@ -83,8 +83,8 @@ func TestSyncEIOPoisons(t *testing.T) {
 	if err := l.WaitDurable(bad); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("WaitDurable past the failed fsync: %v, want EIO", err)
 	}
-	if !errors.Is(l.Err(), syscall.EIO) {
-		t.Fatalf("Err() = %v, want EIO", l.Err())
+	if err := l.Sync(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Sync on the failed log: %v, want EIO", err)
 	}
 	if got := l.Durable(); got != good {
 		t.Fatalf("durable LSN moved to %d on a failed fsync, want %d", got, good)

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"fmt"
 	"path/filepath"
 	"strings"
 )
@@ -67,20 +66,4 @@ func SafeSegment(name string) string {
 // tenant's files.
 func TenantDir(root, tenant, name string) string {
 	return filepath.Join(root, SafeSegment(tenant), SafeSegment(name))
-}
-
-// ServeKindName names a serving-layer kind for diagnostics.
-func ServeKindName(k byte) string {
-	switch k {
-	case KSpecReg:
-		return "specreg"
-	case KAdmit:
-		return "admit"
-	case KEvent:
-		return "event"
-	case KDone:
-		return "done"
-	default:
-		return fmt.Sprintf("kind%d", k)
-	}
 }

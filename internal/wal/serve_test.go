@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 )
@@ -83,5 +84,21 @@ func TestServeRoundTrip(t *testing.T) {
 	}
 	if len(rec.Fires) != 1 || rec.Fires[0] != 3 {
 		t.Errorf("interleaved KFire mis-folded: %v", rec.Fires)
+	}
+}
+
+// ServeKindName names a serving-layer kind for diagnostics.
+func ServeKindName(k byte) string {
+	switch k {
+	case KSpecReg:
+		return "specreg"
+	case KAdmit:
+		return "admit"
+	case KEvent:
+		return "event"
+	case KDone:
+		return "done"
+	default:
+		return fmt.Sprintf("kind%d", k)
 	}
 }

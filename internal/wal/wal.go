@@ -430,14 +430,6 @@ func (l *Log) CommitRate() float64 {
 	return math.Float64frombits(l.rate.Load())
 }
 
-// Err returns the error that poisoned the log, or nil while it is
-// healthy.
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
 // WaitDurable blocks until the given LSN is durable and returns nil.
 // It returns the poison error instead when the log failed before the
 // LSN became durable, and ErrClosed when the log closed first (Close
