@@ -2,7 +2,7 @@
 #
 #   make ci          build, vet, dependency check, dead-code check, full test suite, race suite, trace checks, bench smoke, fuzz smoke
 #   make depcheck    the wfserve daemon must not link the simulator schedulers (internal/sched)
-#   make deadcheck   no declaration under internal/ or cmd/ without a non-test reference, unless allowlisted
+#   make deadcheck   no declaration under internal/ or cmd/ without a non-test reference, no …Options/…Config field without a non-test setter, unless allowlisted
 #   make test        full test suite only
 #   make race        race-detector suite over the concurrent packages
 #   make tracecheck  golden-replay determinism + trace invariants over the chaos suite
@@ -40,8 +40,10 @@ depcheck:
 	fi
 
 # Every package-level func, method, type, var and const under internal/
-# and cmd/ must have a reference from a non-test file, unless
-# internal/deadcheck/allow.txt lists it with a reason; an allowlist
+# and cmd/ must have a reference from a non-test file, and every
+# exported field of a struct type there named …Options or …Config must
+# be set by one, unless internal/deadcheck/allow.txt lists it with a
+# reason; an allowlist
 # entry whose declaration is gone or now referenced fails too.  The
 # check type-checks the standard library from source, so it is uncached
 # and takes a few seconds.

@@ -71,11 +71,11 @@ func (s *SimTransport) IdleNow() bool { return s.WaitIdle(0) }
 
 // IdleWait returns a closed channel: by the time a waiter could block,
 // IdleNow has already run the simulator to quiescence.
-func (s *SimTransport) IdleWait() (<-chan struct{}, func()) { return closedChan, func() {} }
+func (s *SimTransport) IdleWait() (<-chan struct{}, func()) { return Closed, func() {} }
 
-// closedChan is the idle signal of a transport that is always idle
-// once asked.
-var closedChan = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+// Closed is the idle signal of a transport that is always idle once
+// asked, because asking runs it to quiescence.
+var Closed = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
 // UseSymbols implements Transport: simulated payloads never leave
 // memory, so there are no names to resolve.

@@ -171,6 +171,74 @@ func (W) String(n int) string { return fmt.Sprint(n) }
 			want:  []finding{{key: "internal/a.Fixture", why: whyReason}},
 		},
 		{
+			name: "an option field no non-test file sets fails",
+			files: map[string]string{
+				"internal/a/a.go": `package a
+
+// RunOptions configures Used.
+type RunOptions struct {
+	Workers int
+	Verbose bool // read below, set only by a test
+	limit   int  // unexported fields are exempt
+}
+
+func Used(o RunOptions) int {
+	if o.Verbose {
+		return o.limit
+	}
+	return o.Workers
+}
+`,
+				"internal/a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestV(t *testing.T) { Used(RunOptions{Verbose: true}) }\n",
+				"cmd/app/main.go": `package main
+
+import "example.com/m/internal/a"
+
+func main() { a.Used(a.RunOptions{Workers: 2}) }
+`,
+			},
+			want: []finding{{key: "internal/a.RunOptions.Verbose", why: whyUnset}},
+		},
+		{
+			name: "option fields set by assignment, increment or a bound flag pass; other structs are exempt",
+			files: map[string]string{
+				"internal/a/a.go": `package a
+
+type NodeConfig struct{ ID, Addr string; Retries int }
+
+// Report is no option type: its fields need no setter.
+type Report struct{ Count int }
+
+func Used(c *NodeConfig) Report { return Report{} }
+`,
+				"cmd/app/main.go": `package main
+
+import (
+	"flag"
+
+	"example.com/m/internal/a"
+)
+
+func main() {
+	var c a.NodeConfig
+	c.ID = "n1"
+	(c).Retries++
+	flag.StringVar(&c.Addr, "addr", "", "")
+	_ = a.Used(&c).Count
+}
+`,
+			},
+		},
+		{
+			name: "an allowlisted option field passes, and a stale field entry fails",
+			files: map[string]string{
+				"internal/a/a.go": "package a\n\ntype Options struct{ Seam, Set int }\n\nfunc Used(o Options) int { return o.Seam + o.Set }\n",
+				"cmd/app/main.go": "package main\n\nimport \"example.com/m/internal/a\"\n\nfunc main() { a.Used(a.Options{Set: 1}) }\n",
+			},
+			allow: "internal/a.Options.Seam the tests' seam\ninternal/a.Options.Set set by cmd/app\n",
+			want:  []finding{{key: "internal/a.Options.Set", why: whyUsed}},
+		},
+		{
 			name: "the root package and other directories are exempt",
 			files: map[string]string{
 				"m.go":         "package m\n\nfunc Public() {}\n",

@@ -1,7 +1,9 @@
 // Package deadcheck keeps dead code deleted.  It type-checks every
 // non-test file of the module and fails on any package-level func,
 // method, type, var or const under internal/ or cmd/ that no non-test
-// file references, unless allow.txt lists it with a reason.
+// file references, and on any exported field of a struct type named
+// …Options or …Config there that no non-test file sets, unless
+// allow.txt lists it with a reason.
 //
 // The package has test files only, so the gate adds nothing to what the
 // module builds.  Run it with `make deadcheck`.
@@ -52,6 +54,7 @@ func (f finding) String() string {
 
 const (
 	whyUnused  = "no non-test file references it"
+	whyUnset   = "no non-test file sets it"
 	whyMissing = "allow.txt names a declaration that does not exist"
 	whyUsed    = "allow.txt names a declaration that a non-test file references"
 	whyReason  = "allow.txt entry has no reason"
@@ -305,6 +308,63 @@ func check(root string, allow []byte) ([]finding, error) {
 			used[obj] = !inside
 		}
 	}
+	// Option fields count as used only where a non-test file sets them:
+	// a composite-literal key, an assignment or increment, or an address
+	// taken (a flag bound to it).
+	for _, q := range m.order {
+		if !strings.HasPrefix(q.rel, "internal/") && !strings.HasPrefix(q.rel, "cmd/") {
+			continue
+		}
+		s := q.tpkg.Scope()
+		for _, n := range s.Names() {
+			tn, ok := s.Lookup(n).(*types.TypeName)
+			if !ok || !(strings.HasSuffix(n, "Options") || strings.HasSuffix(n, "Config")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					keys[f] = q.rel + "." + n + "." + f.Name()
+					used[f] = false
+				}
+			}
+		}
+	}
+	for _, q := range m.order {
+		set := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				e = sel.Sel
+			}
+			if id, ok := e.(*ast.Ident); ok {
+				if v, ok := q.info.Uses[id].(*types.Var); ok && v.IsField() {
+					used[v.Origin()] = true
+				}
+			}
+		}
+		for _, f := range q.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					set(n.Key)
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						set(l)
+					}
+				case *ast.IncDecStmt:
+					set(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						set(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
 	iface := m.interfaces()
 	for obj := range keys {
 		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil && satisfies(fn, iface) {
@@ -328,7 +388,11 @@ func check(root string, allow []byte) ([]finding, error) {
 	for obj, key := range keys {
 		byKey[key] = obj
 		if _, listed := reasons[key]; !used[obj] && !listed {
-			out = append(out, finding{key: key, why: whyUnused, at: at(obj.Pos())})
+			why := whyUnused
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				why = whyUnset
+			}
+			out = append(out, finding{key: key, why: why, at: at(obj.Pos())})
 		}
 	}
 	for key := range reasons {

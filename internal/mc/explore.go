@@ -118,7 +118,7 @@ func Explore(name string, sp *spec.Spec, opt ExploreOptions) (*ExploreReport, er
 		script := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 
-		net := newCtrlNet(arun.DefaultDriver, script, visited)
+		net := newCtrlNet(script, visited)
 		r, err := plan.NewRunner(net, arun.RunnerOptions{})
 		if err != nil {
 			return nil, err
@@ -254,12 +254,6 @@ type ctrlNet struct {
 	steps    int
 	occ      int64
 
-	// driver is the observer site: deliveries to it only append to the
-	// runner's observation maps and commute with every other delivery,
-	// so the pump drains them eagerly instead of branching on them — a
-	// sound reduction that removes the bulk of the interleavings.
-	driver simnet.SiteID
-
 	script  []int // forced picks for the choice points, in order
 	taken   []int // picks actually made this run
 	expand  []expandPoint
@@ -270,11 +264,10 @@ type ctrlNet struct {
 	err     error
 }
 
-func newCtrlNet(driver simnet.SiteID, script []int, visited map[[16]byte]bool) *ctrlNet {
+func newCtrlNet(script []int, visited map[[16]byte]bool) *ctrlNet {
 	return &ctrlNet{
 		handlers: map[simnet.SiteID]func(actor.Net, any){},
 		queues:   map[linkKey][]any{},
-		driver:   driver,
 		script:   script,
 		visited:  visited,
 	}
@@ -315,9 +308,7 @@ func (c *ctrlNet) IdleNow() bool { return c.WaitIdle(0) }
 
 // IdleWait implements arun.Transport with an already-closed channel:
 // IdleNow has pumped the queues dry before any waiter could block.
-func (c *ctrlNet) IdleWait() (<-chan struct{}, func()) { return idleNow, func() {} }
-
-var idleNow = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+func (c *ctrlNet) IdleWait() (<-chan struct{}, func()) { return arun.Closed, func() {} }
 
 // WaitIdle implements arun.Transport: pump deliveries — consulting the
 // script at choice points — until no message is queued.  The timeout is
@@ -372,10 +363,14 @@ func (c *ctrlNet) WaitIdle(time.Duration) bool {
 	}
 }
 
-// driverBound returns the index of the first driver-bound link, or -1.
+// driverBound returns the index of the first link to the driver, or
+// -1.  The driver is the observer site: deliveries to it only append to
+// the runner's observation maps and commute with every other delivery,
+// so the pump drains them eagerly instead of branching on them — a
+// sound reduction that removes the bulk of the interleavings.
 func (c *ctrlNet) driverBound(links []linkKey) int {
 	for i, lk := range links {
-		if lk.to == c.driver {
+		if lk.to == arun.DefaultDriver {
 			return i
 		}
 	}

@@ -118,7 +118,7 @@ func TestAckPumpReadsDuringCommit(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if !WaitIdleAll(5*time.Second, a, b) {
+	if !WaitQuiescent(5*time.Second, a, b) {
 		t.Fatal("pair not idle after the round")
 	}
 	if delivered, _ := b.Stats(); delivered != k {

@@ -46,7 +46,7 @@ func TestBatchCoalescingBurst(t *testing.T) {
 	a, b, _, cb := pair(t, nil)
 	const n = 500
 	burst(a, n)
-	if !netwire.WaitIdleAll(10*time.Second, a, b) {
+	if !netwire.WaitQuiescent(10*time.Second, a, b) {
 		t.Fatal("cluster not idle")
 	}
 	checkExactlyOnceInOrder(t, cb, n)
@@ -77,7 +77,7 @@ func TestBatchChaosExactlyOnce(t *testing.T) {
 		a, b, _, cb := pair(t, fp)
 		const n = 400
 		burst(a, n)
-		if !netwire.WaitIdleAll(30*time.Second, a, b) {
+		if !netwire.WaitQuiescent(30*time.Second, a, b) {
 			t.Fatalf("plan seed %d: cluster not idle (a=%d b=%d pending)",
 				fp.Seed, a.Pending(), b.Pending())
 		}
@@ -149,7 +149,7 @@ func TestBatchDelayPayloadsExact(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-	if !netwire.WaitIdleAll(20*time.Second, a, b) {
+	if !netwire.WaitQuiescent(20*time.Second, a, b) {
 		t.Fatalf("cluster not idle (a=%d b=%d pending)", a.Pending(), b.Pending())
 	}
 	mu.Lock()
@@ -187,7 +187,7 @@ func TestBatchPartitionHeal(t *testing.T) {
 	if got := len(cb.snapshot()); got != 0 {
 		t.Fatalf("delivered %d messages inside the partition window", got)
 	}
-	if !netwire.WaitIdleAll(15*time.Second, a, b) {
+	if !netwire.WaitQuiescent(15*time.Second, a, b) {
 		t.Fatal("cluster not idle after heal")
 	}
 	checkExactlyOnceInOrder(t, cb, n)

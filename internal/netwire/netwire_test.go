@@ -82,7 +82,7 @@ func TestRemoteDeliveryInOrder(t *testing.T) {
 		a.Send("sa", "sb", announce(i))
 		b.Send("sb", "sa", announce(1000+i))
 	}
-	if !netwire.WaitIdleAll(5*time.Second, a, b) {
+	if !netwire.WaitQuiescent(5*time.Second, a, b) {
 		t.Fatal("cluster not idle")
 	}
 	gotB := cb.snapshot()
@@ -133,7 +133,7 @@ func TestReconnect(t *testing.T) {
 	b.Start(nil)
 	defer b.Close()
 
-	if !netwire.WaitIdleAll(5*time.Second, a, b) {
+	if !netwire.WaitQuiescent(5*time.Second, a, b) {
 		t.Fatal("cluster not idle after reconnect")
 	}
 	got := cb.snapshot()
@@ -155,7 +155,7 @@ func TestChaosExactlyOnceEffect(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a.Send("sa", "sb", announce(i))
 	}
-	if !netwire.WaitIdleAll(20*time.Second, a, b) {
+	if !netwire.WaitQuiescent(20*time.Second, a, b) {
 		t.Fatalf("cluster not idle under chaos (a=%d b=%d pending)", a.Pending(), b.Pending())
 	}
 	counts := map[int64]int{}
@@ -187,7 +187,7 @@ func TestPartitionHeal(t *testing.T) {
 	if got := len(cb.snapshot()); got != 0 {
 		t.Fatalf("delivered %d messages inside the partition window", got)
 	}
-	if !netwire.WaitIdleAll(10*time.Second, a, b) {
+	if !netwire.WaitQuiescent(10*time.Second, a, b) {
 		t.Fatal("cluster not idle after heal")
 	}
 	got := cb.snapshot()
@@ -206,7 +206,7 @@ func TestOccurrenceClock(t *testing.T) {
 		a.NextOccurrence() // advance A's clock well past B's
 	}
 	a.Send("sa", "sb", announce(1))
-	if !netwire.WaitIdleAll(5*time.Second, a, b) {
+	if !netwire.WaitQuiescent(5*time.Second, a, b) {
 		t.Fatal("cluster not idle")
 	}
 	if len(cb.snapshot()) != 1 {
@@ -228,7 +228,7 @@ func TestDedupStats(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		a.Send("sa", "sb", announce(i))
 	}
-	if !netwire.WaitIdleAll(10*time.Second, a, b) {
+	if !netwire.WaitQuiescent(10*time.Second, a, b) {
 		t.Fatal("cluster not idle")
 	}
 	delivered, deduped := b.Stats()

@@ -180,6 +180,7 @@ func (n *Node) applyRestore(peers map[simnet.SiteID]string) []deferredSend {
 		rp.mu.Lock()
 		if wm > rp.watermark {
 			rp.watermark = wm
+			rp.delivered.Store(wm) // replay handled everything up to it
 		}
 		rp.mu.Unlock()
 	}

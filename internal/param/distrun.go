@@ -21,8 +21,6 @@ type TypesConfig struct {
 	// tokens are decided whenever their guards allow, so later entries
 	// should leave room for the admissions they depend on.
 	Script []TimedToken
-	// Latency configures the network (zero value: simnet default).
-	Latency simnet.LatencyModel
 	// Seed makes the run reproducible.
 	Seed int64
 }
@@ -58,11 +56,7 @@ func RunTypes(cfg TypesConfig) (*TypesReport, error) {
 	if len(cfg.Deps) == 0 {
 		return nil, fmt.Errorf("param: RunTypes needs dependencies")
 	}
-	lat := cfg.Latency
-	if lat == (simnet.LatencyModel{}) {
-		lat = simnet.DefaultLatency()
-	}
-	net := simnet.New(lat, cfg.Seed)
+	net := simnet.New(simnet.DefaultLatency(), cfg.Seed)
 	dir := NewTypeDirectory()
 
 	deps := make([]*algebra.Expr, len(cfg.Deps))

@@ -10,9 +10,10 @@
 // receiver's interval overlap by construction, so a count shared by
 // every party never reads zero while anything is still in flight: one
 // read of a shared NotifyTracker is a consistent snapshot, and its
-// zero-transitions are the idle signal.  Only counts kept apart (nodes
-// built separately, or in other processes) fall back to polling their
-// sum, with WaitIdleFunc.
+// zero-transitions are the idle signal.  Counts kept apart (nodes in
+// other processes) are not summed: each node's zero-transitions
+// trigger a report of its per-link counts, and netwire.Quiescent
+// compares those link by link.
 package quiesce
 
 import (
@@ -20,29 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// WaitIdleFunc polls a pending count that is summed over separately
-// counted parts until it has read zero three times in a row, 1ms apart,
-// or the timeout elapses.  It reports whether quiescence was reached.
-// Reading the parts one after another is not a consistent cut, so a
-// single zero proves nothing; the repeated reads guard against the
-// window where one part has finished but another is about to receive.
-// A single NotifyTracker shared by every part needs none of this.
-func WaitIdleFunc(timeout time.Duration, pending func() int64) bool {
-	deadline := time.Now().Add(timeout)
-	stable := 0
-	for time.Now().Before(deadline) {
-		if pending() == 0 {
-			if stable++; stable >= 3 {
-				return true
-			}
-		} else {
-			stable = 0
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return pending() == 0
-}
 
 // NotifyTracker counts pending work items, and its completions can
 // wake parked waiters: Done pulses a gate when the count transitions

@@ -25,60 +25,6 @@ func TestTrackerCounts(t *testing.T) {
 	}
 }
 
-// TestWaitIdleChurn: a summed count that keeps bouncing through zero
-// must not satisfy WaitIdleFunc's repeated-zero rule until the churn
-// stops — the window where one part finished but is about to receive
-// more work is exactly what the rule guards against.
-func TestWaitIdleChurn(t *testing.T) {
-	var tr NotifyTracker
-	stop := make(chan struct{})
-	var churning sync.WaitGroup
-	churning.Add(1)
-	go func() {
-		defer churning.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			tr.Add(1)
-			time.Sleep(200 * time.Microsecond)
-			tr.Done()
-			// No pause before re-adding: pending is zero only for an
-			// instant, never for consecutive polls.
-		}
-	}()
-
-	idle := WaitIdleFunc(30*time.Millisecond, tr.Pending)
-	close(stop)
-	churning.Wait()
-	if idle {
-		t.Error("churning count reported stable idle")
-	}
-	if !WaitIdleFunc(time.Second, tr.Pending) {
-		t.Fatal("count did not settle after churn stopped")
-	}
-}
-
-// TestWaitIdleFuncSum covers the separately-built-nodes usage:
-// quiescence over the sum of several trackers, reached only when every
-// one drains.
-func TestWaitIdleFuncSum(t *testing.T) {
-	var a, b NotifyTracker
-	a.Add(1)
-	b.Add(1)
-	sum := func() int64 { return a.Pending() + b.Pending() }
-	a.Done()
-	if WaitIdleFunc(20*time.Millisecond, sum) {
-		t.Fatal("sum reported idle with b still pending")
-	}
-	b.Done()
-	if !WaitIdleFunc(time.Second, sum) {
-		t.Fatal("sum did not report idle after both drained")
-	}
-}
-
 // TestNotifyTrackerWaitIdle: idle immediately when zero, refuses while
 // pending, and wakes on the drain without polling.
 func TestNotifyTrackerWaitIdle(t *testing.T) {
