@@ -951,6 +951,9 @@ func (a *Actor) onReply(n Net, m InquireReplyMsg) {
 	}
 	if len(p.round.pending) == 0 {
 		a.finishRound(n, p)
+		// The round no longer defers inquiries (minActiveRoundSym), but
+		// if its event is ready but blocked, endRound will not run yet.
+		a.answerDeferred(n)
 	}
 }
 
