@@ -244,7 +244,7 @@ func runSim(s *spec.Spec, out io.Writer, kindFlag string, seed int64, showDecisi
 					verdict = "reject"
 				}
 				fmt.Fprintf(out, "  %-7s %-16s attempted=%d decided=%d %s\n",
-					verdict, d.Sym.Key(), d.AttemptedAt, d.DecidedAt, d.Reason)
+					verdict, r.Symbols.Key(d.ID), d.AttemptedAt, d.DecidedAt, d.Reason)
 			}
 		}
 		fmt.Fprintln(out)

@@ -27,7 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("guards synthesized from  ~e + ~f + e . f :")
-	for _, eg := range compiled.Events() {
+	for _, eg := range compiled.EventGuards() {
 		fmt.Printf("  G(%-2s) = %s\n", eg.Event.Key(), eg.Guard.Key())
 	}
 

@@ -71,8 +71,7 @@ type Net interface {
 
 // Actor manages one event (both polarities) at one site.
 type Actor struct {
-	base  algebra.Symbol
-	id    symtab.ID // base's id in the directory's table
+	id    symtab.ID // the base event's id in the directory's table
 	tab   *symtab.Table
 	site  simnet.SiteID
 	dir   *Directory
@@ -116,8 +115,7 @@ type Actor struct {
 }
 
 type polarity struct {
-	sym algebra.Symbol
-	id  symtab.ID
+	id symtab.ID
 	// shown is the residual guard the last trace record showed; empty
 	// until then, when it is the source guard.
 	shown string
@@ -135,10 +133,10 @@ type polarity struct {
 	fireReady   bool
 	round       *round
 	holdsOnMe   map[holdKey]bool
-	// promisesBy maps requester symbol → the outstanding conditional
+	// promisesBy maps requester id → the outstanding conditional
 	// promise this actor gave on this symbol.
 	promisesBy map[symtab.ID]promiseInfo
-	// promiseClaims maps target symbol → the conditional promises this
+	// promiseClaims maps target id → the conditional promises this
 	// polarity has received.  Claims persist across rounds: they are
 	// consumed at fire (discharge) or at reject (lapse).
 	promiseClaims map[symtab.ID]promiseClaim
@@ -170,9 +168,8 @@ type round struct {
 }
 
 type claim struct {
-	target algebra.Symbol
-	id     symtab.ID // target's
-	site   simnet.SiteID
+	id   symtab.ID // the target
+	site simnet.SiteID
 }
 
 // holdKey names a hold this actor granted: the requester and its
@@ -185,17 +182,15 @@ type holdKey struct {
 // promiseInfo is a promise this actor gave: the requester it went to
 // and the conditions under which it must be fulfilled.
 type promiseInfo struct {
-	requester algebra.Symbol
-	conds     []algebra.Symbol
-	condIDs   []symtab.ID // conds' ids, aligned
+	requester symtab.ID
+	conds     []symtab.ID
 }
 
-// promiseClaim is a promise this actor received.
+// promiseClaim is a promise this actor received, from the target's
+// site.
 type promiseClaim struct {
-	target   algebra.Symbol
 	site     simnet.SiteID
-	conds    []algebra.Symbol
-	condIDs  []symtab.ID // conds' ids, aligned
+	conds    []symtab.ID
 	afterReq bool
 }
 
@@ -208,8 +203,7 @@ func New(base algebra.Symbol, site simnet.SiteID, dir *Directory, hooks *Hooks, 
 	if prog.Table() != dir.tab {
 		panic(fmt.Sprintf("actor %s: program lowered onto another symbol table", base))
 	}
-	a := &Actor{base: base.Base(), site: site, dir: dir, tab: dir.tab, hooks: hooks}
-	a.id = a.tab.MustLookup(a.base)
+	a := &Actor{id: dir.tab.MustLookup(base.Base()), site: site, dir: dir, tab: dir.tab, hooks: hooks}
 	prog.InitState(&a.prog)
 	a.Reset()
 	return a
@@ -230,7 +224,7 @@ func (a *Actor) Reset() {
 	clear(a.deferred)
 	a.deferred = a.deferred[:0]
 	comp := a.id.Complement()
-	a.pols = [2]polarity{{sym: a.base, id: a.id}, {sym: a.tab.Sym(comp), id: comp}}
+	a.pols = [2]polarity{{id: a.id}, {id: comp}}
 	a.ordered = [2]*polarity{&a.pols[0], &a.pols[1]}
 	if a.tab.Key(comp) < a.tab.Key(a.id) {
 		a.ordered[0], a.ordered[1] = a.ordered[1], a.ordered[0]
@@ -245,19 +239,25 @@ func (a *Actor) status(id symtab.ID) temporal.Status {
 	return st
 }
 
-// idOf resolves a symbol a protocol message names to its id.  Only
-// attempts, announcements and decisions carry ids; inquiries, replies,
-// releases and the promise conditions they carry name their symbols,
-// and every one of them is in the plan's table.
-func (a *Actor) idOf(s algebra.Symbol) symtab.ID { return a.tab.MustLookup(s) }
-
-// idsOf resolves names to ids.
-func (a *Actor) idsOf(ss []algebra.Symbol) []symtab.ID {
-	out := make([]symtab.ID, len(ss))
-	for i, s := range ss {
-		out[i] = a.idOf(s)
+// keys names ids for a log line: every protocol message carries ids,
+// and the plan's table turns them back into text only where a human
+// reads them.
+func (a *Actor) keys(ids []symtab.ID) []string {
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = a.tab.Key(id)
 	}
 	return out
+}
+
+// siteOf returns the actor site of an event the guards mention; every
+// such event is placed.
+func (a *Actor) siteOf(id symtab.ID) simnet.SiteID {
+	site := a.dir.Site(id)
+	if site == "" {
+		panic(fmt.Sprintf("actor: no actor placed for event %s", a.tab.Key(id.Base())))
+	}
+	return site
 }
 
 // localClean reports whether a decision on the polarity may treat its
@@ -281,7 +281,7 @@ func (a *Actor) sortByKey(ids []symtab.ID) {
 // can close.
 func (a *Actor) missingConds(p *polarity, dst []symtab.ID) []symtab.ID {
 	for _, c := range p.promiseClaims {
-		for _, cond := range c.condIDs {
+		for _, cond := range c.conds {
 			if cond.SameEvent(a.id) {
 				continue
 			}
@@ -360,7 +360,7 @@ func (a *Actor) closeWave(p *polarity, wave map[symtab.ID]bool) bool {
 	for changed := true; changed; {
 		changed = false
 		for k := range wave {
-			for _, cid := range p.promiseClaims[k].condIDs {
+			for _, cid := range p.promiseClaims[k].conds {
 				if cid == p.id || wave[cid] ||
 					a.status(cid) == temporal.StatusOccurred {
 					continue
@@ -403,24 +403,21 @@ func (a *Actor) Site() simnet.SiteID { return a.site }
 
 // SetTriggerable marks a polarity as proactively triggerable by the
 // scheduler (task attribute, §2).
-func (a *Actor) SetTriggerable(s algebra.Symbol) { a.polSym(s).triggerable = true }
+func (a *Actor) SetTriggerable(id symtab.ID) { a.pol(id).triggerable = true }
 
 func (a *Actor) logf(format string, args ...any) {
 	if a.Log != nil {
-		a.Log("[%s@%s] "+format, append([]any{a.base.Key(), a.site}, args...)...)
+		a.Log("[%s@%s] "+format, append([]any{a.tab.Key(a.id), a.site}, args...)...)
 	}
 }
 
 func (a *Actor) pol(id symtab.ID) *polarity {
 	p := a.lookup(id)
 	if p == nil {
-		panic(fmt.Sprintf("actor %s: message about foreign symbol id %d", a.base, id))
+		panic(fmt.Sprintf("actor %s: message about foreign symbol id %d", a.tab.Key(a.id), id))
 	}
 	return p
 }
-
-// polSym is pol for a symbol given by name.
-func (a *Actor) polSym(s algebra.Symbol) *polarity { return a.pol(a.idOf(s)) }
 
 // lookup returns the polarity the id names, or nil when it is not one
 // of this actor's two symbols.  pols is indexed by the id's bar bit.
@@ -450,14 +447,14 @@ func (a *Actor) Deliver(n Net, payload any) {
 	case NudgeMsg:
 		a.onNudge(n, msg)
 	default:
-		panic(fmt.Sprintf("actor %s: unexpected payload %T", a.base, payload))
+		panic(fmt.Sprintf("actor %s: unexpected payload %T", a.tab.Key(a.id), payload))
 	}
 }
 
 func (a *Actor) onAttempt(n Net, m AttemptMsg) {
 	p := a.pol(m.ID)
 	if a.Log != nil { // checked here: the varargs box is per-delivery
-		a.logf("attempt %s forced=%v", m.Sym, m.Forced)
+		a.logf("attempt %s forced=%v", a.tab.Key(m.ID), m.Forced)
 	}
 	a.counts.Attempts++
 	if a.Trace.On() {
@@ -511,7 +508,7 @@ func (a *Actor) onAttempt(n Net, m AttemptMsg) {
 		}
 		sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
 		for _, site := range sites {
-			n.Send(a.site, site, NudgeMsg{Sym: p.sym})
+			n.Send(a.site, site, NudgeMsg{ID: p.id})
 		}
 	}
 }
@@ -535,7 +532,7 @@ func (a *Actor) onAnnounce(n Net, m AnnounceMsg) {
 		return // our own occurrences are recorded at fire time
 	}
 	if a.Log != nil { // checked here: the varargs box is per-delivery
-		a.logf("announce %s@%d", m.Sym, m.At)
+		a.logf("announce %s@%d", a.tab.Key(m.ID), m.At)
 	}
 	a.counts.Announcements++
 	if a.Trace.On() {
@@ -570,7 +567,7 @@ func (a *Actor) settlePromises(n Net) {
 		}
 		for key, info := range p.promisesBy {
 			lapsed, due := false, true
-			for _, c := range info.condIDs {
+			for _, c := range info.conds {
 				switch a.status(c) {
 				case temporal.StatusImpossible:
 					lapsed = true
@@ -582,12 +579,12 @@ func (a *Actor) settlePromises(n Net) {
 			}
 			switch {
 			case lapsed:
-				a.logf("promise of %s to %s lapses (condition impossible)", p.sym, info.requester)
+				a.logf("promise of %s to %s lapses (condition impossible)", a.tab.Key(p.id), a.tab.Key(info.requester))
 				delete(p.promisesBy, key)
 			case due && !p.occurred && !p.rejected && !p.attempted:
 				p.attempted = true
 				p.attemptTime = n.Now()
-				a.logf("self-trigger %s to discharge promise to %s", p.sym, info.requester)
+				a.logf("self-trigger %s to discharge promise to %s", a.tab.Key(p.id), a.tab.Key(info.requester))
 			}
 		}
 	}
@@ -660,34 +657,29 @@ func (a *Actor) startRound(n Net, p *polarity) {
 	a.sortByKey(kept)
 	hyp := a.hypothesis(p)
 	for _, t := range kept {
-		target := a.tab.Sym(t)
-		site, err := a.dir.SiteOf(target)
-		if err != nil {
-			panic(err)
-		}
 		p.round.pending[t] = true
-		n.Send(a.site, site, InquireMsg{
-			Target:    target,
-			Requester: p.sym,
+		n.Send(a.site, a.siteOf(t), InquireMsg{
+			Target:    t,
+			Requester: p.id,
 			ReplyTo:   a.site,
 			Round:     p.round.id,
 			Hyp:       hyp,
 		})
 	}
-	a.logf("round %d for %s: inquiring %d targets", p.round.id, p.sym, len(p.round.pending))
+	a.logf("round %d for %s: inquiring %d targets", p.round.id, a.tab.Key(p.id), len(p.round.pending))
 }
 
 // hypothesis is what the requester vouches for in an inquiry: its own
 // event.  Waves grow through counter-conditions instead of through the
 // hypothesis, so alternative (mutually incompatible) waves never
 // poison each other.
-func (a *Actor) hypothesis(p *polarity) []algebra.Symbol {
-	return []algebra.Symbol{p.sym}
+func (a *Actor) hypothesis(p *polarity) []symtab.ID {
+	return []symtab.ID{p.id}
 }
 
 func (a *Actor) onInquire(n Net, m InquireMsg) {
 	a.counts.Inquiries++
-	p := a.polSym(m.Target)
+	p := a.pol(m.Target)
 	put(&p.pastInquirers, m.ReplyTo, true)
 	if p.occurred {
 		n.Send(a.site, m.ReplyTo, InquireReplyMsg{
@@ -705,16 +697,16 @@ func (a *Actor) onInquire(n Net, m InquireMsg) {
 	}
 	// Priority deferral: while we run a round for a higher-priority
 	// event, postpone the reply.
-	if sym, active := a.minActiveRoundSym(); active && sym < m.Requester.Key() {
-		a.logf("deferring inquiry about %s from %s (deciding %s)", m.Target, m.Requester, sym)
+	if sym, active := a.minActiveRoundSym(); active && sym < a.tab.Key(m.Requester) {
+		a.logf("deferring inquiry about %s from %s (deciding %s)", a.tab.Key(m.Target), a.tab.Key(m.Requester), sym)
 		a.deferred = append(a.deferred, m)
 		return
 	}
-	reqID := a.idOf(m.Requester)
+	reqID := m.Requester
 	put(&p.holdsOnMe, holdKey{reqID, m.Round}, true)
 	hyp := m.Hyp
 	if len(hyp) == 0 {
-		hyp = []algebra.Symbol{m.Requester}
+		hyp = []symtab.ID{reqID}
 	}
 	promised := false
 	conds := hyp
@@ -725,18 +717,20 @@ func (a *Actor) onInquire(n Net, m InquireMsg) {
 		// it with its original conditions.
 		promised = true
 		conds = existing.conds
-		afterReq = a.orderedAfter(p, m.Requester, conds)
+		afterReq = a.orderedAfter(p, reqID, conds)
 	} else if (p.attempted || p.triggerable) && !p.rejected {
 		if granted, ok := a.grantConds(p, hyp); ok &&
-			exclusiveWithAll(comp.promisesBy, m.Requester, granted) {
+			exclusiveWithAll(comp.promisesBy, reqID, granted) {
 			promised = true
 			conds = granted
-			afterReq = a.orderedAfter(p, m.Requester, conds)
-			put(&p.promisesBy, reqID, promiseInfo{requester: m.Requester, conds: conds, condIDs: a.idsOf(conds)})
+			afterReq = a.orderedAfter(p, reqID, conds)
+			put(&p.promisesBy, reqID, promiseInfo{requester: reqID, conds: conds})
 		}
 	}
-	a.logf("reply to %s about %s: held, promised=%v conds=%v afterReq=%v",
-		m.Requester, m.Target, promised, conds, afterReq)
+	if a.Log != nil { // checked here: naming the conditions allocates
+		a.logf("reply to %s about %s: held, promised=%v conds=%v afterReq=%v",
+			a.tab.Key(reqID), a.tab.Key(m.Target), promised, a.keys(conds), afterReq)
+	}
 	n.Send(a.site, m.ReplyTo, InquireReplyMsg{
 		Target: m.Target, Requester: m.Requester, Round: m.Round,
 		Held: true, Promised: promised, Conds: conds, AfterReq: afterReq,
@@ -746,7 +740,7 @@ func (a *Actor) onInquire(n Net, m InquireMsg) {
 // grantConds finds the smallest condition set under which a promise is
 // sound: the hypothesis alone, the hypothesis plus one
 // counter-condition, or the hypothesis plus all of them.
-func (a *Actor) grantConds(p *polarity, hyp []algebra.Symbol) ([]algebra.Symbol, bool) {
+func (a *Actor) grantConds(p *polarity, hyp []symtab.ID) ([]symtab.ID, bool) {
 	if a.promiseSound(p, hyp) {
 		return hyp, true
 	}
@@ -755,13 +749,13 @@ func (a *Actor) grantConds(p *polarity, hyp []algebra.Symbol) ([]algebra.Symbol,
 		return nil, false
 	}
 	for _, e := range extras {
-		withOne := append(append([]algebra.Symbol(nil), hyp...), e)
+		withOne := append(append([]symtab.ID(nil), hyp...), e)
 		if a.promiseSound(p, withOne) {
 			return withOne, true
 		}
 	}
 	if len(extras) > 1 {
-		withAll := append(append([]algebra.Symbol(nil), hyp...), extras...)
+		withAll := append(append([]symtab.ID(nil), hyp...), extras...)
 		if a.promiseSound(p, withAll) {
 			return withAll, true
 		}
@@ -775,15 +769,14 @@ func (a *Actor) grantConds(p *polarity, hyp []algebra.Symbol) ([]algebra.Symbol,
 // sets must be mutually exclusive (some event appears with opposite
 // polarities), so at most one of the two commit waves can occur.
 // Promising both polarities is otherwise forbidden.
-func exclusiveWithAll(compPromises map[symtab.ID]promiseInfo, requester algebra.Symbol,
-	conds []algebra.Symbol) bool {
-	mine := append(append([]algebra.Symbol(nil), conds...), requester)
+func exclusiveWithAll(compPromises map[symtab.ID]promiseInfo, requester symtab.ID, conds []symtab.ID) bool {
+	mine := append(append([]symtab.ID(nil), conds...), requester)
 	for _, info := range compPromises {
-		theirs := append(append([]algebra.Symbol(nil), info.conds...), info.requester)
+		theirs := append(append([]symtab.ID(nil), info.conds...), info.requester)
 		exclusive := false
 		for _, x := range mine {
 			for _, y := range theirs {
-				if x.SameEvent(y) && x.Key() != y.Key() {
+				if x == y.Complement() {
 					exclusive = true
 				}
 			}
@@ -798,10 +791,10 @@ func exclusiveWithAll(compPromises map[symtab.ID]promiseInfo, requester algebra.
 // orderedAfter reports that the promised event cannot fire before the
 // requester really occurs: with every condition except the requester
 // hypothetically in place, the guard is still not satisfied.
-func (a *Actor) orderedAfter(p *polarity, requester algebra.Symbol, conds []algebra.Symbol) bool {
-	rest := make([]algebra.Symbol, 0, len(conds))
+func (a *Actor) orderedAfter(p *polarity, requester symtab.ID, conds []symtab.ID) bool {
+	rest := make([]symtab.ID, 0, len(conds))
 	for _, c := range conds {
-		if !c.Equal(requester) {
+		if c != requester {
 			rest = append(rest, c)
 		}
 	}
@@ -812,18 +805,17 @@ func (a *Actor) orderedAfter(p *polarity, requester algebra.Symbol, conds []alge
 // beyond the requester's hypothesis: the symbols this polarity's
 // residual guard still awaits once the hypothesis occurred (bounded,
 // to keep waves small).
-func (a *Actor) counterConditions(p *polarity, hyp []algebra.Symbol) []algebra.Symbol {
+func (a *Actor) counterConditions(p *polarity, hyp []symtab.ID) []symtab.ID {
 	const maxExtras = 8
-	hypIDs := a.idsOf(hyp)
-	view := a.hypState(hypIDs).DecideView(p.pol(), false)
+	view := a.hypState(hyp).DecideView(p.pol(), false)
 	ids := a.prog.Awaited(p.pol(), view, a.ids[:0])
 	a.sortByKey(ids)
-	var out []algebra.Symbol
+	var out []symtab.ID
 	for i, u := range ids {
-		if (i > 0 && ids[i-1] == u) || u.SameEvent(a.id) || slices.Contains(hypIDs, u) {
+		if (i > 0 && ids[i-1] == u) || u.SameEvent(a.id) || slices.Contains(hyp, u) {
 			continue
 		}
-		out = append(out, a.tab.Sym(u))
+		out = append(out, u)
 		if len(out) >= maxExtras {
 			break
 		}
@@ -849,7 +841,7 @@ func (a *Actor) hypState(hyp []symtab.ID) *gprog.State {
 	return &a.hyp
 }
 
-// promiseSound reports whether a conditional promise of p.sym to the
+// promiseSound reports whether a conditional promise of p to the
 // requester is safe: under permanent facts plus a hypothetical future
 // occurrence of the requester, p's guard is definitively true.
 // Permanent facts are monotone, so the guard stays true until the
@@ -860,16 +852,15 @@ func (a *Actor) hypState(hyp []symtab.ID) *gprog.State {
 // p fires, so ¬f holds through discharge.  Transient facts learned in
 // other rounds (holds, conditional promises received) are stripped —
 // they may lapse before discharge.
-func (a *Actor) promiseSound(p *polarity, hypSet []algebra.Symbol) bool {
-	hypIDs := a.idsOf(hypSet)
-	h := a.hypState(hypIDs)
+func (a *Actor) promiseSound(p *polarity, hyp []symtab.ID) bool {
+	h := a.hypState(hyp)
 	// Chained promises this polarity already holds count when their
 	// conditions are covered by the hypothesis (they will be
 	// discharged in the same commit wave).
 	for t, c := range p.promiseClaims {
 		covered := true
-		for _, cond := range c.condIDs {
-			if st, _ := h.StatusID(cond); cond != p.id && !slices.Contains(hypIDs, cond) &&
+		for _, cond := range c.conds {
+			if st, _ := h.StatusID(cond); cond != p.id && !slices.Contains(hyp, cond) &&
 				st != temporal.StatusOccurred {
 				covered = false
 				break
@@ -898,8 +889,8 @@ func (a *Actor) minActiveRoundSym() (string, bool) {
 	best := ""
 	for _, p := range a.ordered {
 		if p.round != nil && len(p.round.pending) > 0 {
-			if best == "" || p.sym.Key() < best {
-				best = p.sym.Key()
+			if k := a.tab.Key(p.id); best == "" || k < best {
+				best = k
 			}
 		}
 	}
@@ -907,12 +898,8 @@ func (a *Actor) minActiveRoundSym() (string, bool) {
 }
 
 func (a *Actor) onReply(n Net, m InquireReplyMsg) {
-	p := a.polSym(m.Requester)
-	site, siteErr := a.dir.SiteOf(m.Target)
-	if siteErr != nil {
-		panic(siteErr)
-	}
-	target := a.idOf(m.Target)
+	p := a.pol(m.Requester)
+	site, target := a.siteOf(m.Target), m.Target
 	alive := !p.occurred && !p.rejected
 	// Promises persist beyond rounds: accept them whenever the
 	// polarity is still undecided, even from a stale round.
@@ -921,19 +908,17 @@ func (a *Actor) onReply(n Net, m InquireReplyMsg) {
 			if _, had := p.promiseClaims[target]; !had {
 				p.retry = true // a new claim may close the commit wave
 			}
-			put(&p.promiseClaims, target, promiseClaim{
-				target: m.Target, site: site, conds: m.Conds, condIDs: a.idsOf(m.Conds), afterReq: m.AfterReq,
-			})
+			put(&p.promiseClaims, target, promiseClaim{site: site, conds: m.Conds, afterReq: m.AfterReq})
 		} else {
 			n.Send(a.site, site, ReleaseMsg{
-				Target: m.Target, Requester: m.Requester, Round: m.Round, Promise: true,
+				Target: target, Requester: m.Requester, Round: m.Round, Promise: true,
 			})
 		}
 	}
 	stale := p.round == nil || p.round.id != m.Round
 	if stale {
 		if m.Held {
-			n.Send(a.site, site, ReleaseMsg{Target: m.Target, Requester: m.Requester, Round: m.Round})
+			n.Send(a.site, site, ReleaseMsg{Target: target, Requester: m.Requester, Round: m.Round})
 		}
 		return
 	}
@@ -945,7 +930,7 @@ func (a *Actor) onReply(n Net, m InquireReplyMsg) {
 		a.prog.MarkImpossibleID(target)
 	default:
 		if m.Held {
-			p.round.holds = append(p.round.holds, claim{target: m.Target, id: target, site: site})
+			p.round.holds = append(p.round.holds, claim{id: target, site: site})
 			a.prog.HoldID(target)
 		}
 	}
@@ -963,7 +948,7 @@ func (a *Actor) finishRound(n Net, p *polarity) {
 	}
 	a.traceEval(n, p, "unknown")
 	if a.Log != nil { // checked here: printing the residual is not free
-		a.logf("round for %s inconclusive (guard %s)", p.sym, a.prog.Residual(p.pol()).Key())
+		a.logf("round for %s inconclusive (guard %s)", a.tab.Key(p.id), a.prog.Residual(p.pol()).Key())
 	}
 	a.endRound(n, p)
 	if p.retry {
@@ -980,7 +965,7 @@ func (a *Actor) endRound(n Net, p *polarity) {
 	}
 	for _, c := range p.round.holds {
 		n.Send(a.site, c.site, ReleaseMsg{
-			Target: c.target, Requester: p.sym, Round: p.round.id,
+			Target: c.id, Requester: p.id, Round: p.round.id,
 		})
 		a.prog.UnholdID(c.id)
 	}
@@ -1010,7 +995,7 @@ func (a *Actor) settleClaims(n Net, p *polarity, fired bool) {
 		// a fire that needed no wave lapses everything.
 		discharge := fired && p.wave != nil && p.wave[k]
 		n.Send(a.site, c.site, ReleaseMsg{
-			Target: c.target, Requester: p.sym, Promise: true, Fired: discharge,
+			Target: k, Requester: p.id, Promise: true, Fired: discharge,
 		})
 	}
 	p.promiseClaims = nil
@@ -1033,7 +1018,7 @@ func (a *Actor) releaseUnneededHolds(n Net, p *polarity) {
 			continue
 		}
 		n.Send(a.site, c.site, ReleaseMsg{
-			Target: c.target, Requester: p.sym, Round: p.round.id,
+			Target: c.id, Requester: p.id, Round: p.round.id,
 		})
 		a.prog.UnholdID(c.id)
 	}
@@ -1042,23 +1027,22 @@ func (a *Actor) releaseUnneededHolds(n Net, p *polarity) {
 }
 
 func (a *Actor) onRelease(n Net, m ReleaseMsg) {
-	p := a.polSym(m.Target)
-	a.logf("release of %s by %s (promise=%v fired=%v)", m.Target, m.Requester, m.Promise, m.Fired)
+	p := a.pol(m.Target)
+	a.logf("release of %s by %s (promise=%v fired=%v)", a.tab.Key(m.Target), a.tab.Key(m.Requester), m.Promise, m.Fired)
 	if m.Promise {
-		reqID := a.idOf(m.Requester)
-		_, promised := p.promisesBy[reqID]
-		delete(p.promisesBy, reqID)
+		_, promised := p.promisesBy[m.Requester]
+		delete(p.promisesBy, m.Requester)
 		if m.Fired && promised && !p.occurred && !p.rejected {
 			// The requester used our promise: the event is obligated.
 			if !p.attempted {
 				p.attempted = true
 				p.attemptTime = n.Now()
-				a.logf("self-trigger %s to discharge promise to %s", p.sym, m.Requester)
+				a.logf("self-trigger %s to discharge promise to %s", a.tab.Key(p.id), a.tab.Key(m.Requester))
 			}
 			a.decide(n, p)
 		}
 	} else {
-		delete(p.holdsOnMe, holdKey{a.idOf(m.Requester), m.Round})
+		delete(p.holdsOnMe, holdKey{m.Requester, m.Round})
 	}
 	// A hold or promise may have been blocking a ready event.
 	for _, q := range a.sortedPols() {
@@ -1078,7 +1062,7 @@ func (a *Actor) tryFire(n Net, p *polarity) {
 	if len(p.holdsOnMe) > 0 || len(comp.promisesBy) > 0 {
 		p.fireReady = true
 		a.logf("%s ready but blocked (holds=%d, complement promises=%d)",
-			p.sym, len(p.holdsOnMe), len(comp.promisesBy))
+			a.tab.Key(p.id), len(p.holdsOnMe), len(comp.promisesBy))
 		return
 	}
 	a.fire(n, p)
@@ -1097,7 +1081,7 @@ func (a *Actor) fire(n Net, p *polarity) {
 	p.at = at
 	a.prog.ObserveID(p.id, at)
 	if a.Log != nil { // checked here: the varargs box is per-fire
-		a.logf("FIRE %s@%d", p.sym, at)
+		a.logf("FIRE %s@%d", a.tab.Key(p.id), at)
 	}
 	a.counts.Fires++
 	if a.Trace.On() {
@@ -1108,7 +1092,7 @@ func (a *Actor) fire(n Net, p *polarity) {
 			At:      at,
 		})
 	}
-	ann := AnnounceMsg{Sym: p.sym, ID: p.id, At: at}
+	ann := AnnounceMsg{ID: p.id, At: at}
 	a.hooks.fire(ann, n.Now())
 
 	// One box serves every subscriber: payloads are immutable once
@@ -1147,7 +1131,7 @@ func (a *Actor) reject(n Net, p *polarity, reason string) {
 	}
 	a.endRound(n, p)
 	a.settleClaims(n, p, false)
-	a.logf("REJECT %s: %s", p.sym, reason)
+	a.logf("REJECT %s: %s", a.tab.Key(p.id), reason)
 	a.counts.Rejects++
 	if a.Trace.On() {
 		a.Trace.Emit(obs.Record{
@@ -1165,7 +1149,6 @@ func (a *Actor) reject(n Net, p *polarity, reason string) {
 
 func (a *Actor) sendDecision(n Net, p *polarity, accepted bool, reason string) {
 	d := DecisionMsg{
-		Sym:         p.sym,
 		ID:          p.id,
 		Accepted:    accepted,
 		At:          p.at,

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gprog"
 	"repro/internal/simnet"
+	"repro/internal/symtab"
 	"repro/internal/temporal"
 )
 
@@ -59,7 +60,7 @@ func newRig(t *testing.T, deps ...string) *rig {
 	}
 	hooks := &Hooks{
 		OnFire: func(ann AnnounceMsg, _ simnet.Time) {
-			r.trace = append(r.trace, ann.Sym)
+			r.trace = append(r.trace, r.dir.Table().Sym(ann.ID))
 		},
 		OnDecision: func(d DecisionMsg) { r.decisions = append(r.decisions, d) },
 	}
@@ -83,7 +84,7 @@ func newRig(t *testing.T, deps ...string) *rig {
 		return gs
 	}
 	for _, b := range bases {
-		site, _ := r.dir.SiteOf(b)
+		site := r.dir.Site(r.id(b))
 		a := newActor(b, site, r.dir, hooks, spec(b), spec(b.Complement()))
 		r.actors[b.Key()] = a
 		r.net.AddSite(site, siteOf(a))
@@ -100,14 +101,14 @@ func newRig(t *testing.T, deps ...string) *rig {
 	return r
 }
 
+// id is the symbol's id in the rig's table.
+func (r *rig) id(s algebra.Symbol) symtab.ID { return r.dir.Table().MustLookup(s) }
+
 // attempt injects an attempt for the symbol at its actor's site.
 func (r *rig) attempt(t *testing.T, s algebra.Symbol, forced bool) {
 	t.Helper()
-	site, err := r.dir.SiteOf(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.net.Send(site, site, AttemptMsg{Sym: s, ID: r.dir.Table().MustLookup(s), Forced: forced})
+	site := r.dir.Site(r.id(s))
+	r.net.Send(site, site, AttemptMsg{ID: r.id(s), Forced: forced})
 }
 
 func (r *rig) run() { r.net.Run(100000) }
@@ -122,7 +123,7 @@ func (r *rig) traceKeys() []string {
 
 func (r *rig) decisionOf(s algebra.Symbol) (DecisionMsg, bool) {
 	for _, d := range r.decisions {
-		if d.Sym.Equal(s) {
+		if d.ID == r.id(s) {
 			return d, true
 		}
 	}
@@ -243,7 +244,7 @@ func TestHoldAgreement(t *testing.T) {
 		t.Fatalf("f must fire after release: %v", got)
 	}
 	a := r.actors["f"]
-	if len(a.polSym(sym("f")).holdsOnMe) != 0 {
+	if len(a.polOf(sym("f")).holdsOnMe) != 0 {
 		t.Fatal("hold on f must be released")
 	}
 }
@@ -302,7 +303,7 @@ func TestDuplicateAttemptIdempotent(t *testing.T) {
 	}
 	count := 0
 	for _, d := range r.decisions {
-		if d.Sym.Equal(sym("~e")) && d.Accepted {
+		if d.ID == r.id(sym("~e")) && d.Accepted {
 			count++
 		}
 	}
@@ -413,12 +414,12 @@ func TestGuardReductionVisible(t *testing.T) {
 
 func TestDirectoryErrors(t *testing.T) {
 	d := NewDirectory()
-	if _, err := d.SiteOf(sym("ghost")); err == nil {
-		t.Fatal("unplaced event must error")
+	if site := d.Site(symtab.ID(d.Table().Len())); site != "" {
+		t.Fatalf("an id past the table has no site, got %q", site)
 	}
 	d.Place(sym("e"), "s1")
-	if site, err := d.SiteOf(sym("~e")); err != nil || site != "s1" {
-		t.Fatalf("complement resolves to same site: %v %v", site, err)
+	if site := d.Site(d.Table().MustLookup(sym("~e"))); site != "s1" {
+		t.Fatalf("complement resolves to same site: %q", site)
 	}
 	d.Subscribe(sym("e"), "s2")
 	d.Subscribe(sym("e"), "s2") // idempotent
@@ -437,7 +438,7 @@ func TestKnowledgeIsolation(t *testing.T) {
 	r.attempt(t, sym("g"), false)
 	r.run()
 	eActor := r.actors["e"]
-	if eActor.status(eActor.idOf(sym("g"))) != temporal.StatusUnknown {
+	if eActor.status(eActor.sid(sym("g"))) != temporal.StatusUnknown {
 		t.Fatal("e's actor must not hear about g")
 	}
 }
@@ -465,6 +466,21 @@ func (a *Actor) Parked(s algebra.Symbol) bool {
 	p := a.lookupSym(s)
 	return p != nil && p.attempted && !p.occurred && !p.rejected
 }
+
+// sid is the symbol's id in the actor's table.
+func (a *Actor) sid(s algebra.Symbol) symtab.ID { return a.tab.MustLookup(s) }
+
+// sids is sid for a list of symbol texts.
+func (a *Actor) sids(keys ...string) []symtab.ID {
+	out := make([]symtab.ID, len(keys))
+	for i, k := range keys {
+		out[i] = a.sid(sym(k))
+	}
+	return out
+}
+
+// polOf is pol for a symbol given by name.
+func (a *Actor) polOf(s algebra.Symbol) *polarity { return a.pol(a.sid(s)) }
 
 // lookupSym is lookup for a symbol given by name; nil when the table
 // does not hold it.

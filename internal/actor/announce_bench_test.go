@@ -38,7 +38,7 @@ func announceActor(tb testing.TB) (*Actor, AnnounceMsg) {
 	b := sym("b")
 	a := newActor(b, "sb", dir, &Hooks{}, gprog.GuardInput{Guard: c.GuardOf(b)},
 		gprog.GuardInput{Guard: c.GuardOf(b.Complement())})
-	return a, AnnounceMsg{Sym: sym("a"), ID: dir.Table().MustLookup(sym("a")), At: 1}
+	return a, AnnounceMsg{ID: dir.Table().MustLookup(sym("a")), At: 1}
 }
 
 // TestAnnounceDisabledTracerZeroAllocDelta is the observability cost

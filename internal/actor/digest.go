@@ -26,7 +26,7 @@ import (
 // and the trace scope.
 func (a *Actor) StateDigest() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s@%s r%d", a.base.Key(), a.site, a.roundSeq)
+	fmt.Fprintf(&b, "%s@%s r%d", a.tab.Key(a.id), a.site, a.roundSeq)
 
 	type fact struct {
 		key string
@@ -43,14 +43,14 @@ func (a *Actor) StateDigest() string {
 	}
 
 	for _, m := range a.deferred {
-		fmt.Fprintf(&b, ";d:%s<%s#%d@%s", m.Target.Key(), m.Requester.Key(), m.Round, m.ReplyTo)
+		fmt.Fprintf(&b, ";d:%s<%s#%d@%s", a.tab.Key(m.Target), a.tab.Key(m.Requester), m.Round, m.ReplyTo)
 		for _, h := range m.Hyp {
-			fmt.Fprintf(&b, ",%s", h.Key())
+			fmt.Fprintf(&b, ",%s", a.tab.Key(h))
 		}
 	}
 
 	for _, p := range a.sortedPols() {
-		fmt.Fprintf(&b, ";p:%s", p.sym.Key())
+		fmt.Fprintf(&b, ";p:%s", a.tab.Key(p.id))
 		if p.attempted {
 			fmt.Fprintf(&b, " att(f=%v,by=%s)", p.forced, p.replyTo)
 		}
@@ -72,7 +72,7 @@ func (a *Actor) StateDigest() string {
 		if p.round != nil {
 			fmt.Fprintf(&b, " round#%d pend%v", p.round.id, a.keysOf(p.round.pending))
 			for _, c := range p.round.holds {
-				fmt.Fprintf(&b, " hold(%s@%s)", c.target.Key(), c.site)
+				fmt.Fprintf(&b, " hold(%s@%s)", a.tab.Key(c.id), c.site)
 			}
 		}
 		if len(p.holdsOnMe) > 0 {
@@ -90,12 +90,12 @@ func (a *Actor) StateDigest() string {
 		for _, pi := range p.promisesBy {
 			gave = append(gave, pi)
 		}
-		sort.Slice(gave, func(i, j int) bool { return gave[i].requester.Key() < gave[j].requester.Key() })
+		sort.Slice(gave, func(i, j int) bool { return a.tab.Key(gave[i].requester) < a.tab.Key(gave[j].requester) })
 		for _, pi := range gave {
-			k := pi.requester.Key()
+			k := a.tab.Key(pi.requester)
 			fmt.Fprintf(&b, " gave(%s->%s", k, k)
 			for _, c := range pi.conds {
-				fmt.Fprintf(&b, ",%s", c.Key())
+				fmt.Fprintf(&b, ",%s", a.tab.Key(c))
 			}
 			b.WriteString(")")
 		}
@@ -106,9 +106,9 @@ func (a *Actor) StateDigest() string {
 		a.sortByKey(claims)
 		for _, k := range claims {
 			pc := p.promiseClaims[k]
-			fmt.Fprintf(&b, " holds(%s@%s ar=%v", pc.target.Key(), pc.site, pc.afterReq)
+			fmt.Fprintf(&b, " holds(%s@%s ar=%v", a.tab.Key(k), pc.site, pc.afterReq)
 			for _, c := range pc.conds {
-				fmt.Fprintf(&b, ",%s", c.Key())
+				fmt.Fprintf(&b, ",%s", a.tab.Key(c))
 			}
 			b.WriteString(")")
 		}

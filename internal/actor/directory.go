@@ -1,7 +1,6 @@
 package actor
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -46,16 +45,6 @@ func (d *Directory) intern(s algebra.Symbol) int {
 // Place assigns the actor of an event (both polarities) to a site.
 func (d *Directory) Place(base algebra.Symbol, site simnet.SiteID) {
 	d.sites[d.intern(base)] = site
-}
-
-// SiteOf returns the actor site of an event given by name.
-func (d *Directory) SiteOf(s algebra.Symbol) (simnet.SiteID, error) {
-	if id, ok := d.tab.Lookup(s); ok {
-		if site := d.Site(id); site != "" {
-			return site, nil
-		}
-	}
-	return "", fmt.Errorf("actor: no actor placed for event %s", s.Base())
 }
 
 // Site returns the actor site of an event, "" when it is not placed.

@@ -2,47 +2,48 @@ package actor
 
 import (
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/simnet"
 	"repro/internal/symtab"
 )
 
-func TestDirectoryPlaceAndSiteOf(t *testing.T) {
+func TestDirectoryPlaceAndSite(t *testing.T) {
 	d := NewDirectory()
 	a := sym("a")
 	d.Place(a, "s1")
+	site := func(k string) simnet.SiteID { return d.Site(d.Table().MustLookup(sym(k))) }
 
-	site, err := d.SiteOf(a)
-	if err != nil || site != "s1" {
-		t.Fatalf("SiteOf(a) = %q, %v; want s1", site, err)
+	if got := site("a"); got != "s1" {
+		t.Fatalf("Site(a) = %q; want s1", got)
 	}
 	// Both polarities resolve to the same actor site.
-	if site, err := d.SiteOf(sym("~a")); err != nil || site != "s1" {
-		t.Fatalf("SiteOf(~a) = %q, %v; want s1", site, err)
+	if got := site("~a"); got != "s1" {
+		t.Fatalf("Site(~a) = %q; want s1", got)
 	}
 	// Placing via the complement normalizes to the base too.
 	d.Place(sym("~b"), "s2")
-	if site, err := d.SiteOf(sym("b")); err != nil || site != "s2" {
-		t.Fatalf("SiteOf(b) = %q, %v; want s2", site, err)
+	if got := site("b"); got != "s2" {
+		t.Fatalf("Site(b) = %q; want s2", got)
 	}
 	// Re-placing overrides.
 	d.Place(a, "s9")
-	if site, _ := d.SiteOf(a); site != "s9" {
-		t.Fatalf("SiteOf(a) after re-place = %q; want s9", site)
+	if got := site("a"); got != "s9" {
+		t.Fatalf("Site(a) after re-place = %q; want s9", got)
 	}
 }
 
-func TestDirectorySiteOfMiss(t *testing.T) {
+func TestDirectorySiteMiss(t *testing.T) {
 	d := NewDirectory()
 	d.Place(sym("a"), "s1")
-	_, err := d.SiteOf(sym("ghost"))
-	if err == nil {
-		t.Fatal("SiteOf of unplaced event: expected error")
+	// An event interned without placement (a subscription) and an id
+	// past the table both have no site.
+	d.Subscribe(sym("ghost"), "s1")
+	if site := d.Site(d.Table().MustLookup(sym("ghost"))); site != "" {
+		t.Fatalf("Site of unplaced event = %q; want none", site)
 	}
-	if !strings.Contains(err.Error(), "ghost") {
-		t.Fatalf("miss error should name the event: %v", err)
+	if site := d.Site(symtab.ID(d.Table().Len())); site != "" {
+		t.Fatalf("Site past the table = %q; want none", site)
 	}
 }
 
@@ -102,11 +103,11 @@ func TestDirectoryEvents(t *testing.T) {
 // must be safe to fire — callers never guard the calls.
 func TestHooksNilSafety(t *testing.T) {
 	var h *Hooks
-	h.fire(AnnounceMsg{Sym: sym("a"), At: 1}, 2)
+	h.fire(AnnounceMsg{ID: 2, At: 1}, 2)
 	h.decision(DecisionMsg{})
 
 	h = &Hooks{}
-	h.fire(AnnounceMsg{Sym: sym("a"), At: 1}, 2)
+	h.fire(AnnounceMsg{ID: 2, At: 1}, 2)
 	h.decision(DecisionMsg{})
 
 	fired, decided := 0, 0
@@ -114,7 +115,7 @@ func TestHooksNilSafety(t *testing.T) {
 		OnFire:     func(AnnounceMsg, simnet.Time) { fired++ },
 		OnDecision: func(DecisionMsg) { decided++ },
 	}
-	h.fire(AnnounceMsg{Sym: sym("a"), At: 1}, 2)
+	h.fire(AnnounceMsg{ID: 2, At: 1}, 2)
 	h.decision(DecisionMsg{})
 	if fired != 1 || decided != 1 {
 		t.Fatalf("hooks not invoked: fired=%d decided=%d", fired, decided)

@@ -1,21 +1,21 @@
 package actor
 
 import (
-	"fmt"
-
-	"repro/internal/algebra"
 	"repro/internal/simnet"
 	"repro/internal/symtab"
 )
+
+// Every message names its events by the plan's symbol ids
+// (internal/symtab): a plan's guards read a fixed event set, so nothing
+// at run time needs a name.  Names appear only where a human or a file
+// reads a message — the wire codec, actor logs, trace records — and
+// are looked up in the plan's table there.
 
 // AttemptMsg asks an event's actor to let the event occur.  Task
 // agents send it when their task is ready to make the transition
 // (paper §2); the run harness sends it when triggering events or when
 // closing a run out to a maximal trace.
 type AttemptMsg struct {
-	Sym algebra.Symbol
-	// ID is Sym's plan symbol id.  Every sender sets it; a payload
-	// decoded off the wire gets it from the plan's table.
 	ID symtab.ID
 	// Forced marks a non-rejectable event (like abort): the scheduler
 	// has no choice but to accept it, guard or no guard.
@@ -29,9 +29,8 @@ type AttemptMsg struct {
 // global occurrence order.  Sent to every actor whose guard watches
 // the event, and to the observer.
 type AnnounceMsg struct {
-	Sym algebra.Symbol
-	ID  symtab.ID // Sym's plan symbol id, as on AttemptMsg
-	At  int64
+	ID symtab.ID
+	At int64
 }
 
 // InquireMsg asks the actor of Target for its status, on behalf of a
@@ -39,8 +38,8 @@ type AnnounceMsg struct {
 // agreement the paper requires for ¬ literals) and/or a conditional
 // promise (◇, Example 11).
 type InquireMsg struct {
-	Target    algebra.Symbol
-	Requester algebra.Symbol
+	Target    symtab.ID
+	Requester symtab.ID
 	// ReplyTo is the requester actor's site.
 	ReplyTo simnet.SiteID
 	// Round identifies the requester's decision round, for matching
@@ -52,13 +51,13 @@ type InquireMsg struct {
 	// target may grant a promise conditional on this set, which is how
 	// promise chains across several actors unwind (each promise is
 	// discharged when its conditions have occurred).
-	Hyp []algebra.Symbol
+	Hyp []symtab.ID
 }
 
 // InquireReplyMsg answers an InquireMsg.
 type InquireReplyMsg struct {
-	Target    algebra.Symbol
-	Requester algebra.Symbol
+	Target    symtab.ID
+	Requester symtab.ID
 	Round     int
 	// Occurred, with At, when the target already happened.
 	Occurred bool
@@ -77,7 +76,7 @@ type InquireReplyMsg struct {
 	// promise persists beyond the requester's round: it is discharged
 	// when the conditions occur and lapses when the requester releases
 	// it unfired or a condition becomes impossible.
-	Conds []algebra.Symbol
+	Conds []symtab.ID
 	// AfterReq reports that the promised event cannot fire before the
 	// requester's real occurrence (its guard requires it), so the
 	// requester may rely on ¬target at its own firing instant even
@@ -85,12 +84,12 @@ type InquireReplyMsg struct {
 	AfterReq bool
 }
 
-// NudgeMsg tells past inquirers that the status of Sym changed in a
+// NudgeMsg tells past inquirers that the status of ID changed in a
 // way announcements do not carry — it became attempted, so a
 // conditional promise may now be grantable.  Receivers re-evaluate
 // their parked decisions.
 type NudgeMsg struct {
-	Sym algebra.Symbol
+	ID symtab.ID
 }
 
 // ReleaseMsg ends a requester's claim.  With Promise false it releases
@@ -100,8 +99,8 @@ type NudgeMsg struct {
 // Fired false means the requester can never occur and the promise
 // lapses.
 type ReleaseMsg struct {
-	Target    algebra.Symbol
-	Requester algebra.Symbol
+	Target    symtab.ID
+	Requester symtab.ID
 	Round     int
 	Promise   bool
 	Fired     bool
@@ -110,8 +109,7 @@ type ReleaseMsg struct {
 // DecisionMsg reports the outcome of an attempt to the observer (and
 // through it to the attempting agent).
 type DecisionMsg struct {
-	Sym      algebra.Symbol
-	ID       symtab.ID // Sym's plan symbol id, as on AttemptMsg
+	ID       symtab.ID
 	Accepted bool
 	// At is the occurrence index for accepted events.
 	At int64
@@ -130,20 +128,3 @@ type Instanced struct {
 	Inst uint32
 	Msg  any
 }
-
-func (m AttemptMsg) String() string  { return fmt.Sprintf("attempt(%s)", m.Sym) }
-func (m AnnounceMsg) String() string { return fmt.Sprintf("announce(%s@%d)", m.Sym, m.At) }
-func (m InquireMsg) String() string {
-	return fmt.Sprintf("inquire(%s by %s#%d)", m.Target, m.Requester, m.Round)
-}
-func (m InquireReplyMsg) String() string {
-	return fmt.Sprintf("reply(%s to %s#%d occ=%v imp=%v held=%v prom=%v)",
-		m.Target, m.Requester, m.Round, m.Occurred, m.Impossible, m.Held, m.Promised)
-}
-func (m ReleaseMsg) String() string {
-	return fmt.Sprintf("release(%s by %s#%d)", m.Target, m.Requester, m.Round)
-}
-func (m DecisionMsg) String() string {
-	return fmt.Sprintf("decision(%s accepted=%v)", m.Sym, m.Accepted)
-}
-func (m Instanced) String() string { return fmt.Sprintf("inst(%d: %v)", m.Inst, m.Msg) }

@@ -1,9 +1,10 @@
 package actor
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/gprog"
 	"repro/internal/simnet"
 	"repro/internal/symtab"
@@ -11,28 +12,37 @@ import (
 )
 
 func TestExclusiveWithAll(t *testing.T) {
-	a, b := sym("a"), sym("b")
+	tab := symtab.New()
+	id := func(k string) symtab.ID { return tab.Add(sym(k)) }
+	ids := func(keys ...string) []symtab.ID {
+		out := make([]symtab.ID, len(keys))
+		for i, k := range keys {
+			out[i] = id(k)
+		}
+		return out
+	}
+	a, b := id("a"), id("b")
 	existing := map[symtab.ID]promiseInfo{
-		2: {requester: sym("r1"), conds: []algebra.Symbol{sym("r1"), sym("~x")}},
+		2: {requester: id("r1"), conds: ids("r1", "~x")},
 	}
 	// Candidate containing x is exclusive with the existing promise
 	// (x vs ~x): allowed.
-	if !exclusiveWithAll(existing, a, []algebra.Symbol{a, sym("x")}) {
+	if !exclusiveWithAll(existing, a, ids("a", "x")) {
 		t.Error("opposite-polarity condition sets must be exclusive")
 	}
 	// Candidate sharing no opposite pair: forbidden.
-	if exclusiveWithAll(existing, b, []algebra.Symbol{b, sym("y")}) {
+	if exclusiveWithAll(existing, b, ids("b", "y")) {
 		t.Error("compatible condition sets must be rejected")
 	}
 	// Requester polarity itself can provide the exclusivity.
 	existing2 := map[symtab.ID]promiseInfo{
-		2: {requester: sym("~a"), conds: []algebra.Symbol{sym("~a")}},
+		2: {requester: id("~a"), conds: ids("~a")},
 	}
-	if !exclusiveWithAll(existing2, a, []algebra.Symbol{a}) {
+	if !exclusiveWithAll(existing2, a, ids("a")) {
 		t.Error("complementary requesters are exclusive")
 	}
 	// No outstanding promises: always allowed.
-	if !exclusiveWithAll(nil, a, []algebra.Symbol{a}) {
+	if !exclusiveWithAll(nil, a, ids("a")) {
 		t.Error("empty promise set must allow")
 	}
 }
@@ -54,10 +64,10 @@ func promiseRig(base string, guardPos temporal.Formula) *Actor {
 func TestGrantCondsDirect(t *testing.T) {
 	// Guard ◇r: sound with hyp {r} alone.
 	a := promiseRig("x", temporal.Lit(temporal.Eventually(sym("r"))))
-	p := a.polSym(sym("x"))
+	p := a.polOf(sym("x"))
 	p.attempted = true
-	conds, ok := a.grantConds(p, []algebra.Symbol{sym("r")})
-	if !ok || len(conds) != 1 || !conds[0].Equal(sym("r")) {
+	conds, ok := a.grantConds(p, a.sids("r"))
+	if !ok || len(conds) != 1 || conds[0] != a.sid(sym("r")) {
 		t.Fatalf("direct grant: %v %v", conds, ok)
 	}
 }
@@ -66,15 +76,15 @@ func TestGrantCondsCounterCondition(t *testing.T) {
 	// Guard ◇z: the hypothesis {r} does not help; the grant must add z
 	// as a counter-condition.
 	a := promiseRig("x", temporal.Lit(temporal.Eventually(sym("z"))))
-	p := a.polSym(sym("x"))
+	p := a.polOf(sym("x"))
 	p.attempted = true
-	conds, ok := a.grantConds(p, []algebra.Symbol{sym("r")})
+	conds, ok := a.grantConds(p, a.sids("r"))
 	if !ok {
 		t.Fatal("counter-conditioned grant must succeed")
 	}
 	found := false
 	for _, c := range conds {
-		if c.Equal(sym("z")) {
+		if c == a.sid(sym("z")) {
 			found = true
 		}
 	}
@@ -87,9 +97,9 @@ func TestGrantCondsRefusesNegatives(t *testing.T) {
 	// Guard ¬r: hypothesizing the requester's occurrence falsifies it;
 	// no counter-condition can help.
 	a := promiseRig("x", temporal.Lit(temporal.NotYet(sym("r"))))
-	p := a.polSym(sym("x"))
+	p := a.polOf(sym("x"))
 	p.attempted = true
-	if _, ok := a.grantConds(p, []algebra.Symbol{sym("r")}); ok {
+	if _, ok := a.grantConds(p, a.sids("r")); ok {
 		t.Fatal("grant against ¬requester must fail")
 	}
 }
@@ -97,14 +107,14 @@ func TestGrantCondsRefusesNegatives(t *testing.T) {
 func TestOrderedAfter(t *testing.T) {
 	// Guard □r: the event cannot fire before r really occurs.
 	a := promiseRig("x", temporal.Lit(temporal.Occurred(sym("r"))))
-	p := a.polSym(sym("x"))
-	if !a.orderedAfter(p, sym("r"), []algebra.Symbol{sym("r")}) {
+	p := a.polOf(sym("x"))
+	if !a.orderedAfter(p, a.sid(sym("r")), a.sids("r")) {
 		t.Error("□r guard must be ordered after the requester")
 	}
 	// Guard ⊤: could fire any time.
 	b := promiseRig("y", temporal.TrueF())
-	q := b.polSym(sym("y"))
-	if b.orderedAfter(q, sym("r"), []algebra.Symbol{sym("r")}) {
+	q := b.polOf(sym("y"))
+	if b.orderedAfter(q, b.sid(sym("r")), b.sids("r")) {
 		t.Error("unconstrained event is not ordered after the requester")
 	}
 }
@@ -113,14 +123,14 @@ func TestPromiseSoundRejectsOrderedHypotheses(t *testing.T) {
 	// Guard ◇(a·b): both a and b in the hypothesis share one
 	// timestamp, so the ordered sequence must not be assumed.
 	a := promiseRig("x", temporal.Lit(temporal.Eventually(sym("a"), sym("b"))))
-	p := a.polSym(sym("x"))
-	if a.promiseSound(p, []algebra.Symbol{sym("a"), sym("b")}) {
+	p := a.polOf(sym("x"))
+	if a.promiseSound(p, a.sids("a", "b")) {
 		t.Fatal("multi-member ◇ sequences must not be satisfied by unordered hypotheses")
 	}
 	// With a really occurred first, the single remaining member may be
 	// hypothesized.
 	a.prog.Observe(sym("a"), 1)
-	if !a.promiseSound(p, []algebra.Symbol{sym("b")}) {
+	if !a.promiseSound(p, a.sids("b")) {
 		t.Fatal("the remaining suffix may be hypothesized")
 	}
 }
@@ -132,11 +142,11 @@ func TestPromiseLapseOnImpossibleRequester(t *testing.T) {
 	// c is neither attempted nor triggerable (keeps a parked).
 	r := newRig(t, "~a + b", "~a + c")
 	bActor := r.actors["b"]
-	bActor.SetTriggerable(sym("b"))
+	bActor.SetTriggerable(bActor.sid(sym("b")))
 
 	r.attempt(t, sym("a"), false)
 	r.run()
-	if len(bActor.polSym(sym("b")).promisesBy) == 0 {
+	if len(bActor.polOf(sym("b")).promisesBy) == 0 {
 		t.Fatal("b must have promised a")
 	}
 	if len(r.trace) != 0 {
@@ -147,7 +157,7 @@ func TestPromiseLapseOnImpossibleRequester(t *testing.T) {
 	// b's promise lapses — b's complement is no longer blocked.
 	r.attempt(t, sym("~a"), false)
 	r.run()
-	if n := len(bActor.polSym(sym("b")).promisesBy); n != 0 {
+	if n := len(bActor.polOf(sym("b")).promisesBy); n != 0 {
 		t.Fatalf("promise must lapse after ~a, still %d outstanding", n)
 	}
 	r.attempt(t, sym("~b"), false)
@@ -165,17 +175,17 @@ func TestDualPolarityPromises(t *testing.T) {
 	// r2 (◇~x, abort path): conditions r1 vs r2 are not complementary,
 	// so the second grant must be refused while the first stands.
 	a := promiseRig("x", temporal.TrueF())
-	px := a.polSym(sym("x"))
-	pnx := a.polSym(sym("~x"))
+	px := a.polOf(sym("x"))
+	pnx := a.polOf(sym("~x"))
 	px.attempted = true
 	pnx.attempted = true
 
 	px.promisesBy = map[symtab.ID]promiseInfo{}
-	px.promisesBy[2] = promiseInfo{requester: sym("r1"), conds: []algebra.Symbol{sym("r1")}}
-	if exclusiveWithAll(px.promisesBy, sym("r2"), []algebra.Symbol{sym("r2")}) {
+	px.promisesBy[2] = promiseInfo{requester: a.sid(sym("r1")), conds: a.sids("r1")}
+	if exclusiveWithAll(px.promisesBy, a.sid(sym("r2")), a.sids("r2")) {
 		t.Fatal("~x promise to r2 must be blocked by x's promise to r1")
 	}
-	if !exclusiveWithAll(px.promisesBy, sym("~r1"), []algebra.Symbol{sym("~r1")}) {
+	if !exclusiveWithAll(px.promisesBy, a.sid(sym("~r1")), a.sids("~r1")) {
 		t.Fatal("~x promise conditional on ~r1 is exclusive with x's promise to r1")
 	}
 }
@@ -196,7 +206,7 @@ func TestPromisePersistsAcrossRounds(t *testing.T) {
 	net := simnet.New(simnet.LatencyModel{Local: 1, Remote: 10}, 1)
 	var fired []string
 	hooks := &Hooks{OnFire: func(ann AnnounceMsg, _ simnet.Time) {
-		fired = append(fired, ann.Sym.Key())
+		fired = append(fired, dir.Table().Key(ann.ID))
 	}}
 	eActor := newActor(sym("e"), "s-e", dir, hooks, gprog.GuardInput{Guard: guard}, gprog.GuardInput{Guard: temporal.TrueF()})
 	fActor := newActor(sym("f"), "s-f", dir, hooks, gprog.GuardInput{Guard: temporal.TrueF()}, gprog.GuardInput{Guard: temporal.TrueF()})
@@ -210,8 +220,8 @@ func TestPromisePersistsAcrossRounds(t *testing.T) {
 
 	// e attempts; g is attempted too so it can promise (its guard □e
 	// orders it after e).
-	net.Send("s-g", "s-g", AttemptMsg{Sym: sym("g"), ID: dir.Table().MustLookup(sym("g"))})
-	net.Send("s-e", "s-e", AttemptMsg{Sym: sym("e"), ID: dir.Table().MustLookup(sym("e"))})
+	net.Send("s-g", "s-g", AttemptMsg{ID: dir.Table().MustLookup(sym("g"))})
+	net.Send("s-e", "s-e", AttemptMsg{ID: dir.Table().MustLookup(sym("e"))})
 	net.Run(10000)
 	if len(fired) < 2 {
 		t.Fatalf("e and then g must fire, got %v", fired)
@@ -226,31 +236,25 @@ func TestPromisePersistsAcrossRounds(t *testing.T) {
 
 func TestAccessorsAndStrings(t *testing.T) {
 	a := promiseRig("ev", temporal.TrueF())
-	if a.base.Key() != "ev" || a.Site() != "site" {
+	if a.ID() != a.sid(sym("ev")) || a.Site() != "site" {
 		t.Error("accessors")
 	}
 	if a.GuardOf(sym("ev")).Key() != "T" {
 		t.Error("GuardOf")
 	}
-	msgs := []interface{ String() string }{
-		AttemptMsg{Sym: sym("ev")},
-		AnnounceMsg{Sym: sym("ev"), At: 3},
-		InquireMsg{Target: sym("x"), Requester: sym("ev"), Round: 1},
-		InquireReplyMsg{Target: sym("x"), Requester: sym("ev"), Round: 1, Held: true},
-		ReleaseMsg{Target: sym("x"), Requester: sym("ev"), Round: 1},
-		DecisionMsg{Sym: sym("ev"), Accepted: true},
+	// Ids turn back into names only in text a human reads.
+	if got := a.keys(a.sids("ev", "~ev", "r")); !slices.Equal(got, []string{"ev", "~ev", "r"}) {
+		t.Errorf("keys = %v", got)
 	}
-	for _, m := range msgs {
-		if m.String() == "" {
-			t.Errorf("empty string for %T", m)
-		}
+	if d := a.StateDigest(); !strings.HasPrefix(d, "ev@site ") {
+		t.Errorf("digest %q must start with the actor's event name", d)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("foreign symbol must panic")
 		}
 	}()
-	a.polSym(sym("other"))
+	a.pol(a.sid(sym("r")))
 }
 
 func TestActorLogging(t *testing.T) {

@@ -62,9 +62,9 @@ type ActorState struct {
 // Export serializes the actor's state, failing if any transient
 // protocol state is live (the actor is not settled).
 func (a *Actor) Export() (ActorState, error) {
-	st := ActorState{Base: a.base.Key(), RoundSeq: a.roundSeq}
+	st := ActorState{Base: a.tab.Key(a.id), RoundSeq: a.roundSeq}
 	if len(a.deferred) > 0 {
-		return st, fmt.Errorf("actor %s@%s: %d deferred inquiries", a.base, a.site, len(a.deferred))
+		return st, fmt.Errorf("actor %s@%s: %d deferred inquiries", a.tab.Key(a.id), a.site, len(a.deferred))
 	}
 	var badFacts []string
 	a.prog.Facts(func(id symtab.ID, s temporal.Status, at int64) {
@@ -80,23 +80,23 @@ func (a *Actor) Export() (ActorState, error) {
 	})
 	if len(badFacts) > 0 {
 		sort.Strings(badFacts)
-		return st, fmt.Errorf("actor %s@%s: transient knowledge %v", a.base, a.site, badFacts)
+		return st, fmt.Errorf("actor %s@%s: transient knowledge %v", a.tab.Key(a.id), a.site, badFacts)
 	}
 	sort.Slice(st.Facts, func(i, j int) bool { return st.Facts[i].Sym < st.Facts[j].Sym })
 	for _, p := range a.sortedPols() {
 		switch {
 		case p.round != nil:
-			return st, fmt.Errorf("actor %s@%s: open round on %s", a.base, a.site, p.sym)
+			return st, fmt.Errorf("actor %s@%s: open round on %s", a.tab.Key(a.id), a.site, a.tab.Key(p.id))
 		case len(p.holdsOnMe) > 0 || len(p.promisesBy) > 0 || len(p.promiseClaims) > 0:
-			return st, fmt.Errorf("actor %s@%s: outstanding holds/promises on %s", a.base, a.site, p.sym)
+			return st, fmt.Errorf("actor %s@%s: outstanding holds/promises on %s", a.tab.Key(a.id), a.site, a.tab.Key(p.id))
 		case !p.occurred && !p.rejected && (p.fireReady || p.retry || len(p.wave) > 0):
 			// Only transient on a live polarity: a terminal one keeps its
 			// chosen commit wave (and any late retry mark) as inert
 			// history, which the restored actor never consults again.
-			return st, fmt.Errorf("actor %s@%s: pending fire state on %s", a.base, a.site, p.sym)
+			return st, fmt.Errorf("actor %s@%s: pending fire state on %s", a.tab.Key(a.id), a.site, a.tab.Key(p.id))
 		}
 		ps := PolState{
-			Sym:         p.sym.Key(),
+			Sym:         a.tab.Key(p.id),
 			Attempted:   p.attempted,
 			Forced:      p.forced,
 			AttemptTime: p.attemptTime,
@@ -120,8 +120,8 @@ func (a *Actor) Export() (ActorState, error) {
 // an explicit fact, then standalone impossibilities.  Facts go through
 // the same program-state writers the protocol uses.
 func (a *Actor) Restore(st ActorState) error {
-	if st.Base != a.base.Key() {
-		return fmt.Errorf("actor %s@%s: restore of %s", a.base, a.site, st.Base)
+	if st.Base != a.tab.Key(a.id) {
+		return fmt.Errorf("actor %s@%s: restore of %s", a.tab.Key(a.id), a.site, st.Base)
 	}
 	a.roundSeq = st.RoundSeq
 	for _, f := range st.Facts {
@@ -151,7 +151,7 @@ func (a *Actor) Restore(st ActorState) error {
 		}
 		p := a.lookup(id)
 		if p == nil {
-			return fmt.Errorf("actor %s@%s: unknown polarity %s", a.base, a.site, ps.Sym)
+			return fmt.Errorf("actor %s@%s: unknown polarity %s", a.tab.Key(a.id), a.site, ps.Sym)
 		}
 		p.attempted = ps.Attempted
 		p.forced = ps.Forced
@@ -172,11 +172,11 @@ func (a *Actor) Restore(st ActorState) error {
 func (a *Actor) restoreID(key string) (symtab.ID, error) {
 	sym, err := algebra.ParseSymbol(key)
 	if err != nil {
-		return symtab.None, fmt.Errorf("actor %s@%s: %w", a.base, a.site, err)
+		return symtab.None, fmt.Errorf("actor %s@%s: %w", a.tab.Key(a.id), a.site, err)
 	}
 	id, ok := a.tab.Lookup(sym)
 	if !ok {
-		return symtab.None, fmt.Errorf("actor %s@%s: snapshot names %s, which is not in the plan", a.base, a.site, key)
+		return symtab.None, fmt.Errorf("actor %s@%s: snapshot names %s, which is not in the plan", a.tab.Key(a.id), a.site, key)
 	}
 	return id, nil
 }

@@ -4,9 +4,9 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/gprog"
 	"repro/internal/simnet"
+	"repro/internal/symtab"
 	"repro/internal/temporal"
 )
 
@@ -31,7 +31,7 @@ func roundTripActor() *Actor {
 	a := newActor(sym("x"), "sx", dir, nil,
 		gprog.GuardInput{Guard: temporal.Lit(temporal.Eventually(sym("r")))},
 		gprog.GuardInput{Guard: temporal.TrueF()})
-	a.SetTriggerable(sym("x"))
+	a.SetTriggerable(a.sid(sym("x")))
 	return a
 }
 
@@ -42,12 +42,12 @@ func roundTripActor() *Actor {
 // on its first write, so the test also writes again after fire and
 // settleClaims have reset the maps.
 func TestExportRestoreRoundTrip(t *testing.T) {
-	x, nx, r := sym("x"), sym("~x"), sym("r")
 	a := roundTripActor()
+	x, nx, r, q := a.sid(sym("x")), a.sid(sym("~x")), a.sid(sym("r")), a.sid(sym("q"))
 	n := &recNet{}
 
-	a.Deliver(n, InquireMsg{Target: x, Requester: r, ReplyTo: "sr", Round: 1, Hyp: []algebra.Symbol{r}})
-	p := a.polSym(x)
+	a.Deliver(n, InquireMsg{Target: x, Requester: r, ReplyTo: "sr", Round: 1, Hyp: []symtab.ID{r}})
+	p := a.pol(x)
 	if !p.pastInquirers["sr"] || len(p.holdsOnMe) != 1 || len(p.promisesBy) != 1 {
 		t.Fatalf("inquiry must record the inquirer, a hold and a promise: %s", a.StateDigest())
 	}
@@ -58,11 +58,11 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	// The hold is released, then r's announcement makes the promise due:
 	// x self-triggers and fires, which discharges the promise.
 	a.Deliver(n, ReleaseMsg{Target: x, Requester: r, Round: 1})
-	a.Deliver(n, AnnounceMsg{Sym: r, ID: a.idOf(r), At: 1})
-	if _, ok := a.Occurred(x); !ok {
+	a.Deliver(n, AnnounceMsg{ID: r, At: 1})
+	if _, ok := a.Occurred(sym("x")); !ok {
 		t.Fatalf("x must fire once its promise is due: %s", a.StateDigest())
 	}
-	if p.promisesBy != nil || p.promiseClaims != nil || a.polSym(nx).promiseClaims != nil {
+	if p.promisesBy != nil || p.promiseClaims != nil || a.pol(nx).promiseClaims != nil {
 		t.Fatal("fire and settleClaims must reset the promise maps to nil")
 	}
 
@@ -90,12 +90,12 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	// a new inquiry about the fired x records its inquirer and is
 	// answered from the occurrence, with no hold and no new promise.
 	for _, act := range []*Actor{a, b} {
-		act.Deliver(n, InquireReplyMsg{Target: sym("q"), Requester: nx, Promised: true, Conds: []algebra.Symbol{nx}})
-		if _, ok := act.polSym(nx).promiseClaims[act.idOf(sym("q"))]; !ok {
+		act.Deliver(n, InquireReplyMsg{Target: q, Requester: nx, Promised: true, Conds: []symtab.ID{nx}})
+		if _, ok := act.pol(nx).promiseClaims[q]; !ok {
 			t.Fatalf("claim after reset not recorded: %s", act.StateDigest())
 		}
-		act.Deliver(n, InquireMsg{Target: x, Requester: sym("q"), ReplyTo: "sq", Round: 2})
-		px := act.polSym(x)
+		act.Deliver(n, InquireMsg{Target: x, Requester: q, ReplyTo: "sq", Round: 2})
+		px := act.pol(x)
 		if !px.pastInquirers["sq"] || len(px.holdsOnMe) != 0 || px.promisesBy != nil {
 			t.Fatalf("inquiry after fire: %s", act.StateDigest())
 		}

@@ -2,7 +2,9 @@ package actor
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/algebra"
@@ -25,13 +27,13 @@ import (
 // never a panic or an oversized allocation (FuzzDecodePayload locks
 // this in).
 //
-// Symbols travel by name; ids are plan-scoped and never cross the
-// wire.  DecodePayloadOn is the edge where names turn back into ids:
-// it resolves the symbol of every attempt, announcement and decision
-// against the receiving plan's table once per payload, and a name the
-// plan does not hold is a decode error, never a wrong id.  Against a
-// table, a parameterless symbol is the table's own Symbol, so decoding
-// it allocates nothing.
+// Messages carry plan symbol ids; the wire carries names, because ids
+// are plan-scoped.  The codec is the one edge where the two meet: both
+// directions take the plan's table, the encoder writes each id's
+// symbol, and the decoder resolves every symbol of every message kind
+// back to its id.  A name the plan does not hold is a decode error,
+// never a wrong id, and a parameterless name resolves without
+// allocating.
 
 // WireVersion identifies the codec revision; bump on any layout change.
 const WireVersion = 1
@@ -55,75 +57,83 @@ const (
 	maxWireList   = 1 << 12
 )
 
-// AppendPayload appends the encoded payload to dst and returns the
-// extended slice.  It errors on payload types outside the actor
-// protocol.
-func AppendPayload(dst []byte, payload any) ([]byte, error) {
-	dst = append(dst, WireVersion)
+// AppendPayload appends the payload, encoded against the plan's
+// table, to dst and returns the extended slice.  It errors without a
+// table, on an id the table does not hold and on payload types outside
+// the actor protocol.
+func AppendPayload(tab *symtab.Table, dst []byte, payload any) ([]byte, error) {
+	if tab == nil {
+		return nil, errNoTable
+	}
+	w := wireWriter{buf: append(dst, WireVersion), tab: tab}
 	switch m := payload.(type) {
 	case AttemptMsg:
-		dst = append(dst, kindAttempt)
-		dst = appendSym(dst, m.Sym)
-		dst = appendBool(dst, m.Forced)
-		dst = appendString(dst, string(m.ReplyTo))
+		w.buf = append(w.buf, kindAttempt)
+		w.sym(m.ID)
+		w.bool(m.Forced)
+		w.string(string(m.ReplyTo))
 	case AnnounceMsg:
-		dst = append(dst, kindAnnounce)
-		dst = appendSym(dst, m.Sym)
-		dst = binary.AppendVarint(dst, m.At)
+		w.buf = append(w.buf, kindAnnounce)
+		w.sym(m.ID)
+		w.varint(m.At)
 	case InquireMsg:
-		dst = append(dst, kindInquire)
-		dst = appendSym(dst, m.Target)
-		dst = appendSym(dst, m.Requester)
-		dst = appendString(dst, string(m.ReplyTo))
-		dst = binary.AppendVarint(dst, int64(m.Round))
-		dst = appendSyms(dst, m.Hyp)
+		w.buf = append(w.buf, kindInquire)
+		w.sym(m.Target)
+		w.sym(m.Requester)
+		w.string(string(m.ReplyTo))
+		w.varint(int64(m.Round))
+		w.syms(m.Hyp)
 	case InquireReplyMsg:
-		dst = append(dst, kindInquireReply)
-		dst = appendSym(dst, m.Target)
-		dst = appendSym(dst, m.Requester)
-		dst = binary.AppendVarint(dst, int64(m.Round))
-		dst = appendBool(dst, m.Occurred)
-		dst = binary.AppendVarint(dst, m.At)
-		dst = appendBool(dst, m.Impossible)
-		dst = appendBool(dst, m.Held)
-		dst = appendBool(dst, m.Promised)
-		dst = appendSyms(dst, m.Conds)
-		dst = appendBool(dst, m.AfterReq)
+		w.buf = append(w.buf, kindInquireReply)
+		w.sym(m.Target)
+		w.sym(m.Requester)
+		w.varint(int64(m.Round))
+		w.bool(m.Occurred)
+		w.varint(m.At)
+		w.bool(m.Impossible)
+		w.bool(m.Held)
+		w.bool(m.Promised)
+		w.syms(m.Conds)
+		w.bool(m.AfterReq)
 	case NudgeMsg:
-		dst = append(dst, kindNudge)
-		dst = appendSym(dst, m.Sym)
+		w.buf = append(w.buf, kindNudge)
+		w.sym(m.ID)
 	case ReleaseMsg:
-		dst = append(dst, kindRelease)
-		dst = appendSym(dst, m.Target)
-		dst = appendSym(dst, m.Requester)
-		dst = binary.AppendVarint(dst, int64(m.Round))
-		dst = appendBool(dst, m.Promise)
-		dst = appendBool(dst, m.Fired)
+		w.buf = append(w.buf, kindRelease)
+		w.sym(m.Target)
+		w.sym(m.Requester)
+		w.varint(int64(m.Round))
+		w.bool(m.Promise)
+		w.bool(m.Fired)
 	case DecisionMsg:
-		dst = append(dst, kindDecision)
-		dst = appendSym(dst, m.Sym)
-		dst = appendBool(dst, m.Accepted)
-		dst = binary.AppendVarint(dst, m.At)
-		dst = binary.AppendVarint(dst, int64(m.AttemptedAt))
-		dst = binary.AppendVarint(dst, int64(m.DecidedAt))
-		dst = appendString(dst, m.Reason)
+		w.buf = append(w.buf, kindDecision)
+		w.sym(m.ID)
+		w.bool(m.Accepted)
+		w.varint(m.At)
+		w.varint(int64(m.AttemptedAt))
+		w.varint(int64(m.DecidedAt))
+		w.string(m.Reason)
 	case Instanced:
 		if _, nested := m.Msg.(Instanced); nested {
 			return nil, fmt.Errorf("actor: instanced envelopes do not nest")
 		}
-		dst = append(dst, kindInstanced)
-		dst = binary.AppendUvarint(dst, uint64(m.Inst))
-		return AppendPayload(dst, m.Msg)
+		w.buf = append(w.buf, kindInstanced)
+		w.buf = binary.AppendUvarint(w.buf, uint64(m.Inst))
+		return AppendPayload(tab, w.buf, m.Msg)
 	default:
 		return nil, fmt.Errorf("actor: cannot encode payload %T", payload)
 	}
-	return dst, nil
+	return w.buf, w.err
 }
 
-// DecodePayloadOn parses one encoded payload and sets the symbol id of
-// an attempt, announcement or decision from the plan's table; a nil
-// table leaves ids unset.
+var errNoTable = errors.New("actor: no plan symbol table")
+
+// DecodePayloadOn parses one encoded payload, resolving every symbol
+// it names against the plan's table.
 func DecodePayloadOn(tab *symtab.Table, data []byte) (any, error) {
+	if tab == nil {
+		return nil, errNoTable
+	}
 	r := &wireReader{buf: data, tab: tab}
 	version := r.byte()
 	if r.err == nil && version != WireVersion {
@@ -133,15 +143,9 @@ func DecodePayloadOn(tab *symtab.Table, data []byte) (any, error) {
 	var out any
 	switch kind {
 	case kindAttempt:
-		sym, id := r.symID()
-		m := AttemptMsg{Sym: sym, Forced: r.bool(), ReplyTo: simnet.SiteID(r.string())}
-		m.ID = r.id(sym, id)
-		out = m
+		out = AttemptMsg{ID: r.sym(), Forced: r.bool(), ReplyTo: simnet.SiteID(r.string())}
 	case kindAnnounce:
-		sym, id := r.symID()
-		m := AnnounceMsg{Sym: sym, At: r.varint()}
-		m.ID = r.id(sym, id)
-		out = m
+		out = AnnounceMsg{ID: r.sym(), At: r.varint()}
 	case kindInquire:
 		out = InquireMsg{Target: r.sym(), Requester: r.sym(),
 			ReplyTo: simnet.SiteID(r.string()), Round: int(r.varint()), Hyp: r.syms()}
@@ -150,17 +154,14 @@ func DecodePayloadOn(tab *symtab.Table, data []byte) (any, error) {
 			Occurred: r.bool(), At: r.varint(), Impossible: r.bool(), Held: r.bool(),
 			Promised: r.bool(), Conds: r.syms(), AfterReq: r.bool()}
 	case kindNudge:
-		out = NudgeMsg{Sym: r.sym()}
+		out = NudgeMsg{ID: r.sym()}
 	case kindRelease:
 		out = ReleaseMsg{Target: r.sym(), Requester: r.sym(), Round: int(r.varint()),
 			Promise: r.bool(), Fired: r.bool()}
 	case kindDecision:
-		sym, id := r.symID()
-		m := DecisionMsg{Sym: sym, Accepted: r.bool(), At: r.varint(),
+		out = DecisionMsg{ID: r.sym(), Accepted: r.bool(), At: r.varint(),
 			AttemptedAt: simnet.Time(r.varint()), DecidedAt: simnet.Time(r.varint()),
 			Reason: r.string()}
-		m.ID = r.id(sym, id)
-		out = m
 	case kindInstanced:
 		inst := r.uvarint()
 		if r.err == nil && inst > 1<<32-1 {
@@ -223,43 +224,62 @@ func PutEncodeBuf(b *[]byte) {
 	encodeBufPool.Put(b)
 }
 
-func appendBool(dst []byte, v bool) []byte {
+// wireWriter appends fields to buf, with a sticky error for an id the
+// table does not hold.
+type wireWriter struct {
+	buf []byte
+	tab *symtab.Table
+	err error
+}
+
+func (w *wireWriter) bool(v bool) {
 	if v {
-		return append(dst, 1)
+		w.buf = append(w.buf, 1)
+	} else {
+		w.buf = append(w.buf, 0)
 	}
-	return append(dst, 0)
 }
 
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
+func (w *wireWriter) varint(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
+
+func (w *wireWriter) string(s string) {
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(s)))
+	w.buf = append(w.buf, s...)
 }
 
-func appendSym(dst []byte, s algebra.Symbol) []byte {
+// sym writes the symbol an id names: a flags byte (bit0 = complement),
+// the name, and the parameters, each a flags byte (bit0 = variable)
+// plus the term text.
+func (w *wireWriter) sym(id symtab.ID) {
+	if id < 2 || int(id) >= w.tab.Len() {
+		if w.err == nil {
+			w.err = fmt.Errorf("actor: symbol id %d is not in the plan", id)
+		}
+		return
+	}
+	s := w.tab.Sym(id)
 	var flags byte
 	if s.Bar {
 		flags |= 1
 	}
-	dst = append(dst, flags)
-	dst = appendString(dst, s.Name)
-	dst = binary.AppendUvarint(dst, uint64(len(s.Params)))
+	w.buf = append(w.buf, flags)
+	w.string(s.Name)
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(s.Params)))
 	for _, t := range s.Params {
 		var tf byte
 		if t.IsVar {
 			tf |= 1
 		}
-		dst = append(dst, tf)
-		dst = appendString(dst, t.Value)
+		w.buf = append(w.buf, tf)
+		w.string(t.Value)
 	}
-	return dst
 }
 
-func appendSyms(dst []byte, syms []algebra.Symbol) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(syms)))
-	for _, s := range syms {
-		dst = appendSym(dst, s)
+func (w *wireWriter) syms(ids []symtab.ID) {
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(ids)))
+	for _, id := range ids {
+		w.sym(id)
 	}
-	return dst
 }
 
 // wireReader is a bounds-checked cursor with sticky errors: after the
@@ -269,7 +289,7 @@ type wireReader struct {
 	buf []byte
 	pos int
 	err error
-	tab *symtab.Table // resolves ids; nil leaves them unset
+	tab *symtab.Table
 }
 
 func (r *wireReader) fail(format string, args ...any) {
@@ -350,17 +370,11 @@ func (r *wireReader) bytes() []byte {
 
 func (r *wireReader) string() string { return string(r.bytes()) }
 
-// sym reads a symbol (see symID).
-func (r *wireReader) sym() algebra.Symbol {
-	s, _ := r.symID()
-	return s
-}
-
-// symID reads a symbol.  Against a table, a parameterless symbol the
-// plan holds comes back as the table's own Symbol, with its id, and
-// costs no allocation; any other symbol is built from the wire, with
-// id None.
-func (r *wireReader) symID() (algebra.Symbol, symtab.ID) {
+// sym reads a symbol and resolves it to its id in the plan's table.
+// A parameterless name resolves from the buffer's bytes without
+// allocating; a parameterized symbol must match the table's symbol
+// exactly.
+func (r *wireReader) sym() symtab.ID {
 	flags := r.byte()
 	if r.err == nil && flags > 1 {
 		r.fail("invalid symbol flags %d", flags)
@@ -368,54 +382,44 @@ func (r *wireReader) symID() (algebra.Symbol, symtab.ID) {
 	name := r.bytes()
 	n := r.uvarint()
 	if r.err != nil {
-		return algebra.Symbol{}, symtab.None
-	}
-	if n == 0 && r.tab != nil {
-		if id, ok := r.tab.LookupName(name); ok {
-			if flags&1 != 0 {
-				id = id.Complement()
-			}
-			return r.tab.Sym(id), id
-		}
+		return symtab.None
 	}
 	if n > maxWireList {
 		r.fail("parameter count %d exceeds limit", n)
-		return algebra.Symbol{}, symtab.None
-	}
-	s := algebra.Symbol{Name: string(name), Bar: flags&1 != 0}
-	if n > 0 {
-		s.Params = make([]algebra.Term, 0, min(int(n), 64))
-		for i := 0; i < int(n); i++ {
-			tf := r.byte()
-			if r.err == nil && tf > 1 {
-				r.fail("invalid term flags %d", tf)
-			}
-			s.Params = append(s.Params, algebra.Term{Value: r.string(), IsVar: tf&1 != 0})
-			if r.err != nil {
-				return algebra.Symbol{}, symtab.None
-			}
-		}
-	}
-	return s, symtab.None
-}
-
-// id resolves a decoded symbol against the reader's table, unless
-// symID already did.
-func (r *wireReader) id(s algebra.Symbol, id symtab.ID) symtab.ID {
-	if r.err != nil || r.tab == nil {
 		return symtab.None
 	}
-	if id != symtab.None {
-		return id
+	s := algebra.Symbol{Bar: flags&1 != 0}
+	if n == 0 {
+		if id, ok := r.tab.LookupName(name); ok {
+			if s.Bar {
+				id = id.Complement()
+			}
+			return id
+		}
+		r.fail("symbol %s is not in the plan", algebra.Symbol{Name: string(name), Bar: s.Bar})
+		return symtab.None
+	}
+	s.Name = string(name)
+	s.Params = make([]algebra.Term, 0, min(int(n), 64))
+	for i := 0; i < int(n); i++ {
+		tf := r.byte()
+		if r.err == nil && tf > 1 {
+			r.fail("invalid term flags %d", tf)
+		}
+		s.Params = append(s.Params, algebra.Term{Value: r.string(), IsVar: tf&1 != 0})
+		if r.err != nil {
+			return symtab.None
+		}
 	}
 	id, ok := r.tab.Lookup(s)
-	if !ok {
+	if got := r.tab.Sym(id); !ok || got.Name != s.Name || got.Bar != s.Bar || !slices.Equal(got.Params, s.Params) {
 		r.fail("symbol %s is not in the plan", s)
+		return symtab.None
 	}
 	return id
 }
 
-func (r *wireReader) syms() []algebra.Symbol {
+func (r *wireReader) syms() []symtab.ID {
 	n := r.uvarint()
 	if r.err != nil {
 		return nil
@@ -427,7 +431,7 @@ func (r *wireReader) syms() []algebra.Symbol {
 	if n == 0 {
 		return nil
 	}
-	out := make([]algebra.Symbol, 0, min(int(n), 64))
+	out := make([]symtab.ID, 0, min(int(n), 64))
 	for i := 0; i < int(n); i++ {
 		out = append(out, r.sym())
 		if r.err != nil {

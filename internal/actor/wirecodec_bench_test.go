@@ -3,23 +3,22 @@ package actor
 import (
 	"testing"
 
-	"repro/internal/algebra"
+	"repro/internal/symtab"
 )
 
 // steadyStatePayloads are the messages the hot path actually sends:
 // the announcement fan-out and the inquiry round trip dominate wire
-// traffic in every experiment.
+// traffic in every experiment.  They name goldenTable's ids.
 func steadyStatePayloads() []any {
-	e := algebra.Sym("e")
-	f := algebra.Sym("f").Complement()
+	e, f, _ := goldenIDs()
 	return []any{
-		AnnounceMsg{Sym: e, At: 42},
-		AttemptMsg{Sym: f, ReplyTo: "ctl"},
+		AnnounceMsg{ID: e, At: 42},
+		AttemptMsg{ID: f, ReplyTo: "ctl"},
 		InquireMsg{Target: e, Requester: f, ReplyTo: "s0", Round: 1,
-			Hyp: []algebra.Symbol{f}},
+			Hyp: []symtab.ID{f}},
 		InquireReplyMsg{Target: e, Requester: f, Round: 1, Occurred: true, At: 42},
-		DecisionMsg{Sym: e, Accepted: true, At: 42, AttemptedAt: 10, DecidedAt: 20},
-		Instanced{Inst: 117, Msg: AnnounceMsg{Sym: e, At: 42}},
+		DecisionMsg{ID: e, Accepted: true, At: 42, AttemptedAt: 10, DecidedAt: 20},
+		Instanced{Inst: 117, Msg: AnnounceMsg{ID: e, At: 42}},
 	}
 }
 
@@ -30,14 +29,14 @@ func TestEncodeZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates inside sync.Pool")
 	}
-	payloads := steadyStatePayloads()
+	payloads, tab := steadyStatePayloads(), goldenTable()
 	// Warm the pool so the measurement never hits the pool's New.
 	warm := GetEncodeBuf()
 	PutEncodeBuf(warm)
 	avg := testing.AllocsPerRun(200, func() {
 		for _, p := range payloads {
 			bp := GetEncodeBuf()
-			enc, err := AppendPayload((*bp)[:0], p)
+			enc, err := AppendPayload(tab, (*bp)[:0], p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,13 +52,13 @@ func TestEncodeZeroAlloc(t *testing.T) {
 // BenchmarkAppendPayload measures the pooled encode path; run with
 // -benchmem to see the allocation regression guard (0 allocs/op).
 func BenchmarkAppendPayload(b *testing.B) {
-	payloads := steadyStatePayloads()
+	payloads, tab := steadyStatePayloads(), goldenTable()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := payloads[i%len(payloads)]
 		bp := GetEncodeBuf()
-		enc, err := AppendPayload((*bp)[:0], p)
+		enc, err := AppendPayload(tab, (*bp)[:0], p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,9 +70,10 @@ func BenchmarkAppendPayload(b *testing.B) {
 // BenchmarkDecodePayload measures the decode path for the same
 // steady-state messages.
 func BenchmarkDecodePayload(b *testing.B) {
+	tab := goldenTable()
 	var encoded [][]byte
 	for _, p := range steadyStatePayloads() {
-		enc, err := AppendPayload(nil, p)
+		enc, err := AppendPayload(tab, nil, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func BenchmarkDecodePayload(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodePayloadOn(nil, encoded[i%len(encoded)]); err != nil {
+		if _, err := DecodePayloadOn(tab, encoded[i%len(encoded)]); err != nil {
 			b.Fatal(err)
 		}
 	}

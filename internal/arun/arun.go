@@ -274,7 +274,6 @@ func guardSpecFor(c *core.Compiled, s algebra.Symbol) gprog.GuardInput {
 // transports.
 type siteHost struct {
 	site simnet.SiteID
-	tab  *symtab.Table
 	// byEvent indexes the instance's hosted actors by event (shared by
 	// the instance's hosts); order lists this site's actors sorted by
 	// key.
@@ -308,11 +307,11 @@ func (h *siteHost) deliver(n actor.Net, p any) {
 			a.Deliver(n, p)
 		}
 	case actor.InquireMsg:
-		h.actor(h.tab.MustLookup(msg.Target)).Deliver(n, p)
+		h.actor(msg.Target).Deliver(n, p)
 	case actor.InquireReplyMsg:
-		h.actor(h.tab.MustLookup(msg.Requester)).Deliver(n, p)
+		h.actor(msg.Requester).Deliver(n, p)
 	case actor.ReleaseMsg:
-		h.actor(h.tab.MustLookup(msg.Target)).Deliver(n, p)
+		h.actor(msg.Target).Deliver(n, p)
 	default:
 		panic(fmt.Sprintf("arun: site %s: unexpected payload %T", h.site, p))
 	}

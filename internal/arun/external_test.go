@@ -10,6 +10,7 @@ import (
 	"repro/internal/netwire"
 	"repro/internal/simnet"
 	"repro/internal/spec"
+	"repro/internal/symtab"
 )
 
 func mustSym(t *testing.T, s string) algebra.Symbol {
@@ -173,8 +174,14 @@ func TestExternalPipelinedMesh(t *testing.T) {
 type delayTransport struct {
 	arun.Transport
 	sym  algebra.Symbol
+	id   symtab.ID // sym's, once the plan hands over its table
 	site simnet.SiteID
 	held []func()
+}
+
+func (d *delayTransport) UseSymbols(tab *symtab.Table) {
+	d.id = tab.MustLookup(d.sym)
+	d.Transport.UseSymbols(tab)
 }
 
 func (d *delayTransport) Register(site simnet.SiteID, h func(n actor.Net, payload any)) {
@@ -183,7 +190,7 @@ func (d *delayTransport) Register(site simnet.SiteID, h func(n actor.Net, payloa
 		return
 	}
 	d.Transport.Register(site, func(n actor.Net, p any) {
-		if m, ok := p.(actor.AnnounceMsg); ok && m.Sym.Equal(d.sym) {
+		if m, ok := p.(actor.AnnounceMsg); ok && m.ID == d.id {
 			d.held = append(d.held, func() { h(n, p) })
 			return
 		}

@@ -9,11 +9,11 @@ import (
 	"testing"
 
 	"repro/internal/actor"
-	"repro/internal/algebra"
 	"repro/internal/arun"
 	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/spec"
+	"repro/internal/symtab"
 )
 
 // The protocol goldens pin what the actors say to each other.  Each
@@ -49,50 +49,57 @@ func goldenSpecs(t *testing.T) map[string]*spec.Spec {
 var goldenOrder = []string{"travel", "mutex", "dense6", "dense12"}
 
 // logTransport records every payload the wrapped transport delivers,
-// with the receiving site and the virtual time of delivery.
+// with the receiving site and the virtual time of delivery, naming its
+// ids through the plan's table.
 type logTransport struct {
 	arun.Transport
+	tab   *symtab.Table
 	lines []string
+}
+
+func (l *logTransport) UseSymbols(tab *symtab.Table) {
+	l.tab = tab
+	l.Transport.UseSymbols(tab)
 }
 
 func (l *logTransport) Register(site simnet.SiteID, h func(n actor.Net, payload any)) {
 	l.Transport.Register(site, func(n actor.Net, p any) {
-		l.lines = append(l.lines, fmt.Sprintf("%d %s %s", n.Now(), site, payloadText(p)))
+		l.lines = append(l.lines, fmt.Sprintf("%d %s %s", n.Now(), site, payloadText(l.tab, p)))
 		h(n, p)
 	})
 }
 
-func symsText(ss []algebra.Symbol) string {
-	keys := make([]string, len(ss))
-	for i, s := range ss {
-		keys[i] = s.Key()
+func symsText(tab *symtab.Table, ids []symtab.ID) string {
+	keys := make([]string, len(ids))
+	for i, id := range ids {
+		keys[i] = tab.Key(id)
 	}
 	return strings.Join(keys, ",")
 }
 
 // payloadText renders one protocol payload with every field the
 // protocol reads.
-func payloadText(p any) string {
+func payloadText(tab *symtab.Table, p any) string {
 	switch m := p.(type) {
 	case actor.AttemptMsg:
-		return fmt.Sprintf("attempt %s forced=%v reply=%s", m.Sym.Key(), m.Forced, m.ReplyTo)
+		return fmt.Sprintf("attempt %s forced=%v reply=%s", tab.Key(m.ID), m.Forced, m.ReplyTo)
 	case actor.AnnounceMsg:
-		return fmt.Sprintf("announce %s@%d", m.Sym.Key(), m.At)
+		return fmt.Sprintf("announce %s@%d", tab.Key(m.ID), m.At)
 	case actor.InquireMsg:
 		return fmt.Sprintf("inquire %s req=%s r%d reply=%s hyp=%s",
-			m.Target.Key(), m.Requester.Key(), m.Round, m.ReplyTo, symsText(m.Hyp))
+			tab.Key(m.Target), tab.Key(m.Requester), m.Round, m.ReplyTo, symsText(tab, m.Hyp))
 	case actor.InquireReplyMsg:
 		return fmt.Sprintf("reply %s req=%s r%d occ=%v@%d imp=%v held=%v prom=%v conds=%s after=%v",
-			m.Target.Key(), m.Requester.Key(), m.Round, m.Occurred, m.At, m.Impossible,
-			m.Held, m.Promised, symsText(m.Conds), m.AfterReq)
+			tab.Key(m.Target), tab.Key(m.Requester), m.Round, m.Occurred, m.At, m.Impossible,
+			m.Held, m.Promised, symsText(tab, m.Conds), m.AfterReq)
 	case actor.ReleaseMsg:
 		return fmt.Sprintf("release %s req=%s r%d promise=%v fired=%v",
-			m.Target.Key(), m.Requester.Key(), m.Round, m.Promise, m.Fired)
+			tab.Key(m.Target), tab.Key(m.Requester), m.Round, m.Promise, m.Fired)
 	case actor.NudgeMsg:
-		return fmt.Sprintf("nudge %s", m.Sym.Key())
+		return fmt.Sprintf("nudge %s", tab.Key(m.ID))
 	case actor.DecisionMsg:
 		return fmt.Sprintf("decision %s acc=%v at=%d attempted=%d decided=%d reason=%q",
-			m.Sym.Key(), m.Accepted, m.At, m.AttemptedAt, m.DecidedAt, m.Reason)
+			tab.Key(m.ID), m.Accepted, m.At, m.AttemptedAt, m.DecidedAt, m.Reason)
 	}
 	return fmt.Sprintf("%T %v", p, p)
 }

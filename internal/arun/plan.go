@@ -88,7 +88,7 @@ type actorPlan struct {
 	// gprog.State).  Extras share one ⊤/⊤ program.
 	prog *gprog.Prog
 	// trig lists the polarities the scheduler may cause proactively.
-	trig []algebra.Symbol
+	trig []symtab.ID
 }
 
 // PlanOptions configure NewPlan.
@@ -177,7 +177,7 @@ func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
 	for f := range p.attempts {
 		p.attempts[f] = make([]any, p.tab.Len())
 		for id := symtab.ID(2); int(id) < p.tab.Len(); id++ {
-			p.attempts[f][id] = actor.AttemptMsg{Sym: p.tab.Sym(id), ID: id, Forced: f == 1, ReplyTo: replyTo}
+			p.attempts[f][id] = actor.AttemptMsg{ID: id, Forced: f == 1, ReplyTo: replyTo}
 		}
 	}
 	for _, key := range sp.Triggerable() {
@@ -189,7 +189,7 @@ func NewPlan(sp *spec.Spec, opt PlanOptions) (*Plan, error) {
 		if i < 0 {
 			return nil, fmt.Errorf("arun: triggerable %q has no actor", key)
 		}
-		p.actors[i].trig = append(p.actors[i].trig, s)
+		p.actors[i].trig = append(p.actors[i].trig, p.tab.MustLookup(s))
 	}
 	return p, nil
 }
@@ -395,14 +395,14 @@ func (p *Plan) newInstance(hosted func(simnet.SiteID) bool, hooks *actor.Hooks) 
 			continue
 		}
 		a := actor.New(ap.base, ap.site, p.dir, hooks, ap.prog)
-		for _, s := range ap.trig {
-			a.SetTriggerable(s)
+		for _, id := range ap.trig {
+			a.SetTriggerable(id)
 		}
 		set.actors[i] = a
 		set.byEvent[p.tab.MustLookup(ap.base).Event()] = a
 		h, ok := set.hosts[ap.site]
 		if !ok {
-			h = &siteHost{site: ap.site, tab: p.tab, byEvent: set.byEvent,
+			h = &siteHost{site: ap.site, byEvent: set.byEvent,
 				order: make([]*actor.Actor, 0, perSite[ap.site])}
 			h.handler = h.deliver
 			set.hosts[ap.site] = h
@@ -482,8 +482,8 @@ func (s *Scratch) instance(p *Plan, hooks *actor.Hooks, tracer *obs.Tracer, inst
 	for i, a := range s.set.actors {
 		ap := &p.actors[i]
 		a.Reset()
-		for _, sym := range ap.trig {
-			a.SetTriggerable(sym)
+		for _, id := range ap.trig {
+			a.SetTriggerable(id)
 		}
 		a.Trace.Retag(inst)
 	}

@@ -105,7 +105,7 @@ func (b *runnerBuild) RestoreSite(site simnet.SiteID, state []byte) error {
 	}
 	for _, st := range states {
 		var a *actor.Actor
-		if id, ok := h.tab.LookupKey(st.Base); ok {
+		if id, ok := b.r.plan.tab.LookupKey(st.Base); ok {
 			a = h.byEvent[id.Event()]
 		}
 		if a == nil || a.Site() != site {

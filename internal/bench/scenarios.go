@@ -43,7 +43,7 @@ func E10() *Table {
 		if !d.Accepted {
 			verdict = "rejected"
 		}
-		t.Rows = append(t.Rows, []string{fmt.Sprint(i + 1), d.Sym.Key(),
+		t.Rows = append(t.Rows, []string{fmt.Sprint(i + 1), r.Symbols.Key(d.ID),
 			fmt.Sprintf("%s (attempted %dµs, decided %dµs)", verdict, d.AttemptedAt, d.DecidedAt)})
 	}
 	t.Notes = append(t.Notes,

@@ -285,10 +285,6 @@ func (c *Compiled) EventGuards() []*EventGuard {
 	return out
 }
 
-// Events returns the guarded symbols sorted by key.  It is retained
-// for compatibility; EventGuards is the canonical name.
-func (c *Compiled) Events() []*EventGuard { return c.EventGuards() }
-
 // TotalGuardSize returns the summed literal count of all guards, a
 // compilation-size metric for benchmark P1.
 func (c *Compiled) TotalGuardSize() int {

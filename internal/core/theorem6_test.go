@@ -121,7 +121,7 @@ func TestCompiledAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(c.Events()); got != 4 {
+	if got := len(c.EventGuards()); got != 4 {
 		t.Fatalf("events: got %d want 4", got)
 	}
 	if c.GuardOf(sym("zzz")).IsTrue() != true {

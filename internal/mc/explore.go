@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/actor"
@@ -251,6 +250,7 @@ type expandPoint struct{ idx, options int }
 type ctrlNet struct {
 	handlers map[simnet.SiteID]func(actor.Net, any)
 	queues   map[linkKey][]any
+	tab      *symtab.Table // the plan's, for queueDigest
 	steps    int
 	occ      int64
 
@@ -298,9 +298,9 @@ func (c *ctrlNet) Clock() int64 { return c.occ }
 // Close implements arun.Transport.
 func (c *ctrlNet) Close() {}
 
-// UseSymbols implements arun.Transport: payloads stay in memory, with
-// their ids.
-func (c *ctrlNet) UseSymbols(*symtab.Table) {}
+// UseSymbols implements arun.Transport: payloads stay in memory, and
+// queueDigest encodes them against the table.
+func (c *ctrlNet) UseSymbols(tab *symtab.Table) { c.tab = tab }
 
 // IdleNow implements arun.Transport: the pump runs on the caller's
 // goroutine, so asking whether the network is idle is what pumps it.
@@ -406,16 +406,19 @@ func (c *ctrlNet) nonempty() []linkKey {
 	return links
 }
 
-// queueDigest serializes the pending messages (all fields, via %+v —
-// every protocol message is a flat struct of comparable fields and
-// symbol/slice values with deterministic formatting).
+// queueDigest serializes the pending messages, every field of each: a
+// message goes through the wire codec, which writes all of them.
 func (c *ctrlNet) queueDigest(links []linkKey) string {
-	var b strings.Builder
+	var b []byte
 	for _, lk := range links {
-		fmt.Fprintf(&b, "%s>%s:", lk.from, lk.to)
+		b = fmt.Appendf(b, "%s>%s:", lk.from, lk.to)
 		for _, m := range c.queues[lk] {
-			fmt.Fprintf(&b, "%+v;", m)
+			enc, err := actor.AppendPayload(c.tab, b, m)
+			if err != nil {
+				panic(fmt.Sprintf("mc: queued payload %T: %v", m, err))
+			}
+			b = append(enc, ';')
 		}
 	}
-	return b.String()
+	return string(b)
 }

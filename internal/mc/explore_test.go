@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/actor"
+	"repro/internal/algebra"
 	"repro/internal/spec"
+	"repro/internal/symtab"
 )
 
 func specPaths() ([]string, error) {
@@ -101,6 +104,46 @@ func TestExploreDeterministicReplay(t *testing.T) {
 	for fp := range a.Outcomes {
 		if b.Outcomes[fp] != a.Outcomes[fp] {
 			t.Fatalf("non-deterministic exploration: %v vs %v", a.Outcomes, b.Outcomes)
+		}
+	}
+}
+
+// TestQueueDigestSeesEveryField: two explorer states whose queues
+// differ in any one message field get different visited keys, so the
+// explorer never prunes a state it has not seen.
+func TestQueueDigestSeesEveryField(t *testing.T) {
+	tab := symtab.New()
+	e := tab.Add(algebra.Sym("e"))
+	f := tab.Add(algebra.Sym("f"))
+	tests := []struct {
+		name string
+		a, b any
+	}{
+		{"release fired", actor.ReleaseMsg{Target: e, Requester: f, Promise: true},
+			actor.ReleaseMsg{Target: e, Requester: f, Promise: true, Fired: true}},
+		{"release promise", actor.ReleaseMsg{Target: e, Requester: f},
+			actor.ReleaseMsg{Target: e, Requester: f, Promise: true}},
+		{"attempt forced", actor.AttemptMsg{ID: e}, actor.AttemptMsg{ID: e, Forced: true}},
+		{"attempt reply site", actor.AttemptMsg{ID: e}, actor.AttemptMsg{ID: e, ReplyTo: "s1"}},
+		{"inquire hypothesis", actor.InquireMsg{Target: e, Requester: f, Hyp: []symtab.ID{f}},
+			actor.InquireMsg{Target: e, Requester: f, Hyp: []symtab.ID{f, e.Complement()}}},
+		{"reply conditions", actor.InquireReplyMsg{Target: e, Requester: f, Promised: true, Conds: []symtab.ID{f}},
+			actor.InquireReplyMsg{Target: e, Requester: f, Promised: true, Conds: []symtab.ID{f.Complement()}}},
+		{"reply after requester", actor.InquireReplyMsg{Target: e, Requester: f, Held: true},
+			actor.InquireReplyMsg{Target: e, Requester: f, Held: true, AfterReq: true}},
+		{"decision reason", actor.DecisionMsg{ID: e, Reason: "x"}, actor.DecisionMsg{ID: e, Reason: "y"}},
+		{"decision times", actor.DecisionMsg{ID: e, AttemptedAt: 1}, actor.DecisionMsg{ID: e, AttemptedAt: 2}},
+	}
+	link := []linkKey{{"s0", "s1"}}
+	digest := func(m any) string {
+		c := newCtrlNet(nil, nil)
+		c.UseSymbols(tab)
+		c.Send(link[0].from, link[0].to, m)
+		return c.queueDigest(link)
+	}
+	for _, tt := range tests {
+		if digest(tt.a) == digest(tt.b) {
+			t.Errorf("%s: queues %#v and %#v share a digest", tt.name, tt.a, tt.b)
 		}
 	}
 }

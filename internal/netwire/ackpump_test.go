@@ -1,14 +1,12 @@
 package netwire
 
 import (
-	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/algebra"
 	"repro/internal/simnet"
 	"repro/internal/wal"
 )
@@ -61,6 +59,8 @@ func TestAckPumpReadsDuringCommit(t *testing.T) {
 		})
 	}
 	a, b := mk("A", 0, wa), mk("B", 1, wb)
+	a.UseSymbols(events)
+	b.UseSymbols(events)
 	t.Cleanup(func() { unstall(); a.Close(); b.Close() })
 	addrA, err := a.Listen()
 	if err != nil {
@@ -78,7 +78,7 @@ func TestAckPumpReadsDuringCommit(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for i := 1; i <= k; i++ {
-		a.Send("sa", "sb", actor.AnnounceMsg{Sym: algebra.Sym(fmt.Sprintf("e%d", i)), At: int64(i)})
+		a.Send("sa", "sb", actor.AnnounceMsg{ID: eventID(i), At: int64(i)})
 		// Frame i is sent only after frame i-1 was logged, so no two
 		// frames can share a batch.
 		for b.Pending() < int64(i) {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/netwire"
 	"repro/internal/simnet"
+	"repro/internal/symtab"
 )
 
 // burst fires n announcements from sa to sb back-to-back.  The first
@@ -141,9 +142,14 @@ func TestBatchDelayPayloadsExact(t *testing.T) {
 	b.Start(peers)
 
 	const n = 400
+	tab := symtab.New()
 	sent := make([]actor.AnnounceMsg, n)
 	for i := range sent {
-		sent[i] = actor.AnnounceMsg{Sym: algebra.Sym(fmt.Sprintf("e%d%s", i, strings.Repeat("x", i%37))), At: int64(i)}
+		sent[i] = actor.AnnounceMsg{ID: tab.Add(algebra.Sym(fmt.Sprintf("e%d%s", i, strings.Repeat("x", i%37)))), At: int64(i)}
+	}
+	a.UseSymbols(tab)
+	b.UseSymbols(tab)
+	for i := range sent {
 		a.Send("sa", "sb", sent[i])
 		if i%4 == 3 {
 			time.Sleep(100 * time.Microsecond)
@@ -162,8 +168,8 @@ func TestBatchDelayPayloadsExact(t *testing.T) {
 		t.Fatalf("sb received %d messages, want %d", len(got), n)
 	}
 	for i, m := range got {
-		want, _ := actor.AppendPayload(nil, sent[i])
-		have, err := actor.AppendPayload(nil, m)
+		want, _ := actor.AppendPayload(tab, nil, sent[i])
+		have, err := actor.AppendPayload(tab, nil, m)
 		if err != nil || !bytes.Equal(have, want) {
 			t.Fatalf("position %d: payload %x, want %x (%v)", i, have, want, err)
 		}

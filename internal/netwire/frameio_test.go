@@ -40,13 +40,29 @@ func (c *countConn) Write(p []byte) (int, error) {
 
 func (c *countConn) SetWriteDeadline(time.Time) error { return nil }
 
+// events is the plan table the tests' announcements name: e0…e2047.
+// Every node that sends or receives them uses it.
+var events = func() *symtab.Table {
+	tab := symtab.New()
+	for i := 0; i < 2048; i++ {
+		tab.Add(algebra.Sym(fmt.Sprintf("e%d", i)))
+	}
+	return tab
+}()
+
+// eventID is e<i>'s id in events.
+func eventID(i int) symtab.ID { return events.MustLookup(algebra.Sym(fmt.Sprintf("e%d", i))) }
+
+// Events and EventID give the external tests the same table.
+var Events, EventID = events, eventID
+
 // testFrames returns n queued records from sa to sb with distinct
 // payloads of the actor wire encoding.
 func testFrames(t testing.TB, n int) []*outFrame {
 	t.Helper()
 	frames := make([]*outFrame, n)
 	for i := range frames {
-		enc, err := actor.AppendPayload(nil, actor.AnnounceMsg{Sym: algebra.Sym(fmt.Sprintf("e%d", i)), At: int64(i)})
+		enc, err := actor.AppendPayload(events, nil, actor.AnnounceMsg{ID: eventID(i), At: int64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,6 +82,7 @@ func framed(body []byte) []byte {
 // len ‖ appendBatch(…).
 func TestTransmitOneWrite(t *testing.T) {
 	n := NewNode(Config{ID: "n", ListenAddr: "127.0.0.1:0"})
+	n.UseSymbols(events)
 	l := newLink(n, "127.0.0.1:1")
 	for _, k := range []int{1, maxBatchFrames} {
 		conn := &countConn{keep: true}
@@ -87,6 +104,7 @@ func TestTransmitOneWrite(t *testing.T) {
 // transmission plus an inline ack write allocate nothing.
 func TestTransmitZeroAlloc(t *testing.T) {
 	n := NewNode(Config{ID: "n", ListenAddr: "127.0.0.1:0"})
+	n.UseSymbols(events)
 	l := newLink(n, "127.0.0.1:1")
 	cw := newConnWriter(&countConn{}, time.Second)
 	frames := testFrames(t, 8)
@@ -110,13 +128,9 @@ func TestTransmitZeroAlloc(t *testing.T) {
 func TestReceiveZeroAlloc(t *testing.T) {
 	const k = 8
 	n := NewNode(Config{ID: "B", ListenAddr: "127.0.0.1:0", NodeIndex: 1})
+	n.UseSymbols(events)
 	defer n.Close()
 	n.Register("sb", func(actor.Net, any) {})
-	tab := symtab.New()
-	for i := 0; i < k; i++ {
-		tab.Add(algebra.Sym(fmt.Sprintf("e%d", i)))
-	}
-	n.UseSymbols(tab)
 	const runs = 102 // AllocsPerRun's warm-up, its 100 runs, and ours
 	bodies := make([][]byte, runs)
 	for r := range bodies {
@@ -156,6 +170,7 @@ func TestDurableQueueZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := NewNode(Config{ID: "n", ListenAddr: "127.0.0.1:0", WAL: w})
+	n.UseSymbols(events)
 	defer n.Close()
 	l := newLink(n, "127.0.0.1:1") // no session: the test plays its part
 	n.links[l.addr] = l
@@ -190,6 +205,7 @@ type rawPeer struct {
 func newRawPeer(t *testing.T, h func(payload any)) *rawPeer {
 	t.Helper()
 	n := NewNode(Config{ID: "B", ListenAddr: "127.0.0.1:0", NodeIndex: 1})
+	n.UseSymbols(events)
 	addr, err := n.Listen()
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +304,7 @@ func TestReorderedRecordSurvivesBufferReuse(t *testing.T) {
 	for i, f := range frames {
 		select {
 		case msg := <-got:
-			enc, err := actor.AppendPayload(nil, msg)
+			enc, err := actor.AppendPayload(events, nil, msg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -313,6 +329,7 @@ func TestUnhostedSiteLogged(t *testing.T) {
 			defer mu.Unlock()
 			logs = append(logs, fmt.Sprintf(format, args...))
 		}})
+	n.UseSymbols(events)
 	defer n.Close()
 	n.Register("sb", func(actor.Net, any) {})
 	frames := testFrames(t, 2)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/algebra"
 	"repro/internal/simnet"
 )
 
@@ -128,6 +127,8 @@ func TestQuiescentRule(t *testing.T) {
 				})
 			}
 			a, b := mk("A", 0, tc.fault), mk("B", 1, nil)
+			a.UseSymbols(events)
+			b.UseSymbols(events)
 			t.Cleanup(func() { a.Close(); b.Close() })
 			addrA, err := a.Listen()
 			if err != nil {
@@ -157,7 +158,7 @@ func TestQuiescentRule(t *testing.T) {
 				live, ok := a.IdleReport()
 				return ok && Quiescent([]IdleReport{live, stale})
 			}
-			a.Send("sa", "sb", actor.AnnounceMsg{Sym: algebra.Sym("e1"), At: 1})
+			a.Send("sa", "sb", actor.AnnounceMsg{ID: eventID(1), At: 1})
 			deadline := time.Now().Add(10 * time.Second)
 			for finished := false; !finished; {
 				select {

@@ -24,6 +24,7 @@ func TestMeshIdleSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mesh.Close()
+	mesh.UseSymbols(netwire.Events)
 
 	var lastDone atomic.Bool
 	mid := make(chan (<-chan struct{}), 1)

@@ -162,8 +162,9 @@ type Node struct {
 	// node owns it; every node of a Mesh counts into the mesh's one
 	// tracker instead, so a single read of it covers the whole mesh.
 	pend *quiesce.NotifyTracker
-	// syms resolves the symbol ids of decoded payloads (UseSymbols);
-	// nil leaves them unset.
+	// syms is the plan's symbol table the codec names ids through, both
+	// ways (UseSymbols); a node without one can neither encode nor
+	// decode a payload.
 	syms atomic.Pointer[symtab.Table]
 
 	lis net.Listener
@@ -369,7 +370,7 @@ func (n *Node) Send(from, to simnet.SiteID, payload any) {
 			// (Site2 marks the local origin for replay send-matching)
 			// and let the inbox gate the handler on its durability.
 			bp := actor.GetEncodeBuf()
-			enc, err := actor.AppendPayload((*bp)[:0], payload)
+			enc, err := actor.AppendPayload(n.syms.Load(), (*bp)[:0], payload)
 			if err != nil {
 				actor.PutEncodeBuf(bp)
 				panic(fmt.Sprintf("netwire: %v", err))
@@ -392,7 +393,7 @@ func (n *Node) Send(from, to simnet.SiteID, payload any) {
 	// the frame is acknowledged and pruned, making the steady-state
 	// encode path allocation-free.
 	bp := actor.GetEncodeBuf()
-	enc, err := actor.AppendPayload((*bp)[:0], payload)
+	enc, err := actor.AppendPayload(n.syms.Load(), (*bp)[:0], payload)
 	if err != nil {
 		actor.PutEncodeBuf(bp)
 		panic(fmt.Sprintf("netwire: %v", err))
@@ -416,10 +417,10 @@ func (n *Node) IdleNow() bool { return n.pend.IdleNow() }
 // closes, and its cancel (see quiesce.NotifyTracker.IdleWait).
 func (n *Node) IdleWait() (<-chan struct{}, func()) { return n.pend.IdleWait() }
 
-// UseSymbols sets the plan symbol table the node resolves decoded
-// payloads against — received frames and WAL replay alike — so an
-// attempt, announcement or decision reaches its handler with its id,
-// and a name the plan does not hold is refused as a bad payload.
+// UseSymbols sets the plan symbol table the node's codec names ids
+// through: sent payloads are encoded against it, and received frames
+// and WAL replay decode against it, so a name the plan does not hold
+// is refused as a bad payload.
 func (n *Node) UseSymbols(tab *symtab.Table) { n.syms.Store(tab) }
 
 // Stats reports delivery metrics: frames delivered to handlers and
@@ -706,7 +707,9 @@ func (n *Node) serveConn(conn net.Conn) {
 			return
 		}
 		if !frame {
-			n.serveDebugHTTP(wrapped)
+			// A one-shot HTTP exchange, keep-alives off, so debug
+			// traffic never accumulates state on the node.
+			obs.ServeHTTPConn(wrapped, n.cfg.Debug)
 			return
 		}
 		conn = wrapped

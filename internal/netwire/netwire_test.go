@@ -1,14 +1,12 @@
 package netwire_test
 
 import (
-	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/actor"
-	"repro/internal/algebra"
 	"repro/internal/netwire"
 	"repro/internal/simnet"
 )
@@ -41,6 +39,8 @@ func pair(t *testing.T, fp *simnet.FaultPlan) (a, b *netwire.Node, ca, cb *colle
 		})
 	}
 	a, b = mk("A", 0), mk("B", 1)
+	a.UseSymbols(netwire.Events)
+	b.UseSymbols(netwire.Events)
 	addrA, err := a.Listen()
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func pair(t *testing.T, fp *simnet.FaultPlan) (a, b *netwire.Node, ca, cb *colle
 }
 
 func announce(i int) actor.AnnounceMsg {
-	return actor.AnnounceMsg{Sym: algebra.Sym(fmt.Sprintf("e%d", i)), At: int64(i)}
+	return actor.AnnounceMsg{ID: netwire.EventID(i), At: int64(i)}
 }
 
 func TestLocalDelivery(t *testing.T) {
@@ -115,6 +115,7 @@ func TestReconnect(t *testing.T) {
 		ID: "A", ListenAddr: "127.0.0.1:0", NodeIndex: 0,
 		RetryMin: 2 * time.Millisecond, RetryMax: 20 * time.Millisecond,
 	})
+	a.UseSymbols(netwire.Events)
 	if _, err := a.Listen(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +126,7 @@ func TestReconnect(t *testing.T) {
 
 	time.Sleep(50 * time.Millisecond)
 	b := netwire.NewNode(netwire.Config{ID: "B", ListenAddr: lateAddr, NodeIndex: 1})
+	b.UseSymbols(netwire.Events)
 	if _, err := b.Listen(); err != nil {
 		t.Fatalf("late bind: %v", err)
 	}

@@ -54,21 +54,21 @@ func (a *agentRun) onTick(n *simnet.Network, _ agentTick) {
 		return
 	}
 	step := a.queue[0]
-	key := step.Sym.Key()
-	if other, taken := a.host.agents[key]; taken && other != a {
-		panic(fmt.Sprintf("sched: two agents await the same event %s", key))
+	id := a.host.tab.MustLookup(step.Sym)
+	if other, taken := a.host.agents[id]; taken && other != a {
+		panic(fmt.Sprintf("sched: two agents await the same event %s", step.Sym))
 	}
-	a.host.agents[key] = a
+	a.host.agents[id] = a
 	a.sentAt = n.Now()
-	a.sub.Attempt(n, a.script.Site, step.Sym, step.Forced, a.script.Site)
+	a.sub.Attempt(n, a.script.Site, id, step.Forced, a.script.Site)
 }
 
 func (a *agentRun) onDecision(n *simnet.Network, d actor.DecisionMsg) {
-	if len(a.queue) == 0 || !a.queue[0].Sym.Equal(d.Sym) {
+	if len(a.queue) == 0 || a.host.tab.MustLookup(a.queue[0].Sym) != d.ID {
 		return // stale duplicate (e.g. re-acknowledged attempt)
 	}
 	step := a.queue[0]
-	delete(a.host.agents, step.Sym.Key())
+	delete(a.host.agents, d.ID)
 	if a.onLatency != nil {
 		a.onLatency(n.Now() - a.sentAt)
 	}

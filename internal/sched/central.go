@@ -35,7 +35,8 @@ type central struct {
 }
 
 type parkedAttempt struct {
-	sym         algebra.Symbol
+	id          symtab.ID
+	sym         algebra.Symbol // id's symbol, for the name-based decision rule
 	replyTo     simnet.SiteID
 	attemptedAt simnet.Time
 }
@@ -50,14 +51,14 @@ func (c *central) Handle(n *simnet.Network, m simnet.Message) {
 	if !ok {
 		panic(fmt.Sprintf("sched: central: unexpected payload %T", m.Payload))
 	}
-	p := parkedAttempt{sym: msg.Sym, replyTo: msg.ReplyTo, attemptedAt: n.Now()}
+	p := parkedAttempt{id: msg.ID, sym: c.tab.Sym(msg.ID), replyTo: msg.ReplyTo, attemptedAt: n.Now()}
 	k := p.sym.Key()
 	switch {
 	case c.occurred[k] != 0:
-		c.decide(n, p.sym, p.replyTo, p.attemptedAt, true, "already occurred")
+		c.decide(n, p, true, "already occurred")
 		return
 	case c.rejected[k]:
-		c.decide(n, p.sym, p.replyTo, p.attemptedAt, false, "already rejected")
+		c.decide(n, p, false, "already rejected")
 		return
 	case c.occurred[p.sym.Complement().Key()] != 0:
 		c.refuse(n, p, "complement occurred")
@@ -65,7 +66,7 @@ func (c *central) Handle(n *simnet.Network, m simnet.Message) {
 	}
 	v, reason := temporal.True, ""
 	if !msg.Forced {
-		v, reason = c.admits(msg.Sym)
+		v, reason = c.admits(p.sym)
 	}
 	switch v {
 	case temporal.True:
@@ -84,15 +85,15 @@ func (c *central) occur(n *simnet.Network, p parkedAttempt) {
 	c.occurred[p.sym.Key()] = at
 	c.advance(p.sym, at)
 	if c.hooks != nil && c.hooks.OnFire != nil {
-		c.hooks.OnFire(actor.AnnounceMsg{Sym: p.sym, ID: c.tab.MustLookup(p.sym), At: at}, n.Now())
+		c.hooks.OnFire(actor.AnnounceMsg{ID: p.id, At: at}, n.Now())
 	}
-	c.decide(n, p.sym, p.replyTo, p.attemptedAt, true, "")
+	c.decide(n, p, true, "")
 }
 
 // refuse rejects the attempt, and every later attempt of its symbol.
 func (c *central) refuse(n *simnet.Network, p parkedAttempt, reason string) {
 	c.rejected[p.sym.Key()] = true
-	c.decide(n, p.sym, p.replyTo, p.attemptedAt, false, reason)
+	c.decide(n, p, false, reason)
 }
 
 // drainParked re-examines parked attempts after an occurrence: those
@@ -123,17 +124,16 @@ func (c *central) drainParked(n *simnet.Network) {
 	}
 }
 
-func (c *central) decide(n *simnet.Network, s algebra.Symbol, replyTo simnet.SiteID,
-	attemptedAt simnet.Time, accepted bool, reason string) {
+func (c *central) decide(n *simnet.Network, p parkedAttempt, accepted bool, reason string) {
 	d := actor.DecisionMsg{
-		Sym: s, ID: c.tab.MustLookup(s), Accepted: accepted, At: c.occurred[s.Key()],
-		AttemptedAt: attemptedAt, DecidedAt: n.Now(), Reason: reason,
+		ID: p.id, Accepted: accepted, At: c.occurred[p.sym.Key()],
+		AttemptedAt: p.attemptedAt, DecidedAt: n.Now(), Reason: reason,
 	}
 	if c.hooks != nil && c.hooks.OnDecision != nil {
 		c.hooks.OnDecision(d)
 	}
-	if replyTo != "" {
-		n.Send(CentralSite, replyTo, d)
+	if p.replyTo != "" {
+		n.Send(CentralSite, p.replyTo, d)
 	}
 }
 
@@ -395,17 +395,15 @@ func stateKey(residuals []*algebra.Expr, remaining []algebra.Symbol) string {
 }
 
 // centralSubmitter routes every attempt to the central site, which
-// decides by name; messages carry the run plan's symbol ids.
-type centralSubmitter struct {
-	tab *symtab.Table
-}
+// decides by name: its rules residuate the workflow's expressions.
+type centralSubmitter struct{}
 
-func (centralSubmitter) DecisionSite(algebra.Symbol) simnet.SiteID { return CentralSite }
+func (centralSubmitter) DecisionSite(symtab.ID) simnet.SiteID { return CentralSite }
 
-func (c centralSubmitter) Attempt(n *simnet.Network, origin simnet.SiteID,
-	s algebra.Symbol, forced bool, replyTo simnet.SiteID) {
+func (centralSubmitter) Attempt(n *simnet.Network, origin simnet.SiteID,
+	id symtab.ID, forced bool, replyTo simnet.SiteID) {
 	mAttempts.Inc()
-	n.Send(origin, CentralSite, actor.AttemptMsg{Sym: s, ID: c.tab.MustLookup(s), Forced: forced, ReplyTo: replyTo})
+	n.Send(origin, CentralSite, actor.AttemptMsg{ID: id, Forced: forced, ReplyTo: replyTo})
 }
 
 // installCentral wires the centralized scheduler of the kind at the

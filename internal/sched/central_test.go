@@ -168,7 +168,7 @@ func TestCentralGuardsObligations(t *testing.T) {
 	// The complement ~f must have been rejected (f was promised).
 	rejected := false
 	for _, d := range r.Decisions {
-		if d.Sym.Equal(sym("~f")) && !d.Accepted {
+		if r.Symbols.Key(d.ID) == "~f" && !d.Accepted {
 			rejected = true
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/actor"
-	"repro/internal/algebra"
 	"repro/internal/simnet"
 	"repro/internal/spec"
 	"repro/internal/symtab"
@@ -16,20 +15,21 @@ import (
 // protocol traffic for the actors.
 type siteHost struct {
 	site simnet.SiteID
+	tab  *symtab.Table // the run plan's
 	// actors delivers to the instance's actors at this site; nil when
 	// the site hosts none.
 	actors func(actor.Net, any)
-	agents map[string]*agentRun // by awaited symbol key
+	agents map[symtab.ID]*agentRun // by awaited symbol
 }
 
-func newSiteHost(site simnet.SiteID) *siteHost {
-	return &siteHost{site: site, agents: map[string]*agentRun{}}
+func newSiteHost(site simnet.SiteID, tab *symtab.Table) *siteHost {
+	return &siteHost{site: site, tab: tab, agents: map[symtab.ID]*agentRun{}}
 }
 
 func (h *siteHost) Handle(n *simnet.Network, m simnet.Message) {
 	switch msg := m.Payload.(type) {
 	case actor.DecisionMsg:
-		if ag, ok := h.agents[msg.Sym.Key()]; ok {
+		if ag, ok := h.agents[msg.ID]; ok {
 			ag.onDecision(n, msg)
 		}
 	case agentTick:
@@ -50,10 +50,12 @@ type distributedSubmitter struct {
 	pl  spec.Placement
 }
 
-func (d distributedSubmitter) DecisionSite(s algebra.Symbol) simnet.SiteID { return d.pl.SiteFor(s) }
+func (d distributedSubmitter) DecisionSite(id symtab.ID) simnet.SiteID {
+	return d.pl.SiteFor(d.tab.Sym(id))
+}
 
 func (d distributedSubmitter) Attempt(n *simnet.Network, origin simnet.SiteID,
-	s algebra.Symbol, forced bool, replyTo simnet.SiteID) {
+	id symtab.ID, forced bool, replyTo simnet.SiteID) {
 	mAttempts.Inc()
-	n.Send(origin, d.pl.SiteFor(s), actor.AttemptMsg{Sym: s, ID: d.tab.MustLookup(s), Forced: forced, ReplyTo: replyTo})
+	n.Send(origin, d.DecisionSite(id), actor.AttemptMsg{ID: id, Forced: forced, ReplyTo: replyTo})
 }

@@ -65,7 +65,7 @@ func extrasReports(t *testing.T) []byte {
 				fmt.Fprintf(&b, "  trace %v\n", r.Trace)
 				for _, d := range r.Decisions {
 					fmt.Fprintf(&b, "  decision %s id=%d acc=%v at=%d attempted=%d decided=%d reason=%q\n",
-						d.Sym.Key(), d.ID, d.Accepted, d.At, d.AttemptedAt, d.DecidedAt, d.Reason)
+						r.Symbols.Key(d.ID), d.ID, d.Accepted, d.At, d.AttemptedAt, d.DecidedAt, d.Reason)
 				}
 				fmt.Fprintf(&b, "  stats %+v\n  latencies %v\n  makespan %d\n", r.Stats, r.AgentLatencies, r.Makespan)
 				fmt.Fprintf(&b, "  unresolved %v satisfied %v generated %v\n", r.Unresolved, r.Satisfied, r.Generated)

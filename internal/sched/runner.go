@@ -9,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/spec"
+	"repro/internal/symtab"
 )
 
 // Config describes one run.
@@ -109,13 +110,13 @@ func RunCompiled(c *core.Compiled, cfg Config) (*Report, error) {
 	tab := plan.Symbols()
 
 	net := simnet.New(lat, cfg.Seed)
-	col := NewCollector()
+	col := NewCollector(tab)
 	hooks := col.Hooks()
 	hosts := map[simnet.SiteID]*siteHost{}
 	host := func(site simnet.SiteID) *siteHost {
 		h, ok := hosts[site]
 		if !ok {
-			h = newSiteHost(site)
+			h = newSiteHost(site, tab)
 			hosts[site] = h
 			net.AddSite(site, h)
 		}
@@ -145,7 +146,7 @@ func RunCompiled(c *core.Compiled, cfg Config) (*Report, error) {
 		sub = distributedSubmitter{tab: tab, pl: sp.Placement()}
 	case CentralResiduation, CentralAutomata, CentralGuards:
 		installCentral(net, tab, c, cfg.Kind, hooks)
-		sub = centralSubmitter{tab: tab}
+		sub = centralSubmitter{}
 	default:
 		return nil, fmt.Errorf("sched: unknown scheduler kind %q", cfg.Kind)
 	}
@@ -173,6 +174,7 @@ func RunCompiled(c *core.Compiled, cfg Config) (*Report, error) {
 		Kind:           cfg.Kind,
 		Trace:          col.Trace,
 		Decisions:      col.Decisions,
+		Symbols:        tab,
 		AgentLatencies: col.AgentLatencies,
 		Stats:          net.Stats(),
 		Satisfied:      core.SatisfiesAll(c.Workflow, col.Trace),
@@ -182,7 +184,7 @@ func RunCompiled(c *core.Compiled, cfg Config) (*Report, error) {
 		report.Makespan = col.FireTimes[n-1]
 	}
 	for _, b := range sortedBases(c.Workflow) {
-		if !col.Resolved(b) {
+		if !col.Resolved(tab.MustLookup(b)) {
 			report.Unresolved = append(report.Unresolved, b.Key())
 		}
 	}
@@ -195,9 +197,12 @@ func RunCompiled(c *core.Compiled, cfg Config) (*Report, error) {
 // attempts the event itself, triggering it.  Passes repeat until
 // quiescence.
 func runCloseout(net *simnet.Network, sub Submitter, col *Collector, w *core.Workflow) {
-	bases := sortedBases(w)
-	triedComp := map[string]bool{}
-	triedPos := map[string]bool{}
+	var bases []symtab.ID
+	for _, b := range sortedBases(w) {
+		bases = append(bases, col.tab.MustLookup(b))
+	}
+	triedComp := map[symtab.ID]bool{}
+	triedPos := map[symtab.ID]bool{}
 	for pass := 0; pass < 2*len(bases)+2; pass++ {
 		progress := false
 		for _, b := range bases {
@@ -205,13 +210,13 @@ func runCloseout(net *simnet.Network, sub Submitter, col *Collector, w *core.Wor
 				continue
 			}
 			switch {
-			case !triedComp[b.Key()]:
-				triedComp[b.Key()] = true
+			case !triedComp[b]:
+				triedComp[b] = true
 				cb := b.Complement()
 				sub.Attempt(net, sub.DecisionSite(cb), cb, false, "")
 				progress = true
-			case !triedPos[b.Key()]:
-				triedPos[b.Key()] = true
+			case !triedPos[b]:
+				triedPos[b] = true
 				sub.Attempt(net, sub.DecisionSite(b), b, false, "")
 				progress = true
 			}

@@ -39,6 +39,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/simnet"
 	"repro/internal/spec"
+	"repro/internal/symtab"
 )
 
 // Kind selects a scheduler implementation.
@@ -62,53 +63,48 @@ func Kinds() []Kind {
 // Submitter injects attempts into a scheduler.
 type Submitter interface {
 	// DecisionSite returns the site where the event is decided.
-	DecisionSite(s algebra.Symbol) simnet.SiteID
+	DecisionSite(id symtab.ID) simnet.SiteID
 	// Attempt sends an attempt from the origin site.
-	Attempt(n *simnet.Network, origin simnet.SiteID, s algebra.Symbol, forced bool, replyTo simnet.SiteID)
+	Attempt(n *simnet.Network, origin simnet.SiteID, id symtab.ID, forced bool, replyTo simnet.SiteID)
 }
 
 // Collector accumulates the run's outcomes via out-of-band hooks.
 type Collector struct {
+	tab       *symtab.Table // the run plan's
 	Trace     algebra.Trace
 	FireTimes []simnet.Time
 	Decisions []actor.DecisionMsg
 	// AgentLatencies are the agent-perceived attempt→decision round
 	// trips, including both network legs.
 	AgentLatencies []simnet.Time
-	occurred       map[string]int64
+	occurred       map[symtab.ID]bool
 }
 
 func (c *Collector) addAgentLatency(l simnet.Time) {
 	c.AgentLatencies = append(c.AgentLatencies, l)
 }
 
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{occurred: map[string]int64{}}
+// NewCollector returns an empty collector over the run plan's table.
+func NewCollector(tab *symtab.Table) *Collector {
+	return &Collector{tab: tab, occurred: map[symtab.ID]bool{}}
 }
 
 // Hooks returns actor hooks feeding this collector.
 func (c *Collector) Hooks() *actor.Hooks {
 	return &actor.Hooks{
 		OnFire: func(ann actor.AnnounceMsg, when simnet.Time) {
-			c.Trace = append(c.Trace, ann.Sym)
+			c.Trace = append(c.Trace, c.tab.Sym(ann.ID))
 			c.FireTimes = append(c.FireTimes, when)
-			c.occurred[ann.Sym.Key()] = ann.At
+			c.occurred[ann.ID] = true
 		},
 		OnDecision: func(d actor.DecisionMsg) { c.Decisions = append(c.Decisions, d) },
 	}
 }
 
-// Occurred reports whether the symbol occurred.
-func (c *Collector) Occurred(s algebra.Symbol) bool {
-	_, ok := c.occurred[s.Key()]
-	return ok
-}
-
 // Resolved reports whether the event's fate is settled: one polarity
 // occurred.
-func (c *Collector) Resolved(base algebra.Symbol) bool {
-	return c.Occurred(base.Base()) || c.Occurred(base.Base().Complement())
+func (c *Collector) Resolved(id symtab.ID) bool {
+	return c.occurred[id] || c.occurred[id.Complement()]
 }
 
 // Report summarizes a run.
@@ -121,6 +117,8 @@ type Report struct {
 	Trace algebra.Trace
 	// Decisions lists every accept/reject with latency data.
 	Decisions []actor.DecisionMsg
+	// Symbols is the run plan's table, which names the decisions' ids.
+	Symbols *symtab.Table
 	// Stats are the network's message statistics.
 	Stats simnet.Stats
 	// Makespan is the simulation time when the last event fired.
