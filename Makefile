@@ -73,7 +73,10 @@ race:
 enginestress:
 	$(GO) test -race -count=1 -run 'TestEngineStress256|TestEngineChaosNet|TestScratchRecyclingEquivalence' ./internal/engine
 
-# The observability gates, always uncached: bytewise golden replay of
+# The observability gates, always uncached: the simulator's own
+# delivery order (every delivery's time, sites and payload and the final
+# statistics of two scripts, one under a fault plan, fresh and after a
+# reset), bytewise golden replay of
 # the traced simulator runs and of the checked-in protocol goldens
 # (payload logs and traces), tracing on and off delivering the same
 # messages in the same order, and the trace-invariant checker over the
@@ -81,6 +84,7 @@ enginestress:
 # satisfy causality, single terminal verdicts, and monotone Lamport
 # stamps even under injected faults).
 tracecheck:
+	$(GO) test -count=1 -run 'TestDeliveryOrderGolden|TestResetMatchesFresh' ./internal/simnet
 	$(GO) test -count=1 -run 'TestGoldenReplay|TestTraceDoesNotChangeRun' ./internal/sched
 	$(GO) test -count=1 -run 'TestProtocolGolden|TestTraceDoesNotChangeRun' ./internal/arun
 	$(GO) test -count=1 -run 'TestDifferentialChaos' ./internal/netwire
@@ -133,13 +137,15 @@ modelcheck:
 # Every benchmark must still compile and survive one iteration (keeps
 # the perf harness from rotting between measurement sessions), and the
 # allocation contracts on the hot paths — wire encoding, program-mode
-# announcement delivery, steady-state WAL append, a netwire batch
+# announcement delivery, a simulated send and its delivery,
+# steady-state WAL append, a netwire batch
 # transmission plus its inline ack (all zero), a received netwire batch
 # (its decoded messages only), and one whole dense12 engine instance on
 # the simulator and on the TCP mesh (bounded) — must still hold.
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test -count=1 -run 'TestAnnounceDeliverZeroAlloc|TestEncodeZeroAlloc' ./internal/actor
+	$(GO) test -count=1 -run 'TestSendStepZeroAlloc' ./internal/simnet
 	$(GO) test -count=1 -run 'TestInstanceAllocs' ./internal/engine
 	$(GO) test -count=1 -run 'TestWALAppendZeroAlloc' ./internal/wal
 	$(GO) test -count=1 -run 'TestTransmitZeroAlloc|TestReceiveZeroAlloc|TestDurableQueueZeroAlloc' ./internal/netwire

@@ -40,10 +40,15 @@ func NewSimTransportLat(lat simnet.LatencyModel, seed int64, fp *simnet.FaultPla
 
 // Register implements Transport.
 func (s *SimTransport) Register(site simnet.SiteID, h func(n actor.Net, payload any)) {
-	s.Net.AddSite(site, simnet.HandlerFunc(func(n *simnet.Network, m simnet.Message) {
-		h(n, m.Payload)
-	}))
+	s.Net.AddSite(site, payloadHandler(h))
 }
+
+// payloadHandler hands a delivered payload to a transport handler;
+// unlike a wrapping closure, it converts to a Handler without allocating.
+type payloadHandler func(n actor.Net, payload any)
+
+// Handle implements simnet.Handler.
+func (h payloadHandler) Handle(n *simnet.Network, m simnet.Message) { h(n, m.Payload) }
 
 // Send implements actor.Net.
 func (s *SimTransport) Send(from, to simnet.SiteID, payload any) {

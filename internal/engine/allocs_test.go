@@ -13,17 +13,18 @@ import (
 )
 
 // maxInstanceAllocs bounds the allocations of one whole dense12
-// instance run through a recycled arun.Scratch, the way internal/engine
-// runs every instance after a worker's first: resetting the scratch's
-// actors, program states, site hosts and trace scopes in place,
-// driving all twelve attempts through a fresh simulator, and
-// assembling the outcome.  maxFreshInstanceAllocs bounds the same
-// instance built fresh, with no scratch — what internal/serve pays on
-// every launch.  Each is its measured count plus 10 %: recycled 34,
-// fresh 88.
+// instance run the way internal/engine runs every instance after a
+// worker's first: through a recycled arun.Scratch and the worker's
+// recycled simulator, resetting the scratch's actors, program states,
+// site hosts and trace scopes and the simulator's queue, slab and sites
+// in place, driving all twelve attempts, and assembling the outcome.
+// maxFreshInstanceAllocs bounds the same instance built fresh, with no
+// scratch and a new engine.SimTransport — what internal/serve pays on
+// every launch.  Each is its measured count plus 10 %: recycled 17,
+// fresh 86.
 const (
-	maxInstanceAllocs      = 37
-	maxFreshInstanceAllocs = 96
+	maxInstanceAllocs      = 18
+	maxFreshInstanceAllocs = 94
 )
 
 // maxNetInstanceAllocs bounds one dense12 instance of an engine round
@@ -85,12 +86,13 @@ func TestInstanceAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name    string
-		scratch *arun.Scratch
-		max     int
+		name      string
+		scratch   *arun.Scratch
+		transport func(seed int64) arun.Transport
+		max       int
 	}{
-		{"recycled", arun.NewScratch(), maxInstanceAllocs},
-		{"fresh", nil, maxFreshInstanceAllocs},
+		{"recycled", arun.NewScratch(), engine.WorkerSim(), maxInstanceAllocs},
+		{"fresh", nil, engine.SimTransport, maxFreshInstanceAllocs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := arun.RunnerOptions{
@@ -100,7 +102,7 @@ func TestInstanceAllocs(t *testing.T) {
 			}
 			var runErr error
 			allocs := testing.AllocsPerRun(50, func() {
-				r, err := plan.NewRunner(engine.SimTransport(7), opt)
+				r, err := plan.NewRunner(tc.transport(7), opt)
 				if err != nil {
 					runErr = err
 					return

@@ -22,10 +22,11 @@ func BenchmarkDense12Instance(b *testing.B) {
 		Scratch:     arun.NewScratch(),
 		SatCache:    arun.NewSatCache(),
 	}
+	sim := engine.WorkerSim()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := plan.NewRunner(engine.SimTransport(int64(i)), opt)
+		r, err := plan.NewRunner(sim(int64(i)), opt)
 		if err != nil {
 			b.Fatal(err)
 		}

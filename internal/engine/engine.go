@@ -18,7 +18,8 @@
 //   - a bounded worker pool sharded by instance ID, recycling each
 //     finished instance whole (arun.Scratch: site hosts, actors, their
 //     program states and trace scopes, reset in place for the next
-//     instance) and sharing a trace satisfaction cache
+//     instance) and, in sim mode, each worker's simulator (reset and
+//     re-seeded per instance), and sharing a trace satisfaction cache
 //     across instances;
 //   - on the wire transport, all instances share one TCP mesh: frames
 //     carry an actor.Instanced envelope, each node demultiplexes on
@@ -50,9 +51,9 @@ import (
 type Mode int
 
 const (
-	// ModeSim runs each instance on its own deterministic simulator
-	// (virtual time, zero wall-clock latency): the throughput mode and
-	// the oracle for the chaos tests.
+	// ModeSim runs each instance on its worker's deterministic
+	// simulator, reset for it (virtual time, zero wall-clock latency):
+	// the throughput mode and the oracle for the chaos tests.
 	ModeSim Mode = iota
 	// ModeNet runs all instances over one shared loopback TCP mesh
 	// with instance-tagged frames.
@@ -193,9 +194,10 @@ func RunPlan(plan *arun.Plan, opt Options) (*Result, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			sim := newWorkerSim(opt) // unused on ModeNet
 			for idx := w; idx < opt.Instances; idx += workers {
 				sc := scratch.Get().(*arun.Scratch)
-				out, err := runOne(plan, eng, sc, satCache, idx, opt)
+				out, err := runOne(plan, eng, sim, sc, satCache, idx, opt)
 				// The scratch goes back only after runOne returned, and
 				// so after its deferred eng.remove(inst): the next
 				// instance resets these very actors, and that is safe
@@ -244,8 +246,9 @@ func RunPlan(plan *arun.Plan, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// runOne executes a single instance on its transport.
-func runOne(plan *arun.Plan, eng *netEngine, sc *arun.Scratch, sat *arun.SatCache, idx int, opt Options) (*arun.Outcome, error) {
+// runOne executes a single instance on its transport: the shared mesh
+// when eng is set, else the worker's simulator, reset for the instance.
+func runOne(plan *arun.Plan, eng *netEngine, sim *simXport, sc *arun.Scratch, sat *arun.SatCache, idx int, opt Options) (*arun.Outcome, error) {
 	started := time.Now()
 	ropt := arun.RunnerOptions{
 		IdleTimeout: opt.IdleTimeout,
@@ -261,14 +264,8 @@ func runOne(plan *arun.Plan, eng *netEngine, sc *arun.Scratch, sat *arun.SatCach
 		tr = inst.transport()
 		ropt.Pipelined = true
 	} else {
-		// A private simulator per instance, on the same latency model as
-		// the serial oracle — virtual time costs nothing, and keeping the
-		// local≪remote ratio keeps within-attempt message races resolving
-		// as they do on the reference runs.  Jitter widens the seeded
-		// variation on top.
-		lat := simnet.DefaultLatency()
-		lat.Jitter += opt.Jitter
-		tr = newSimXport(arun.NewSimTransportLat(lat, opt.Seed+int64(idx), opt.Fault))
+		sim.Net.Reset(opt.Seed + int64(idx))
+		tr = sim
 	}
 	defer tr.Close()
 	r, err := plan.NewRunner(tr, ropt)
@@ -283,6 +280,17 @@ func runOne(plan *arun.Plan, eng *netEngine, sc *arun.Scratch, sat *arun.SatCach
 	return out, err
 }
 
+// newWorkerSim builds the simulator a worker resets for each of its
+// instances, on the serial oracle's latency model — virtual time costs
+// nothing, and keeping the local≪remote ratio keeps within-attempt
+// message races resolving as they do on the reference runs.  Jitter
+// widens the seeded variation on top.
+func newWorkerSim(opt Options) *simXport {
+	lat := simnet.DefaultLatency()
+	lat.Jitter += opt.Jitter
+	return &simXport{arun.NewSimTransportLat(lat, opt.Seed, opt.Fault)}
+}
+
 // SimTransport builds the per-instance simulator transport the
 // engine's sim mode runs on: default latency model, direct driver
 // injection.  Hosting layers (internal/serve) reuse it so a hosted
@@ -290,7 +298,7 @@ func runOne(plan *arun.Plan, eng *netEngine, sc *arun.Scratch, sat *arun.SatCach
 // the sim oracle and the served verdict are the same deterministic
 // function of the seed.
 func SimTransport(seed int64) arun.Transport {
-	return newSimXport(arun.NewSimTransport(seed, nil))
+	return &simXport{arun.NewSimTransport(seed, nil)}
 }
 
 // simXport wraps the simulator transport with direct driver
@@ -302,23 +310,13 @@ func SimTransport(seed int64) arun.Transport {
 // every attempt.
 type simXport struct {
 	*arun.SimTransport
-	handlers map[simnet.SiteID]func(actor.Net, any)
-}
-
-func newSimXport(tr *arun.SimTransport) *simXport {
-	return &simXport{SimTransport: tr, handlers: map[simnet.SiteID]func(actor.Net, any){}}
-}
-
-func (x *simXport) Register(site simnet.SiteID, h func(n actor.Net, payload any)) {
-	x.handlers[site] = h
-	x.SimTransport.Register(site, h)
 }
 
 func (x *simXport) Send(from, to simnet.SiteID, payload any) {
-	if _, actorSite := x.handlers[from]; !actorSite {
+	if x.Net.Handler(from) == nil {
 		// Driver-originated: inject inline.
-		if h := x.handlers[to]; h != nil {
-			h(x.SimTransport, payload)
+		if h := x.Net.Handler(to); h != nil {
+			h.Handle(x.Net, simnet.Message{From: from, To: to, Payload: payload})
 			return
 		}
 	}

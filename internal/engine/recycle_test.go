@@ -22,13 +22,14 @@ type recycleRun struct {
 	records         []obs.Record
 }
 
-// runRecycled runs one instance of the plan at the seed on the engine's
-// simulator transport, through the scratch (nil builds fresh), with the
-// tracer capturing every record from zero.
-func runRecycled(t *testing.T, plan *arun.Plan, sc *arun.Scratch, tracer *obs.Tracer, seed int64) recycleRun {
+// runRecycled runs one instance of the plan at the seed on the
+// simulator transport sim hands out (engine.SimTransport builds fresh,
+// engine.WorkerSim recycles one), through the scratch (nil builds
+// fresh), with the tracer capturing every record from zero.
+func runRecycled(t *testing.T, plan *arun.Plan, sc *arun.Scratch, sim func(int64) arun.Transport, tracer *obs.Tracer, seed int64) recycleRun {
 	t.Helper()
 	tracer.Reset()
-	r, err := plan.NewRunner(engine.SimTransport(seed), arun.RunnerOptions{
+	r, err := plan.NewRunner(sim(seed), arun.RunnerOptions{
 		IdleTimeout: 10 * time.Second,
 		Scratch:     sc,
 		Tracer:      tracer,
@@ -79,9 +80,9 @@ func recycleSpecs(t *testing.T) map[string]*spec.Spec {
 // seed, the outcome fingerprint, the decision and announcement counts,
 // the runner's complete state digest (every actor's facts, round
 // counter, holds and promises) and the traced record sequence must be
-// equal — with tracing on and off.  The scratch is carried across all
-// seeds of a spec, so every run after the first resets the previous
-// run's actors.
+// equal — with tracing on and off.  The scratch and the worker
+// simulator are carried across all seeds of a spec, so every run after
+// the first resets the previous run's actors and simulator.
 func TestScratchRecyclingEquivalence(t *testing.T) {
 	const seeds = 20
 	specs := recycleSpecs(t)
@@ -91,7 +92,7 @@ func TestScratchRecyclingEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc := arun.NewScratch()
+			sc, sim := arun.NewScratch(), engine.WorkerSim()
 			freshTracer, reusedTracer := obs.NewTracer(1), obs.NewTracer(1)
 			for _, traced := range []bool{true, false} {
 				for _, tr := range []*obs.Tracer{freshTracer, reusedTracer} {
@@ -102,8 +103,8 @@ func TestScratchRecyclingEquivalence(t *testing.T) {
 					}
 				}
 				for seed := int64(0); seed < seeds; seed++ {
-					fresh := runRecycled(t, plan, nil, freshTracer, seed)
-					reused := runRecycled(t, plan, sc, reusedTracer, seed)
+					fresh := runRecycled(t, plan, nil, engine.SimTransport, freshTracer, seed)
+					reused := runRecycled(t, plan, sc, sim, reusedTracer, seed)
 					if traced && len(fresh.records) == 0 {
 						t.Fatal("traced run captured no records")
 					}
@@ -130,11 +131,11 @@ func TestScratchRecyclingEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		tracer := obs.NewTracer(1)
-		sc := arun.NewScratch()
+		sc, sim := arun.NewScratch(), engine.WorkerSim()
 		for i, plan := range []*arun.Plan{planA, planB, planB, planA} {
 			seed := int64(i)
-			fresh := runRecycled(t, plan, nil, tracer, seed)
-			reused := runRecycled(t, plan, sc, tracer, seed)
+			fresh := runRecycled(t, plan, nil, engine.SimTransport, tracer, seed)
+			reused := runRecycled(t, plan, sc, sim, tracer, seed)
 			if !reflect.DeepEqual(fresh, reused) {
 				t.Fatalf("run %d: scratch carried across plans differs from a fresh build:\n fresh  %s\n%s\n reused %s\n%s",
 					i, fresh.fingerprint, fresh.digest, reused.fingerprint, reused.digest)

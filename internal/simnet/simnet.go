@@ -39,11 +39,6 @@ type Message struct {
 	Payload any
 	// Sent and Deliver are the send and delivery times.
 	Sent, Deliver Time
-	seq           uint64
-	// wireSeq is the per-link sequence number of fault-plan-managed
-	// frames; dedup applies, mirroring the wire transport's receiver.
-	wireSeq uint64
-	dedup   bool
 }
 
 // Handler consumes messages delivered to a site.
@@ -92,19 +87,21 @@ type Stats struct {
 }
 
 // Network is the simulator.  Create with New, register sites, inject
-// initial messages or timers, then Run.
+// initial messages or timers, then Run.  Inside, a site is its index
+// in sites, which Send finds by a scan: no delivery hashes a name.
 type Network struct {
 	now   Time
 	queue eventQueue
-	sites map[SiteID]Handler
-	// rng is a PCG generator (two words of state) built lazily from
-	// seed.  Every remote send under a jittered model such as
-	// DefaultLatency draws from it, so each simulated instance seeds
-	// one; zero-jitter models never draw and never build it.
+	// slab holds the queued messages; free lists its vacant slots.
+	slab []inFlight
+	free []int32
+	// sites are the registered sites and any unregistered sender.
+	sites []site
+	// rng draws jitter from pcg, seeded by New and Reset.
+	pcg     rand.PCG
 	rng     *rand.Rand
-	seed    int64
 	latency LatencyModel
-	stats   Stats
+	stats   Stats // PerSite stays nil; see Stats
 	seq     uint64
 	// occurrences issues globally ordered occurrence indices.
 	occurrences int64
@@ -113,49 +110,81 @@ type Network struct {
 	// sequence numbers, receiver dedup, scheduled retransmissions) so
 	// outcomes are preserved — exactly the contract netwire implements
 	// over real sockets.
-	fault    *FaultPlan
-	linkSeq  map[linkKey]uint64
-	faultDel map[linkKey]map[uint64]bool
-	// linkLast enforces per-link FIFO release: the reliable link
-	// buffers out-of-order frames, so no frame is handed to a handler
-	// before its predecessors on the same link (head-of-line blocking,
-	// as on a real TCP stream).
-	linkLast map[linkKey]Time
-	// Trace, when set, observes every delivery in order (debugging and
-	// replay diagnostics).
-	Trace func(m Message)
+	fault *FaultPlan
 }
 
-// linkKey identifies a directed site pair.
-type linkKey struct{ from, to SiteID }
+type site struct {
+	id         SiteID
+	h          Handler
+	registered bool
+	delivered  int
+	out        []link // by destination, under a fault plan
+}
+
+// inFlight is a queued message; a nonzero wireSeq marks a frame of the
+// fault plan's reliable link, which the receiver deduplicates.
+type inFlight struct {
+	payload  any
+	sent     Time
+	wireSeq  uint64
+	from, to int32
+}
+
+// link is one directed link's reliable-layer state: the last sequence
+// number sent, the highest delivered, and the last release time.
+type link struct {
+	sent, delivered uint64
+	last            Time
+}
 
 // New creates a network with the given latency model and deterministic
 // seed.
 func New(lat LatencyModel, seed int64) *Network {
-	return &Network{
-		sites:   make(map[SiteID]Handler),
-		seed:    seed,
-		latency: lat,
-		stats:   Stats{PerSite: make(map[SiteID]int)},
-	}
+	n := &Network{latency: lat}
+	n.pcg.Seed(uint64(seed), 0)
+	n.rng = rand.New(&n.pcg)
+	return n
 }
 
-// rand returns the seeded generator, constructing it on first use.
-func (n *Network) rand() *rand.Rand {
-	if n.rng == nil {
-		n.rng = rand.New(rand.NewPCG(uint64(n.seed), 0))
+// Reset empties the network for a run at seed on the same latency
+// model and fault plan; only its backing arrays survive.
+func (n *Network) Reset(seed int64) {
+	clear(n.slab)
+	clear(n.sites)
+	n.queue, n.slab, n.free, n.sites = n.queue[:0], n.slab[:0], n.free[:0], n.sites[:0]
+	n.now, n.seq, n.occurrences, n.stats = 0, 0, 0, Stats{}
+	n.pcg.Seed(uint64(seed), 0)
+}
+
+// index returns the site's index, listing a new id as an unregistered
+// sender.  A destination must be registered: a message to nowhere
+// panics where it is sent.
+func (n *Network) index(id SiteID, dest bool) int32 {
+	i := 0
+	for i < len(n.sites) && n.sites[i].id != id {
+		i++
 	}
-	return n.rng
+	if i == len(n.sites) {
+		n.sites = append(n.sites, site{id: id})
+	}
+	if dest && !n.sites[i].registered {
+		panic(fmt.Sprintf("simnet: send to unknown site %q", id))
+	}
+	return int32(i)
 }
 
 // AddSite registers a site.  Registering the same id twice panics: it
 // is always a programming error.
 func (n *Network) AddSite(id SiteID, h Handler) {
-	if _, dup := n.sites[id]; dup {
+	s := &n.sites[n.index(id, false)]
+	if s.registered {
 		panic(fmt.Sprintf("simnet: duplicate site %q", id))
 	}
-	n.sites[id] = h
+	s.h, s.registered = h, true
 }
+
+// Handler returns the site's handler, nil for an unregistered site.
+func (n *Network) Handler(id SiteID) Handler { return n.sites[n.index(id, false)].h }
 
 // Now returns the current simulated time.
 func (n *Network) Now() Time { return n.now }
@@ -173,72 +202,73 @@ func (n *Network) Clock() int64 { return n.occurrences }
 
 // SetFaultPlan installs a chaos schedule; nil restores the reliable
 // network.  Must be called before the run starts.
-func (n *Network) SetFaultPlan(fp *FaultPlan) {
-	n.fault = fp
-	if fp != nil && n.linkSeq == nil {
-		n.linkSeq = map[linkKey]uint64{}
-		n.faultDel = map[linkKey]map[uint64]bool{}
-		n.linkLast = map[linkKey]Time{}
+func (n *Network) SetFaultPlan(fp *FaultPlan) { n.fault = fp }
+
+// link returns the state of the link from→to.
+func (n *Network) link(from, to int32) *link {
+	s := &n.sites[from]
+	if int(to) >= len(s.out) {
+		s.out = append(s.out, make([]link, int(to)+1-len(s.out))...)
 	}
+	return &s.out[to]
 }
 
-// Send enqueues a message from one site to another; latency follows
-// the model (deterministic given the seed).  Under a fault plan,
-// remote messages additionally pass through the modelled reliable
+// Send enqueues a message from one site to a registered one; latency
+// follows the model (deterministic given the seed).  Under a fault
+// plan, remote messages additionally pass through the modelled reliable
 // link: the chaos verdicts may drop, duplicate, delay, or reorder
 // individual transmission attempts, and the link retries dropped
 // frames with exponential backoff until one gets through.
 func (n *Network) Send(from, to SiteID, payload any) {
+	t, f := n.index(to, true), n.index(from, false)
 	var lat Time
-	if from == to {
+	if f == t {
 		lat = n.latency.Local
 	} else {
 		lat = n.latency.Remote
 		if n.latency.Jitter > 0 {
-			lat += Time(n.rand().Int64N(int64(n.latency.Jitter) + 1))
+			lat += Time(n.rng.Int64N(int64(n.latency.Jitter) + 1))
 		}
 	}
-	if n.fault == nil || from == to {
-		n.push(Message{From: from, To: to, Payload: payload, Sent: n.now, Deliver: n.now + lat})
+	m := inFlight{payload: payload, sent: n.now, from: f, to: t}
+	if n.fault == nil || f == t {
+		n.push(n.now+lat, m)
 		return
 	}
-	lk := linkKey{from, to}
-	n.linkSeq[lk]++
-	seq := n.linkSeq[lk]
+	lk := n.link(f, t)
+	lk.sent++
+	m.wireSeq = lk.sent
 	deliver := func(at Time) {
 		// FIFO release: frames of one link reach the handler in
 		// sequence order, later-sent frames queueing behind delayed or
 		// retransmitted predecessors exactly as the wire transport's
-		// in-order receive buffer makes them.
-		if last := n.linkLast[lk]; at <= last {
-			at = last + 1
-		}
-		n.linkLast[lk] = at
-		n.push(Message{From: from, To: to, Payload: payload, Sent: n.now,
-			Deliver: at, wireSeq: seq, dedup: true})
+		// in-order receive buffer makes them (head-of-line blocking,
+		// as on a real TCP stream).
+		lk.last = max(at, lk.last+1)
+		n.push(lk.last, m)
 	}
-	t := n.now
+	at := n.now
 	for attempt := 0; ; attempt++ {
-		if heal, blocked := n.fault.Blocked(from, to, t); blocked {
+		if heal, blocked := n.fault.Blocked(from, to, at); blocked {
 			// The frame sits in the link's outbound queue until the
 			// partition heals, then the next attempt goes out.
-			t = heal
+			at = heal
 			n.stats.Retransmits++
 			continue
 		}
-		v := n.fault.VerdictFor(from, to, seq, attempt)
+		v := n.fault.VerdictFor(from, to, m.wireSeq, attempt)
 		switch {
 		case v.Drop:
 			n.stats.Dropped++
 			n.stats.Retransmits++
-			t += n.fault.RTOFor(attempt)
+			at += n.fault.RTOFor(attempt)
 		case v.Dup:
 			n.stats.Duplicated++
-			deliver(t + lat)
-			deliver(t + lat + lat/2 + 1)
+			deliver(at + lat)
+			deliver(at + lat + lat/2 + 1)
 			return
 		default:
-			deliver(t + lat + v.Extra)
+			deliver(at + lat + v.Extra)
 			return
 		}
 	}
@@ -246,17 +276,22 @@ func (n *Network) Send(from, to SiteID, payload any) {
 
 // After schedules a timer: the payload is delivered to the site after
 // the delay.
-func (n *Network) After(site SiteID, delay Time, payload any) {
-	n.push(Message{From: site, To: site, Payload: payload, Sent: n.now, Deliver: n.now + delay})
+func (n *Network) After(id SiteID, delay Time, payload any) {
+	s := n.index(id, true)
+	n.push(n.now+delay, inFlight{payload: payload, sent: n.now, from: s, to: s})
 }
 
-func (n *Network) push(m Message) {
-	m.seq = n.seq
-	n.seq++
-	n.queue.push(m)
-	if len(n.queue) > n.stats.PeakQueue {
-		n.stats.PeakQueue = len(n.queue)
+func (n *Network) push(at Time, m inFlight) {
+	slot := int32(len(n.slab))
+	if k := len(n.free); k > 0 {
+		slot, n.free = n.free[k-1], n.free[:k-1]
+		n.slab[slot] = m
+	} else {
+		n.slab = append(n.slab, m)
 	}
+	n.queue.push(event{at, n.seq, slot})
+	n.seq++
+	n.stats.PeakQueue = max(n.stats.PeakQueue, len(n.queue))
 }
 
 // Step delivers the next message.  It reports false when the queue is
@@ -265,40 +300,32 @@ func (n *Network) Step() bool {
 	if len(n.queue) == 0 {
 		return false
 	}
-	m := n.queue.pop()
-	if m.Deliver < n.now {
+	e := n.queue.pop()
+	if e.deliver < n.now {
 		panic("simnet: time went backwards")
 	}
-	n.now = m.Deliver
-	h, ok := n.sites[m.To]
-	if !ok {
-		panic(fmt.Sprintf("simnet: message to unknown site %q", m.To))
-	}
-	if m.dedup {
-		lk := linkKey{m.From, m.To}
-		seen := n.faultDel[lk]
-		if seen == nil {
-			seen = map[uint64]bool{}
-			n.faultDel[lk] = seen
-		}
-		if seen[m.wireSeq] {
-			// The receiver-side dedup of the reliable link: a duplicate
-			// copy of an already-delivered frame is acknowledged and
-			// discarded without reaching the handler.
+	n.now = e.deliver
+	p := n.slab[e.slot]
+	n.slab[e.slot] = inFlight{} // release the payload
+	n.free = append(n.free, e.slot)
+	if p.wireSeq > 0 {
+		// The reliable link's receiver dedup: FIFO release delivers a
+		// link's frames in send order, so a copy numbered at most the
+		// highest delivered is acknowledged and discarded.
+		lk := n.link(p.from, p.to)
+		if p.wireSeq <= lk.delivered {
 			n.stats.Deduped++
 			return true
 		}
-		seen[m.wireSeq] = true
+		lk.delivered = p.wireSeq
 	}
 	n.stats.Messages++
-	if m.From != m.To {
+	if p.from != p.to {
 		n.stats.Remote++
 	}
-	n.stats.PerSite[m.To]++
-	if n.Trace != nil {
-		n.Trace(m)
-	}
-	h.Handle(n, m)
+	s := &n.sites[p.to]
+	s.delivered++
+	s.h.Handle(n, Message{From: n.sites[p.from].id, To: s.id, Payload: p.payload, Sent: p.sent, Deliver: e.deliver})
 	return true
 }
 
@@ -317,35 +344,46 @@ func (n *Network) Run(maxSteps int) int {
 
 // Stats returns a copy of the accumulated statistics.
 func (n *Network) Stats() Stats {
-	cp := n.stats
-	cp.PerSite = make(map[SiteID]int, len(n.stats.PerSite))
-	for k, v := range n.stats.PerSite {
-		cp.PerSite[k] = v
+	st := n.stats
+	st.PerSite = make(map[SiteID]int, len(n.sites))
+	for _, s := range n.sites {
+		if s.delivered > 0 {
+			st.PerSite[s.id] = s.delivered
+		}
 	}
-	return cp
+	return st
 }
 
 // Idle reports whether no messages are in flight.
 func (n *Network) Idle() bool { return len(n.queue) == 0 }
 
-// eventQueue is a min-heap ordered by (Deliver, seq); the sequence
-// number makes delivery deterministic for simultaneous messages.  The
-// sift operations are hand-rolled rather than going through
-// container/heap, which would box every Message into an interface on
-// each push and pop — this queue sits under every simulated message of
-// every engine instance.  Pop order is the unique (Deliver, seq) total
-// order, so determinism does not depend on the heap's internal shape.
-type eventQueue []Message
+// event is a queue entry: delivery time, push sequence number, and the
+// slab slot of its message.
+type event struct {
+	deliver Time
+	seq     uint64
+	slot    int32
+}
+
+// eventQueue is a min-heap ordered by (deliver, seq); the sequence
+// number makes delivery deterministic for simultaneous messages.  Its
+// entries are small and the messages stay in the slab, and the sift
+// operations are hand-rolled rather than going through container/heap,
+// which would box every entry on each push and pop — this queue sits
+// under every simulated message of every engine instance.  Pop order
+// is the unique (deliver, seq) total order, so determinism does not
+// depend on the heap's internal shape.
+type eventQueue []event
 
 func (q eventQueue) less(i, j int) bool {
-	if q[i].Deliver != q[j].Deliver {
-		return q[i].Deliver < q[j].Deliver
+	if q[i].deliver != q[j].deliver {
+		return q[i].deliver < q[j].deliver
 	}
 	return q[i].seq < q[j].seq
 }
 
-func (q *eventQueue) push(m Message) {
-	*q = append(*q, m)
+func (q *eventQueue) push(e event) {
+	*q = append(*q, e)
 	h := *q
 	i := len(h) - 1
 	for i > 0 {
@@ -358,12 +396,11 @@ func (q *eventQueue) push(m Message) {
 	}
 }
 
-func (q *eventQueue) pop() Message {
+func (q *eventQueue) pop() event {
 	h := *q
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h[last] = Message{} // release payload references
 	h = h[:last]
 	*q = h
 	i := 0

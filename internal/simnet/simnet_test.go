@@ -1,6 +1,9 @@
 package simnet
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 type recorder struct {
 	got []Message
@@ -141,13 +144,52 @@ func TestDuplicateSitePanics(t *testing.T) {
 	n.AddSite("a", &recorder{})
 }
 
+// TestUnknownSitePanics: a send or timer to a site nobody registered
+// panics where it is made, naming the site, and queues nothing — it
+// does not wait for a delivery that Run(maxSteps) might never reach.
+// An unregistered sender is fine: drivers inject from outside.
 func TestUnknownSitePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on unknown destination")
-		}
-	}()
 	n := New(DefaultLatency(), 1)
-	n.Send("a", "nowhere", nil)
-	n.Run(0)
+	n.AddSite("a", &recorder{})
+	for name, call := range map[string]func(){
+		"Send":  func() { n.Send("a", "nowhere", nil) },
+		"After": func() { n.After("nowhere", 10, nil) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, `"nowhere"`) {
+					t.Fatalf("%s to an unknown site: panic %q, want one naming \"nowhere\"", name, msg)
+				}
+			}()
+			call()
+		}()
+	}
+	if !n.Idle() {
+		t.Fatal("a send to an unknown site must queue nothing")
+	}
+	n.Send("driver", "a", "hello")
+	if n.Run(0) != 1 {
+		t.Fatal("a send from an unregistered sender must be delivered")
+	}
+}
+
+// TestSendStepZeroAlloc: once warm, a remote send under the jittered
+// default latency and its delivery allocate nothing — the slab slot,
+// the queue entry and the rng are all reused.
+func TestSendStepZeroAlloc(t *testing.T) {
+	n := New(DefaultLatency(), 1)
+	n.AddSite("a", HandlerFunc(func(*Network, Message) {}))
+	n.AddSite("b", HandlerFunc(func(*Network, Message) {}))
+	var payload any = 42
+	step := func() {
+		n.Send("a", "b", payload)
+		n.Send("b", "b", payload)
+		n.Step()
+		n.Step()
+	}
+	step()
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("steady-state Send+Step allocates %.1f times, want 0", allocs)
+	}
 }
